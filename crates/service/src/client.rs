@@ -23,6 +23,7 @@
 //! [`ClientError::ResumeGap`] — never a panic, never a hang.
 
 use std::collections::VecDeque;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -31,7 +32,7 @@ use race_core::error::RetryPolicy;
 use race_core::summary::RaceSummary;
 
 use crate::frame::{
-    read_frame, write_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent,
+    append_frame, read_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent,
 };
 
 /// Default bound of the client-side replay buffer (events retained for
@@ -186,6 +187,9 @@ pub struct ServiceClient {
     replay_capacity: usize,
     /// Reconnects performed over this client's lifetime.
     reconnects: u64,
+    /// Outgoing bytes, reused: each frame (on resume, the whole replay
+    /// tail) is assembled here and leaves in one `write`.
+    wire: Vec<u8>,
 }
 
 impl ServiceClient {
@@ -233,6 +237,7 @@ impl ServiceClient {
             replay: VecDeque::new(),
             replay_capacity: DEFAULT_REPLAY_CAPACITY,
             reconnects: 0,
+            wire: Vec::new(),
         };
         client.send_client_frame(&ClientFrame::Hello {
             config_json: config.to_json(),
@@ -412,14 +417,13 @@ impl ServiceClient {
 
     fn try_resume(&mut self) -> Result<(), ClientError> {
         let (mut stream, _) = dial(self.peer, self.timeouts)?;
-        write_frame(
-            &mut stream,
-            &ClientFrame::Resume {
-                token: self.token,
-                last_acked_seq: self.server_floor(),
-            }
-            .encode(),
-        )?;
+        let resume = ClientFrame::Resume {
+            token: self.token,
+            last_acked_seq: self.server_floor(),
+        };
+        self.wire.clear();
+        append_frame(&mut self.wire, &resume.encode())?;
+        stream.write_all(&self.wire)?;
         let payload = read_frame(&mut stream)?;
         match ServerFrame::decode(&payload)? {
             ServerFrame::ResumeAck { session, next_seq } => {
@@ -437,15 +441,11 @@ impl ServiceClient {
                     });
                 }
                 // Replay exactly the events the server never applied.
-                let tail: Vec<Vec<u8>> = self
-                    .replay
-                    .iter()
-                    .filter(|(seq, _)| *seq >= next_seq)
-                    .map(|(_, ev)| ClientFrame::Event(*ev).encode())
-                    .collect();
-                for frame in tail {
-                    write_frame(&mut stream, &frame)?;
+                self.wire.clear();
+                for (_, ev) in self.replay.iter().filter(|(seq, _)| *seq >= next_seq) {
+                    append_frame(&mut self.wire, &ClientFrame::Event(*ev).encode())?;
                 }
+                stream.write_all(&self.wire)?;
                 self.session = session;
                 self.stream = stream;
                 Ok(())
@@ -466,7 +466,9 @@ impl ServiceClient {
     }
 
     fn send_client_frame(&mut self, frame: &ClientFrame) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &frame.encode())?;
+        self.wire.clear();
+        append_frame(&mut self.wire, &frame.encode())?;
+        self.stream.write_all(&self.wire)?;
         Ok(())
     }
 

@@ -282,6 +282,22 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Append one frame (length prefix + payload) to `buf`, so the caller can
+/// put one frame — or a whole run of them — on the wire with a single
+/// `write_all`. Refuses the same sizes [`write_frame`] refuses, leaving
+/// `buf` untouched.
+pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> std::io::Result<()> {
+    if payload.is_empty() || payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("refusing to send invalid frame of {} bytes", payload.len()),
+        ));
+    }
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    Ok(())
+}
+
 /// Read one frame's payload. Distinguishes a clean close at a frame boundary
 /// ([`FrameError::ConnectionClosed`]) from a mid-frame hangup
 /// ([`FrameError::Truncated`]); length-prefix violations surface before any
@@ -894,5 +910,20 @@ mod tests {
         assert!(write_frame(&mut out, &[]).is_err());
         assert!(write_frame(&mut out, &vec![0; MAX_FRAME + 1]).is_err());
         assert!(out.is_empty(), "nothing written on refusal");
+    }
+
+    #[test]
+    fn append_frame_matches_write_frame_and_refuses_the_same_sizes() {
+        let mut written = Vec::new();
+        let mut appended = Vec::new();
+        for ev in sample_events() {
+            let payload = ClientFrame::Event(ev).encode();
+            write_frame(&mut written, &payload).unwrap();
+            append_frame(&mut appended, &payload).unwrap();
+        }
+        assert_eq!(appended, written, "same bytes on the wire");
+        assert!(append_frame(&mut appended, &[]).is_err());
+        assert!(append_frame(&mut appended, &vec![0; MAX_FRAME + 1]).is_err());
+        assert_eq!(appended, written, "nothing appended on refusal");
     }
 }

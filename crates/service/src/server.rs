@@ -18,13 +18,16 @@
 //!    middle of a frame — **parks** its session in a registry instead of
 //!    ending it: a reconnecting client presents the resume token from its
 //!    `HelloAck` and picks up exactly where it left off.
-//! 3. **Per-session memory is bounded.** Events flow through a
-//!    `sync_channel` of [`ServeConfig::queue_capacity`]; when a client
+//! 3. **Per-session memory is bounded.** The socket is read a burst at a
+//!    time into one fixed buffer ([`TickedFrameReader`]) and the decoded
+//!    events reach the worker through a queue that never has more than
+//!    [`ServeConfig::queue_capacity`] of them in flight; when a client
 //!    outruns its session the [`SlowClientPolicy`] decides between
 //!    back-pressure ([`SlowClientPolicy::Block`]) and shedding with a
 //!    counted `shed` statistic. The completed-session ledger is bounded too
 //!    ([`ServeConfig::ledger_capacity`], FIFO eviction with a counter), as
-//!    is the journal (truncated at every checkpoint).
+//!    are the journal (truncated at every checkpoint) and the registry of
+//!    connection threads (ended ones are joined at the next accept).
 //! 4. **Idle and abandoned sessions are reaped.** No frame for
 //!    [`ServeConfig::idle_timeout`] ends a live session as
 //!    [`SessionOutcome::Reaped`]; a parked session unresumed for
@@ -44,8 +47,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,7 +56,13 @@ use race_core::error::RetryPolicy;
 use race_core::snapshot::JournalEvent;
 use race_core::summary::RaceSummary;
 
-use crate::frame::{write_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent};
+use crate::frame::{append_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent};
+
+mod queue;
+mod reader;
+
+use queue::{burst_channel, BurstReceiver, BurstSender};
+pub use reader::TickedFrameReader;
 
 /// How often blocked reads wake up to check for shutdown and idleness, and
 /// how often the park reaper scans for expired sessions.
@@ -85,8 +93,9 @@ pub type SinkFactory = Arc<dyn Fn() -> Box<dyn ReportSink> + Send + Sync>;
 /// checkpoint every 1024 events and a 4096-record ledger.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Bound of the per-session event queue (events buffered between the
-    /// socket reader and the session worker).
+    /// Bound of the per-session event queue: events in flight between the
+    /// socket reader and the session worker — queued, or in the batch the
+    /// worker is applying. Zero is treated as one.
     pub queue_capacity: usize,
     /// Full-queue behaviour.
     pub slow_policy: SlowClientPolicy,
@@ -390,7 +399,14 @@ impl Server {
                             );
                         }));
                     });
-                    conns.lock().expect("conn registry poisoned").push(handle);
+                    // Track the new connection and join the ones that have
+                    // ended since the last accept, so the registry holds
+                    // live connections, not every connection ever made.
+                    let mut conns = conns.lock().expect("conn registry poisoned");
+                    for ended in conns.extract_if(.., |h| h.is_finished()) {
+                        let _ = ended.join(); // cannot block: the thread has exited
+                    }
+                    conns.push(handle);
                 }
             })
         };
@@ -575,68 +591,6 @@ enum WorkerExit {
     },
 }
 
-/// Incremental frame reader that survives read timeouts: partial bytes of
-/// the current frame are retained across `WouldBlock`, so the liveness tick
-/// never corrupts the stream. (A plain `read_exact` would drop the partial
-/// prefix on timeout and resynchronise mid-frame.)
-struct TickedFrameReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    need: Option<usize>,
-}
-
-impl TickedFrameReader {
-    fn new(stream: TcpStream) -> Self {
-        TickedFrameReader {
-            stream,
-            buf: Vec::new(),
-            need: None,
-        }
-    }
-
-    /// Read until one whole frame is buffered. Returns the payload, or a
-    /// `WireError` — timeouts come back as `Io` with state preserved.
-    fn poll_frame(&mut self) -> Result<Vec<u8>, WireError> {
-        loop {
-            if self.need.is_none() && self.buf.len() >= 4 {
-                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len == 0 {
-                    return Err(FrameError::Empty.into());
-                }
-                if len > crate::frame::MAX_FRAME {
-                    return Err(FrameError::Oversized { len }.into());
-                }
-                self.need = Some(4 + len);
-            }
-            if let Some(need) = self.need {
-                if self.buf.len() >= need {
-                    let payload = self.buf[4..need].to_vec();
-                    self.buf.clear();
-                    self.need = None;
-                    return Ok(payload);
-                }
-            }
-            let target = self.need.unwrap_or(4);
-            let mut tmp = [0u8; 4096];
-            let want = (target - self.buf.len()).min(tmp.len());
-            use std::io::Read;
-            match (&self.stream).read(&mut tmp[..want]) {
-                Ok(0) => {
-                    return Err(if self.buf.is_empty() {
-                        FrameError::ConnectionClosed.into()
-                    } else {
-                        FrameError::Truncated { what: "payload" }.into()
-                    });
-                }
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(WireError::Io(e)),
-            }
-        }
-    }
-}
-
 /// The first frame of a connection, validated.
 enum Handshake {
     Fresh(DetectorConfig),
@@ -736,7 +690,8 @@ fn handle_connection(
     };
 
     // --- Session worker. --------------------------------------------------
-    let (tx, rx) = mpsc::sync_channel::<Cmd>(cfg.queue_capacity.max(1));
+    let capacity = cfg.queue_capacity.max(1);
+    let (tx, rx) = burst_channel::<Cmd>(capacity);
     let shed = Arc::new(AtomicU64::new(shed0));
     let worker = {
         let cfg = Arc::clone(cfg);
@@ -749,82 +704,55 @@ fn handle_connection(
         std::thread::spawn(move || run_session(rx, worker_stream, start, cfg, shed, stats))
     };
 
-    // --- Pump frames until the stream ends one way or another. ------------
+    // --- Pump bursts until the stream ends one way or another. ------------
+    // What one `read` completed is decoded into `burst` — never more than
+    // the queue could hold — and handed to the worker in one go, so
+    // commands stay in wire order and a terminal one is queued behind every
+    // event that preceded it. `fill` only reads once the buffer holds no
+    // whole frame.
     let mut last_frame = Instant::now();
+    let mut burst: VecDeque<Cmd> = VecDeque::new();
     loop {
-        match reader.poll_frame() {
-            Ok(payload) => {
-                last_frame = Instant::now();
-                match ClientFrame::decode(&payload) {
-                    Ok(ClientFrame::Event(ev)) => {
-                        if !enqueue_event(&tx, ev, cfg, &shed, stats) {
-                            // Worker is gone (it died un-recoverably);
-                            // record what the supervisor already counted
-                            // and stop reading.
-                            break;
-                        }
-                    }
-                    Ok(ClientFrame::Ping) => {
-                        if tx.send(Cmd::Ping).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(ClientFrame::Finish) => {
-                        let _ = tx.send(Cmd::End(EndReason::Finish));
-                        break;
-                    }
-                    Ok(ClientFrame::Hello { .. }) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Cmd::End(EndReason::Poison(
-                            "unexpected second hello".into(),
-                        )));
-                        break;
-                    }
-                    Ok(ClientFrame::Resume { .. }) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Cmd::End(EndReason::Poison(
-                            "resume is only valid as the first frame".into(),
-                        )));
-                        break;
-                    }
-                    Err(e) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Cmd::End(EndReason::Poison(e.to_string())));
-                        break;
+        let mut end = decode_buffered(&mut reader, &mut burst, capacity, stats);
+        if !burst.is_empty() {
+            last_frame = Instant::now();
+        }
+        if end.is_none() {
+            if !forward(&tx, &mut burst, cfg, &shed, stats) {
+                // Worker is gone (it died un-recoverably); record what the
+                // supervisor already counted and stop reading.
+                break;
+            }
+            end = match reader.fill() {
+                Ok(()) => None,
+                Err(e) if e.is_timeout() => {
+                    if shutdown.load(Ordering::SeqCst) {
+                        Some(EndReason::Drain)
+                    } else if last_frame.elapsed() >= cfg.idle_timeout {
+                        Some(EndReason::Reap)
+                    } else {
+                        None
                     }
                 }
-            }
-            Err(e) if e.is_timeout() => {
-                if shutdown.load(Ordering::SeqCst) {
-                    let _ = tx.send(Cmd::End(EndReason::Drain));
-                    break;
+                // A clean hangup at a frame boundary, the TCP stream dying
+                // in the middle of a frame, or a socket error: park, don't
+                // end. A partial frame is discarded; every complete frame
+                // before it was applied — exactly the state the resume
+                // protocol restores.
+                Err(WireError::Frame(
+                    FrameError::ConnectionClosed | FrameError::Truncated { .. },
+                ))
+                | Err(WireError::Io(_)) => Some(EndReason::Park),
+                Err(WireError::Frame(e)) => {
+                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                    Some(EndReason::Poison(e.to_string()))
                 }
-                if last_frame.elapsed() >= cfg.idle_timeout {
-                    let _ = tx.send(Cmd::End(EndReason::Reap));
-                    break;
-                }
-            }
-            Err(WireError::Frame(FrameError::ConnectionClosed)) => {
-                // Clean hangup at a frame boundary: park, don't end.
-                let _ = tx.send(Cmd::End(EndReason::Park));
-                break;
-            }
-            Err(WireError::Frame(FrameError::Truncated { .. })) => {
-                // The TCP stream died in the middle of a frame. The partial
-                // frame is discarded; every complete frame before it was
-                // applied — exactly the state the resume protocol restores.
-                let _ = tx.send(Cmd::End(EndReason::Park));
-                break;
-            }
-            Err(WireError::Frame(e)) => {
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Cmd::End(EndReason::Poison(e.to_string())));
-                break;
-            }
-            Err(WireError::Io(_)) => {
-                let _ = tx.send(Cmd::End(EndReason::Park));
-                break;
-            }
+            };
+        }
+        if let Some(reason) = end {
+            burst.push_back(Cmd::End(reason));
+            let _ = forward(&tx, &mut burst, cfg, &shed, stats);
+            break;
         }
     }
 
@@ -898,48 +826,20 @@ fn reject_connection(
 /// connection is charged to the returned outcome (with a message to echo to
 /// the peer when one makes sense).
 fn read_handshake(
-    reader: &mut TickedFrameReader,
+    reader: &mut TickedFrameReader<TcpStream>,
     cfg: &ServeConfig,
     shutdown: &AtomicBool,
     stats: &ServerStats,
 ) -> Result<Handshake, (SessionOutcome, Option<String>)> {
     let started = Instant::now();
-    loop {
-        match reader.poll_frame() {
-            Ok(payload) => {
-                return match ClientFrame::decode(&payload) {
-                    Ok(ClientFrame::Hello { config_json }) => {
-                        match DetectorConfig::from_json(&config_json) {
-                            Ok(config) => Ok(Handshake::Fresh(config)),
-                            Err(e) => {
-                                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                                Err((
-                                    SessionOutcome::Poisoned,
-                                    Some(format!("bad detector config: {e}")),
-                                ))
-                            }
-                        }
-                    }
-                    Ok(ClientFrame::Resume {
-                        token,
-                        last_acked_seq,
-                    }) => Ok(Handshake::Resume {
-                        token,
-                        last_acked_seq,
-                    }),
-                    Ok(_) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        Err((
-                            SessionOutcome::Poisoned,
-                            Some("first frame must be hello or resume".into()),
-                        ))
-                    }
-                    Err(e) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        Err((SessionOutcome::Poisoned, Some(e.to_string())))
-                    }
-                };
-            }
+    let first = loop {
+        match reader.next_buffered() {
+            Ok(Some(payload)) => break ClientFrame::decode(payload),
+            Ok(None) => {}
+            Err(e) => break Err(e),
+        }
+        match reader.fill() {
+            Ok(()) => {}
             Err(e) if e.is_timeout() => {
                 if shutdown.load(Ordering::SeqCst) {
                     return Err((SessionOutcome::Drained, None));
@@ -951,49 +851,107 @@ fn read_handshake(
                     ));
                 }
             }
-            Err(WireError::Frame(FrameError::ConnectionClosed)) => {
+            Err(WireError::Frame(FrameError::ConnectionClosed)) | Err(WireError::Io(_)) => {
                 return Err((SessionOutcome::Hangup, None));
             }
-            Err(WireError::Frame(e)) => {
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err((SessionOutcome::Poisoned, Some(e.to_string())));
-            }
-            Err(WireError::Io(_)) => return Err((SessionOutcome::Hangup, None)),
+            Err(WireError::Frame(e)) => break Err(e),
         }
-    }
+    };
+    let message = match first {
+        Ok(ClientFrame::Hello { config_json }) => match DetectorConfig::from_json(&config_json) {
+            Ok(config) => return Ok(Handshake::Fresh(config)),
+            Err(e) => format!("bad detector config: {e}"),
+        },
+        Ok(ClientFrame::Resume {
+            token,
+            last_acked_seq,
+        }) => {
+            return Ok(Handshake::Resume {
+                token,
+                last_acked_seq,
+            })
+        }
+        Ok(_) => "first frame must be hello or resume".into(),
+        Err(e) => e.to_string(),
+    };
+    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+    Err((SessionOutcome::Poisoned, Some(message)))
 }
 
-/// Queue one event under the configured slow-client policy. Returns false
-/// when the worker is gone.
-fn enqueue_event(
-    tx: &SyncSender<Cmd>,
-    ev: WireEvent,
+/// Decode the frames the reader already holds into `burst`, up to `limit`
+/// commands (the rest stay in the reader as bytes). Returns the reason the
+/// stream ends here, if one of them ends it: a `Finish`, a frame that is
+/// not valid mid-stream, or bytes the codec rejects.
+fn decode_buffered(
+    reader: &mut TickedFrameReader<TcpStream>,
+    burst: &mut VecDeque<Cmd>,
+    limit: usize,
+    stats: &ServerStats,
+) -> Option<EndReason> {
+    let poison = loop {
+        if burst.len() >= limit {
+            return None;
+        }
+        let frame = match reader.next_buffered() {
+            Ok(Some(payload)) => ClientFrame::decode(payload),
+            Ok(None) => return None,
+            Err(e) => Err(e),
+        };
+        match frame {
+            Ok(ClientFrame::Event(ev)) => burst.push_back(Cmd::Event(ev)),
+            Ok(ClientFrame::Ping) => burst.push_back(Cmd::Ping),
+            Ok(ClientFrame::Finish) => return Some(EndReason::Finish),
+            Ok(ClientFrame::Hello { .. }) => break "unexpected second hello".to_string(),
+            Ok(ClientFrame::Resume { .. }) => {
+                break "resume is only valid as the first frame".to_string()
+            }
+            Err(e) => break e.to_string(),
+        }
+    };
+    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+    Some(EndReason::Poison(poison))
+}
+
+/// Hand a burst to the worker under the configured slow-client policy,
+/// leaving `burst` empty. Returns false when the worker is gone.
+fn forward(
+    tx: &BurstSender<Cmd>,
+    burst: &mut VecDeque<Cmd>,
     cfg: &ServeConfig,
     shed: &AtomicU64,
     stats: &ServerStats,
 ) -> bool {
-    match cfg.slow_policy {
-        SlowClientPolicy::Block => tx.send(Cmd::Event(ev)).is_ok(),
-        SlowClientPolicy::Shed => {
-            let mut cmd = Cmd::Event(ev);
-            match tx.try_send(cmd) {
-                Ok(()) => return true,
-                Err(TrySendError::Disconnected(_)) => return false,
-                Err(TrySendError::Full(c)) => cmd = c,
-            }
-            for delay in cfg.retry.delays() {
-                std::thread::sleep(delay);
-                match tx.try_send(cmd) {
-                    Ok(()) => return true,
-                    Err(TrySendError::Disconnected(_)) => return false,
-                    Err(TrySendError::Full(c)) => cmd = c,
+    while !burst.is_empty() {
+        // Only events are ever shed; `Block`, and `Ping`/`End` under either
+        // policy, wait for room.
+        let may_shed = cfg.slow_policy == SlowClientPolicy::Shed
+            && matches!(burst.front(), Some(Cmd::Event(_)));
+        match tx.send_some(burst, !may_shed) {
+            Err(_) => return false,
+            Ok(0) if may_shed => {}
+            Ok(_) => continue,
+        }
+        // The event at the head found the queue full: it gets its own
+        // retry schedule, then it is dropped and counted.
+        let mut placed = false;
+        for delay in cfg.retry.delays() {
+            std::thread::sleep(delay);
+            match tx.send_some(burst, false) {
+                Err(_) => return false,
+                Ok(0) => {}
+                Ok(_) => {
+                    placed = true;
+                    break;
                 }
             }
+        }
+        if !placed {
+            burst.pop_front();
             shed.fetch_add(1, Ordering::Relaxed);
             stats.events_shed.fetch_add(1, Ordering::Relaxed);
-            true // shed, but the stream goes on
         }
     }
+    true
 }
 
 /// Build the configured per-session sink.
@@ -1019,7 +977,7 @@ fn mint_token(session_id: u64) -> u64 {
 /// produces a verdict — a panic degrades (or at worst ends) this session,
 /// never the server.
 fn run_session(
-    rx: Receiver<Cmd>,
+    mut rx: BurstReceiver<Cmd>,
     stream: TcpStream,
     start: SessionStart,
     cfg: Arc<ServeConfig>,
@@ -1075,10 +1033,17 @@ fn run_session(
     let mut armed = cfg.panic_on_op_id;
     let mut recovered: Option<String> = None;
 
+    let mut batch: VecDeque<Cmd> = VecDeque::new();
     let end = 'drive: loop {
-        match rx.recv() {
-            Err(_) => break EndReason::Park, // reader died without a verdict
-            Ok(Cmd::Event(ev)) => {
+        let Some(cmd) = batch.pop_front() else {
+            // The batch is applied: trade it for everything queued since.
+            if rx.recv_all(&mut batch).is_err() {
+                break EndReason::Park; // reader died without a verdict
+            }
+            continue;
+        };
+        match cmd {
+            Cmd::Event(ev) => {
                 events += 1;
                 let step = catch_unwind(AssertUnwindSafe(|| {
                     if let WireEvent::Op(op) = &ev {
@@ -1109,7 +1074,7 @@ fn run_session(
                     }
                 }
             }
-            Ok(Cmd::Ping) => {
+            Cmd::Ping => {
                 let summary = session.summary();
                 let frame = ServerFrame::Health {
                     degraded: session.health().is_degraded()
@@ -1121,7 +1086,7 @@ fn run_session(
                 };
                 send_frame(&stream, &frame);
             }
-            Ok(Cmd::End(reason)) => break reason,
+            Cmd::End(reason) => break reason,
         }
     };
 
@@ -1330,9 +1295,15 @@ fn apply_event(session: &mut Session, ev: &WireEvent) {
     }
 }
 
+/// One frame, one `write`: prefix and payload leave in the same segment.
 fn send_frame(stream: &TcpStream, frame: &ServerFrame) {
-    let mut w = stream;
-    let _ = write_frame(&mut w, &frame.encode());
+    use std::io::Write;
+    let payload = frame.encode();
+    let mut wire = Vec::with_capacity(4 + payload.len());
+    if append_frame(&mut wire, &payload).is_ok() {
+        let mut w = stream;
+        let _ = w.write_all(&wire);
+    }
 }
 
 fn bump_outcome(stats: &ServerStats, outcome: SessionOutcome) {
@@ -1370,4 +1341,38 @@ pub fn outcome_histogram(records: &[SessionRecord]) -> BTreeMap<&'static str, us
         *hist.entry(r.outcome.label()).or_insert(0) += 1;
     }
     hist
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServiceClient;
+    use race_core::DetectorKind;
+
+    #[test]
+    fn connection_handles_are_reaped_as_sessions_end() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let config = DetectorConfig::new(DetectorKind::Dual, 2);
+        let tracked = || server.conns.lock().unwrap().len();
+        let mut peak = 0;
+        for _ in 0..200 {
+            let mut client = ServiceClient::connect(server.local_addr(), &config).unwrap();
+            client.send(&WireEvent::Barrier).unwrap();
+            // One live connection, plus the previous one until the accept
+            // that replaced it has run.
+            peak = peak.max(tracked());
+            client.finish().unwrap();
+            // Let the connection's thread exit, so that the next accept
+            // finds it finished whatever the scheduler does.
+            let exiting = || {
+                let conns = server.conns.lock().unwrap();
+                conns.iter().any(|h| !h.is_finished())
+            };
+            while exiting() {
+                std::thread::yield_now();
+            }
+        }
+        assert!(peak <= 2, "tracked {peak} handles with one live connection");
+        assert_eq!(server.shutdown().stats.finished, 200);
+    }
 }

@@ -3,7 +3,10 @@
 //! panic, and valid frames must survive a round trip bit-for-bit.
 
 use dsm::addr::GlobalAddr;
-use dsm_service::frame::{read_frame, ClientFrame, ServerFrame, WireEvent};
+use dsm_service::frame::{
+    append_frame, read_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent,
+};
+use dsm_service::server::TickedFrameReader;
 use proptest::prelude::*;
 use race_core::{DsmOp, OpKind};
 
@@ -59,8 +62,127 @@ fn event_from_words(sel: u64, a: u64, b: u64, c: u64) -> WireEvent {
     }
 }
 
+/// Plays `stream` in chunks of the given sizes (cycled), a read timeout
+/// after every chunk, then end of stream.
+struct Chunked {
+    stream: Vec<u8>,
+    at: usize,
+    sizes: Vec<usize>,
+    reads: usize,
+    timeout_due: bool,
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if std::mem::take(&mut self.timeout_due) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let size = self.sizes[self.reads % self.sizes.len()].max(1);
+        let n = size.min(buf.len()).min(self.stream.len() - self.at);
+        buf[..n].copy_from_slice(&self.stream[self.at..self.at + n]);
+        self.at += n;
+        self.reads += 1;
+        self.timeout_due = n > 0;
+        Ok(n)
+    }
+}
+
+/// Every payload the server's burst reader yields for `stream` delivered
+/// in `sizes` chunks, and the error that ends it.
+fn burst_read(stream: &[u8], sizes: &[usize]) -> (Vec<Vec<u8>>, FrameError) {
+    let mut reader = TickedFrameReader::new(Chunked {
+        stream: stream.to_vec(),
+        at: 0,
+        sizes: sizes.to_vec(),
+        reads: 0,
+        timeout_due: false,
+    });
+    let mut payloads = Vec::new();
+    loop {
+        loop {
+            match reader.next_buffered() {
+                Ok(Some(payload)) => payloads.push(payload.to_vec()),
+                Ok(None) => break,
+                Err(e) => return (payloads, e),
+            }
+        }
+        match reader.fill() {
+            Ok(()) => {}
+            Err(e) if e.is_timeout() => {}
+            Err(WireError::Frame(e)) => return (payloads, e),
+            Err(WireError::Io(e)) => panic!("the source only ever times out: {e}"),
+        }
+    }
+}
+
+/// The same for `read_frame`, one frame after another off the whole stream.
+fn sequential_read(stream: &[u8]) -> (Vec<Vec<u8>>, FrameError) {
+    let mut cursor = std::io::Cursor::new(stream);
+    let mut payloads = Vec::new();
+    loop {
+        match read_frame(&mut cursor) {
+            Ok(payload) => payloads.push(payload),
+            Err(WireError::Frame(e)) => return (payloads, e),
+            Err(WireError::Io(e)) => panic!("a cursor cannot fail: {e}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Differential: however a stream of mixed-size frames (events, pings,
+    /// hellos up to several read buffers long) is cut into reads, with a
+    /// timeout between reads, the burst reader yields the payloads — and
+    /// the final error — that sequential `read_frame` yields.
+    #[test]
+    fn burst_reader_matches_sequential_read_frame(
+        raw in proptest::collection::vec(
+            (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..120,
+        ),
+        sizes in proptest::collection::vec(1usize..40_000, 1..8),
+        cut_tail in 0usize..64,
+    ) {
+        let mut stream = Vec::new();
+        for (sel, a, b, c) in raw {
+            let frame = match sel % 23 {
+                0 => ClientFrame::Hello { config_json: "j".repeat((a % 50_000) as usize) },
+                1 => ClientFrame::Ping,
+                _ => ClientFrame::Event(event_from_words(sel, a, b, c)),
+            };
+            append_frame(&mut stream, &frame.encode()).unwrap();
+        }
+        // Sometimes the stream dies inside its last frame.
+        stream.truncate(stream.len() - cut_tail.min(stream.len()) * (cut_tail % 2));
+        prop_assert_eq!(burst_read(&stream, &sizes), sequential_read(&stream));
+    }
+
+    /// Byte soup and XOR-corrupted streams: the burst reader never panics
+    /// and never yields a frame `read_frame` would not have.
+    #[test]
+    fn burst_reader_agrees_with_read_frame_on_hostile_streams(
+        soup in proptest::collection::vec(0u8..=255, 0..600),
+        raw in proptest::collection::vec(
+            (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..40,
+        ),
+        flips in proptest::collection::vec((0usize..1 << 20, 1u8..=255), 1..6),
+        sizes in proptest::collection::vec(1usize..300, 1..6),
+    ) {
+        prop_assert_eq!(burst_read(&soup, &sizes), sequential_read(&soup));
+
+        let mut stream = Vec::new();
+        for (sel, a, b, c) in raw {
+            let payload = ClientFrame::Event(event_from_words(sel, a, b, c)).encode();
+            append_frame(&mut stream, &payload).unwrap();
+        }
+        for (pos, bits) in flips {
+            let pos = pos % stream.len();
+            stream[pos] ^= bits;
+        }
+        prop_assert_eq!(burst_read(&stream, &sizes), sequential_read(&stream));
+    }
 
     /// Any generated event round-trips exactly.
     #[test]

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dsm::addr::GlobalAddr;
-use dsm_service::frame::WireEvent;
+use dsm_service::frame::{append_frame, read_frame, ClientFrame, ServerFrame, WireEvent};
 use dsm_service::server::{ServeConfig, Server, SessionOutcome, SlowClientPolicy};
 use dsm_service::{ClientError, ServiceClient};
 use race_core::api::{ChannelSink, ReportSink, SummarySink};
@@ -573,4 +573,113 @@ impl ReportSink for HangupProbe {
         self.inner.on_flush(summary);
         self.counts.lock().unwrap().push(self.inner.dropped());
     }
+}
+
+/// A raw connection that has said hello: lets a test put a whole run of
+/// frames on the wire in one `write`, so the server's reader meets them as
+/// bursts rather than one frame per read.
+fn raw_session(server: &Server) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = ClientFrame::Hello {
+        config_json: config().to_json(),
+    };
+    write_frames(&mut stream, &[hello]);
+    match ServerFrame::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+        ServerFrame::HelloAck { .. } => stream,
+        other => panic!("wanted hello-ack, got {other:?}"),
+    }
+}
+
+fn write_frames(stream: &mut TcpStream, frames: &[ClientFrame]) {
+    let mut wire = Vec::new();
+    for frame in frames {
+        append_frame(&mut wire, &frame.encode()).unwrap();
+    }
+    stream.write_all(&wire).unwrap();
+}
+
+#[test]
+fn a_ping_is_answered_after_every_event_that_preceded_it() {
+    let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
+    // Nothing before it; one event; exactly the queue's 256 (one read, and
+    // the ping has to wait for room); several reads' worth.
+    for k in [0usize, 1, 256, 3000] {
+        let mut frames: Vec<ClientFrame> = racing_events(k.div_ceil(2), 1)
+            .into_iter()
+            .take(k)
+            .map(ClientFrame::Event)
+            .collect();
+        frames.push(ClientFrame::Ping);
+        let mut stream = raw_session(&server);
+        write_frames(&mut stream, &frames);
+        match ServerFrame::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+            ServerFrame::Health { events, shed, .. } => {
+                assert_eq!(events, k as u64, "ping sent after {k} events");
+                assert_eq!(shed, 0);
+            }
+            other => panic!("wanted health, got {other:?}"),
+        }
+        // And the stream goes on from there.
+        write_frames(
+            &mut stream,
+            &[ClientFrame::Event(WireEvent::Barrier), ClientFrame::Ping],
+        );
+        match ServerFrame::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+            ServerFrame::Health { events, .. } => assert_eq!(events, k as u64 + 1),
+            other => panic!("wanted health, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn shed_events_and_applied_events_add_up_to_the_events_offered() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            queue_capacity: 2,
+            slow_policy: SlowClientPolicy::Shed,
+            retry: race_core::RetryPolicy {
+                attempts: 2,
+                base_delay: Duration::from_micros(50),
+            },
+            sink_factory: Some(Arc::new(|| {
+                Box::new(SlowSink {
+                    inner: SummarySink::default(),
+                    delay: Duration::from_millis(1),
+                })
+            })),
+            ..quick_serve_config()
+        },
+    )
+    .unwrap();
+
+    // Whole bursts against a two-slot queue: most of each burst is shed.
+    let offered = 600;
+    let mut frames: Vec<ClientFrame> = racing_events(offered / 2, 1)
+        .into_iter()
+        .map(ClientFrame::Event)
+        .collect();
+    frames.push(ClientFrame::Finish);
+    let mut stream = raw_session(&server);
+    write_frames(&mut stream, &frames);
+    let shed = loop {
+        match ServerFrame::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+            ServerFrame::Summary { shed, .. } => break shed,
+            ServerFrame::Error { .. } => {}
+            other => panic!("wanted summary, got {other:?}"),
+        }
+    };
+
+    let report = server.shutdown();
+    let record = &report.sessions[0];
+    assert!(shed > 0, "a two-slot queue behind a slow sink must shed");
+    assert!(record.events > 0, "and must still apply what it took");
+    assert_eq!(record.events + shed, offered as u64, "nothing unaccounted");
+    assert_eq!(record.shed, shed);
+    assert_eq!(report.stats.events_shed, shed);
+    assert_eq!(report.stats.finished, 1);
 }
