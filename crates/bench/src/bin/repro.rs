@@ -7,11 +7,6 @@
 //!   repro --bench         # single-line JSON perf rows (the BENCH_0001.json
 //!                         # content): epoch fast path vs full-vector-clock
 //!                         # reference on stencil / random_access at WORD
-//!   repro --bench-sharded # the BENCH_0003.json content: the sharded
-//!                         # pipeline at 1/2/4/8 worker shards (plus the
-//!                         # forced-threaded single shard, `sharded-mt`) vs
-//!                         # the sequential epoch detector on the stencil,
-//!                         # random_access and hotspot streams
 //!   repro --bench-check   # CI perf smoke: fails (exit 1) if the epoch
 //!                         # detector's throughput drops below the
 //!                         # reference detector's on either seed workload
@@ -36,24 +31,22 @@
 //!                         # every clean summary is byte-identical to an
 //!                         # in-process Session run
 //!   repro --chaos         # fault-injection sweep: scenario workloads
-//!                         # under a seed matrix of network fault plans,
-//!                         # plus sharded-pipeline runs with a worker
-//!                         # killed mid-stream. Fails (exit 1) if a panic
-//!                         # escapes, a quiet plan perturbs a run, an
-//!                         # injection goes unreported as degraded, or a
-//!                         # supervised kill changes the report stream.
-//!                         # `--seeds N` widens the matrix (default 8).
+//!                         # under a seed matrix of network fault plans.
+//!                         # Fails (exit 1) if a panic escapes, a quiet
+//!                         # plan perturbs a run, an injection goes
+//!                         # unreported as degraded, or a lossy plan
+//!                         # wedges a rank. `--seeds N` widens the matrix
+//!                         # (default 8).
 //!   repro --scenarios     # the oracle-validated scenario matrix: every
 //!                         # annotated workload twin through the engine
-//!                         # across detector kinds × shard counts 1–4 ×
-//!                         # network models, graded by the oracle. Prints
+//!                         # across detector kinds × network models,
+//!                         # graded by the oracle. Prints
 //!                         # the BENCH_0005.json rows (scored columns next
 //!                         # to throughput) to stdout and fails (exit 1)
 //!                         # on any ground-truth violation: a racy twin
 //!                         # missing a declared site, a race-free twin
-//!                         # reported by the dual clock, a false-positive
-//!                         # dual-clock pair, or a report stream that
-//!                         # changes with the shard count. `--seeds N`
+//!                         # reported by the dual clock, or a
+//!                         # false-positive dual-clock pair. `--seeds N`
 //!                         # widens the sweep (default 4).
 //!   repro --analyze       # static/dynamic cross-validation: the static
 //!                         # MHP analyzer (dsm-analysis) grades every
@@ -260,23 +253,6 @@ fn main() {
             eprintln!("bench-check: epoch/reference throughput order inverted");
             std::process::exit(1);
         }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench-sharded") {
-        let rows = dsm_bench::perfjson::bench_rows_sharded();
-        for row in &rows {
-            println!("{}", row.to_json());
-        }
-        for (workload, detector, shards, speedup) in dsm_bench::perfjson::sharded_speedups(&rows) {
-            eprintln!(
-                "# {workload}: {detector} @ {shards} shard(s) {speedup:.2}x vs sequential epoch"
-            );
-        }
-        eprintln!(
-            "# host cores: {} (threaded scaling needs >= shards+1 cores)",
-            dsm_bench::perfjson::host_cores()
-        );
         return;
     }
 

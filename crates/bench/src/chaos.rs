@@ -3,36 +3,27 @@
 //! trouble is **signalled, never fatal** — even when the environment
 //! misbehaves.
 //!
-//! Two layers of chaos, both deterministic per seed:
-//!
-//! 1. **Network chaos** — real engine runs of scenario workloads under a
-//!    matrix of [`FaultSpec`]s (quiet control, delay, duplicate, reorder,
-//!    drop, storm). Invariants: (a) no panic ever escapes a run; (b) when
-//!    a plan injected nothing (delivery order preserved), the report
-//!    stream is byte-identical to the no-fault baseline and the run is
-//!    not degraded; (c) whenever injection fired, the run's summary says
-//!    [`RaceSummary::degraded`](race_core::RaceSummary::degraded); (d) no
-//!    run ever wedges — the lossy cells (drop, storm) complete through
-//!    the engine's bounded-wait degrade path with zero stuck ranks.
-//! 2. **Pipeline chaos** — detector-only streams through the sharded
-//!    pipeline with a worker killed at a seed-derived point mid-stream.
-//!    Invariants: byte-identical report stream versus the healthy inline
-//!    detector, [`PipelineHealth::Degraded`] after the kill, and a
-//!    healthy no-kill control that stays `Healthy`.
+//! **Network chaos**, deterministic per seed: real engine runs of scenario
+//! workloads under a matrix of [`FaultSpec`]s (quiet control, delay,
+//! duplicate, reorder, drop, storm). Invariants: (a) no panic ever escapes
+//! a run; (b) when a plan injected nothing (delivery order preserved), the
+//! report stream is byte-identical to the no-fault baseline and the run is
+//! not degraded; (c) whenever injection fired, the run's summary says
+//! [`RaceSummary::degraded`](race_core::RaceSummary::degraded); (d) no run
+//! ever wedges — the lossy cells (drop, storm) complete through the
+//! engine's bounded-wait degrade path with zero stuck ranks.
 //!
 //! Everything is pure functions over seeds, so a CI failure line names
-//! the exact `(scenario, spec, seed)` triple to replay locally.
+//! the exact `(scenario, spec, seed)` triple to replay locally. (Faults
+//! *inside* the service — a session panic, a cut connection — are the
+//! serve harness's half: `repro --serve-smoke`.)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use netsim::FaultSpec;
-use race_core::{
-    Detector, Granularity, HbDetector, HbMode, PipelineHealth, RaceReport, ShardedDetector, VecSink,
-};
+use race_core::RaceReport;
 use simulator::workloads::{master_worker, reduction, stencil, Workload};
 use simulator::{Engine, SimConfig};
-
-use crate::opstream;
 
 /// Outcome of a chaos sweep: human-readable verdict lines plus an overall
 /// pass flag (`repro --chaos` exits non-zero when `ok` is false).
@@ -42,7 +33,7 @@ pub struct ChaosReport {
     pub lines: Vec<String>,
     /// True when every invariant held across the whole matrix.
     pub ok: bool,
-    /// Total engine / pipeline runs executed.
+    /// Total engine runs executed.
     pub runs: usize,
 }
 
@@ -143,7 +134,7 @@ fn engine_run(cfg: SimConfig, w: &Workload) -> Result<RunOutcome, String> {
     })
 }
 
-/// Layer 1: engine runs under the fault matrix across `seeds` seeds.
+/// Engine runs under the fault matrix across `seeds` seeds.
 fn network_chaos(seeds: u64, report: &mut ChaosReport) {
     let specs = spec_matrix();
     for w in scenarios() {
@@ -214,88 +205,6 @@ fn network_chaos(seeds: u64, report: &mut ChaosReport) {
     }
 }
 
-/// Layer 2: sharded-pipeline streams with a worker killed mid-stream at a
-/// seed-derived point; report parity against the inline detector.
-fn pipeline_chaos(seeds: u64, report: &mut ChaosReport) {
-    let n = 4;
-    let events = opstream::hotspot(n, 40, 8);
-    let memops = opstream::memops(&events);
-    // The healthy inline truth, computed once.
-    let baseline = {
-        let mut det = HbDetector::new(n, Granularity::WORD, HbMode::Dual);
-        let mut sink = VecSink::new();
-        opstream::drive_sink(&mut det, &mut sink, &events);
-        sink.into_reports()
-    };
-    let mut kills = 0u64;
-    for seed in 0..seeds {
-        let shards = 2 + (seed as usize % 3);
-        let batch = 1 + (seed as usize % 7);
-        let chunks = memops.len().div_ceil(batch);
-        let kill_shard = seed as usize % shards;
-        let kill_at = (seed as usize * 13 + 5) % chunks.max(1);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Control: same configuration, nobody killed.
-            let mut healthy = ShardedDetector::new(n, Granularity::WORD, HbMode::Dual, shards);
-            let mut healthy_sink = VecSink::new();
-            for chunk in memops.chunks(batch) {
-                healthy.observe_batch_sink(chunk, &mut healthy_sink);
-            }
-            let control_health = healthy.health();
-            // Chaos: kill one worker mid-stream.
-            let mut det = ShardedDetector::new(n, Granularity::WORD, HbMode::Dual, shards);
-            let mut sink = VecSink::new();
-            for (i, chunk) in memops.chunks(batch).enumerate() {
-                if i == kill_at {
-                    det.inject_worker_panic(kill_shard);
-                }
-                det.observe_batch_sink(chunk, &mut sink);
-            }
-            (
-                healthy_sink.into_reports(),
-                control_health,
-                sink.into_reports(),
-                det.health(),
-            )
-        }));
-        report.runs += 2;
-        let (control, control_health, killed, killed_health) = match outcome {
-            Ok(t) => t,
-            Err(_) => {
-                report.fail(format!(
-                    "pipeline seed {seed} (shards={shards} batch={batch}): panic escaped"
-                ));
-                continue;
-            }
-        };
-        if control_health != PipelineHealth::Healthy {
-            report.fail(format!("pipeline seed {seed}: control degraded"));
-        }
-        if control != baseline {
-            report.fail(format!(
-                "pipeline seed {seed}: control diverges from inline"
-            ));
-        }
-        if killed_health != PipelineHealth::Degraded {
-            report.fail(format!(
-                "pipeline seed {seed}: worker killed but health not Degraded"
-            ));
-        } else {
-            kills += 1;
-        }
-        if killed != baseline {
-            report.fail(format!(
-                "pipeline seed {seed} (shards={shards} batch={batch} kill_shard={kill_shard} \
-                 kill_at={kill_at}): report stream diverges after worker death"
-            ));
-        }
-    }
-    report.lines.push(format!(
-        "pipeline hotspot(n={n})          {} seed(s), {} supervised kill(s): ok",
-        seeds, kills
-    ));
-}
-
 /// Run the full chaos sweep over `seeds` seeds per scenario/spec pair.
 pub fn run_chaos(seeds: u64) -> ChaosReport {
     let mut report = ChaosReport {
@@ -304,7 +213,6 @@ pub fn run_chaos(seeds: u64) -> ChaosReport {
         runs: 0,
     };
     network_chaos(seeds.max(1), &mut report);
-    pipeline_chaos(seeds.max(1), &mut report);
     report
 }
 

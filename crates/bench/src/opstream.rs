@@ -8,7 +8,7 @@
 //! synchronisation events, and [`drive`] feeds them straight into a
 //! [`Detector`].
 
-use race_core::{Detector, DsmOp, LockId, MemOp, OpKind, ShardedDetector};
+use race_core::{Detector, DsmOp, LockId, OpKind};
 use simulator::workloads::random_access::RandomSpec;
 
 use dsm::GlobalAddr;
@@ -148,9 +148,7 @@ pub fn random(spec: RandomSpec) -> Vec<StreamEvent> {
 /// 0's public segment, completely unsynchronised, ~25% writes. Maximum
 /// contention for the detector: the hot areas demote to dense joins, the
 /// antichains grow to the concurrency width, every access runs the O(n)
-/// scan, and the report stream is dense — the worst case for the sharded
-/// pipeline's routing (all areas hash to a handful of shards) and report
-/// merge. Deterministic, no RNG.
+/// scan, and the report stream is dense. Deterministic, no RNG.
 pub fn hotspot(n: usize, ops_per_rank: usize, hot_words: usize) -> Vec<StreamEvent> {
     assert!(n >= 2 && hot_words >= 1);
     let mut events = Vec::new();
@@ -250,7 +248,7 @@ pub fn drive(detector: &mut dyn Detector, events: &[StreamEvent]) -> usize {
 /// Feed a stream through a detector's sink path
 /// ([`Detector::observe_sink`]) with a caller-owned sink — the bare
 /// streaming hot loop, no session bookkeeping; returns the total number of
-/// reports, including any a final flush drains.
+/// reports.
 pub fn drive_sink(
     detector: &mut dyn Detector,
     sink: &mut dyn race_core::ReportSink,
@@ -265,12 +263,12 @@ pub fn drive_sink(
             StreamEvent::Release { rank, lock } => detector.on_release(*rank, *lock),
         }
     }
-    reports + detector.flush_sink(sink)
+    reports
 }
 
 /// Feed a stream through a `race_core::api` [`race_core::Session`]
 /// (reports go to the session's sink); returns the total number of
-/// reports, including any a final flush drains.
+/// reports.
 pub fn drive_session(session: &mut race_core::Session, events: &[StreamEvent]) -> usize {
     let mut reports = 0;
     for e in events {
@@ -280,35 +278,6 @@ pub fn drive_session(session: &mut race_core::Session, events: &[StreamEvent]) -
             StreamEvent::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
             StreamEvent::Release { rank, lock } => session.on_release(*rank, *lock),
         }
-    }
-    reports + session.flush()
-}
-
-/// The stream as [`MemOp`] events for the batched sharded pipeline.
-pub fn memops(events: &[StreamEvent]) -> Vec<MemOp> {
-    events
-        .iter()
-        .map(|e| match e {
-            StreamEvent::Op(op) => MemOp::Op(*op),
-            StreamEvent::Barrier => MemOp::Barrier,
-            StreamEvent::Acquire { rank, lock } => MemOp::Acquire {
-                rank: *rank,
-                lock: *lock,
-            },
-            StreamEvent::Release { rank, lock } => MemOp::Release {
-                rank: *rank,
-                lock: *lock,
-            },
-        })
-        .collect()
-}
-
-/// Feed a pre-converted stream through the sharded pipeline in batches of
-/// `batch` events; returns the total number of reports.
-pub fn drive_batched(detector: &mut ShardedDetector, events: &[MemOp], batch: usize) -> usize {
-    let mut reports = 0;
-    for chunk in events.chunks(batch.max(1)) {
-        reports += detector.observe_batch(chunk);
     }
     reports
 }
@@ -354,25 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_sharded_drive_matches_sequential() {
-        let spec = RandomSpec {
-            n: 6,
-            ops_per_rank: 40,
-            hot_words: 12,
-            p_write: 0.5,
-            locked: false,
-            seed: 7,
-        };
-        let events = random(spec);
-        let mut seq = HbDetector::new(spec.n, Granularity::WORD, HbMode::Dual);
-        let a = drive(&mut seq, &events);
-        let mut par = race_core::ShardedDetector::new(spec.n, Granularity::WORD, HbMode::Dual, 4);
-        let b = drive_batched(&mut par, &memops(&events), 64);
-        assert_eq!(a, b);
-        assert_eq!(seq.reports(), par.reports());
-    }
-
-    #[test]
     fn hotspot_is_racy_and_matches_reference() {
         let events = hotspot(4, 32, 4);
         let mut fast = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
@@ -381,10 +331,7 @@ mod tests {
         let b = drive(&mut slow, &events);
         assert_eq!(a, b);
         assert!(a > 0, "unsynchronised hotspot traffic must race");
-        let mut par = race_core::ShardedDetector::new(4, Granularity::WORD, HbMode::Dual, 3);
-        let c = drive_batched(&mut par, &memops(&events), 32);
-        assert_eq!(a, c);
-        assert_eq!(fast.reports(), par.reports());
+        assert_eq!(fast.reports(), slow.reports());
     }
 
     #[test]
@@ -421,15 +368,13 @@ mod tests {
         let mut session =
             race_core::DetectorConfig::new(race_core::DetectorKind::Dual, 4).session();
         assert_eq!(drive_session(&mut session, &events), 0);
-        let mut par = ShardedDetector::new(4, Granularity::WORD, HbMode::Dual, 3);
-        assert_eq!(drive_batched(&mut par, &memops(&events), 8), 0);
     }
 
     #[test]
     fn stripping_the_locks_races_and_all_paths_agree() {
         // The same traffic minus the hand-off events must race — proving
         // the lock events (not luck) made the stream clean — and the
-        // sharded pipeline must agree with the inline detector on it.
+        // session path must agree with the bare detector on it.
         let events: Vec<StreamEvent> = producer_consumer(2, 4)
             .into_iter()
             .filter(|e| matches!(e, StreamEvent::Op(_)))
@@ -437,7 +382,8 @@ mod tests {
         let mut d = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let inline_reports = drive(&mut d, &events);
         assert!(inline_reports > 0, "unlocked hand-off must race");
-        let mut par = ShardedDetector::new(4, Granularity::WORD, HbMode::Dual, 2);
-        assert_eq!(drive_batched(&mut par, &memops(&events), 4), inline_reports);
+        let mut session =
+            race_core::DetectorConfig::new(race_core::DetectorKind::Dual, 4).session();
+        assert_eq!(drive_session(&mut session, &events), inline_reports);
     }
 }

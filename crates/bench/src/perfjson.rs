@@ -2,24 +2,17 @@
 //!
 //! `repro --bench` prints one line per measured configuration; the
 //! committed `BENCH_0001.json` is exactly that output, seeding the repo's
-//! perf trajectory. `repro --bench-sharded` measures the sharded pipeline
-//! against the same sequential epoch detector; its output was committed as
-//! `BENCH_0002.json` (the PR-2 transport) and, after the zero-copy
-//! transport rework, as `BENCH_0003.json` — adding the high-contention
-//! `hotspot` workload and, at one shard, both the production configuration
-//! (`sharded`, which runs the degenerate single shard inline) and the
-//! forced-threaded pipeline (`sharded-mt`, which measures the transport
-//! itself). `repro --bench-check` is the CI perf smoke: it fails when the
-//! epoch detector stops beating the full-vector-clock reference.
+//! perf trajectory. `repro --bench-sinks` (`BENCH_0004.json`) measures the
+//! report paths of the `race_core::api` façade. `repro --bench-check` is
+//! the CI perf smoke: it fails when the epoch detector stops beating the
+//! full-vector-clock reference. (`BENCH_0002/0003` recorded the sharded
+//! pipeline and went with it — see docs/BENCHMARKS.md, "Retired".)
 //! Hand-formatted JSON — no serialisation dependency.
 
 use std::time::Instant;
 
 use race_core::api::{CountingSink, DetectorConfig, ReportSink, SummarySink, VecSink};
-use race_core::{
-    Detector, DetectorKind, Granularity, HbDetector, HbMode, MemOp, ReferenceHbDetector,
-    ShardedDetector, StoreConfig,
-};
+use race_core::{Detector, DetectorKind, Granularity, HbDetector, HbMode, ReferenceHbDetector};
 use simulator::workloads::random_access::RandomSpec;
 
 use crate::opstream::{self, StreamEvent};
@@ -154,200 +147,6 @@ pub fn bench_rows() -> Vec<PerfRow> {
     rows
 }
 
-/// One measured sharded-pipeline configuration (the `BENCH_0002` /
-/// `BENCH_0003` shape).
-///
-/// `shards == 0` marks the sequential epoch-detector baseline row the
-/// speedups are computed against. `host_cores` records the measuring
-/// machine's usable core count — shard scaling is only physically possible
-/// when `host_cores >= shards + 1` (workers plus the router), so committed
-/// rows stay interpretable across hosts.
-pub struct ShardRow {
-    /// Workload label (`stencil` / `random_access` / `hotspot`).
-    pub workload: &'static str,
-    /// Detector label: `epoch` baseline, `sharded` (production pipeline —
-    /// inline at one shard), or `sharded-mt` (threaded even at one shard,
-    /// isolating the transport cost).
-    pub detector: &'static str,
-    /// Worker shard count (0 for the sequential baseline).
-    pub shards: usize,
-    /// Process count.
-    pub n: usize,
-    /// Clocked accesses per run of the stream.
-    pub accesses: u64,
-    /// Measured throughput, accesses per second.
-    pub ops_per_sec: f64,
-    /// Inverse throughput, ns per clocked access.
-    pub ns_per_access: f64,
-    /// Race reports per run (must match the baseline).
-    pub reports: usize,
-    /// Usable CPU cores on the measuring host.
-    pub host_cores: usize,
-}
-
-impl ShardRow {
-    /// The committed JSON shape: one object per line.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"detector\":\"{}\",\"shards\":{},\"n\":{},",
-                "\"accesses\":{},\"ops_per_sec\":{:.0},\"ns_per_access\":{:.1},",
-                "\"reports\":{},\"host_cores\":{}}}"
-            ),
-            self.workload,
-            self.detector,
-            self.shards,
-            self.n,
-            self.accesses,
-            self.ops_per_sec,
-            self.ns_per_access,
-            self.reports,
-            self.host_cores,
-        )
-    }
-}
-
-/// Usable cores on this host (respects CPU affinity masks / cgroup limits
-/// where the platform exposes them).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn measure_sharded(
-    workload: &'static str,
-    n: usize,
-    shards: usize,
-    events: &[StreamEvent],
-    force_threaded: bool,
-) -> ShardRow {
-    let accesses = opstream::access_count(events);
-    let batch: Vec<MemOp> = opstream::memops(events);
-    // A fresh detector per run — so each timed run includes spawning and
-    // joining the worker threads. Detector state cannot be reused across
-    // runs (replaying the stream against populated area clocks changes the
-    // verdicts), which is why these rows use long streams: they amortise
-    // the per-run setup to noise and measure steady-state throughput.
-    let mut runs = 1u32;
-    let (reports, elapsed) = loop {
-        let t = Instant::now();
-        let mut reports = 0;
-        for _ in 0..runs {
-            let mut det = if force_threaded {
-                ShardedDetector::threaded(
-                    n,
-                    Granularity::WORD,
-                    HbMode::Dual,
-                    shards,
-                    StoreConfig::default(),
-                )
-            } else {
-                ShardedDetector::new(n, Granularity::WORD, HbMode::Dual, shards)
-            };
-            reports = det.observe_batch(&batch);
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= 200 || runs >= 1 << 20 {
-            break (reports, elapsed);
-        }
-        runs = (runs * 4).min(1 << 20);
-    };
-    let total_accesses = accesses * runs as u64;
-    let secs = elapsed.as_secs_f64();
-    ShardRow {
-        workload,
-        detector: if force_threaded {
-            "sharded-mt"
-        } else {
-            "sharded"
-        },
-        shards,
-        n,
-        accesses,
-        ops_per_sec: total_accesses as f64 / secs,
-        ns_per_access: secs * 1e9 / total_accesses as f64,
-        reports,
-        host_cores: host_cores(),
-    }
-}
-
-/// The `BENCH_0003` measurement set: the sharded pipeline versus the
-/// sequential epoch detector (the PR-1 fast path) at WORD granularity, on
-/// the stencil, random-access and high-contention hotspot patterns.
-///
-/// Per workload: the sequential baseline (`shards: 0`), the production
-/// pipeline at 1/2/4/8 shards (`sharded` — one shard runs inline), and the
-/// forced-threaded single shard (`sharded-mt`), which isolates what the
-/// zero-copy transport itself costs. Long streams keep the per-run worker
-/// spawn out of the steady-state numbers.
-pub fn bench_rows_sharded() -> Vec<ShardRow> {
-    let cores = host_cores();
-    let mut rows = Vec::new();
-
-    let stencil_n = 16;
-    let stencil_events = opstream::stencil(stencil_n, 16, 32);
-    let spec = RandomSpec {
-        n: 8,
-        ops_per_rank: 1024,
-        hot_words: 256,
-        p_write: 0.25,
-        locked: false,
-        seed: 0xB0,
-    };
-    let random_events = opstream::random(spec);
-    let hotspot_n = 8;
-    let hotspot_events = opstream::hotspot(hotspot_n, 512, 8);
-
-    for (label, events, n) in [
-        ("stencil", &stencil_events, stencil_n),
-        ("random_access", &random_events, spec.n),
-        ("hotspot", &hotspot_events, hotspot_n),
-    ] {
-        // Sequential baseline: the PR-1 epoch detector driven per op.
-        let base = measure(label, "epoch", n, events, || {
-            Box::new(HbDetector::new(n, Granularity::WORD, HbMode::Dual))
-        });
-        rows.push(ShardRow {
-            workload: label,
-            detector: "epoch",
-            shards: 0,
-            n,
-            accesses: base.accesses,
-            ops_per_sec: base.ops_per_sec,
-            ns_per_access: base.ns_per_access,
-            reports: base.reports,
-            host_cores: cores,
-        });
-        for shards in [1usize, 2, 4, 8] {
-            rows.push(measure_sharded(label, n, shards, events, false));
-        }
-        rows.push(measure_sharded(label, n, 1, events, true));
-    }
-    rows
-}
-
-/// Speedup table derived from [`bench_rows_sharded`] output: each sharded
-/// row (both pipeline variants) against its workload's sequential epoch
-/// baseline, as `(workload, detector, shards, speedup)`.
-pub fn sharded_speedups(rows: &[ShardRow]) -> Vec<(String, String, usize, f64)> {
-    let mut out = Vec::new();
-    for r in rows.iter().filter(|r| r.detector != "epoch") {
-        if let Some(base) = rows
-            .iter()
-            .find(|b| b.detector == "epoch" && b.workload == r.workload)
-        {
-            out.push((
-                r.workload.to_string(),
-                r.detector.to_string(),
-                r.shards,
-                base.ns_per_access / r.ns_per_access,
-            ));
-        }
-    }
-    out
-}
-
 /// One measured report path (the `BENCH_0004` shape): the detector hot
 /// loop driven through the `race_core::api` façade with a given sink,
 /// against the `legacy-log` direct-append baseline. Embeds the exact
@@ -441,9 +240,6 @@ fn measure_sink_path(
                 ReportPath::LegacyLog => {
                     let mut det = config.build();
                     opstream::drive(&mut *det, events);
-                    // Flush so batched configs count end-of-stream
-                    // leftovers, exactly like the sink paths do.
-                    det.flush();
                     reports = det.reports().len();
                 }
                 ReportPath::BareSink => {
@@ -672,20 +468,6 @@ pub const ROW_SCHEMAS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "sharded",
-        &[
-            "workload",
-            "detector",
-            "shards",
-            "n",
-            "accesses",
-            "ops_per_sec",
-            "ns_per_access",
-            "reports",
-            "host_cores",
-        ],
-    ),
-    (
         "sink",
         &[
             "workload",
@@ -704,7 +486,6 @@ pub const ROW_SCHEMAS: &[(&str, &[&str])] = &[
             "scenario",
             "detector",
             "n",
-            "shards",
             "net",
             "seed",
             "accesses",
@@ -804,7 +585,6 @@ mod tests {
             scenario: "fanout-racy(4p,2r)".into(),
             detector: "dual-clock",
             n: 4,
-            shards: 1,
             net: "jittered-ib",
             seed: 1,
             accesses: 18,
@@ -843,58 +623,7 @@ mod tests {
                 });
             }
         }
-        assert!(checked_files >= 4, "committed bench corpus went missing");
-    }
-
-    #[test]
-    fn shard_row_json_shape() {
-        let row = ShardRow {
-            workload: "stencil",
-            detector: "sharded",
-            shards: 4,
-            n: 16,
-            accesses: 1000,
-            ops_per_sec: 2_000_000.0,
-            ns_per_access: 500.0,
-            reports: 3,
-            host_cores: 8,
-        };
-        let j = row.to_json();
-        assert!(!j.contains('\n'));
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "\"shards\":4",
-            "\"host_cores\":8",
-            "\"detector\":\"sharded\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-    }
-
-    #[test]
-    fn sharded_speedups_pair_against_epoch_baseline() {
-        let mk = |detector: &'static str, shards: usize, ns: f64| ShardRow {
-            workload: "stencil",
-            detector,
-            shards,
-            n: 4,
-            accesses: 10,
-            ops_per_sec: 1e9 / ns,
-            ns_per_access: ns,
-            reports: 0,
-            host_cores: 1,
-        };
-        let rows = vec![
-            mk("epoch", 0, 300.0),
-            mk("sharded", 2, 150.0),
-            mk("sharded-mt", 1, 600.0),
-        ];
-        let s = sharded_speedups(&rows);
-        assert_eq!(s.len(), 2);
-        assert_eq!((s[0].1.as_str(), s[0].2), ("sharded", 2));
-        assert!((s[0].3 - 2.0).abs() < 1e-9);
-        assert_eq!((s[1].1.as_str(), s[1].2), ("sharded-mt", 1));
-        assert!((s[1].3 - 0.5).abs() < 1e-9);
+        assert!(checked_files >= 3, "committed bench corpus went missing");
     }
 
     #[test]
@@ -949,11 +678,6 @@ mod tests {
                 assert!(reports > 0, "hotspot must race under the dual clock");
             }
         }
-        // Sharded + batched too: the drained stream must round-trip.
-        let config = DetectorConfig::new(DetectorKind::Dual, 4)
-            .with_shards(2)
-            .with_batch(64);
-        config_roundtrip(&config).expect("sharded batched round-trip");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every communication-pattern twin in [`scenario_matrix`] carries a
 //! [`ScenarioTruth`] annotation (its complete race-site catalogue, or
 //! race-freedom). The harness drives each scenario through the full engine
-//! across **detector kinds × shard counts 1–4 × network models** (quiet
+//! across **detector kinds × network models** (quiet
 //! latency/topology variants plus the PR-6 fault matrix's delay and
 //! reorder plans — the non-lossy plans: dropped messages no longer wedge
 //! the engine, which force-completes lost waits degraded, but a run that
@@ -24,19 +24,17 @@
 //!   the documented read-read class (§IV-D); the literal mode's scores
 //!   are recorded but not recall-gated (Algorithm 1's write-after-read
 //!   blind spot is a *finding*, not a bug);
-//! * **shard parity** — the deduped report stream is identical across
-//!   shard counts for a fixed (scenario, kind, net, seed);
 //! * **hygiene** — no panic escapes, no rank wedges, quiet nets surface
 //!   no substrate errors.
 //!
 //! Everything is a pure function of the seed, so a failure line names the
-//! exact `(scenario, detector, shards, net, seed)` cell to replay, and the
+//! exact `(scenario, detector, net, seed)` cell to replay, and the
 //! same seed always reproduces the same [`Score`]s.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use netsim::{FaultSpec, Topology};
-use race_core::{DetectorKind, Oracle, RaceClass, RaceReport, Score};
+use race_core::{DetectorKind, Oracle, RaceClass, Score};
 use simulator::workloads::{
     fanin, fanout, handshake, lock_contention, pipeline_nm, poisson, producer_consumer, sendsend,
     RaceGrade, ScenarioTruth, Workload,
@@ -46,15 +44,12 @@ use simulator::{Engine, LatencySpec, SimConfig};
 use crate::chaos;
 
 /// Detector kinds the matrix sweeps: the clock-based kinds the paper
-/// compares (all shardable, so the shard axis is meaningful for each).
+/// compares.
 pub const MATRIX_KINDS: [DetectorKind; 3] = [
     DetectorKind::Dual,
     DetectorKind::Single,
     DetectorKind::Literal,
 ];
-
-/// Shard counts the matrix sweeps (acceptance: 1–4).
-pub const MATRIX_SHARDS: [usize; 4] = [1, 2, 3, 4];
 
 /// The scenario matrix: eight communication patterns, each as a race-free /
 /// racy twin with embedded ground truth. The first six racy twins are
@@ -157,8 +152,6 @@ pub struct ScenarioCell {
     pub scenario: String,
     /// Detector kind label.
     pub detector: &'static str,
-    /// Shard count.
-    pub shards: usize,
     /// Network model label.
     pub net: &'static str,
     /// Run seed.
@@ -200,7 +193,6 @@ impl ScenarioReport {
 
 struct CellOutcome {
     cell: ScenarioCell,
-    deduped: Vec<RaceReport>,
     read_read_only: bool,
     oracle_truth_sites: Vec<(usize, usize)>,
     stuck: usize,
@@ -210,14 +202,12 @@ struct CellOutcome {
 fn run_cell(
     w: &Workload,
     kind: DetectorKind,
-    shards: usize,
     net: &NetModel,
     seed: u64,
 ) -> Result<CellOutcome, String> {
     let mut cfg = SimConfig::debugging(w.n)
         .with_seed(seed)
-        .with_detector(kind)
-        .with_shards(shards);
+        .with_detector(kind);
     cfg.latency = net.latency;
     if let Some(topo) = net.topology {
         cfg.topology = topo(w.n);
@@ -239,7 +229,6 @@ fn run_cell(
             cell: ScenarioCell {
                 scenario: name,
                 detector: kind.label(),
-                shards,
                 net: net_name,
                 seed,
                 reports: r.deduped.len(),
@@ -253,7 +242,6 @@ fn run_cell(
             oracle_truth_sites,
             stuck: r.stuck.len(),
             errors: r.errors.len(),
-            deduped: r.deduped,
         }
     }))
     .map_err(|payload| {
@@ -272,8 +260,8 @@ fn run_cell(
 fn check_cell(out: &CellOutcome, truth: &ScenarioTruth, report: &mut ScenarioReport) {
     let c = &out.cell;
     let at = format!(
-        "{} [{} shards={} net={} seed={}]",
-        c.scenario, c.detector, c.shards, c.net, c.seed
+        "{} [{} net={} seed={}]",
+        c.scenario, c.detector, c.net, c.seed
     );
     if out.stuck > 0 {
         report.fail(format!("{at}: {} rank(s) wedged", out.stuck));
@@ -362,43 +350,23 @@ fn sweep_seed(seed: u64, report: &mut ScenarioReport) {
         let mut cells_here = 0usize;
         for net in &nets {
             for kind in MATRIX_KINDS {
-                // Shard-parity baseline: the 1-shard deduped stream.
-                let mut baseline: Option<Vec<RaceReport>> = None;
-                for shards in MATRIX_SHARDS {
-                    let out = match run_cell(&w, kind, shards, net, seed) {
-                        Ok(o) => o,
-                        Err(msg) => {
-                            report.fail(format!(
-                                "{} [{} shards={} net={} seed={}]: panicked: {msg}",
-                                w.name,
-                                kind.label(),
-                                shards,
-                                net.name,
-                                seed
-                            ));
-                            continue;
-                        }
-                    };
-                    report.runs += 1;
-                    cells_here += 1;
-                    check_cell(&out, &truth, report);
-                    match &baseline {
-                        None => baseline = Some(out.deduped.clone()),
-                        Some(base) => {
-                            if *base != out.deduped {
-                                report.fail(format!(
-                                    "{} [{} net={} seed={}]: report stream diverges at {} shard(s)",
-                                    w.name,
-                                    kind.label(),
-                                    net.name,
-                                    seed,
-                                    shards
-                                ));
-                            }
-                        }
+                let out = match run_cell(&w, kind, net, seed) {
+                    Ok(o) => o,
+                    Err(msg) => {
+                        report.fail(format!(
+                            "{} [{} net={} seed={}]: panicked: {msg}",
+                            w.name,
+                            kind.label(),
+                            net.name,
+                            seed
+                        ));
+                        continue;
                     }
-                    report.cells.push(out.cell);
-                }
+                };
+                report.runs += 1;
+                cells_here += 1;
+                check_cell(&out, &truth, report);
+                report.cells.push(out.cell);
             }
         }
         report.lines.push(format!(
@@ -479,8 +447,6 @@ pub struct ScenarioRow {
     pub detector: &'static str,
     /// Process count.
     pub n: usize,
-    /// Shard count.
-    pub shards: usize,
     /// Network model label.
     pub net: &'static str,
     /// Run seed.
@@ -513,7 +479,7 @@ impl ScenarioRow {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"scenario\":\"{}\",\"detector\":\"{}\",\"n\":{},\"shards\":{},",
+                "{{\"scenario\":\"{}\",\"detector\":\"{}\",\"n\":{},",
                 "\"net\":\"{}\",\"seed\":{},\"accesses\":{},\"wall_ns_per_run\":{},",
                 "\"accesses_per_sec\":{},\"reports\":{},\"truth_pairs\":{},",
                 "\"truth_sites\":{},\"pair_precision\":{:.4},\"pair_recall\":{:.4},",
@@ -522,7 +488,6 @@ impl ScenarioRow {
             self.scenario,
             self.detector,
             self.n,
-            self.shards,
             self.net,
             self.seed,
             self.accesses,
@@ -540,7 +505,7 @@ impl ScenarioRow {
 }
 
 /// Produce the BENCH_0005 rows: every scenario × matrix kind at the
-/// baseline net, 1 shard, seed 1, wall-clock calibrated to at least ~60 ms
+/// baseline net, seed 1, wall-clock calibrated to at least ~60 ms
 /// or 64 runs per row. Scores are seed-deterministic; only the timing
 /// columns vary between hosts.
 pub fn bench_rows_scenarios() -> Vec<ScenarioRow> {
@@ -571,7 +536,6 @@ pub fn bench_rows_scenarios() -> Vec<ScenarioRow> {
                 scenario: w.name.clone(),
                 detector: kind.label(),
                 n: w.n,
-                shards: 1,
                 net: "jittered-ib",
                 seed,
                 accesses,
@@ -645,7 +609,7 @@ mod tests {
         // race-free annotation and the harness must flag it.
         let w = fanout::racy(4, 2);
         let net = &net_matrix()[0];
-        let out = run_cell(&w, DetectorKind::Dual, 1, net, 1).unwrap();
+        let out = run_cell(&w, DetectorKind::Dual, net, 1).unwrap();
         let mut report = ScenarioReport {
             lines: Vec::new(),
             ok: true,
@@ -677,7 +641,6 @@ mod tests {
             scenario: "fanout-racy(4p,2r)".into(),
             detector: "dual-clock",
             n: 4,
-            shards: 1,
             net: "jittered-ib",
             seed: 1,
             accesses: 100,

@@ -1,9 +1,9 @@
 //! Tier-1 gate for the oracle-validated scenario matrix: the full
-//! detector-kind × shard-count × network-model sweep must satisfy every
+//! detector-kind × network-model sweep must satisfy every
 //! embedded ground-truth annotation, and the whole matrix must be a pure
 //! function of the seed (same seed ⇒ same scores, cell for cell).
 
-use dsm_bench::scenarios::{run_scenarios, scenario_matrix, MATRIX_KINDS, MATRIX_SHARDS};
+use dsm_bench::scenarios::{run_scenarios, scenario_matrix, MATRIX_KINDS};
 use simulator::workloads::RaceGrade;
 
 #[test]
@@ -20,9 +20,9 @@ fn full_matrix_satisfies_ground_truth_and_is_deterministic() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // Full coverage: every scenario × net × kind × shard cell was graded.
+    // Full coverage: every scenario × net × kind cell was graded.
     let nets = dsm_bench::scenarios::net_matrix().len();
-    let expected = scenario_matrix().len() * nets * MATRIX_KINDS.len() * MATRIX_SHARDS.len();
+    let expected = scenario_matrix().len() * nets * MATRIX_KINDS.len();
     assert_eq!(first.cells.len(), expected, "cells missing from the sweep");
     assert_eq!(first.runs, expected);
 
@@ -52,8 +52,8 @@ fn race_free_twins_are_silent_and_racy_twins_are_site_complete() {
             if cell.detector == "dual-clock" {
                 assert_eq!(
                     cell.reports, 0,
-                    "{} [{} shards={} net={}]: dual clock reported on a race-free twin",
-                    cell.scenario, cell.detector, cell.shards, cell.net
+                    "{} [{} net={}]: dual clock reported on a race-free twin",
+                    cell.scenario, cell.detector, cell.net
                 );
                 silent_cells += 1;
             }
@@ -81,8 +81,8 @@ fn race_free_twins_are_silent_and_racy_twins_are_site_complete() {
             if cell.detector != "literal-paper" {
                 assert_eq!(
                     cell.sites.false_negatives, 0,
-                    "{} [{} shards={} net={}]: missed a true race site",
-                    cell.scenario, cell.detector, cell.shards, cell.net
+                    "{} [{} net={}]: missed a true race site",
+                    cell.scenario, cell.detector, cell.net
                 );
                 assert!((cell.sites.recall() - 1.0).abs() < 1e-12);
                 complete_cells += 1;
@@ -91,8 +91,8 @@ fn race_free_twins_are_silent_and_racy_twins_are_site_complete() {
         if cell.detector == "dual-clock" {
             assert_eq!(
                 cell.pairs.false_positives, 0,
-                "{} [{} shards={} net={}]: unsound dual-clock pair",
-                cell.scenario, cell.detector, cell.shards, cell.net
+                "{} [{} net={}]: unsound dual-clock pair",
+                cell.scenario, cell.detector, cell.net
             );
         }
     }

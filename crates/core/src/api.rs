@@ -12,13 +12,12 @@
 //!   DetectorConfig ──build()──▶ Box<dyn Detector>
 //!        │                           │
 //!        └──session()──▶ Session ────┤ observe(op) ─▶ ReportSink::accept
-//!                           │        └ flush()      ─▶ ReportSink::on_flush
+//!                           │        └ finish()     ─▶ ReportSink::on_flush
 //!                           └ RaceSummary (bounded, O(areas) memory)
 //! ```
 //!
 //! * [`DetectorConfig`] — every knob that previously lived on a scattered
 //!   constructor (`DetectorKind::build`, `HbDetector::new`,
-//!   `ShardedDetector::new/threaded`, `BatchingDetector::new`,
 //!   `StoreConfig`) in one serialisable value. [`DetectorConfig::to_json`]
 //!   / [`DetectorConfig::from_json`] round-trip the exact configuration so
 //!   bench JSON rows and CI can record and replay it.
@@ -60,10 +59,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::clockstore::{Granularity, StoreConfig};
 use crate::detector::{Detector, DetectorKind};
-use crate::error::PipelineHealth;
 use crate::event::{DsmOp, LockId};
+use crate::hb::HbDetector;
 use crate::report::RaceReport;
-use crate::sharded::{BatchingDetector, ShardedDetector};
 use crate::summary::RaceSummary;
 
 // ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ impl ReportSink for DedupSink {
             return false;
         };
         let Some(len) = u64_at(8) else { return false };
-        if state.len() as u64 != 16 + len.saturating_mul(16) {
+        if state.len() as u64 != len.saturating_mul(16).saturating_add(16) {
             return false;
         }
         self.seen.clear();
@@ -435,40 +433,6 @@ impl ReportSink for Tee<'_> {
 // DetectorConfig
 // ---------------------------------------------------------------------------
 
-/// Which pipeline a clock-based detector runs on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PipelineMode {
-    /// Inline at one shard, threaded above — what production callers want.
-    #[default]
-    Auto,
-    /// Force the caller-thread pipeline (panics at build for `shards > 1`).
-    Inline,
-    /// Force the router/worker pipeline even at one shard (what the
-    /// transport benchmarks measure).
-    Threaded,
-}
-
-impl PipelineMode {
-    /// Stable label (the JSON encoding).
-    pub fn label(self) -> &'static str {
-        match self {
-            PipelineMode::Auto => "auto",
-            PipelineMode::Inline => "inline",
-            PipelineMode::Threaded => "threaded",
-        }
-    }
-
-    /// Inverse of [`PipelineMode::label`].
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "auto" => Some(PipelineMode::Auto),
-            "inline" => Some(PipelineMode::Inline),
-            "threaded" => Some(PipelineMode::Threaded),
-            _ => None,
-        }
-    }
-}
-
 /// Every construction knob of every detector in one declarative,
 /// JSON-round-trippable value — the single thing a backend, bench row or
 /// CI job needs to record to make a detection run reproducible.
@@ -483,8 +447,7 @@ impl PipelineMode {
 ///
 /// let config = DetectorConfig::new(DetectorKind::Dual, 8)
 ///     .with_granularity(Granularity::CACHE_LINE)
-///     .with_shards(4)
-///     .with_batch(256);
+///     .with_dense_blocks(1 << 12);
 /// let reparsed = DetectorConfig::from_json(&config.to_json()).unwrap();
 /// assert_eq!(config, reparsed);
 /// ```
@@ -496,33 +459,21 @@ pub struct DetectorConfig {
     pub n: usize,
     /// Clock granularity (one `(V, W)` pair per block).
     pub granularity: Granularity,
-    /// Worker shards for the clock-based kinds (1 = sequential; ignored by
-    /// lockset / vanilla, which keep no area clocks).
-    pub shards: usize,
-    /// Pipeline selection for the clock-based kinds.
-    pub pipeline: PipelineMode,
     /// Dense-prefix bound of the per-rank clock slabs
     /// ([`StoreConfig::dense_blocks`]).
     pub dense_blocks: usize,
-    /// Batch capacity of the buffering front-end: `0` observes per op;
-    /// `> 0` wraps the detector in a [`BatchingDetector`] that drains every
-    /// `batch` buffered events (clock-based kinds only).
-    pub batch: usize,
 }
 
 impl DetectorConfig {
     /// A configuration for `kind` over `n` processes with the defaults
-    /// every scattered constructor used: WORD granularity, one shard,
-    /// [`PipelineMode::Auto`], the default slab layout, per-op observe.
+    /// every scattered constructor used: WORD granularity and the default
+    /// slab layout.
     pub fn new(kind: DetectorKind, n: usize) -> Self {
         DetectorConfig {
             kind,
             n,
             granularity: Granularity::WORD,
-            shards: 1,
-            pipeline: PipelineMode::Auto,
             dense_blocks: StoreConfig::DEFAULT_DENSE_BLOCKS,
-            batch: 0,
         }
     }
 
@@ -545,31 +496,9 @@ impl DetectorConfig {
         self
     }
 
-    /// Partition the per-area check-and-update over `shards` workers.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "at least one detection shard");
-        self.shards = shards;
-        self
-    }
-
-    /// Select the pipeline explicitly (see [`PipelineMode`]).
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// Set the dense-prefix bound of the clock slabs.
     pub fn with_dense_blocks(mut self, dense_blocks: usize) -> Self {
         self.dense_blocks = dense_blocks;
-        self
-    }
-
-    /// Buffer `batch` events per drain (`0` = per-op observe).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -580,55 +509,21 @@ impl DetectorConfig {
         }
     }
 
-    /// Build the configured detector.
-    ///
-    /// Clock-based kinds run on the sharded pipeline (inline at one shard
-    /// under [`PipelineMode::Auto`]), wrapped in a [`BatchingDetector`]
-    /// when `batch > 0`; lockset and vanilla ignore the pipeline knobs.
+    /// Build the configured detector: an [`HbDetector`] in the kind's
+    /// [`crate::hb::HbMode`] for the clock-based kinds, the lockset or
+    /// vanilla baseline otherwise (which ignore the slab layout).
     ///
     /// # Panics
-    /// Panics if `n == 0`, `shards == 0`, or [`PipelineMode::Inline`] is
-    /// combined with `shards > 1`.
+    /// Panics if `n == 0`.
     pub fn build(&self) -> Box<dyn Detector> {
         assert!(self.n > 0, "at least one process");
-        assert!(self.shards > 0, "at least one detection shard");
         match self.kind.hb_mode() {
-            Some(mode) => {
-                let sharded = match self.pipeline {
-                    PipelineMode::Auto => ShardedDetector::with_config(
-                        self.n,
-                        self.granularity,
-                        mode,
-                        self.shards,
-                        self.store_config(),
-                    ),
-                    PipelineMode::Inline => {
-                        assert!(
-                            self.shards == 1,
-                            "inline pipeline is single-shard by definition"
-                        );
-                        ShardedDetector::with_config(
-                            self.n,
-                            self.granularity,
-                            mode,
-                            1,
-                            self.store_config(),
-                        )
-                    }
-                    PipelineMode::Threaded => ShardedDetector::threaded(
-                        self.n,
-                        self.granularity,
-                        mode,
-                        self.shards,
-                        self.store_config(),
-                    ),
-                };
-                if self.batch > 0 {
-                    Box::new(BatchingDetector::new(sharded, self.batch))
-                } else {
-                    Box::new(sharded)
-                }
-            }
+            Some(mode) => Box::new(HbDetector::with_config(
+                self.n,
+                self.granularity,
+                mode,
+                self.store_config(),
+            )),
             None => match self.kind {
                 DetectorKind::Lockset => Box::new(crate::lockset::LocksetDetector::new(
                     self.n,
@@ -663,41 +558,46 @@ impl DetectorConfig {
     /// producer in this workspace — no serialisation dependency.
     pub fn to_json(&self) -> String {
         format!(
-            concat!(
-                "{{\"kind\":\"{}\",\"n\":{},\"granularity\":{},\"shards\":{},",
-                "\"pipeline\":\"{}\",\"dense_blocks\":{},\"batch\":{}}}"
-            ),
+            "{{\"kind\":\"{}\",\"n\":{},\"granularity\":{},\"dense_blocks\":{}}}",
             self.kind.label(),
             self.n,
             self.granularity.block_bytes(),
-            self.shards,
-            self.pipeline.label(),
             self.dense_blocks,
-            self.batch,
         )
     }
 
-    /// Largest shard count [`DetectorConfig::from_json`] accepts. Far above
-    /// any plausible host; a bound so a corrupt or hostile config cannot
-    /// make [`DetectorConfig::build`] spawn an absurd worker fleet.
-    pub const MAX_SHARDS: usize = 1024;
+    /// Largest process count [`DetectorConfig::from_json`] accepts. A
+    /// clock-based detector allocates `n` matrix clocks of `n × n` words at
+    /// construction, so this bound admits at most 128³ × 8 B = 16 MiB of
+    /// matrix clocks per session — where an unbounded `n` (4096 ⇒ 512 GiB)
+    /// aborts the whole process on allocation failure, past any
+    /// `catch_unwind`. The paper evaluates at ten processes (§V-A).
+    pub const MAX_N: usize = 128;
 
-    /// Largest batch size [`DetectorConfig::from_json`] accepts (events
-    /// buffered per drain; bounds the front-end's memory).
-    pub const MAX_BATCH: usize = 1 << 24;
+    /// Largest dense-prefix bound [`DetectorConfig::from_json`] accepts:
+    /// the in-process default, so a parsed config may shrink the dense
+    /// slabs but never grow them. One access to block `b <
+    /// dense_blocks` resizes its rank's dense array to `b + 1` slots
+    /// ([`crate::ClockStore::history_mut`]), so the bound admits at most
+    /// `MAX_N × MAX_DENSE_BLOCKS × size_of::<Option<AreaHistory>>()` =
+    /// 128 × 65536 × 96 B = 768 MiB of slab, and only for a stream that
+    /// touches the top dense block of every rank; blocks at or above the
+    /// bound cost one map entry each.
+    pub const MAX_DENSE_BLOCKS: usize = StoreConfig::DEFAULT_DENSE_BLOCKS;
 
     /// Inverse of [`DetectorConfig::to_json`]. Accepts any flat JSON object
-    /// with exactly these keys (whitespace-insensitive); unknown kinds,
-    /// labels, malformed numbers and out-of-range values are reported, not
-    /// panicked — the parsed config is guaranteed safe to
-    /// [`DetectorConfig::build`].
+    /// carrying these four keys (whitespace-insensitive; other keys are
+    /// ignored, which is how configs written before the sharded pipeline
+    /// was retired — `"shards"`, `"pipeline"`, `"batch"` — still parse).
+    /// Unknown kinds, malformed numbers and out-of-range values are
+    /// reported, not panicked: this is the entry point for bytes from a
+    /// socket or a checkpoint, so the parsed config is guaranteed safe to
+    /// [`DetectorConfig::build`] and to drive with arbitrary events.
+    /// Callers that fill the struct directly are not restricted.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let kind_label = json_str(json, "kind")?;
+        let kind_label = json_value(json, "kind")?;
         let kind = DetectorKind::from_label(kind_label)
             .ok_or_else(|| format!("unknown detector kind {kind_label:?}"))?;
-        let pipeline_label = json_str(json, "pipeline")?;
-        let pipeline = PipelineMode::from_label(pipeline_label)
-            .ok_or_else(|| format!("unknown pipeline {pipeline_label:?}"))?;
         let block_bytes = json_usize(json, "granularity")?;
         if !block_bytes.is_power_of_two() {
             return Err(format!("granularity {block_bytes} is not a power of two"));
@@ -706,28 +606,21 @@ impl DetectorConfig {
         if n == 0 {
             return Err("n must be at least 1 (the process count)".into());
         }
-        let shards = json_usize(json, "shards")?;
-        if shards == 0 || shards > Self::MAX_SHARDS {
-            return Err(format!(
-                "shards {shards} out of range 1..={}",
-                Self::MAX_SHARDS
-            ));
+        if n > Self::MAX_N {
+            return Err(format!("n {n} out of range 1..={}", Self::MAX_N));
         }
-        let batch = json_usize(json, "batch")?;
-        if batch > Self::MAX_BATCH {
+        let dense_blocks = json_usize(json, "dense_blocks")?;
+        if dense_blocks > Self::MAX_DENSE_BLOCKS {
             return Err(format!(
-                "batch {batch} out of range 0..={}",
-                Self::MAX_BATCH
+                "dense_blocks {dense_blocks} out of range 0..={}",
+                Self::MAX_DENSE_BLOCKS
             ));
         }
         Ok(DetectorConfig {
             kind,
             n,
             granularity: Granularity::block(block_bytes),
-            shards,
-            pipeline,
-            dense_blocks: json_usize(json, "dense_blocks")?,
-            batch,
+            dense_blocks,
         })
     }
 }
@@ -754,11 +647,6 @@ fn json_value<'a>(json: &'a str, key: &str) -> Result<&'a str, String> {
     }
 }
 
-/// A string-valued field.
-fn json_str<'a>(json: &'a str, key: &str) -> Result<&'a str, String> {
-    json_value(json, key)
-}
-
 /// A usize-valued field.
 fn json_usize(json: &str, key: &str) -> Result<usize, String> {
     json_value(json, key)?
@@ -777,9 +665,8 @@ fn json_usize(json: &str, key: &str) -> Result<usize, String> {
 ///
 /// Built by [`DetectorConfig::session`] / [`DetectorConfig::session_with`];
 /// driven by the backends ([`Session::observe`] per operation plus the sync
-/// hooks); ended by [`Session::finish`], which flushes any buffering
-/// front-end, fires [`ReportSink::on_flush`], and hands back the aggregate
-/// and the sink.
+/// hooks); ended by [`Session::finish`], which fires
+/// [`ReportSink::on_flush`] and hands back the aggregate and the sink.
 ///
 /// Memory: the session itself retains O(distinct classes + areas + process
 /// pairs) — what the detector stores is the clock state the paper accounts
@@ -860,18 +747,7 @@ impl Session {
     /// per-access API the shmem runtime exposes). Each report reaches the
     /// session sink exactly once — the copies come from a temporary
     /// [`VecSink`], not from re-observing.
-    ///
-    /// # Panics
-    /// Panics on batched configs (`batch > 0`): a buffering front-end
-    /// defers reports to drains, so per-access attribution would be wrong
-    /// (the racy op's call would return nothing and a later call would
-    /// return its reports). Use [`Session::observe`] + a sink, or an
-    /// unbatched config.
     pub fn observe_collect(&mut self, op: &DsmOp, held_locks: &[LockId]) -> Vec<RaceReport> {
-        assert_eq!(
-            self.config.batch, 0,
-            "observe_collect is per-access; a batched config defers reports to drains"
-        );
         if let Some(journal) = &mut self.journal {
             journal.push(crate::snapshot::JournalEvent::Op {
                 op: *op,
@@ -948,13 +824,10 @@ impl Session {
     /// state and event count — into a versioned snapshot, and truncate the
     /// journal: replay cost from a snapshot is O(events since it was taken).
     ///
-    /// Flushes any buffering front-end first so the snapshot never holds
-    /// half-applied state. Errors are typed
-    /// ([`crate::snapshot::SnapshotError::Unsupported`]
-    /// when the detector cannot expose its state, e.g. a threaded pipeline
-    /// whose worker died).
+    /// Errors are typed ([`crate::snapshot::SnapshotError::Unsupported`]
+    /// when the detector has no snapshot representation — never the case
+    /// for a detector [`DetectorConfig::build`] made).
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
-        self.flush();
         let bytes = crate::snapshot::encode_session(
             &self.config,
             self.events,
@@ -970,10 +843,7 @@ impl Session {
     }
 
     /// Rebuild a session from a [`Session::checkpoint`] snapshot. The
-    /// restored session journals from the start (it exists to be durable)
-    /// and always runs the inline pipeline — inline and sharded pipelines
-    /// produce byte-identical report streams, and a restored session must
-    /// not depend on worker threads that died with the original process.
+    /// restored session journals from the start (it exists to be durable).
     ///
     /// `sink` is the fresh downstream sink; if the snapshot carries sink
     /// dedup state it is restored into it, so replayed events never
@@ -1019,31 +889,6 @@ impl Session {
         }
     }
 
-    /// Drain any buffering front-end through the sink; returns the number
-    /// of reports the drain produced. A no-op for unbatched configs.
-    ///
-    /// Also folds the detector's current [`PipelineHealth`] into the
-    /// summary: after a degraded flush, `summary().degraded` is true.
-    pub fn flush(&mut self) -> usize {
-        let n = self.detector.flush_sink(&mut Tee {
-            summary: &mut self.summary,
-            sink: &mut *self.sink,
-        });
-        if self.detector.health().is_degraded() {
-            self.summary.degraded = true;
-        }
-        n
-    }
-
-    /// The detector's current health. [`PipelineHealth::Degraded`] means
-    /// an internal component died and detection continued on a fallback
-    /// path — the report stream is still complete (see
-    /// [`Detector::health`]). [`Session::flush`] and [`Session::finish`]
-    /// mirror this into [`RaceSummary::degraded`].
-    pub fn health(&self) -> PipelineHealth {
-        self.detector.health()
-    }
-
     /// The reports the sink retained — the `reports()` convenience of the
     /// façade: populated for [`VecSink`]-backed sessions (the default),
     /// empty for aggregating sinks.
@@ -1056,11 +901,10 @@ impl Session {
         &self.summary
     }
 
-    /// End the session: flush, fire [`ReportSink::on_flush`] with the final
+    /// End the session: fire [`ReportSink::on_flush`] with the final
     /// aggregate, and return the aggregate plus the sink (for extracting
     /// retained reports or counters).
     pub fn finish(mut self) -> (RaceSummary, Box<dyn ReportSink>) {
-        self.flush();
         self.sink.on_flush(&self.summary);
         (self.summary, self.sink)
     }
@@ -1103,8 +947,7 @@ mod tests {
     #[test]
     fn default_session_retains_reports_like_the_old_log() {
         let config = DetectorConfig::new(DetectorKind::Dual, 3);
-        let mut s = racy_session(&config);
-        s.flush();
+        let s = racy_session(&config);
         assert_eq!(s.reports().len(), 1);
         assert_eq!(s.reports()[0].class, RaceClass::WriteWrite);
         assert_eq!(s.summary().total, 1);
@@ -1299,84 +1142,70 @@ mod tests {
     }
 
     #[test]
-    fn batched_config_buffers_until_flush() {
-        let config = DetectorConfig::new(DetectorKind::Dual, 3)
-            .with_shards(2)
-            .with_batch(64);
-        let mut s = config.session();
-        s.observe(&put(0, 0, 1, 0), &[]);
-        s.observe(&put(1, 2, 1, 0), &[]);
-        assert!(s.reports().is_empty(), "still buffered below capacity");
-        assert_eq!(s.flush(), 1);
-        assert_eq!(s.reports().len(), 1);
-    }
-
-    #[test]
     fn every_kind_builds_and_sessions() {
         for kind in DetectorKind::ALL {
             let config = DetectorConfig::new(kind, 4);
             let mut s = config.session();
             s.observe(&put(0, 0, 1, 0), &[]);
-            s.flush();
             assert!(!s.name().is_empty());
         }
     }
 
     #[test]
-    fn json_round_trips_every_kind_and_pipeline() {
+    fn json_round_trips_every_kind() {
         for kind in DetectorKind::ALL {
-            for pipeline in [
-                PipelineMode::Auto,
-                PipelineMode::Inline,
-                PipelineMode::Threaded,
-            ] {
-                let config = DetectorConfig::new(kind, 6)
-                    .with_granularity(Granularity::CACHE_LINE)
-                    .with_pipeline(pipeline)
-                    .with_dense_blocks(1 << 10)
-                    .with_batch(128);
-                let json = config.to_json();
-                let back = DetectorConfig::from_json(&json)
-                    .unwrap_or_else(|e| panic!("reparse {json}: {e}"));
-                assert_eq!(config, back);
-            }
+            let config = DetectorConfig::new(kind, 6)
+                .with_granularity(Granularity::CACHE_LINE)
+                .with_dense_blocks(1 << 10);
+            let json = config.to_json();
+            let back =
+                DetectorConfig::from_json(&json).unwrap_or_else(|e| panic!("reparse {json}: {e}"));
+            assert_eq!(config, back);
         }
     }
 
     #[test]
     fn json_accepts_whitespace_and_rejects_garbage() {
         let spaced = r#"{ "kind" : "dual-clock", "n" : 4, "granularity" : 8,
-                         "shards" : 2, "pipeline" : "auto",
-                         "dense_blocks" : 16, "batch" : 0 }"#;
+                         "dense_blocks" : 16 }"#;
         let c = DetectorConfig::from_json(spaced).expect("whitespace is fine");
         assert_eq!(c.kind, DetectorKind::Dual);
-        assert_eq!(c.shards, 2);
+        assert_eq!(c.dense_blocks, 16);
         assert!(DetectorConfig::from_json("{}").is_err());
         assert!(DetectorConfig::from_json(
-            r#"{"kind":"quantum","n":4,"granularity":8,"shards":1,"pipeline":"auto","dense_blocks":16,"batch":0}"#
+            r#"{"kind":"quantum","n":4,"granularity":8,"dense_blocks":16}"#
         )
         .is_err());
         assert!(DetectorConfig::from_json(
-            r#"{"kind":"dual-clock","n":4,"granularity":7,"shards":1,"pipeline":"auto","dense_blocks":16,"batch":0}"#
+            r#"{"kind":"dual-clock","n":4,"granularity":7,"dense_blocks":16}"#
         )
         .is_err());
     }
 
     #[test]
-    #[should_panic(expected = "at least one detection shard")]
-    fn zero_shards_rejected() {
-        let _ = DetectorConfig::new(DetectorKind::Dual, 4).with_shards(0);
+    fn json_from_before_the_pipeline_was_retired_parses_to_the_same_value() {
+        // The seven-key shape `to_json` wrote while `shards`, `pipeline`
+        // and `batch` existed: the three extra keys are ignored, so old
+        // bench rows, CI literals and checkpoint blobs keep parsing.
+        let old = r#"{"kind":"dual-clock","n":4,"granularity":8,"shards":4,"pipeline":"threaded","dense_blocks":16,"batch":64}"#;
+        let new = r#"{"kind":"dual-clock","n":4,"granularity":8,"dense_blocks":16}"#;
+        let parsed = DetectorConfig::from_json(old).expect("old shape parses");
+        assert_eq!(parsed, DetectorConfig::from_json(new).expect("new shape"));
+        assert_eq!(
+            parsed.to_json(),
+            new,
+            "and re-encodes with exactly four keys"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "inline pipeline is single-shard")]
-    fn inline_with_many_shards_rejected() {
-        let config = DetectorConfig {
-            shards: 2,
-            pipeline: PipelineMode::Inline,
-            ..DetectorConfig::new(DetectorKind::Dual, 4)
-        };
-        let _ = config.build();
+    fn the_slot_size_in_the_max_dense_blocks_doc_is_current() {
+        // `MAX_DENSE_BLOCKS` documents its worst case in bytes per slot.
+        let slot = std::mem::size_of::<Option<crate::clockstore::AreaHistory>>();
+        assert!(
+            slot <= 96,
+            "dense slab slot grew to {slot} B: update the doc"
+        );
     }
 
     #[test]

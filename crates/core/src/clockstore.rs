@@ -22,7 +22,7 @@
 //!   totally ordered the clocks are FastTrack-style **epochs** and every
 //!   compare/update is O(1); they demote to full vectors only on genuine
 //!   concurrency (and re-promote once an access dominates again).
-//! * the store is a **flat sharded slab**: per owning rank, a bounded
+//! * the store is a **flat per-rank slab**: per owning rank, a bounded
 //!   dense array indexed directly by block number (no hashing on the hot
 //!   path) with a spillover map for blocks beyond the dense prefix, so
 //!   memory never scales with the highest touched block index.
@@ -249,8 +249,7 @@ impl AreaHistory {
     }
 }
 
-/// Tuning knobs for the per-rank slab layout shared by [`ClockStore`] and
-/// the sharded router's join replicas.
+/// Tuning knobs for the per-rank slab layout of [`ClockStore`].
 ///
 /// The detectors accept one of these on their `with_config` constructors;
 /// the plain constructors use [`StoreConfig::default`], which preserves the

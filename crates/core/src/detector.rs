@@ -2,7 +2,6 @@
 //! baselines, plus a factory for the experiment harnesses.
 
 use crate::api::{ReportSink, VecSink};
-use crate::error::PipelineHealth;
 use crate::event::{DsmOp, LockId};
 use crate::report::RaceReport;
 
@@ -119,39 +118,10 @@ pub trait Detector: Send {
     /// A barrier completed among all ranks.
     fn on_barrier(&mut self) {}
 
-    /// Drain any internally buffered operations so that [`Detector::reports`]
-    /// reflects everything observed so far. A no-op for the inline detectors;
-    /// the batching front-end of the sharded pipeline
-    /// ([`crate::sharded::BatchingDetector`]) accumulates operations between
-    /// flushes, and backends must call this before reading the final report
-    /// log.
-    fn flush(&mut self) {}
-
-    /// Sink-streaming variant of [`Detector::flush`]: drain buffered
-    /// operations, emitting their reports into `sink`; returns the number
-    /// of reports the drain produced. Default: nothing buffered, nothing
-    /// emitted.
-    fn flush_sink(&mut self, sink: &mut dyn ReportSink) -> usize {
-        let _ = sink;
-        0
-    }
-
-    /// Current pipeline health. [`PipelineHealth::Degraded`] means an
-    /// internal component died and the detector fell back to a slower but
-    /// complete path — the report stream stays byte-identical, so callers
-    /// treat this as a warning, never as data loss. Detectors without
-    /// internal failure modes report [`PipelineHealth::Healthy`] (the
-    /// default).
-    fn health(&self) -> PipelineHealth {
-        PipelineHealth::Healthy
-    }
-
     /// Serialize this detector's state for the session checkpoint codec
     /// (see [`crate::snapshot`]). `None` means the detector has no durable
     /// representation (the default); the production kinds built by
-    /// [`crate::api::DetectorConfig::build`] all return `Some`. Buffering
-    /// front-ends must be flushed first ([`Detector::flush_sink`]) —
-    /// [`crate::api::Session::checkpoint`] does this before asking.
+    /// [`crate::api::DetectorConfig::build`] all return `Some`.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         None
     }
@@ -202,17 +172,16 @@ impl DetectorKind {
     /// **Legacy shim.** This predates the [`crate::api`] façade and is kept
     /// as a thin wrapper so old call sites and tests keep compiling; new
     /// code should build through [`crate::api::DetectorConfig`], which is
-    /// where every other knob (shards, pipeline, slab layout, batching)
-    /// lives.
+    /// where the slab layout knob lives.
     pub fn build(self, n: usize, granularity: crate::clockstore::Granularity) -> Box<dyn Detector> {
         crate::api::DetectorConfig::new(self, n)
             .with_granularity(granularity)
             .build()
     }
 
-    /// The happens-before mode this kind runs, for the clock-based kinds —
-    /// the ones the sharded pipeline can partition (`None` for the lockset
-    /// and vanilla baselines, which keep no area clocks).
+    /// The happens-before mode this kind runs, for the clock-based kinds
+    /// (`None` for the lockset and vanilla baselines, which keep no area
+    /// clocks).
     pub fn hb_mode(self) -> Option<crate::hb::HbMode> {
         match self {
             DetectorKind::Dual => Some(crate::hb::HbMode::Dual),

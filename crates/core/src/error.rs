@@ -1,111 +1,26 @@
-//! Typed detection-pipeline errors, health states, and retry policy.
+//! Retry policy shared by the layers that wait on something that may be
+//! slow or gone.
 //!
-//! The paper's stance is that races are *signalled, never fatal* (§IV-D);
-//! this module extends that stance to the detection machinery itself. A
-//! component failure inside the threaded pipeline — a shard worker
-//! panicking, a channel closing — becomes a [`DetectError`] that the
-//! supervisor in [`crate::sharded`] consumes by **degrading**: the router
-//! replays its event journal through a fresh inline detector, the report
-//! stream continues byte-identical, and the session surfaces
-//! [`PipelineHealth::Degraded`] (mirrored as `RaceSummary::degraded`)
-//! instead of unwinding through the caller.
-//!
-//! [`RetryPolicy`] bounds how long the supervisor distinguishes "worker is
-//! slow" from "worker is gone" at a batch fence: transient stalls are
-//! re-probed with exponential backoff before the blocking wait resumes.
+//! [`RetryPolicy`] is a bounded exponential backoff: the service's `Shed`
+//! slow-client policy gives each event that finds the queue full one
+//! schedule before dropping it, and the client spaces its reconnect
+//! attempts with the jittered variant.
 
-use std::fmt;
 use std::time::Duration;
 
-/// A failure inside the detection pipeline.
-///
-/// These never escape the public observe/flush paths as panics: the
-/// sharded pipeline's supervisor catches the condition, degrades to the
-/// inline detector, and records the error (see
-/// [`crate::ShardedDetector::last_error`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum DetectError {
-    /// A shard worker thread panicked; `message` is the panic payload.
-    WorkerPanicked {
-        /// Index of the dead shard.
-        shard: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
-    /// A shard worker's channels closed without a recoverable panic
-    /// payload (the thread exited or was never joinable).
-    WorkerDisconnected {
-        /// Index of the dead shard.
-        shard: usize,
-    },
-}
-
-impl DetectError {
-    /// The shard the error originated from.
-    pub fn shard(&self) -> usize {
-        match self {
-            DetectError::WorkerPanicked { shard, .. } => *shard,
-            DetectError::WorkerDisconnected { shard } => *shard,
-        }
-    }
-}
-
-impl fmt::Display for DetectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DetectError::WorkerPanicked { shard, message } => {
-                write!(f, "shard worker {shard} panicked: {message}")
-            }
-            DetectError::WorkerDisconnected { shard } => {
-                write!(f, "shard worker {shard} disconnected")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DetectError {}
-
-/// Health of a detection pipeline, surfaced through
-/// [`crate::Detector::health`] and `RaceSummary::degraded`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineHealth {
-    /// Everything running as configured.
-    #[default]
-    Healthy,
-    /// A component died and the pipeline fell back to a slower but
-    /// complete path (threaded → inline). Results remain byte-identical;
-    /// only parallelism is lost.
-    Degraded,
-}
-
-impl PipelineHealth {
-    /// True for [`PipelineHealth::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, PipelineHealth::Degraded)
-    }
-}
-
-/// Bounded retry with exponential backoff for transient pipeline stalls.
-///
-/// Used at the batch fence: each attempt waits `base_delay << attempt` for
-/// a worker reply before re-probing whether the worker thread is still
-/// alive. A dead worker is reported as a [`DetectError`] immediately; a
-/// merely slow worker survives every probe and the fence falls back to a
-/// plain blocking wait once the attempts are exhausted — the policy bounds
-/// *death detection latency*, never correctness.
+/// Bounded retry with exponential backoff: attempt `i` waits
+/// `base_delay << i`. The policy bounds how long a caller keeps trying,
+/// never what it does when the attempts run out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Number of timed probes before blocking indefinitely.
+    /// Number of timed attempts.
     pub attempts: u32,
-    /// Wait of the first probe; doubles each attempt.
+    /// Wait of the first attempt; doubles each attempt.
     pub base_delay: Duration,
 }
 
 impl Default for RetryPolicy {
-    /// Four probes starting at 1 ms (1 + 2 + 4 + 8 = 15 ms of bounded
-    /// probing) — long enough that healthy fences never hit the probe
-    /// path, short enough that a dead worker is noticed promptly.
+    /// Four attempts starting at 1 ms (1 + 2 + 4 + 8 = 15 ms in total).
     fn default() -> Self {
         RetryPolicy {
             attempts: 4,
@@ -146,26 +61,6 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn error_display_and_shard() {
-        let p = DetectError::WorkerPanicked {
-            shard: 2,
-            message: "boom".into(),
-        };
-        assert_eq!(p.to_string(), "shard worker 2 panicked: boom");
-        assert_eq!(p.shard(), 2);
-        let d = DetectError::WorkerDisconnected { shard: 1 };
-        assert_eq!(d.to_string(), "shard worker 1 disconnected");
-        assert_eq!(d.shard(), 1);
-    }
-
-    #[test]
-    fn health_default_and_predicate() {
-        assert_eq!(PipelineHealth::default(), PipelineHealth::Healthy);
-        assert!(!PipelineHealth::Healthy.is_degraded());
-        assert!(PipelineHealth::Degraded.is_degraded());
-    }
 
     #[test]
     fn backoff_doubles_and_is_bounded() {

@@ -78,8 +78,8 @@ pub enum OpKind {
 /// One DSM operation presented to a detector.
 ///
 /// `Copy`: an op is three plain words plus a [`OpKind`] of inline ranges,
-/// so buffering front-ends (the sharded pipeline's batching layer) store
-/// ops by value without heap traffic.
+/// so the session journal and the service's queues store ops by value
+/// without heap traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsmOp {
     /// Engine-assigned operation id; access ids derive from it (see

@@ -240,11 +240,7 @@ impl HbDetector {
 /// `W` (resp. `V`) join precedes the access's clock (`w_le` / `v_le`,
 /// computed by the caller against the authoritative [`AreaHistory`]), every
 /// recorded write (resp. read) does too, and the scan is skipped wholesale.
-///
-/// Shared by the sequential [`HbDetector`] and the per-shard workers of
-/// [`crate::sharded::ShardedDetector`] — one body, so the two pipelines
-/// cannot drift apart in what they report.
-pub(crate) fn check_access(
+fn check_access(
     mode: HbMode,
     hist: &AreaHistory,
     access: &AccessSummary,
@@ -420,65 +416,40 @@ impl Detector for HbDetector {
         true
     }
 
+    /// Lock release: the release message carries the releaser's current
+    /// clock; a subsequent acquirer becomes causally dependent on
+    /// everything the releaser did before releasing.
     fn on_release(&mut self, rank: usize, lock: LockId) {
-        release_clock(&self.clocks, &mut self.lock_clocks, rank, lock);
+        let snapshot = self.clocks[rank].own_row().clone();
+        self.lock_clocks
+            .entry(lock)
+            .and_modify(|c| c.merge(&snapshot))
+            .or_insert(snapshot);
     }
 
+    /// Lock acquire: merge the lock's last-release clock into the acquirer
+    /// (the grant message carries the clock).
     fn on_acquire(&mut self, rank: usize, lock: LockId) {
-        acquire_clock(&mut self.clocks, &self.lock_clocks, rank, lock);
+        if let Some(c) = self.lock_clocks.get(&lock) {
+            self.clocks[rank].absorb(c);
+        }
     }
 
+    /// Barrier release: everyone's clock becomes the join of all
+    /// participants' clocks (the release messages carry the coordinator's
+    /// merged clock).
     fn on_barrier(&mut self) {
-        barrier_join(&mut self.clocks);
+        let mut join = VectorClock::zero(self.n);
+        for c in &self.clocks {
+            join.merge(c.own_row());
+        }
+        for c in &mut self.clocks {
+            c.absorb(&join);
+        }
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         Some(crate::snapshot::encode_hb(self))
-    }
-}
-
-/// Lock release: the release message carries the releaser's current clock;
-/// a subsequent acquirer becomes causally dependent on everything the
-/// releaser did before releasing. Shared by [`HbDetector`] and the sharded
-/// pipeline's router so the two cannot drift apart in hand-off semantics.
-pub(crate) fn release_clock(
-    clocks: &[MatrixClock],
-    lock_clocks: &mut std::collections::HashMap<LockId, VectorClock>,
-    rank: Rank,
-    lock: LockId,
-) {
-    let snapshot = clocks[rank].own_row().clone();
-    lock_clocks
-        .entry(lock)
-        .and_modify(|c| c.merge(&snapshot))
-        .or_insert(snapshot);
-}
-
-/// Lock acquire: merge the lock's last-release clock into the acquirer
-/// (the grant message carries the clock). Shared with the sharded router.
-pub(crate) fn acquire_clock(
-    clocks: &mut [MatrixClock],
-    lock_clocks: &std::collections::HashMap<LockId, VectorClock>,
-    rank: Rank,
-    lock: LockId,
-) {
-    if let Some(c) = lock_clocks.get(&lock) {
-        let c = c.clone();
-        clocks[rank].absorb(&c);
-    }
-}
-
-/// Barrier release: everyone's clock becomes the join of all participants'
-/// clocks (the release messages carry the coordinator's merged clock).
-/// Shared with the sharded router.
-pub(crate) fn barrier_join(clocks: &mut [MatrixClock]) {
-    let n = clocks.len();
-    let mut join = VectorClock::zero(n);
-    for c in clocks.iter() {
-        join.merge(c.own_row());
-    }
-    for c in clocks.iter_mut() {
-        c.absorb(&join);
     }
 }
 

@@ -12,8 +12,8 @@
 //! This crate provides:
 //!
 //! * [`api`] — the construction and consumption façade: one declarative
-//!   [`api::DetectorConfig`] builder (kind, granularity, shards, pipeline,
-//!   slab layout, batching — JSON-round-trippable), one [`api::Session`]
+//!   [`api::DetectorConfig`] builder (kind, process count, granularity,
+//!   slab layout — JSON-round-trippable), one [`api::Session`]
 //!   driving handle, and a pluggable [`api::ReportSink`] streaming output
 //!   so long-running deployments keep bounded memory. **Start here**; the
 //!   concrete detectors below are the engine room.
@@ -26,26 +26,20 @@
 //!   - [`hb::HbMode::Literal`] — the protocol exactly as printed (puts check
 //!     only `W`, gets check `V`): misses write-after-read races and keeps
 //!     the read-read false positives. Experiment ABL-lit.
-//! * [`sharded::ShardedDetector`] — the same algorithm with the per-area
-//!   check-and-update partitioned across worker threads (areas are disjoint,
-//!   so detection over them is embarrassingly parallel); batch ingestion via
-//!   [`sharded::ShardedDetector::observe_batch`], report stream
-//!   byte-identical to [`hb::HbDetector`]'s.
 //! * [`lockset::LocksetDetector`] — an Eraser-style lockset baseline adapted
 //!   to DSM areas (context: the MARMOT checker the paper cites).
 //! * [`vanilla::VanillaDetector`] — no detection; the overhead baseline.
 //! * [`oracle::Oracle`] — offline exact happens-before over a full execution
 //!   trace: ground truth for precision/recall scoring of the online
 //!   detectors.
-//! * [`error`] — typed pipeline failures ([`error::DetectError`]) and the
-//!   [`error::PipelineHealth`] degradation state: a dead shard worker makes
-//!   the sharded pipeline fall back to the inline detector with a
-//!   byte-identical report stream instead of panicking (see
-//!   `docs/ROBUSTNESS.md`).
+//! * [`snapshot`] — the versioned checkpoint codec behind
+//!   [`api::Session::checkpoint`] / [`api::Session::restore`]: with the
+//!   session's bounded event journal, the one crash-recovery mechanism
+//!   (see `docs/ROBUSTNESS.md`).
 //!
 //! All detectors implement [`detector::Detector`] and are driven by the
-//! `simulator` engine (discrete-event backend, per-op or batched/sharded
-//! drain) or by the `shmem` crate (real-thread backend).
+//! `simulator` engine (discrete-event backend) or by the `shmem` crate
+//! (real-thread backend).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,30 +54,25 @@ pub mod lockset;
 pub mod oracle;
 pub mod reference;
 pub mod report;
-pub mod sharded;
 pub mod snapshot;
 pub mod summary;
 pub mod vanilla;
-pub mod wire;
 
 pub use api::{
-    ChannelSink, CountingSink, DedupSink, DetectorConfig, PipelineMode, ReportSink, Session,
-    SummarySink, VecSink,
+    ChannelSink, CountingSink, DedupSink, DetectorConfig, ReportSink, Session, SummarySink, VecSink,
 };
 pub use clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
 pub use detector::{Detector, DetectorKind};
-pub use error::{DetectError, PipelineHealth, RetryPolicy};
+pub use error::RetryPolicy;
 pub use event::{AccessKind, AccessList, AccessSummary, DsmOp, LockId, OpKind};
 pub use hb::{HbDetector, HbMode};
 pub use lockset::LocksetDetector;
 pub use oracle::{site_of, Oracle, Score, SiteKey, Trace, TraceAccess};
 pub use reference::ReferenceHbDetector;
 pub use report::{dedup_reports, RaceClass, RaceReport};
-pub use sharded::{BatchingDetector, MemOp, ShardedDetector};
 pub use snapshot::{JournalEvent, SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};
 pub use summary::{hot_areas, RaceSummary};
 pub use vanilla::VanillaDetector;
-pub use wire::{ClockCache, ClockEncoder, ClockWire};
 
 /// A process identifier (dense rank).
 pub type Rank = usize;

@@ -16,7 +16,7 @@
 //!   baselines' equivalent state.
 //!
 //! The contract, proptested in `tests/checkpoint.rs`: for every
-//! [`DetectorKind`] × shard count, `restore(checkpoint) + replay(journal)`
+//! [`DetectorKind`], `restore(checkpoint) + replay(journal)`
 //! produces a report stream and summary **byte-identical** to the
 //! uninterrupted run. Replay cost is O(events since the last checkpoint)
 //! because [`crate::api::Session`] truncates its [`JournalEvent`] log at
@@ -482,17 +482,88 @@ fn put_area_clock(buf: &mut Vec<u8>, clock: &AreaClock) {
     }
 }
 
-fn take_area_clock(r: &mut Reader<'_>) -> Result<AreaClock, SnapshotError> {
+/// An area clock of an `n`-process store: an epoch's rank and a vector's
+/// width are checked here, because the detector indexes with them.
+fn take_area_clock(r: &mut Reader<'_>, n: usize) -> Result<AreaClock, SnapshotError> {
     match r.u8("area clock tag")? {
         AREA_BOTTOM => Ok(AreaClock::Bottom),
-        AREA_EPOCH => Ok(AreaClock::Epoch(Epoch {
-            rank: r.u32("epoch rank")? as Rank,
-            count: r.u64("epoch count")?,
-        })),
-        AREA_VECTOR => Ok(AreaClock::Vector(take_vc(r)?)),
+        AREA_EPOCH => {
+            let rank = r.u32("epoch rank")? as Rank;
+            if rank >= n {
+                return Err(SnapshotError::Malformed { what: "epoch rank" });
+            }
+            Ok(AreaClock::Epoch(Epoch {
+                rank,
+                count: r.u64("epoch count")?,
+            }))
+        }
+        AREA_VECTOR => Ok(AreaClock::Vector(take_clock_of_width(
+            r,
+            n,
+            "area clock width",
+        )?)),
         _ => Err(SnapshotError::Malformed {
             what: "area clock tag",
         }),
+    }
+}
+
+/// A vector clock that must have exactly `n` components (`what` names the
+/// field in the error).
+fn take_clock_of_width(
+    r: &mut Reader<'_>,
+    n: usize,
+    what: &'static str,
+) -> Result<VectorClock, SnapshotError> {
+    let clock = take_vc(r)?;
+    if clock.len() != n {
+        return Err(SnapshotError::Malformed { what });
+    }
+    Ok(clock)
+}
+
+/// One antichain of an `n`-process store: every access is by a process
+/// below `n` and carries an `n`-wide clock.
+fn take_antichain(
+    r: &mut Reader<'_>,
+    n: usize,
+    what: &'static str,
+) -> Result<Vec<AccessSummary>, SnapshotError> {
+    let len = r.u32(what)?;
+    let mut chain = Vec::new();
+    for _ in 0..len {
+        let access = take_access(r)?;
+        if access.process >= n || access.clock.len() != n {
+            return Err(SnapshotError::Malformed {
+                what: "antichain access",
+            });
+        }
+        chain.push(access);
+    }
+    Ok(chain)
+}
+
+/// Whether `clock` is exactly the join of the access clocks in `chains` —
+/// the invariant the detector maintains and then relies on: `Bottom` for
+/// no accesses, an epoch naming a recorded access whose clock dominates
+/// the others (resolved there on demotion and merge), or the dense join.
+fn clock_is_join_of(clock: &AreaClock, chains: &[&[AccessSummary]]) -> bool {
+    let mut accesses = chains.iter().flat_map(|chain| chain.iter());
+    match clock {
+        AreaClock::Bottom => accesses.next().is_none(),
+        AreaClock::Epoch(e) => {
+            let named = accesses
+                .clone()
+                .find(|a| a.process == e.rank && a.clock.get(e.rank) == e.count);
+            named.is_some_and(|named| accesses.all(|a| a.clock.leq(&named.clock)))
+        }
+        AreaClock::Vector(join) => {
+            let mut expected = VectorClock::zero(join.len());
+            for access in accesses {
+                expected.merge(&access.clock);
+            }
+            expected == *join
+        }
     }
 }
 
@@ -560,31 +631,52 @@ pub(crate) fn decode_hb(
         });
     }
     let mut clocks = Vec::new();
-    for _ in 0..clock_count {
+    for rank in 0..clock_count {
         let owner = r.u32("matrix owner")? as Rank;
         let rows_len = r.u32("matrix rows")? as usize;
-        if rows_len != n || owner >= n {
+        if rows_len != n || owner != rank {
             return Err(SnapshotError::Malformed {
                 what: "matrix rows",
             });
         }
         let mut rows = Vec::new();
         for _ in 0..rows_len {
-            let row = take_vc(&mut r)?;
-            if row.len() != n {
-                return Err(SnapshotError::Malformed {
-                    what: "matrix row width",
-                });
-            }
-            rows.push(row);
+            rows.push(take_clock_of_width(&mut r, n, "matrix row width")?);
         }
         clocks.push(MatrixClock::from_rows(owner, rows));
+    }
+    // No clock anywhere in the state may know more of a process than the
+    // process itself has ticked. Every clock a future access can carry is
+    // built from these, so this is the property that keeps a recorded
+    // access from ever being causally after a future one — which the
+    // detector's antichain pruning assumes.
+    let ticks = VectorClock::from_components(
+        clocks
+            .iter()
+            .enumerate()
+            .map(|(rank, own)| own.own_row().get(rank))
+            .collect(),
+    );
+    let ticked = |clock: &VectorClock| clock.leq(&ticks);
+    if !clocks
+        .iter()
+        .all(|m| (0..n).all(|rank| ticked(m.row(rank))))
+    {
+        return Err(SnapshotError::Malformed {
+            what: "matrix clock ahead of its process",
+        });
     }
     let lock_count = r.u32("lock clock count")?;
     let mut lock_clocks = HashMap::new();
     for _ in 0..lock_count {
         let lock = take_lock(&mut r)?;
-        lock_clocks.insert(lock, take_vc(&mut r)?);
+        let clock = take_clock_of_width(&mut r, n, "lock clock width")?;
+        if !ticked(&clock) {
+            return Err(SnapshotError::Malformed {
+                what: "lock clock ahead of its process",
+            });
+        }
+        lock_clocks.insert(lock, clock);
     }
     let mut store = ClockStore::with_config(
         n,
@@ -594,19 +686,26 @@ pub(crate) fn decode_hb(
     );
     let entries = r.u64("store entries")?;
     for _ in 0..entries {
+        // The key sizes the slab (`history_mut` grows to `rank` slabs and,
+        // below the dense bound, to `block` slots), so it is checked
+        // against the store before it is used; `dense_blocks` itself was
+        // bounded by `DetectorConfig::from_json`.
         let rank = r.u32("area rank")? as Rank;
-        let block = r.u64("area block")? as usize;
-        let v = take_area_clock(&mut r)?;
-        let w = take_area_clock(&mut r)?;
-        let writes_len = r.u32("writes len")?;
-        let mut writes = Vec::new();
-        for _ in 0..writes_len {
-            writes.push(take_access(&mut r)?);
+        if rank >= n {
+            return Err(SnapshotError::Malformed { what: "area rank" });
         }
-        let reads_len = r.u32("reads len")?;
-        let mut reads = Vec::new();
-        for _ in 0..reads_len {
-            reads.push(take_access(&mut r)?);
+        let block = r.u64("area block")? as usize;
+        let v = take_area_clock(&mut r, n)?;
+        let w = take_area_clock(&mut r, n)?;
+        let writes = take_antichain(&mut r, n, "writes len")?;
+        let reads = take_antichain(&mut r, n, "reads len")?;
+        if !clock_is_join_of(&w, &[&writes])
+            || !clock_is_join_of(&v, &[&writes, &reads])
+            || writes.iter().chain(&reads).any(|a| !ticked(&a.clock))
+        {
+            return Err(SnapshotError::Malformed {
+                what: "area clocks inconsistent with the antichains",
+            });
         }
         let history = store.history_mut(AreaKey::new(rank, block));
         history.v = v;
@@ -833,28 +932,13 @@ pub(crate) fn decode_session(bytes: &[u8]) -> Result<SessionParts, SnapshotError
     })
 }
 
-/// Rebuild the configured detector from its snapshot payload. Clock-based
-/// kinds are restored onto the **inline** pipeline regardless of
-/// `config.shards` — restore is a correctness path, and the inline and
-/// sharded pipelines are report-stream byte-identical by construction (the
-/// differential proptests pin this), so resumed output cannot drift.
+/// Rebuild the configured detector from its snapshot payload.
 pub(crate) fn restore_detector(
     config: &DetectorConfig,
     state: &[u8],
 ) -> Result<Box<dyn Detector>, SnapshotError> {
     match config.kind.hb_mode() {
-        Some(mode) => {
-            let hb = decode_hb(config, mode, state)?;
-            let sharded = crate::sharded::ShardedDetector::from_restored(Box::new(hb));
-            if config.batch > 0 {
-                Ok(Box::new(crate::sharded::BatchingDetector::new(
-                    sharded,
-                    config.batch,
-                )))
-            } else {
-                Ok(Box::new(sharded))
-            }
-        }
+        Some(mode) => Ok(Box::new(decode_hb(config, mode, state)?)),
         None => match config.kind {
             DetectorKind::Lockset => {
                 let mut detector = LocksetDetector::new(config.n, config.granularity);

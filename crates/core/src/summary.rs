@@ -24,11 +24,11 @@ pub struct RaceSummary {
     pub by_process_pair: BTreeMap<(Rank, Rank), usize>,
     /// Total reports summarised.
     pub total: usize,
-    /// True when the run that produced this summary degraded: a detection
-    /// component died and a fallback path finished the work (see
-    /// [`crate::error::PipelineHealth`]), or the environment injected
-    /// faults the pipeline had to absorb. The counts above are still
-    /// complete — degradation costs performance, never reports.
+    /// True when the run that produced this summary degraded: the
+    /// environment injected faults the run had to absorb (the engine's
+    /// fault plans), events were shed or cut off by the transport, or a
+    /// session was recovered after a panic (the detection service). Set by
+    /// the backends, never by a detector.
     #[serde(default)]
     pub degraded: bool,
 }

@@ -1,9 +1,12 @@
 //! Durable-session parity: `restore(checkpoint) + replay(journal)` must be
 //! byte-identical to the uninterrupted run — same per-event report counts,
 //! same deduped report stream, same summary JSON, same re-checkpoint bytes —
-//! for every detector kind × shard count, with the kill point chosen
-//! pseudo-randomly per cell.
+//! for every detector kind × four seeds, with the kill point chosen
+//! pseudo-randomly per cell. And `Session::restore` is total: byte soup,
+//! corrupted and truncated checkpoints are typed errors or usable
+//! sessions, never a panic.
 
+use proptest::prelude::*;
 use race_core::api::{DedupSink, DetectorConfig, ReportSink, Session, VecSink};
 use race_core::clockstore::Granularity;
 use race_core::detector::DetectorKind;
@@ -89,28 +92,25 @@ fn durable_sink() -> Box<dyn ReportSink> {
     Box::new(DedupSink::new(Box::new(VecSink::new())))
 }
 
-fn config(kind: DetectorKind, shards: usize) -> DetectorConfig {
-    let mut config = DetectorConfig::new(kind, 4);
-    config.granularity = Granularity::WORD;
-    config.shards = shards;
-    config
+fn config(kind: DetectorKind) -> DetectorConfig {
+    DetectorConfig::new(kind, 4).with_granularity(Granularity::WORD)
 }
 
 #[test]
 fn restore_plus_replay_matches_uninterrupted() {
     for kind in DetectorKind::ALL {
-        for shards in 1..=4 {
-            let seed = 0xC0FFEE ^ ((shards as u64) << 32) ^ kind.label().len() as u64;
+        for round in 1..=4u64 {
+            let seed = 0xC0FFEE ^ (round << 32) ^ kind.label().len() as u64;
             let events = workload(4, 400, seed);
 
             // Kill the durable run at a pseudo-random point after the
-            // checkpoint; both cuts vary per (kind, shards) cell.
+            // checkpoint; both cuts vary per (kind, round) cell.
             let mut rng = Lcg(seed.rotate_left(17));
             let cut = 50 + rng.pick(events.len() / 2 - 50);
             let kill = cut + 1 + rng.pick(events.len() - cut - 1);
 
             // Uninterrupted control.
-            let mut control = config(kind, shards).session_with(durable_sink());
+            let mut control = config(kind).session_with(durable_sink());
             let mut control_counts = Vec::with_capacity(events.len());
             let mut stream_len_at_cut = 0;
             for (i, event) in events.iter().enumerate() {
@@ -119,13 +119,12 @@ fn restore_plus_replay_matches_uninterrupted() {
                     stream_len_at_cut = control.reports().len();
                 }
             }
-            control.flush();
             let control_tail = format!("{:?}", &control.reports()[stream_len_at_cut..]);
             let control_json = control.summary().to_json();
             let control_ckpt = control.checkpoint().expect("control checkpoint");
 
             // Durable run: checkpoint at `cut`, die at `kill`.
-            let mut durable = config(kind, shards).session_with(durable_sink());
+            let mut durable = config(kind).session_with(durable_sink());
             for (i, event) in events[..cut].iter().enumerate() {
                 assert_eq!(durable.replay(event), control_counts[i], "prefix diverged");
             }
@@ -145,27 +144,26 @@ fn restore_plus_replay_matches_uninterrupted() {
                 assert_eq!(
                     resumed.replay(event),
                     control_counts[cut + i],
-                    "{kind:?}/{shards}: replayed event {i} diverged"
+                    "{kind:?}/{round}: replayed event {i} diverged"
                 );
             }
             for (i, event) in events[kill..].iter().enumerate() {
                 assert_eq!(resumed.replay(event), control_counts[kill + i]);
             }
-            resumed.flush();
             assert_eq!(
                 format!("{:?}", resumed.reports()),
                 control_tail,
-                "{kind:?}/{shards}: resumed report stream diverged"
+                "{kind:?}/{round}: resumed report stream diverged"
             );
             assert_eq!(
                 resumed.summary().to_json(),
                 control_json,
-                "{kind:?}/{shards}: summary JSON diverged"
+                "{kind:?}/{round}: summary JSON diverged"
             );
             assert_eq!(
                 resumed.checkpoint().expect("final checkpoint"),
                 control_ckpt,
-                "{kind:?}/{shards}: final checkpoint bytes diverged"
+                "{kind:?}/{round}: final checkpoint bytes diverged"
             );
         }
     }
@@ -175,7 +173,7 @@ fn restore_plus_replay_matches_uninterrupted() {
 fn restore_then_checkpoint_is_byte_identical() {
     for kind in DetectorKind::ALL {
         let events = workload(4, 200, 0xDEADBEEF);
-        let mut session = config(kind, 2).session_with(durable_sink());
+        let mut session = config(kind).session_with(durable_sink());
         for event in &events {
             session.replay(event);
         }
@@ -192,7 +190,7 @@ fn restore_then_checkpoint_is_byte_identical() {
 #[test]
 fn journal_truncates_at_each_checkpoint() {
     let events = workload(4, 120, 7);
-    let mut session = config(DetectorKind::Dual, 1).session_with(durable_sink());
+    let mut session = config(DetectorKind::Dual).session_with(durable_sink());
     assert!(!session.journaling(), "journalling is opt-in");
     assert!(session.journal().is_empty());
     for event in &events[..40] {
@@ -219,6 +217,12 @@ fn journal_truncates_at_each_checkpoint() {
 // ---------------------------------------------------------------------------
 // Golden blob: the committed v1 checkpoint must stay restorable forever.
 // Regenerate with UPDATE_GOLDEN=1 cargo test -p race-core --test checkpoint.
+//
+// The blob was regenerated when the sharded pipeline was retired: the
+// embedded config JSON lost its "shards", "pipeline" and "batch" keys and
+// is shorter. SNAPSHOT_VERSION stays 1 because the decoder still reads the
+// old shape — `DetectorConfig::from_json` ignores keys it does not know —
+// which `a_checkpoint_with_the_seven_key_config_still_restores` pins.
 // ---------------------------------------------------------------------------
 
 const GOLDEN_PATH: &str = concat!(
@@ -228,7 +232,7 @@ const GOLDEN_PATH: &str = concat!(
 
 fn golden_session() -> Session {
     let events = workload(4, 150, 0x90_1D);
-    let mut session = config(DetectorKind::Dual, 1).session_with(durable_sink());
+    let mut session = config(DetectorKind::Dual).session_with(durable_sink());
     for event in &events {
         session.replay(event);
     }
@@ -256,6 +260,31 @@ fn golden_checkpoint_restores() {
 }
 
 #[test]
+fn a_checkpoint_with_the_seven_key_config_still_restores() {
+    // Re-embed the config the way the parent format wrote it (a v1 blob is
+    // version byte, then the length-prefixed config JSON, then the rest).
+    let golden = std::fs::read(GOLDEN_PATH).expect("golden blob committed");
+    let new_json = config(DetectorKind::Dual).to_json();
+    let old_json = new_json
+        .replace(
+            ",\"dense_blocks\"",
+            ",\"shards\":4,\"pipeline\":\"threaded\",\"dense_blocks\"",
+        )
+        .replace('}', ",\"batch\":64}");
+    let rest = &golden[1 + 4 + new_json.len()..];
+    let mut old = vec![golden[0]];
+    old.extend_from_slice(&(old_json.len() as u32).to_le_bytes());
+    old.extend_from_slice(old_json.as_bytes());
+    old.extend_from_slice(rest);
+    let mut restored = Session::restore(&old, durable_sink()).expect("old shape restores");
+    assert_eq!(
+        restored.checkpoint().expect("re-checkpoint"),
+        golden,
+        "and re-checkpoints in the four-key shape, byte-identical to the golden blob"
+    );
+}
+
+#[test]
 fn golden_with_unknown_version_is_a_typed_error_never_a_panic() {
     let mut blob = std::fs::read(GOLDEN_PATH).expect("golden blob committed");
     blob[0] = 0xFE;
@@ -267,5 +296,111 @@ fn golden_with_unknown_version_is_a_typed_error_never_a_panic() {
     let blob = std::fs::read(GOLDEN_PATH).expect("golden blob committed");
     for len in 0..blob.len().min(64) {
         assert!(Session::restore(&blob[..len], durable_sink()).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fuzzing `Session::restore`: a parked checkpoint is bytes a server later
+// trusts, so the decoder gets the frame codec's treatment (frame_fuzz.rs) —
+// random bytes, corruption, truncation — over a real checkpoint of every
+// detector kind. The only acceptable outcomes are a typed `SnapshotError`
+// or a `Session` that can observe more events and finish.
+// ---------------------------------------------------------------------------
+
+/// A mid-stream checkpoint of `kind`: racy traffic, held locks, demoted and
+/// epoch areas, a populated dedup window.
+fn real_checkpoint(kind: DetectorKind) -> Vec<u8> {
+    let mut session = config(kind).session_with(durable_sink());
+    for event in &workload(4, 120, 0xF022 ^ kind.label().len() as u64) {
+        session.replay(event);
+    }
+    session.checkpoint().expect("checkpoint")
+}
+
+/// Restore `bytes`; whatever comes back must be usable. A restored session
+/// is driven by a well-formed client of *its* configuration (ranks below
+/// the restored `n`) and then finished.
+fn restore_and_exercise(bytes: &[u8]) -> Result<(), SnapshotError> {
+    let mut session = Session::restore(bytes, durable_sink())?;
+    let n = session.config().n;
+    for event in &workload(n, 48, 0xAF7E4) {
+        session.replay(event);
+    }
+    // A usable session can also be checkpointed again.
+    session.checkpoint().map(|_| ())?;
+    let (summary, _) = session.finish();
+    let _ = summary.to_json();
+    Ok(())
+}
+
+#[test]
+fn every_truncation_of_a_real_checkpoint_is_a_typed_error() {
+    for kind in DetectorKind::ALL {
+        let blob = real_checkpoint(kind);
+        restore_and_exercise(&blob).expect("the intact blob restores");
+        for len in 0..blob.len() {
+            assert!(
+                restore_and_exercise(&blob[..len]).is_err(),
+                "{kind:?}: a {len}-byte prefix of {} bytes restored",
+                blob.len()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes, half of them behind a valid version byte so the
+    /// decoder gets past its first check.
+    #[test]
+    fn restore_survives_byte_soup(
+        mut soup in collection::vec(0u8..=255, 0..512usize),
+        versioned in 0u8..2,
+    ) {
+        if versioned == 1 && !soup.is_empty() {
+            soup[0] = race_core::SNAPSHOT_VERSION;
+        }
+        let _ = restore_and_exercise(&soup);
+    }
+
+    /// One to eight bytes of a real checkpoint XORed with random masks:
+    /// length fields, tags, ranks, epoch counts, clock components, JSON.
+    #[test]
+    fn restore_survives_corruption_of_a_real_checkpoint(
+        kind in 0usize..DetectorKind::ALL.len(),
+        flips in collection::vec((0usize..1 << 20, 1u8..=255), 1..=8usize),
+    ) {
+        let mut blob = real_checkpoint(DetectorKind::ALL[kind]);
+        for (at, mask) in flips {
+            let at = at % blob.len();
+            blob[at] ^= mask;
+        }
+        let _ = restore_and_exercise(&blob);
+    }
+
+    /// The same corruption aimed at the structured tail (the detector
+    /// payload), where most of the length and tag fields live, plus a
+    /// truncation or junk suffix half of the time.
+    #[test]
+    fn restore_survives_corruption_of_the_detector_payload(
+        kind in 0usize..DetectorKind::ALL.len(),
+        flips in collection::vec((0usize..1 << 20, 0usize..8), 1..=4usize),
+        resize in 0usize..4,
+        amount in 1usize..64,
+    ) {
+        let mut blob = real_checkpoint(DetectorKind::ALL[kind]);
+        let header = race_core::snapshot::peek_header(&blob).expect("header");
+        let payload_from = 1 + 4 + header.config_json.len() + 8 + 4 + header.summary_json.len();
+        for (at, bit) in flips {
+            let at = payload_from + at % (blob.len() - payload_from);
+            blob[at] ^= 1 << bit;
+        }
+        match resize {
+            0 => blob.truncate(blob.len().saturating_sub(amount)),
+            1 => blob.extend(std::iter::repeat_n(0xA5, amount)),
+            _ => {}
+        }
+        let _ = restore_and_exercise(&blob);
     }
 }

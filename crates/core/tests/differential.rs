@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use race_core::{
-    Detector, DsmOp, Granularity, HbDetector, HbMode, MemOp, OpKind, PipelineHealth, RaceReport,
-    ReferenceHbDetector, ShardedDetector, VecSink,
+    Detector, DsmOp, Granularity, HbDetector, HbMode, OpKind, RaceReport, ReferenceHbDetector,
 };
 
 use dsm::addr::GlobalAddr;
@@ -124,25 +123,6 @@ fn drive(steps: &[Step], fast: &mut HbDetector, slow: &mut ReferenceHbDetector) 
     }
 }
 
-/// The same step stream as [`MemOp`] events, for the batched pipeline.
-fn memops(steps: &[Step]) -> Vec<MemOp> {
-    steps
-        .iter()
-        .map(|s| match s {
-            Step::Op(op) => MemOp::Op(*op),
-            Step::Barrier => MemOp::Barrier,
-            Step::Release { rank, lock } => MemOp::Release {
-                rank: *rank,
-                lock: *lock,
-            },
-            Step::Acquire { rank, lock } => MemOp::Acquire {
-                rank: *rank,
-                lock: *lock,
-            },
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -179,109 +159,6 @@ proptest! {
                 prop_assert_eq!(fast.clock_memory_bytes(), slow.clock_memory_bytes());
             }
         }
-    }
-
-    /// The sharded pipeline must emit the **byte-identical** report stream
-    /// of the sequential detectors — same reports, same order, same
-    /// attribution — for every shard count, batch split, mode and
-    /// granularity, and agree on clock-memory accounting and per-process
-    /// clock evolution. This is the proof obligation of the router/shard
-    /// split: partitioning areas across threads may not reorder, drop or
-    /// invent a verdict.
-    #[test]
-    fn sharded_pipeline_matches_sequential_detectors(
-        n in 2usize..5,
-        raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..48),
-        shards in 1usize..5,
-        batch in 1usize..17,
-    ) {
-        let steps: Vec<Step> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| decode(n, r, i as u64))
-            .collect();
-        let events = memops(&steps);
-        for mode in [HbMode::Dual, HbMode::Single, HbMode::Literal] {
-            for granularity in [Granularity::WORD, Granularity::block(16), Granularity::PAGE] {
-                let mut fast = HbDetector::new(n, granularity, mode);
-                let mut slow = ReferenceHbDetector::new(n, granularity, mode);
-                drive(&steps, &mut fast, &mut slow);
-                let mut sharded = ShardedDetector::new(n, granularity, mode, shards);
-                for chunk in events.chunks(batch) {
-                    sharded.observe_batch(chunk);
-                }
-                // Byte-identical against the optimised sequential detector
-                // (same detector label, so no normalisation needed)…
-                prop_assert_eq!(
-                    fast.reports(),
-                    sharded.reports(),
-                    "sharded log divergence mode={:?} gran={:?} shards={} batch={}",
-                    mode, granularity, shards, batch
-                );
-                // …and against the paper-literal reference modulo the label.
-                prop_assert_eq!(normalised(sharded.reports()), normalised(slow.reports()));
-                prop_assert_eq!(fast.clock_memory_bytes(), sharded.clock_memory_bytes());
-                for rank in 0..n {
-                    prop_assert_eq!(
-                        fast.process_clock(rank),
-                        sharded.process_clock(rank),
-                        "clock divergence rank={} mode={:?}",
-                        rank, mode
-                    );
-                }
-            }
-        }
-    }
-
-    /// Supervision property: killing one shard worker at a random point
-    /// mid-stream (test-only poison message) must leave the report stream
-    /// **byte-identical** to the healthy run — the supervisor replays its
-    /// journal through a rebuilt inline detector — and must surface
-    /// [`PipelineHealth::Degraded`]. A chaos event may cost parallelism,
-    /// never a verdict.
-    #[test]
-    fn worker_death_preserves_stream_and_degrades(
-        n in 2usize..5,
-        raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 4..48),
-        shards in 2usize..5,
-        batch in 1usize..9,
-        kill_shard in 0usize..4,
-        kill_frac in 0.0f64..1.0,
-    ) {
-        let steps: Vec<Step> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| decode(n, r, i as u64))
-            .collect();
-        let events = memops(&steps);
-        let chunks = events.len().div_ceil(batch);
-        let kill_shard = kill_shard % shards;
-        let kill_at = ((chunks as f64) * kill_frac) as usize;
-        let healthy = {
-            let mut det = ShardedDetector::new(n, Granularity::WORD, HbMode::Dual, shards);
-            let mut sink = VecSink::new();
-            for chunk in events.chunks(batch) {
-                det.observe_batch_sink(chunk, &mut sink);
-            }
-            prop_assert_eq!(det.health(), PipelineHealth::Healthy);
-            sink.into_reports()
-        };
-        let mut det = ShardedDetector::new(n, Granularity::WORD, HbMode::Dual, shards);
-        let mut sink = VecSink::new();
-        for (i, chunk) in events.chunks(batch).enumerate() {
-            if i == kill_at {
-                prop_assert!(det.inject_worker_panic(kill_shard));
-            }
-            det.observe_batch_sink(chunk, &mut sink);
-        }
-        prop_assert!(det.is_inline(), "worker death must degrade to inline");
-        prop_assert_eq!(det.health(), PipelineHealth::Degraded);
-        prop_assert!(det.last_error().is_some());
-        prop_assert_eq!(
-            healthy, sink.into_reports(),
-            "stream changed: shards={} batch={} kill_shard={} kill_at={}",
-            shards, batch, kill_shard, kill_at
-        );
     }
 
     /// The fast path must also agree on *process clock evolution* — the

@@ -1,7 +1,7 @@
 //! Negative-path coverage for `DetectorConfig::from_json`: every malformed
 //! or out-of-range input must come back as `Err` with a message naming the
 //! offending field — never a panic, and never a config that would panic
-//! later in `build()`.
+//! or abort on allocation later, in `build()` or under a hostile stream.
 
 use race_core::{DetectorConfig, DetectorKind};
 
@@ -25,8 +25,8 @@ fn with_field(field: &str, value: &str) -> String {
 fn the_probe_edits_fields_correctly() {
     // Sanity-check the test helper itself: an edited-but-valid config
     // parses and carries the edit.
-    let c = DetectorConfig::from_json(&with_field("shards", "8")).unwrap();
-    assert_eq!(c.shards, 8);
+    let c = DetectorConfig::from_json(&with_field("dense_blocks", "8")).unwrap();
+    assert_eq!(c.dense_blocks, 8);
 }
 
 #[test]
@@ -64,13 +64,6 @@ fn unknown_kind_label_is_reported() {
 }
 
 #[test]
-fn unknown_pipeline_label_is_reported() {
-    let err = DetectorConfig::from_json(&with_field("pipeline", "\"quantum\"")).unwrap_err();
-    assert!(err.contains("unknown pipeline"), "got {err:?}");
-    assert!(err.contains("quantum"), "message names the label: {err:?}");
-}
-
-#[test]
 fn non_power_of_two_granularity_is_rejected() {
     for bad in ["0", "3", "24"] {
         let err = DetectorConfig::from_json(&with_field("granularity", bad)).unwrap_err();
@@ -85,31 +78,68 @@ fn zero_processes_rejected() {
 }
 
 #[test]
-fn shards_out_of_range_rejected() {
-    // shards == 0 would panic in build(); a shard count beyond MAX_SHARDS
-    // would spawn an absurd worker fleet. Both must be parse errors.
-    for bad in ["0", "1025", "999999999"] {
-        let err = DetectorConfig::from_json(&with_field("shards", bad)).unwrap_err();
-        assert!(err.contains("shards"), "shards {bad}: {err:?}");
-        assert!(err.contains("out of range"), "shards {bad}: {err:?}");
+fn process_count_out_of_range_rejected() {
+    // A clock-based detector allocates n matrix clocks of n × n words at
+    // construction: "n":4096 is 512 GiB, an allocation failure that aborts
+    // the process past any catch_unwind. Must be a parse error.
+    for bad in ["129", "4096", "18446744073709551615"] {
+        let err = DetectorConfig::from_json(&with_field("n", bad)).unwrap_err();
+        assert!(err.contains("n "), "n {bad}: {err:?}");
+        assert!(err.contains("out of range"), "n {bad}: {err:?}");
     }
-    let max = DetectorConfig::MAX_SHARDS.to_string();
-    assert!(DetectorConfig::from_json(&with_field("shards", &max)).is_ok());
+    let max = DetectorConfig::MAX_N.to_string();
+    assert!(DetectorConfig::from_json(&with_field("n", &max)).is_ok());
 }
 
 #[test]
-fn batch_out_of_range_rejected() {
-    let too_big = (DetectorConfig::MAX_BATCH + 1).to_string();
-    let err = DetectorConfig::from_json(&with_field("batch", &too_big)).unwrap_err();
-    assert!(err.contains("batch"), "got {err:?}");
-    assert!(err.contains("out of range"), "got {err:?}");
-    let max = DetectorConfig::MAX_BATCH.to_string();
-    assert!(DetectorConfig::from_json(&with_field("batch", &max)).is_ok());
+fn dense_blocks_out_of_range_rejected() {
+    // One access to block b < dense_blocks resizes its rank's dense slab
+    // to b + 1 slots; an unbounded dense_blocks lets one put at a huge
+    // offset request terabytes. Must be a parse error.
+    for bad in ["65537", "18446744073709551615"] {
+        let err = DetectorConfig::from_json(&with_field("dense_blocks", bad)).unwrap_err();
+        assert!(err.contains("dense_blocks"), "dense_blocks {bad}: {err:?}");
+        assert!(err.contains("out of range"), "dense_blocks {bad}: {err:?}");
+    }
+    let max = DetectorConfig::MAX_DENSE_BLOCKS.to_string();
+    assert!(DetectorConfig::from_json(&with_field("dense_blocks", &max)).is_ok());
+    assert!(DetectorConfig::from_json(&with_field("dense_blocks", "0")).is_ok());
+}
+
+#[test]
+fn a_config_at_both_bounds_survives_the_stream_that_used_to_abort() {
+    // The hostile stream of the bug report — one put far out in the
+    // segment, one at the top of the dense prefix — against the largest
+    // config the parser admits.
+    use dsm::addr::GlobalAddr;
+    use race_core::{DsmOp, OpKind};
+    let max_n = DetectorConfig::MAX_N.to_string();
+    let json = with_field("n", &max_n);
+    let mut session = DetectorConfig::from_json(&json).unwrap().session();
+    let top_dense = (DetectorConfig::MAX_DENSE_BLOCKS - 1) * 8;
+    for (op_id, offset) in [(0u64, 8usize << 36), (1, top_dense)] {
+        session.observe(
+            &DsmOp {
+                op_id,
+                actor: 0,
+                kind: OpKind::Put {
+                    src: GlobalAddr::private(0, 0).range(8),
+                    dst: GlobalAddr::public(1, offset).range(8),
+                },
+            },
+            &[],
+        );
+    }
+    assert_eq!(session.finish().0.total, 0);
 }
 
 #[test]
 fn negative_and_non_numeric_numbers_are_field_errors() {
-    for (field, value) in [("n", "-1"), ("shards", "\"two\""), ("batch", "1.5")] {
+    for (field, value) in [
+        ("n", "-1"),
+        ("dense_blocks", "\"two\""),
+        ("granularity", "1.5"),
+    ] {
         let r = DetectorConfig::from_json(&with_field(field, value));
         assert!(r.is_err(), "{field}={value} accepted");
     }
@@ -119,11 +149,10 @@ fn negative_and_non_numeric_numbers_are_field_errors() {
 fn every_accepted_config_builds_without_panicking() {
     // The contract the validation exists for: Ok(config) ⇒ build() is safe.
     for (field, value) in [
-        ("shards", "1"),
-        ("shards", "4"),
-        ("batch", "0"),
-        ("batch", "1024"),
+        ("dense_blocks", "0"),
+        ("dense_blocks", "1024"),
         ("n", "1"),
+        ("n", "128"),
         ("granularity", "64"),
     ] {
         let c = DetectorConfig::from_json(&with_field(field, value)).unwrap();

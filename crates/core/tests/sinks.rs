@@ -1,7 +1,7 @@
 //! Differential property tests for the `race_core::api` report-streaming
 //! layer: driving any detector through a sink (the façade's hot path) must
 //! produce **byte-for-byte** the report stream of the legacy internal log,
-//! for every [`DetectorKind`] and shard count — and the aggregating sinks
+//! for every [`DetectorKind`] — and the aggregating sinks
 //! must retain bounded state, never per-report copies.
 
 use proptest::prelude::*;
@@ -86,7 +86,6 @@ fn drive_legacy(config: &DetectorConfig, steps: &[Step]) -> Vec<race_core::RaceR
             Step::Acquire { rank, lock } => det.on_acquire(*rank, *lock),
         }
     }
-    det.flush();
     det.reports().to_vec()
 }
 
@@ -114,14 +113,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// For random op streams, the `VecSink` stream equals the legacy
-    /// `reports()` log byte-for-byte, across every `DetectorKind` and
-    /// shard counts 1–4 — and the session's bounded summary agrees with
-    /// the summary of the retained stream.
+    /// `reports()` log byte-for-byte, across every `DetectorKind` — and
+    /// the session's bounded summary agrees with the summary of the
+    /// retained stream.
     #[test]
     fn vec_sink_stream_equals_legacy_log(
         n in 2usize..5,
         raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..50),
-        shards in 1usize..5,
     ) {
         let steps: Vec<Step> = raw
             .iter()
@@ -130,15 +128,13 @@ proptest! {
             .collect();
         for kind in DetectorKind::ALL {
             for granularity in [Granularity::WORD, Granularity::CACHE_LINE] {
-                let config = DetectorConfig::new(kind, n)
-                    .with_granularity(granularity)
-                    .with_shards(shards);
+                let config = DetectorConfig::new(kind, n).with_granularity(granularity);
                 let legacy = drive_legacy(&config, &steps);
                 let (streamed, summary) = drive_session(&config, &steps);
                 prop_assert_eq!(
                     &legacy, &streamed,
-                    "sink stream diverges kind={:?} gran={:?} shards={}",
-                    kind, granularity, shards
+                    "sink stream diverges kind={:?} gran={:?}",
+                    kind, granularity
                 );
                 prop_assert_eq!(summary.total, streamed.len());
                 let recomputed = RaceSummary::from_reports(&streamed);
@@ -147,27 +143,6 @@ proptest! {
                 prop_assert_eq!(summary.by_process_pair, recomputed.by_process_pair);
             }
         }
-    }
-
-    /// Batched configs buffer but must emit the identical stream once
-    /// flushed (capacity chosen small so mid-stream drains happen).
-    #[test]
-    fn batched_session_stream_equals_legacy_log(
-        n in 2usize..5,
-        raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..50),
-        shards in 1usize..4,
-        batch in 1usize..9,
-    ) {
-        let steps: Vec<Step> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| decode(n, r, i as u64))
-            .collect();
-        let unbatched = DetectorConfig::new(DetectorKind::Dual, n).with_shards(shards);
-        let batched = unbatched.clone().with_batch(batch);
-        let legacy = drive_legacy(&unbatched, &steps);
-        let (streamed, _) = drive_session(&batched, &steps);
-        prop_assert_eq!(legacy, streamed, "shards={} batch={}", shards, batch);
     }
 
     /// `SummarySink` (and the session's own aggregate) retain O(areas)

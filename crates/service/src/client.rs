@@ -128,7 +128,8 @@ impl ClientError {
 /// The session's liveness line, as answered to a `Ping`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthLine {
-    /// True when the session's pipeline or summary is degraded.
+    /// True when the session's summary is degraded or the session was
+    /// recovered from a panic.
     pub degraded: bool,
     /// Events the session has applied.
     pub events: u64,

@@ -216,7 +216,8 @@ pub enum ServerFrame {
     },
     /// Answer to `Ping`: the session's liveness line.
     Health {
-        /// True when the session's pipeline or summary is degraded.
+        /// True when the session's summary is degraded or the session was
+        /// recovered from a panic.
         degraded: bool,
         /// Events applied so far.
         events: u64,

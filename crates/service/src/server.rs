@@ -7,8 +7,7 @@
 //!
 //! 1. **The accept loop never dies.** Whatever one connection does — garbage
 //!    bytes, mid-stream hangup, a panic inside its session — only that
-//!    session degrades. Supervision is per-session `catch_unwind`, the same
-//!    discipline the sharded pipeline applies per shard worker.
+//!    session degrades. Supervision is per-session `catch_unwind`.
 //! 2. **Sessions are durable.** The worker checkpoints its session
 //!    ([`Session::checkpoint`]) at start and every
 //!    [`ServeConfig::checkpoint_every`] events. A worker panic is recovered
@@ -114,8 +113,7 @@ pub struct ServeConfig {
     /// treated as one.
     pub ledger_capacity: usize,
     /// Backoff schedule used by [`SlowClientPolicy::Shed`] before giving up
-    /// on an event — the same bounded-probing policy the sharded pipeline
-    /// uses at batch fences.
+    /// on an event.
     pub retry: RetryPolicy,
     /// Fault-injection hook: the session worker panics when it observes
     /// this op id. Exercises the supervision + checkpoint-recovery path
@@ -1077,9 +1075,7 @@ fn run_session(
             Cmd::Ping => {
                 let summary = session.summary();
                 let frame = ServerFrame::Health {
-                    degraded: session.health().is_degraded()
-                        || summary.degraded
-                        || recovered.is_some(),
+                    degraded: summary.degraded || recovered.is_some(),
                     events,
                     reports: summary.total as u64,
                     shed: shed.load(Ordering::Relaxed),
@@ -1323,7 +1319,6 @@ fn push_record(ledger: &Ledger, record: SessionRecord) {
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    // Mirrors the sharded pipeline's payload stringification.
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

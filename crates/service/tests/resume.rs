@@ -1,5 +1,5 @@
 //! Tier-1 durability matrix: kill the connection mid-stream at a
-//! pseudo-random point for every detector kind × shard count, resume via
+//! pseudo-random point for every detector kind × four seeds, resume via
 //! the token, and require the final summary to be **byte-identical** to an
 //! uninterrupted in-process run of the same events — with exact
 //! outcome-ledger accounting (one park, one resume, one finish, nothing
@@ -90,11 +90,8 @@ fn workload(len: usize, seed: u64) -> Vec<WireEvent> {
     events
 }
 
-fn cell_config(kind: DetectorKind, shards: usize) -> DetectorConfig {
-    let mut config = DetectorConfig::new(kind, N);
-    config.granularity = Granularity::WORD;
-    config.shards = shards;
-    config
+fn cell_config(kind: DetectorKind) -> DetectorConfig {
+    DetectorConfig::new(kind, N).with_granularity(Granularity::WORD)
 }
 
 /// The uninterrupted twin: the same events through a plain in-process
@@ -119,10 +116,10 @@ fn twin_json(config: &DetectorConfig, events: &[WireEvent]) -> String {
 #[test]
 fn killed_mid_stream_sessions_resume_byte_identical_across_the_matrix() {
     for kind in DetectorKind::ALL {
-        for shards in 1..=4usize {
-            let seed = 0x5E55_10F1 ^ ((shards as u64) << 40) ^ kind.label().len() as u64;
+        for round in 1..=4u64 {
+            let seed = 0x5E55_10F1 ^ (round << 40) ^ kind.label().len() as u64;
             let events = workload(140, seed);
-            let config = cell_config(kind, shards);
+            let config = cell_config(kind);
 
             // Kill points: one or two pseudo-random cuts per cell.
             let mut rng = Lcg(seed.rotate_left(23));
@@ -158,53 +155,53 @@ fn killed_mid_stream_sessions_resume_byte_identical_across_the_matrix() {
                 }
                 client
                     .send(ev)
-                    .unwrap_or_else(|e| panic!("{kind:?}/{shards}: send {i} failed: {e}"));
+                    .unwrap_or_else(|e| panic!("{kind:?}/{round}: send {i} failed: {e}"));
             }
             assert_eq!(
                 client.reconnects(),
                 cuts.len() as u64,
-                "{kind:?}/{shards}: every cut must have healed via resume"
+                "{kind:?}/{round}: every cut must have healed via resume"
             );
             assert_eq!(
                 client.session_id(),
                 session_id,
-                "{kind:?}/{shards}: session identity survives the reconnects"
+                "{kind:?}/{round}: session identity survives the reconnects"
             );
 
             let remote = client
                 .finish()
-                .unwrap_or_else(|e| panic!("{kind:?}/{shards}: finish failed: {e}"));
+                .unwrap_or_else(|e| panic!("{kind:?}/{round}: finish failed: {e}"));
             assert!(
                 !remote.summary.degraded,
-                "{kind:?}/{shards}: a resumed session is lossless, not degraded"
+                "{kind:?}/{round}: a resumed session is lossless, not degraded"
             );
             assert_eq!(
                 remote.raw_json,
                 twin_json(&config, &events),
-                "{kind:?}/{shards}: resumed summary must be byte-identical"
+                "{kind:?}/{round}: resumed summary must be byte-identical"
             );
 
             // Exact ledger accounting: every cut parked then resumed; the
             // one logical session finished cleanly; nothing else happened.
             let report = server.shutdown();
-            assert_eq!(report.stats.parked, cuts.len() as u64, "{kind:?}/{shards}");
-            assert_eq!(report.stats.resumed, cuts.len() as u64, "{kind:?}/{shards}");
-            assert_eq!(report.stats.finished, 1, "{kind:?}/{shards}");
-            assert_eq!(report.stats.hangups, 0, "{kind:?}/{shards}");
-            assert_eq!(report.stats.poisoned, 0, "{kind:?}/{shards}");
-            assert_eq!(report.stats.degraded_sessions(), 0, "{kind:?}/{shards}");
+            assert_eq!(report.stats.parked, cuts.len() as u64, "{kind:?}/{round}");
+            assert_eq!(report.stats.resumed, cuts.len() as u64, "{kind:?}/{round}");
+            assert_eq!(report.stats.finished, 1, "{kind:?}/{round}");
+            assert_eq!(report.stats.hangups, 0, "{kind:?}/{round}");
+            assert_eq!(report.stats.poisoned, 0, "{kind:?}/{round}");
+            assert_eq!(report.stats.degraded_sessions(), 0, "{kind:?}/{round}");
             let finished = report.with_outcome(SessionOutcome::Finished);
-            assert_eq!(finished.len(), 1, "{kind:?}/{shards}");
-            assert_eq!(finished[0].session, session_id, "{kind:?}/{shards}");
+            assert_eq!(finished.len(), 1, "{kind:?}/{round}");
+            assert_eq!(finished[0].session, session_id, "{kind:?}/{round}");
             assert_eq!(
                 finished[0].events,
                 events.len() as u64,
-                "{kind:?}/{shards}: no event lost or duplicated across cuts"
+                "{kind:?}/{round}: no event lost or duplicated across cuts"
             );
             assert_eq!(
                 finished[0].summary_json,
                 twin_json(&config, &events),
-                "{kind:?}/{shards}: ledger summary byte-identical too"
+                "{kind:?}/{round}: ledger summary byte-identical too"
             );
         }
     }
@@ -223,7 +220,7 @@ fn expired_park_is_reaped_into_a_hangup() {
     )
     .expect("bind");
 
-    let config = cell_config(DetectorKind::Dual, 1);
+    let config = cell_config(DetectorKind::Dual);
     let mut client = ServiceClient::connect(server.local_addr(), &config).expect("connect");
     let events = workload(20, 0xA11CE);
     for ev in &events {

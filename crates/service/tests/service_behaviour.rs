@@ -134,6 +134,71 @@ fn garbage_bytes_poison_only_their_session() {
 }
 
 #[test]
+fn a_hello_sized_to_exhaust_memory_poisons_only_its_session() {
+    // Two configs that used to abort the whole server process on allocation
+    // failure, past both catch_unwinds: a dense slab prefix of 2^64 blocks
+    // plus one put far out in the segment (the first touch resizes the dense
+    // array to the block index), and 4096 processes (n matrix clocks of
+    // n x n words at construction). Both are refused at the handshake.
+    // (The configs carry the three keys of the retired pipeline as well, so
+    // the same bytes reproduce the abort on a server from before the bounds.)
+    let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
+    let far_put = ClientFrame::Event(WireEvent::Op(DsmOp {
+        op_id: 1,
+        actor: 0,
+        kind: OpKind::Put {
+            src: GlobalAddr::private(0, 0).range(8),
+            dst: GlobalAddr::public(1, 8 << 36).range(8),
+        },
+    }));
+    let hostile_configs = [
+        r#"{"kind":"dual-clock","n":4,"granularity":8,"shards":1,"pipeline":"auto","dense_blocks":18446744073709551615,"batch":0}"#,
+        r#"{"kind":"dual-clock","n":4096,"granularity":8,"shards":1,"pipeline":"auto","dense_blocks":65536,"batch":0}"#,
+    ];
+
+    // An innocent session, open across both attacks.
+    let events = racing_events(4, 1);
+    let mut client = ServiceClient::connect(server.local_addr(), &config()).unwrap();
+    client.send(&events[0]).unwrap();
+
+    for config_json in hostile_configs {
+        let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = ClientFrame::Hello {
+            config_json: config_json.to_string(),
+        };
+        write_frames(&mut hostile, &[hello, far_put.clone()]);
+        match ServerFrame::decode(&read_frame(&mut hostile).unwrap()).unwrap() {
+            ServerFrame::Error { message } => assert!(
+                message.starts_with("bad detector config: ") && message.contains("out of range"),
+                "got {message:?}"
+            ),
+            other => panic!("wanted an error frame, got {other:?}"),
+        }
+    }
+
+    for ev in &events[1..] {
+        client.send(ev).unwrap();
+    }
+    let remote = client.finish().unwrap();
+    assert_eq!(remote.raw_json, in_process_json(&events));
+    assert!(!remote.summary.degraded);
+
+    let report = server.shutdown();
+    assert_eq!(report.stats.finished, 1);
+    assert_eq!(report.stats.poisoned, 2);
+    assert_eq!(report.stats.panics_supervised, 0);
+    let poisoned = report.with_outcome(SessionOutcome::Poisoned);
+    assert_eq!(poisoned.len(), 2);
+    for record in poisoned {
+        let error = record.error.as_deref().unwrap_or_default();
+        assert!(error.starts_with("bad detector config: "), "got {error:?}");
+    }
+}
+
+#[test]
 fn mid_stream_hangup_degrades_that_session_only() {
     let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
 

@@ -49,14 +49,11 @@ pub struct ShmemConfig {
     pub n: usize,
     /// Public segment size per PE, bytes.
     pub public_len: usize,
-    /// Full detector configuration (kind, granularity, shards, pipeline,
-    /// slab layout) — the `race_core::api` builder, embedded. The runtime
-    /// builds its detection `Session` from exactly this value (with `n`
-    /// forced to [`ShmemConfig::n`]). Per-access report semantics hold at
-    /// any shard count — the sharded observe is synchronous and
-    /// byte-identical — so [`Pe::put`]/[`Pe::get`] still return the exact
-    /// reports the access triggered; batching (`detector.batch > 0`) is
-    /// rejected for this backend, which promises per-access reports.
+    /// Full detector configuration (kind, granularity, slab layout) — the
+    /// `race_core::api` builder, embedded. The runtime builds its
+    /// detection `Session` from exactly this value (with `n` forced to
+    /// [`ShmemConfig::n`]); [`Pe::put`]/[`Pe::get`] return the exact
+    /// reports the access triggered.
     pub detector: DetectorConfig,
 }
 
@@ -81,17 +78,6 @@ impl ShmemConfig {
     /// PE count.
     pub fn with_detector_config(mut self, detector: DetectorConfig) -> Self {
         self.detector = detector.with_n(self.n);
-        self
-    }
-
-    /// Shard the detection work over `shards` worker threads (in addition
-    /// to the PE threads).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "at least one detection shard");
-        self.detector.shards = shards;
         self
     }
 }
@@ -340,10 +326,6 @@ pub fn run<F>(cfg: ShmemConfig, body: F) -> ShmemReport
 where
     F: Fn(&Pe) + Sync,
 {
-    assert_eq!(
-        cfg.detector.batch, 0,
-        "the shmem backend reports per access; batching would defer reports"
-    );
     let shared = Arc::new(Shared {
         n: cfg.n,
         segments: (0..cfg.n)
@@ -614,40 +596,6 @@ mod tests {
         run(ShmemConfig::new(1), |pe| {
             pe.put_u64(GlobalAddr::public(0, 1 << 20).range(8), 1);
         });
-    }
-
-    #[test]
-    fn sharded_detection_matches_inline_on_threads() {
-        // The same programs under inline and sharded detection must agree
-        // on the verdict classes (exact report interleaving is
-        // schedule-dependent on real threads, but clock verdicts are not).
-        let quiet = |shards: usize| {
-            let cfg = if shards > 1 {
-                ShmemConfig::new(4).with_shards(shards)
-            } else {
-                ShmemConfig::new(4)
-            };
-            run(cfg, |pe| {
-                pe.put_u64(word(pe.my_pe(), 0), 7);
-                pe.barrier();
-                let next = (pe.my_pe() + 1) % pe.n_pes();
-                let _ = pe.get_u64(word(next, 0));
-            })
-        };
-        assert!(quiet(1).reports.is_empty());
-        assert!(quiet(3).reports.is_empty(), "sharded: barrier still orders");
-
-        for _ in 0..3 {
-            let racy = run(ShmemConfig::new(2).with_shards(2), |pe| {
-                pe.put_u64(word(0, 0), pe.my_pe() as u64 + 1);
-            });
-            let ww: Vec<_> = racy
-                .reports
-                .iter()
-                .filter(|r| r.class == RaceClass::WriteWrite)
-                .collect();
-            assert_eq!(ww.len(), 1, "sharded detection still finds the WW race");
-        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub struct SimConfig {
     pub private_len: usize,
     /// Public segment bytes per process.
     pub public_len: usize,
-    /// Full detector configuration (kind, granularity, shards, pipeline,
-    /// slab layout, batching) — the `race_core::api` builder, embedded.
+    /// Full detector configuration (kind, granularity, slab layout) — the
+    /// `race_core::api` builder, embedded.
     /// The engine builds its detection `Session` from exactly this value
     /// (with `n` forced to [`SimConfig::n`]), so a committed
     /// `DetectorConfig` JSON plus the simulation knobs reproduces a run.
@@ -67,11 +67,6 @@ pub struct SimConfig {
     /// summary [`race_core::RaceSummary::degraded`].
     pub faults: Option<FaultSpec>,
 }
-
-/// Events the engine buffers per drain when detection is sharded
-/// ([`SimConfig::with_shards`] wires this into the embedded
-/// [`DetectorConfig::batch`]).
-pub const DETECT_BATCH: usize = 256;
 
 impl SimConfig {
     /// A small debugging-scale default (§V-A: "typically, about 10
@@ -108,27 +103,6 @@ impl SimConfig {
     /// different scale can be reused as-is.
     pub fn with_detector_config(mut self, detector: DetectorConfig) -> Self {
         self.detector = detector.with_n(self.n);
-        self
-    }
-
-    /// Same configuration with detection sharded over `shards` worker
-    /// threads. Above one shard this also switches the engine to the
-    /// **batched drain**: observed operations and sync events buffer up
-    /// (in batches of [`DETECT_BATCH`] — an explicit
-    /// `DetectorConfig::with_batch` choice is respected, never
-    /// overridden) and drain through `race_core::ShardedDetector`, which
-    /// partitions the per-area check-and-update across the workers. Only
-    /// meaningful for the clock-based detector kinds; lockset/vanilla
-    /// ignore it. The report stream is byte-identical either way.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "at least one detection shard");
-        self.detector.shards = shards;
-        if shards > 1 && self.detector.batch == 0 {
-            self.detector.batch = DETECT_BATCH;
-        }
         self
     }
 
@@ -182,29 +156,9 @@ mod tests {
     #[test]
     fn with_detector_config_forces_the_run_scale() {
         let c = SimConfig::debugging(4)
-            .with_detector_config(DetectorConfig::new(DetectorKind::Single, 99).with_shards(2));
+            .with_detector_config(DetectorConfig::new(DetectorKind::Single, 99));
         assert_eq!(c.detector.n, 4, "n is the simulation's, not the config's");
         assert_eq!(c.detector.kind, DetectorKind::Single);
-        assert_eq!(c.detector.shards, 2);
-    }
-
-    #[test]
-    fn sharding_defaults_off_and_builds_on() {
-        assert_eq!(SimConfig::debugging(4).detector.shards, 1);
-        assert_eq!(SimConfig::lockstep(4, 100).detector.shards, 1);
-        let sharded = SimConfig::debugging(4).with_shards(4);
-        assert_eq!(sharded.detector.shards, 4);
-        assert_eq!(sharded.detector.batch, DETECT_BATCH, "batched drain on");
-        // An explicit batch choice survives with_shards, in either order.
-        let explicit = SimConfig::debugging(4)
-            .with_detector_config(DetectorConfig::new(DetectorKind::Dual, 4).with_batch(1024))
-            .with_shards(4);
-        assert_eq!(explicit.detector.batch, 1024, "user's batch respected");
-        let explicit = SimConfig::debugging(4).with_shards(4).with_shards(1);
-        assert_eq!(
-            explicit.detector.batch, DETECT_BATCH,
-            "derived batch is sticky, not clobbered to per-op"
-        );
     }
 
     #[test]
@@ -217,12 +171,6 @@ mod tests {
         };
         let c = SimConfig::debugging(4).with_faults(spec);
         assert_eq!(c.faults, Some(spec));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn zero_shards_rejected() {
-        let _ = SimConfig::debugging(4).with_shards(0);
     }
 
     #[test]

@@ -303,11 +303,9 @@ impl Engine {
             None => Network::new(cfg.n, cfg.topology, latency),
         };
         // One construction path for every knob: the embedded DetectorConfig
-        // builds the detection Session (shards > 1 plus a batch capacity =
-        // the batched drain mode, whose report stream is byte-identical to
-        // the inline detector's and whose drained batches ride the recycled
-        // transport buffers). The default VecSink retains the run's reports
-        // for RunResult; the session's summary aggregates them bounded.
+        // builds the detection Session. The default VecSink retains the
+        // run's reports for RunResult; the session's summary aggregates
+        // them bounded.
         let session = cfg.detector.clone().with_n(cfg.n).session();
         let memories = (0..cfg.n)
             .map(|r| ProcessMemory::new(r, cfg.private_len, cfg.public_len))
@@ -443,11 +441,8 @@ impl Engine {
             .filter(|(_, p)| !p.done)
             .map(|(r, _)| r)
             .collect();
-        // End the session: drain anything the batched detection mode still
-        // buffers (a no-op for the inline configs), fire the sink's
-        // end-of-stream hook, and take the retained reports plus the
-        // bounded aggregate.
-        self.session.flush();
+        // End the session: fire the sink's end-of-stream hook, and take
+        // the retained reports plus the bounded aggregate.
         let clock_memory_bytes = self.session.clock_memory_bytes();
         let (mut summary, sink) = self.session.finish();
         // A run that absorbed injected network faults is a degraded run:

@@ -442,64 +442,6 @@ fn barrier_joins_all_ranks() {
     }
 }
 
-#[test]
-fn batched_sharded_drain_matches_inline_detection() {
-    // The engine's batched drain (detection sharded over worker threads)
-    // must produce the byte-identical report stream, accounting and final
-    // memory of the default inline detector, on racy and on synchronised
-    // workloads, for every clock-based detector kind.
-    let racy = random_access::generate(random_access::RandomSpec {
-        n: 6,
-        ops_per_rank: 30,
-        hot_words: 8,
-        p_write: 0.5,
-        locked: false,
-        seed: 11,
-    });
-    let synced = stencil::with_barrier(5, 6, 2);
-    for workload in [&racy, &synced] {
-        for kind in [
-            DetectorKind::Dual,
-            DetectorKind::Single,
-            DetectorKind::Literal,
-        ] {
-            let base = run(
-                SimConfig::debugging(workload.n).with_detector(kind),
-                workload.programs.clone(),
-            );
-            let sharded = run(
-                SimConfig::debugging(workload.n)
-                    .with_detector(kind)
-                    .with_shards(4),
-                workload.programs.clone(),
-            );
-            assert_eq!(base.reports, sharded.reports, "kind {kind:?}");
-            assert_eq!(base.deduped.len(), sharded.deduped.len());
-            assert_eq!(base.clock_memory_bytes, sharded.clock_memory_bytes);
-            assert_eq!(base.virtual_time, sharded.virtual_time);
-        }
-    }
-}
-
-#[test]
-fn sharding_is_inert_for_clockless_detectors() {
-    // Lockset and vanilla keep no per-area clocks; asking for shards must
-    // not change their behaviour (the engine falls back to inline).
-    let w = master_worker::racy(4, 2);
-    for kind in [DetectorKind::Lockset, DetectorKind::Vanilla] {
-        let base = run(
-            SimConfig::debugging(w.n).with_detector(kind),
-            w.programs.clone(),
-        );
-        let sharded = run(
-            SimConfig::debugging(w.n).with_detector(kind).with_shards(8),
-            w.programs.clone(),
-        );
-        assert_eq!(base.reports.len(), sharded.reports.len());
-        assert_eq!(base.virtual_time, sharded.virtual_time);
-    }
-}
-
 // ----- fault injection (chaos) ------------------------------------------
 
 #[test]

@@ -19,9 +19,8 @@
 //!   loop.
 //!
 //! [`crate::VectorClock`] delegates `leq` / `merge` / `merge_dominated` /
-//! `relation` / `concurrent_with` here, so the sequential detector, the
-//! full-vector-clock reference, and the sharded pipeline's workers all share
-//! one set of hot loops. The scalar-vs-chunked parity property tests in
+//! `relation` / `concurrent_with` here, so the epoch detector and the
+//! full-vector-clock reference share one set of hot loops. The scalar-vs-chunked parity property tests in
 //! `tests/proptests.rs` pin the semantics across widths 1..128, including
 //! the all-equal and single-divergence inputs where masking bugs would hide.
 

@@ -36,8 +36,7 @@
 //!
 //! [`kernels`] holds the chunked, branch-free inner loops (`leq`, `merge`,
 //! fused `merge_dominated`, one-pass `dominance`) that every
-//! [`VectorClock`] comparison and merge bottoms out in — shared by the
-//! sequential detectors and the sharded pipeline's workers alike.
+//! [`VectorClock`] comparison and merge bottoms out in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -73,26 +73,14 @@ impl MatrixClock {
         self.rows[owner].clone()
     }
 
-    /// Tick without snapshotting: increment `V[i,i]` and return the new
-    /// diagonal value only. The sharded router's epoch-delta transport uses
-    /// this — a `(rank, count)` pair is all the wire format needs while the
-    /// actor's clock has only ticked since the last full send, so the
-    /// per-op row clone and `Arc` allocation of [`MatrixClock::tick_shared`]
-    /// are skipped entirely on that path.
-    #[inline]
-    pub fn tick_count(&mut self) -> u64 {
-        let owner = self.owner;
-        self.rows[owner].tick(owner)
-    }
-
     /// [`MatrixClock::tick`] returning the snapshot behind an
-    /// [`std::sync::Arc`] — the *shard-safe* form of the event clock.
+    /// [`std::sync::Arc`].
     ///
     /// The detectors attach one snapshot per operation to every access the
-    /// operation induces; the sharded pipeline additionally ships those
-    /// snapshots to worker threads. `Arc<VectorClock>` is `Send + Sync`
-    /// (the clock is immutable once snapshotted), so the same allocation is
-    /// shared across accesses, shards and reports without copying.
+    /// operation induces, and reports carry them on to whichever thread
+    /// consumes the sink. `Arc<VectorClock>` is `Send + Sync` (the clock is
+    /// immutable once snapshotted), so the same allocation is shared across
+    /// accesses, area histories and reports without copying.
     pub fn tick_shared(&mut self) -> std::sync::Arc<VectorClock> {
         std::sync::Arc::new(self.tick())
     }
@@ -178,10 +166,10 @@ mod tests {
 
     #[test]
     fn tick_shared_snapshots_are_send_sync() {
-        fn assert_shard_safe<T: Send + Sync>(_: &T) {}
+        fn assert_send_sync<T: Send + Sync>(_: &T) {}
         let mut m = MatrixClock::zero(0, 2);
         let snap = m.tick_shared();
-        assert_shard_safe(&snap);
+        assert_send_sync(&snap);
         assert_eq!(snap.components(), &[1, 0]);
         // Sharing does not copy: a clone is the same allocation.
         let other = std::sync::Arc::clone(&snap);

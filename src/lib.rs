@@ -12,11 +12,11 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`vclock`] | Lamport / vector / matrix clocks, the paper's Algorithms 3–4, the `epoch` fast-path module, shard-safe snapshots |
+//! | [`vclock`] | Lamport / vector / matrix clocks, the paper's Algorithms 3–4, the `epoch` fast-path module, shared (`Arc`) event-clock snapshots |
 //! | [`netsim`] | deterministic discrete-event interconnect + RDMA NIC model |
 //! | [`dsm`] | global address space, symmetric heap, NIC area locks, Fig 3 put-deferral |
-//! | [`race_core`] | the paper's detector (Algorithms 1–2, dual clock) + the sharded parallel pipeline + baselines + oracle, fronted by the `race_core::api` façade (`DetectorConfig` → `Session` → `ReportSink`) |
-//! | [`simulator`] | process/program model, DES engine (per-op or batched/sharded drain), workloads, interleaving explorer |
+//! | [`race_core`] | the paper's detector (Algorithms 1–2, dual clock) + baselines + oracle + the checkpoint codec, fronted by the `race_core::api` façade (`DetectorConfig` → `Session` → `ReportSink`) |
+//! | [`simulator`] | process/program model, DES engine, workloads, interleaving explorer |
 //! | [`shmem`] | the same algorithms on real OS threads (§III-B's SHMEM extension) |
 //!
 //! ## The detection hot path
@@ -30,7 +30,7 @@
 //!   Algorithm-5 update two word writes. Genuine concurrency demotes the
 //!   clock to the exact dense join (O(n) again); a later dominating access
 //!   re-promotes it.
-//! * **flat sharded store** (`race_core::ClockStore`): per-rank dense
+//! * **flat per-rank store** (`race_core::ClockStore`): per-rank dense
 //!   slabs indexed by block number — no hashing on the access path.
 //! * **allocation-free observe**: one shared `Arc` clock snapshot per
 //!   operation, a reused absorb scratch clock, reports streamed by value
@@ -40,23 +40,6 @@
 //! (`race_core::ReferenceHbDetector`) is enforced by differential property
 //! tests across all detector modes and granularities; the measured speedup
 //! is tracked in `BENCH_0001.json` (`repro --bench`).
-//!
-//! ## The sharded pipeline
-//!
-//! The paper's two-clocks-per-area design makes areas natural shard keys:
-//! `race_core::ShardedDetector` partitions the per-area check-and-update
-//! across worker threads (hash of block → shard, each shard owning its own
-//! `ClockStore` slab set) behind a batch API,
-//! `observe_batch(&[MemOp]) -> usize`. A sequential router keeps the
-//! per-process matrix clocks and replays the read-absorb against
-//! lightweight per-area join replicas; a deterministic key-sorted merge
-//! makes the report stream **byte-identical** to the sequential detector's
-//! (also proptest-enforced). The engine drives it via
-//! `SimConfig::with_shards(k)` (the batched drain mode), and
-//! `BENCH_0002.json` (`repro --bench-sharded`) tracks throughput at
-//! 1/2/4/8 shards against the sequential epoch detector — see
-//! `docs/BENCHMARKS.md` for the host-core caveat on those rows, and
-//! `docs/ARCHITECTURE.md` for the router/worker split.
 //!
 //! ## Quickstart
 //!
@@ -89,9 +72,8 @@ pub mod prelude {
     pub use dsm::{GlobalAddr, MemRange, Placement, Segment, SymmetricHeap};
     pub use netsim::{OpClass, SimTime, Topology};
     pub use race_core::{
-        CountingSink, DetectorConfig, DetectorKind, Granularity, MemOp, Oracle, PipelineMode,
-        RaceClass, RaceReport, RaceSummary, ReportSink, Score, Session, ShardedDetector,
-        SummarySink, VecSink,
+        CountingSink, DetectorConfig, DetectorKind, Granularity, Oracle, RaceClass, RaceReport,
+        RaceSummary, ReportSink, Score, Session, SummarySink, VecSink,
     };
     pub use simulator::{
         explore, Engine, Instr, LatencySpec, Program, ProgramBuilder, RunResult, SimConfig,
