@@ -229,12 +229,14 @@ pub fn fig5() -> Table {
 pub fn clocksize() -> Table {
     let mut rows = vec![format!(
         "{:>4} {:>12} {:>12} {:>14} {:>16}",
-        "n", "vector (B)", "matrix (B)", "clock B / op", "sparse 2-writer"
+        "n", "vector (B)", "matrix (B)", "clock B / put", "sparse 2-writer"
     )];
     for n in [2usize, 4, 8, 16, 32, 64] {
         let vec_b = vclock::VectorClock::zero(n).dense_wire_size();
         let mat_b = vclock::MatrixClock::zero(0, n).dense_size_bytes();
-        // One remote put with detection: measure actual clock bytes.
+        // One remote put with detection: measure actual clock bytes — the
+        // header and clock piggy-backed on `PutData` plus the whole
+        // `PutAck` carrying (V, W) back (8 + 8n and 40 + 16n bytes).
         let dst = dsm::GlobalAddr::public(1, 0).range(8);
         let programs: Vec<Program> = (0..n)
             .map(|r| {
@@ -401,13 +403,25 @@ pub fn falsepos() -> Table {
 
 /// SEC5A — detection overhead versus vanilla at debugging scale, on a
 /// contended (all workers → one slot) and an uncontended (one slot per
-/// worker) pattern. Contention makes the Algorithm-1 locks serialise the
-/// workers, so the time ratio is pattern-dependent; the message ratio is
-/// structural (locks + clock round trips per remote access).
+/// worker) pattern. Contention makes the owner-side Algorithm-1 locks
+/// serialise the workers, so the time ratio is pattern-dependent; the
+/// message ratio is structural: every added message is a put's ack
+/// (`Clock`) or an explicit lock of a two-area op (`Lock`, none here), and
+/// the clocks themselves are bytes piggy-backed on the data messages.
 pub fn overhead() -> Table {
     let mut rows = vec![format!(
-        "{:<22} {:<4} {:>8} {:>9} {:>7} {:>11} {:>11} {:>8}",
-        "pattern", "n", "msgs", "msgs+det", "msg ×", "vtime (µs)", "vtime+det", "time ×"
+        "{:<22} {:<4} {:>6} {:>9} {:>6} {:>6} {:>6} {:>7} {:>11} {:>10} {:>7}",
+        "pattern",
+        "n",
+        "msgs",
+        "msgs+det",
+        "+ack",
+        "+lock",
+        "msg ×",
+        "det B %",
+        "vtime (µs)",
+        "vtime+det",
+        "time ×"
     )];
     for workers in [2usize, 4, 8, 15] {
         for (label, w) in [
@@ -420,12 +434,15 @@ pub fn overhead() -> Table {
             );
             let dual = run(SimConfig::debugging(w.n), w.programs.clone());
             rows.push(format!(
-                "{:<22} {:<4} {:>8} {:>9} {:>7.2} {:>11.1} {:>11.1} {:>8.2}",
+                "{:<22} {:<4} {:>6} {:>9} {:>6} {:>6} {:>6.2} {:>7.1} {:>11.1} {:>10.1} {:>7.2}",
                 label,
                 w.n,
                 vanilla.stats.total_msgs(),
                 dual.stats.total_msgs(),
+                dual.stats.msgs(netsim::OpClass::Clock),
+                dual.stats.msgs(netsim::OpClass::Lock),
                 dual.stats.total_msgs() as f64 / vanilla.stats.total_msgs() as f64,
+                dual.stats.detection_overhead_pct(),
                 vanilla.virtual_time.as_us_f64(),
                 dual.virtual_time.as_us_f64(),
                 dual.virtual_time.as_ns() as f64 / vanilla.virtual_time.as_ns().max(1) as f64,

@@ -84,9 +84,10 @@ pub trait Detector: Send {
     /// through [`Detector::observe_sink`].
     fn reports(&self) -> &[RaceReport];
 
-    /// Number of clock components a remote area access ships per direction
-    /// (`0` = no clock traffic; `n` = one clock; `2n` = V and W). The
-    /// engine sizes the ClockRead/ClockWrite messages from this.
+    /// Number of clock components of an area that a remote access to it
+    /// ships back to the initiator (`0` = no clock traffic; `n` = one
+    /// clock; `2n` = V and W). The engine sizes the clocks piggy-backed on
+    /// its replies from this.
     fn clock_components_per_area(&self) -> usize;
 
     /// Bytes of detector metadata currently held, in the paper's §IV-D

@@ -2,9 +2,22 @@
 //!
 //! Message inventory follows §III-B exactly: a **put is one message**
 //! (source → destination, carrying the data); a **get is two messages**
-//! (request, then the data reply). Locks add request/grant/release traffic,
-//! and the detection algorithms (Algorithms 1, 2, 5) add clock reads and
-//! writes — classified separately so the §V-A overhead split is measurable.
+//! (request, then the data reply). Program locks add request/grant/release
+//! traffic.
+//!
+//! The detection algorithms (Algorithms 1, 2, 5) add **no message kinds of
+//! their own**: the initiator's clock and a take-the-area-lock flag ride on
+//! the data request as a [`DetHeader`], the owner's NIC runs the critical
+//! section (lock, read `(V, W)`, access, merge, unlock), and the area's
+//! `(V, W)` comes back on the reply — [`DsmPayload::GetReply`],
+//! [`DsmPayload::AtomicReply`], or the [`DsmPayload::PutAck`] a put gains
+//! under detection. A detected access is therefore two messages. Only an
+//! op that locks two public areas keeps explicit
+//! [`DsmPayload::LockRequest`]s, and then `(V, W)` rides on the
+//! [`DsmPayload::LockGrant`]. Clocks are carried as a *word count*: the
+//! detection logic is centralised in the detector, so the wire only needs
+//! their size. [`Classify::detection_bytes`] reports the piggy-backed
+//! bytes, so the §V-A overhead split stays measurable.
 
 use bytes::Bytes;
 use netsim::{Classify, OpClass};
@@ -49,6 +62,30 @@ impl AtomicOp {
     }
 }
 
+/// The detection header a data request carries when Algorithms 1–2 run
+/// (absent on a vanilla request).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DetHeader {
+    /// Components of the initiator's clock carried with the request (the
+    /// operand of Algorithm 5's merge at the owner).
+    pub clock_words: usize,
+    /// Components of the area's `(V, W)` the reply must carry for the
+    /// initiator's Algorithm 3 comparison (0 when a [`DsmPayload::LockGrant`]
+    /// already delivered them).
+    pub reply_words: usize,
+    /// Ask the owner's NIC to take the area lock on the initiator's behalf
+    /// for the duration of the access. Clear when the initiator already
+    /// holds a lock covering the range.
+    pub take_lock: bool,
+}
+
+impl DetHeader {
+    /// Wire size: one word of flags and reply length, plus the clock.
+    pub fn wire_bytes(&self) -> usize {
+        8 + 8 * self.clock_words
+    }
+}
+
 /// Protocol payloads.
 #[derive(Debug, Clone)]
 pub enum DsmPayload {
@@ -60,6 +97,9 @@ pub enum DsmPayload {
         data: Bytes,
         /// Completion token echoed to the initiator.
         token: OpToken,
+        /// Detection header; when present the owner answers with a
+        /// [`DsmPayload::PutAck`].
+        det: Option<DetHeader>,
     },
     /// First message of a get: ask the owner's NIC for `src` (Fig 2 right).
     GetRequest {
@@ -67,6 +107,8 @@ pub enum DsmPayload {
         src: MemRange,
         /// Completion token.
         token: OpToken,
+        /// Detection header.
+        det: Option<DetHeader>,
     },
     /// Second message of a get: the data comes back.
     GetReply {
@@ -74,11 +116,17 @@ pub enum DsmPayload {
         token: OpToken,
         /// The bytes read.
         data: Bytes,
+        /// Components of the area's `(V, W)` piggy-backed for detection.
+        clock_words: usize,
     },
-    /// Acknowledgement that a put was applied (RDMA completion).
+    /// Detection traffic: the put was applied and its critical section at
+    /// the owner is over (Algorithm 1's `update_clock` and `unlock` have
+    /// run). Sent only for a put that carried a [`DetHeader`].
     PutAck {
         /// Token of the original put.
         token: OpToken,
+        /// Components of the area's `(V, W)` carried for detection.
+        clock_words: usize,
     },
     /// Ask the owner's NIC to lock `range`.
     LockRequest {
@@ -86,6 +134,9 @@ pub enum DsmPayload {
         range: MemRange,
         /// Correlation token.
         token: OpToken,
+        /// Components of the area's `(V, W)` the grant must carry (a
+        /// detection lock's `get_clock`; 0 for a program lock).
+        clock_words: usize,
     },
     /// The lock is now held by the requester.
     LockGrant {
@@ -93,46 +144,13 @@ pub enum DsmPayload {
         token: OpToken,
         /// The NIC-side lock token needed to release.
         lock_token: u64,
+        /// Components of the area's `(V, W)` piggy-backed for detection.
+        clock_words: usize,
     },
     /// Release a held lock (fire-and-forget).
     LockRelease {
         /// NIC-side lock token.
         lock_token: u64,
-    },
-    /// Detection traffic: read the `(V, W)` clocks of the area containing
-    /// `range` (Algorithms 1–2: `get_clock` / `get_clock_W`).
-    ClockReadRequest {
-        /// Area whose clocks are read.
-        range: MemRange,
-        /// Correlation token.
-        token: OpToken,
-    },
-    /// Detection traffic: the clocks come back (`n` components each).
-    ClockReadReply {
-        /// Token of the request.
-        token: OpToken,
-        /// The area's general-purpose clock `V`.
-        v: Vec<u64>,
-        /// The area's write clock `W`.
-        w: Vec<u64>,
-    },
-    /// Detection traffic: merge `v`/`w` into the area's clocks
-    /// (Algorithm 5 `put_clock`, and `update_clock_W`).
-    ClockWrite {
-        /// Area whose clocks are updated.
-        range: MemRange,
-        /// Components to merge into `V` (empty = skip).
-        v: Vec<u64>,
-        /// Components to merge into `W` (empty = skip).
-        w: Vec<u64>,
-        /// Completion token (clock writes are acknowledged so the algorithm
-        /// steps stay ordered under the lock).
-        token: OpToken,
-    },
-    /// Acknowledgement of a `ClockWrite`.
-    ClockWriteAck {
-        /// Token of the clock write.
-        token: OpToken,
     },
     /// NIC-executed atomic read-modify-write request (§V-B extension).
     AtomicRequest {
@@ -142,6 +160,8 @@ pub enum DsmPayload {
         op: AtomicOp,
         /// Correlation token.
         token: OpToken,
+        /// Detection header.
+        det: Option<DetHeader>,
     },
     /// The atomic's reply, carrying the previous value.
     AtomicReply {
@@ -149,6 +169,8 @@ pub enum DsmPayload {
         token: OpToken,
         /// Value of the word before the operation.
         old: u64,
+        /// Components of the area's `(V, W)` piggy-backed for detection.
+        clock_words: usize,
     },
     /// Barrier arrival notification (to the coordinator, rank 0).
     BarrierArrive {
@@ -165,20 +187,17 @@ pub enum DsmPayload {
 impl Classify for DsmPayload {
     fn class(&self) -> OpClass {
         match self {
-            // A put is ONE data message (Fig 2). The optional PutAck is a
-            // completion notification outside the paper's model; it is
-            // classified `Other` so it never perturbs the Fig 2 counts.
+            // A put is ONE data message (Fig 2). The PutAck exists only
+            // under detection (it ends Algorithm 1's critical section and
+            // returns the clocks), so it is detection traffic whole and
+            // never perturbs the Fig 2 counts.
             DsmPayload::PutData { .. } => OpClass::PutData,
-            DsmPayload::PutAck { .. } => OpClass::Other,
+            DsmPayload::PutAck { .. } => OpClass::Clock,
             DsmPayload::GetRequest { .. } => OpClass::GetRequest,
             DsmPayload::GetReply { .. } => OpClass::GetReply,
             DsmPayload::LockRequest { .. }
             | DsmPayload::LockGrant { .. }
             | DsmPayload::LockRelease { .. } => OpClass::Lock,
-            DsmPayload::ClockReadRequest { .. }
-            | DsmPayload::ClockReadReply { .. }
-            | DsmPayload::ClockWrite { .. }
-            | DsmPayload::ClockWriteAck { .. } => OpClass::Clock,
             DsmPayload::AtomicRequest { .. } | DsmPayload::AtomicReply { .. } => OpClass::Atomic,
             DsmPayload::BarrierArrive { .. } | DsmPayload::BarrierRelease { .. } => OpClass::Sync,
         }
@@ -187,21 +206,36 @@ impl Classify for DsmPayload {
     fn wire_bytes(&self) -> usize {
         const RANGE: usize = 24; // rank + segment + offset + len
         const TOKEN: usize = 8;
-        match self {
+        let base = match self {
             DsmPayload::PutData { data, .. } => RANGE + TOKEN + data.len(),
             DsmPayload::GetRequest { .. } => RANGE + TOKEN,
             DsmPayload::GetReply { data, .. } => TOKEN + data.len(),
-            DsmPayload::PutAck { .. } => TOKEN,
+            DsmPayload::PutAck { clock_words, .. } => TOKEN + 8 * clock_words,
             DsmPayload::LockRequest { .. } => RANGE + TOKEN,
             DsmPayload::LockGrant { .. } => 2 * TOKEN,
             DsmPayload::LockRelease { .. } => TOKEN,
-            DsmPayload::ClockReadRequest { .. } => RANGE + TOKEN,
-            DsmPayload::ClockReadReply { v, w, .. } => TOKEN + 8 * (v.len() + w.len()),
-            DsmPayload::ClockWrite { v, w, .. } => RANGE + TOKEN + 8 * (v.len() + w.len()),
-            DsmPayload::ClockWriteAck { .. } => TOKEN,
             DsmPayload::AtomicRequest { .. } => RANGE + TOKEN + 24,
             DsmPayload::AtomicReply { .. } => 2 * TOKEN,
             DsmPayload::BarrierArrive { .. } | DsmPayload::BarrierRelease { .. } => 8,
+        };
+        base + self.detection_bytes()
+    }
+
+    fn detection_bytes(&self) -> usize {
+        match self {
+            DsmPayload::PutData { det, .. }
+            | DsmPayload::GetRequest { det, .. }
+            | DsmPayload::AtomicRequest { det, .. } => det.map_or(0, |d| d.wire_bytes()),
+            DsmPayload::GetReply { clock_words, .. }
+            | DsmPayload::LockGrant { clock_words, .. }
+            | DsmPayload::AtomicReply { clock_words, .. } => 8 * clock_words,
+            // `PutAck` is detection traffic whole (class `Clock`): nothing in
+            // it is piggy-backed.
+            DsmPayload::PutAck { .. }
+            | DsmPayload::LockRequest { .. }
+            | DsmPayload::LockRelease { .. }
+            | DsmPayload::BarrierArrive { .. }
+            | DsmPayload::BarrierRelease { .. } => 0,
         }
     }
 }
@@ -227,10 +261,6 @@ impl From<&DsmPayload> for PayloadSummary {
             DsmPayload::LockRequest { .. } => "LockRequest",
             DsmPayload::LockGrant { .. } => "LockGrant",
             DsmPayload::LockRelease { .. } => "LockRelease",
-            DsmPayload::ClockReadRequest { .. } => "ClockReadRequest",
-            DsmPayload::ClockReadReply { .. } => "ClockReadReply",
-            DsmPayload::ClockWrite { .. } => "ClockWrite",
-            DsmPayload::ClockWriteAck { .. } => "ClockWriteAck",
             DsmPayload::AtomicRequest { .. } => "AtomicRequest",
             DsmPayload::AtomicReply { .. } => "AtomicReply",
             DsmPayload::BarrierArrive { .. } => "BarrierArrive",
@@ -253,15 +283,25 @@ mod tests {
         GlobalAddr::public(1, 0).range(8)
     }
 
+    fn header(clock_words: usize) -> DetHeader {
+        DetHeader {
+            clock_words,
+            reply_words: 2 * clock_words,
+            take_lock: true,
+        }
+    }
+
     #[test]
     fn put_is_put_class_and_sized_by_data() {
         let p = DsmPayload::PutData {
             dst: range(),
             data: Bytes::from(vec![0u8; 100]),
             token: 1,
+            det: None,
         };
         assert_eq!(p.class(), OpClass::PutData);
         assert_eq!(p.wire_bytes(), 24 + 8 + 100);
+        assert_eq!(p.detection_bytes(), 0, "a vanilla put carries no clock");
     }
 
     #[test]
@@ -269,39 +309,68 @@ mod tests {
         let req = DsmPayload::GetRequest {
             src: range(),
             token: 1,
+            det: None,
         };
         let rep = DsmPayload::GetReply {
             token: 1,
             data: Bytes::from(vec![0u8; 8]),
+            clock_words: 0,
         };
         assert_eq!(req.class(), OpClass::GetRequest);
         assert_eq!(rep.class(), OpClass::GetReply);
     }
 
     #[test]
+    fn piggy_backed_clocks_keep_the_data_class_and_report_their_bytes() {
+        // Detection adds bytes, not message kinds: the request keeps its
+        // Fig 2 class and grows by the header (one word + the initiator's
+        // n-component clock); the reply grows by (V, W).
+        let n = 4;
+        let vanilla = DsmPayload::PutData {
+            dst: range(),
+            data: Bytes::from(vec![0u8; 8]),
+            token: 0,
+            det: None,
+        };
+        let put = DsmPayload::PutData {
+            dst: range(),
+            data: Bytes::from(vec![0u8; 8]),
+            token: 0,
+            det: Some(header(n)),
+        };
+        assert_eq!(put.class(), OpClass::PutData);
+        assert_eq!(put.detection_bytes(), 8 + 8 * n);
+        assert_eq!(put.wire_bytes(), vanilla.wire_bytes() + 8 + 8 * n);
+
+        let reply = DsmPayload::GetReply {
+            token: 0,
+            data: Bytes::from(vec![0u8; 8]),
+            clock_words: 2 * n,
+        };
+        assert_eq!(reply.class(), OpClass::GetReply);
+        assert_eq!(reply.detection_bytes(), 8 * 2 * n);
+        assert_eq!(reply.wire_bytes(), 8 + 8 + 8 * 2 * n);
+
+        let grant = DsmPayload::LockGrant {
+            token: 0,
+            lock_token: 0,
+            clock_words: 2 * n,
+        };
+        assert_eq!(grant.class(), OpClass::Lock);
+        assert_eq!(grant.detection_bytes(), 8 * 2 * n);
+    }
+
+    #[test]
     fn clock_traffic_is_detection_overhead() {
-        let msgs = [
-            DsmPayload::ClockReadRequest {
-                range: range(),
-                token: 0,
-            },
-            DsmPayload::ClockReadReply {
-                token: 0,
-                v: vec![0; 4],
-                w: vec![0; 4],
-            },
-            DsmPayload::ClockWrite {
-                range: range(),
-                v: vec![0; 4],
-                w: vec![],
-                token: 0,
-            },
-        ];
-        for m in &msgs {
-            assert!(m.class().is_detection_overhead());
-        }
-        // Clock reply carries 2 × n × 8 bytes of clocks.
-        assert_eq!(msgs[1].wire_bytes(), 8 + 8 * 8);
+        let ack = DsmPayload::PutAck {
+            token: 0,
+            clock_words: 8,
+        };
+        assert!(ack.class().is_detection_overhead());
+        // Token + 2 × n × 8 bytes of clocks; nothing "piggy-backed" — the
+        // whole message is booked under `Clock` by its class.
+        assert_eq!(ack.wire_bytes(), 8 + 8 * 8);
+        assert_eq!(ack.detection_bytes(), 0);
     }
 
     #[test]
@@ -334,8 +403,13 @@ mod tests {
             range: range(),
             op: AtomicOp::FetchAdd(1),
             token: 0,
+            det: None,
         };
-        let rep = DsmPayload::AtomicReply { token: 0, old: 0 };
+        let rep = DsmPayload::AtomicReply {
+            token: 0,
+            old: 0,
+            clock_words: 0,
+        };
         assert_eq!(req.class(), OpClass::Atomic);
         assert_eq!(rep.class(), OpClass::Atomic);
         assert!(req.wire_bytes() > rep.wire_bytes());

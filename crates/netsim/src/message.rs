@@ -27,8 +27,10 @@ pub enum OpClass {
     /// NIC-executed atomic read-modify-write (fetch-add, compare-and-swap)
     /// — the "new operations" extension of §V-B (request + reply).
     Atomic,
-    /// Clock reads/writes added by the race-detection algorithms
-    /// (Algorithms 1, 2 and 5) — the paper's detection overhead.
+    /// Clock traffic added by the race-detection algorithms (Algorithms
+    /// 1, 2 and 5) — the paper's detection overhead: detection-only
+    /// messages, plus the clock bytes piggy-backed on messages of other
+    /// classes (see [`Classify::detection_bytes`]).
     Clock,
     /// Synchronisation (barriers, fences).
     Sync,
@@ -48,6 +50,11 @@ impl OpClass {
         OpClass::Sync,
         OpClass::Other,
     ];
+
+    /// Position in [`OpClass::ALL`] (the per-class counter index).
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 
     /// Short label for tables.
     pub fn label(self) -> &'static str {
@@ -77,6 +84,16 @@ pub trait Classify {
     /// Payload size in bytes as it would appear on the wire (excluding the
     /// fixed header accounted by the network).
     fn wire_bytes(&self) -> usize;
+    /// The part of [`Classify::wire_bytes`] that a message of a
+    /// *non-detection* class carries only because detection is enabled
+    /// (piggy-backed clocks). The statistics book these bytes under
+    /// [`OpClass::Clock`] and the rest under the message's own class, so
+    /// §V-A's byte overhead stays measurable when detection adds bytes to a
+    /// data message instead of sending its own. Messages classed
+    /// [`OpClass::Clock`] are detection traffic whole and report 0 here.
+    fn detection_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// A message in flight.
@@ -129,6 +146,13 @@ mod tests {
             payload: Fake(100),
         };
         assert_eq!(m.total_bytes(), 100 + HEADER_BYTES);
+    }
+
+    #[test]
+    fn index_follows_reporting_order() {
+        for (i, c) in OpClass::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]

@@ -173,6 +173,7 @@ impl<P: Classify> Network<P> {
         self.stats.record(
             msg.payload.class(),
             msg.total_bytes(),
+            msg.payload.detection_bytes(),
             at.since(msg.sent_at),
         );
         Some((at, msg))

@@ -5,8 +5,6 @@
 //! message, a get is two" is asserted directly against these counters, and
 //! §V-A's overhead table is `detection bytes / data bytes`.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::message::OpClass;
@@ -14,8 +12,10 @@ use crate::message::OpClass;
 /// Per-class message/byte counters plus latency histogram.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetStats {
-    msgs: BTreeMap<String, u64>,
-    bytes: BTreeMap<String, u64>,
+    /// Messages per class, indexed in [`OpClass::ALL`] order.
+    msgs: [u64; OpClass::ALL.len()],
+    /// Bytes per class, indexed in [`OpClass::ALL`] order.
+    bytes: [u64; OpClass::ALL.len()],
     /// log2 latency histogram: bucket `i` counts deliveries with latency in
     /// `[2^i, 2^(i+1))` ns; bucket 0 also holds 0-latency deliveries.
     latency_buckets: Vec<u64>,
@@ -34,10 +34,22 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// Record a delivered message.
-    pub fn record(&mut self, class: OpClass, bytes: usize, latency_ns: u64) {
-        *self.msgs.entry(class.label().to_string()).or_insert(0) += 1;
-        *self.bytes.entry(class.label().to_string()).or_insert(0) += bytes as u64;
+    /// Record a delivered message of `class` whose `bytes` include
+    /// `detection_bytes` of piggy-backed clocks (see
+    /// [`crate::Classify::detection_bytes`]; 0 for most messages): one
+    /// message of `class`, with the piggy-backed bytes booked under
+    /// [`OpClass::Clock`].
+    pub fn record(
+        &mut self,
+        class: OpClass,
+        bytes: usize,
+        detection_bytes: usize,
+        latency_ns: u64,
+    ) {
+        let detection = detection_bytes.min(bytes) as u64;
+        self.msgs[class.index()] += 1;
+        self.bytes[class.index()] += bytes as u64 - detection;
+        self.bytes[OpClass::Clock.index()] += detection;
         self.total_msgs += 1;
         self.total_bytes += bytes as u64;
         self.latency_sum_ns += u128::from(latency_ns);
@@ -50,12 +62,12 @@ impl NetStats {
 
     /// Messages delivered for `class`.
     pub fn msgs(&self, class: OpClass) -> u64 {
-        self.msgs.get(class.label()).copied().unwrap_or(0)
+        self.msgs[class.index()]
     }
 
     /// Bytes delivered for `class`.
     pub fn bytes(&self, class: OpClass) -> u64 {
-        self.bytes.get(class.label()).copied().unwrap_or(0)
+        self.bytes[class.index()]
     }
 
     /// All messages delivered.
@@ -77,7 +89,8 @@ impl NetStats {
         }
     }
 
-    /// Messages attributable to race detection (clock traffic).
+    /// Messages that exist only because of race detection (clock traffic
+    /// that is not piggy-backed on a data message).
     pub fn detection_msgs(&self) -> u64 {
         OpClass::ALL
             .iter()
@@ -86,7 +99,8 @@ impl NetStats {
             .sum()
     }
 
-    /// Bytes attributable to race detection.
+    /// Bytes attributable to race detection: detection-only messages plus
+    /// the clocks piggy-backed on data messages.
     pub fn detection_bytes(&self) -> u64 {
         OpClass::ALL
             .iter()
@@ -165,11 +179,11 @@ impl NetStats {
     /// Merge another stats block into this one (used when aggregating
     /// multi-seed exploration runs).
     pub fn merge(&mut self, other: &NetStats) {
-        for (k, v) in &other.msgs {
-            *self.msgs.entry(k.clone()).or_insert(0) += v;
+        for (mine, theirs) in self.msgs.iter_mut().zip(other.msgs) {
+            *mine += theirs;
         }
-        for (k, v) in &other.bytes {
-            *self.bytes.entry(k.clone()).or_insert(0) += v;
+        for (mine, theirs) in self.bytes.iter_mut().zip(other.bytes) {
+            *mine += theirs;
         }
         if self.latency_buckets.len() < other.latency_buckets.len() {
             self.latency_buckets.resize(other.latency_buckets.len(), 0);
@@ -231,9 +245,9 @@ mod tests {
     #[test]
     fn record_and_query() {
         let mut s = NetStats::new();
-        s.record(OpClass::PutData, 100, 1_000);
-        s.record(OpClass::GetRequest, 32, 1_000);
-        s.record(OpClass::GetReply, 132, 1_200);
+        s.record(OpClass::PutData, 100, 0, 1_000);
+        s.record(OpClass::GetRequest, 32, 0, 1_000);
+        s.record(OpClass::GetReply, 132, 0, 1_200);
         assert_eq!(s.msgs(OpClass::PutData), 1);
         assert_eq!(s.total_msgs(), 3);
         assert_eq!(s.total_bytes(), 264);
@@ -243,10 +257,28 @@ mod tests {
     #[test]
     fn overhead_percentage() {
         let mut s = NetStats::new();
-        s.record(OpClass::PutData, 300, 10);
-        s.record(OpClass::Clock, 100, 10);
+        s.record(OpClass::PutData, 300, 0, 10);
+        s.record(OpClass::Clock, 100, 0, 10);
         assert_eq!(s.detection_bytes(), 100);
         assert!((s.detection_overhead_pct() - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn piggy_backed_clock_bytes_are_booked_as_detection() {
+        // A 300-byte put-data message of which 100 bytes are a clock: one
+        // put-data message, no clock message, 100 detection bytes.
+        let mut s = NetStats::new();
+        s.record(OpClass::PutData, 300, 100, 10);
+        assert_eq!(s.msgs(OpClass::PutData), 1);
+        assert_eq!(s.msgs(OpClass::Clock), 0);
+        assert_eq!(s.detection_msgs(), 0);
+        assert_eq!(s.bytes(OpClass::PutData), 200);
+        assert_eq!(s.bytes(OpClass::Clock), 100);
+        assert_eq!(s.detection_bytes(), 100);
+        assert_eq!(s.total_bytes(), 300);
+        let mut t = NetStats::new();
+        t.merge(&s);
+        assert_eq!(t.detection_bytes(), 100);
     }
 
     #[test]
@@ -258,18 +290,18 @@ mod tests {
     #[test]
     fn mean_latency() {
         let mut s = NetStats::new();
-        s.record(OpClass::PutData, 1, 100);
-        s.record(OpClass::PutData, 1, 300);
+        s.record(OpClass::PutData, 1, 0, 100);
+        s.record(OpClass::PutData, 1, 0, 300);
         assert_eq!(s.mean_latency_ns(), 200);
     }
 
     #[test]
     fn histogram_buckets() {
         let mut s = NetStats::new();
-        s.record(OpClass::PutData, 1, 0); // bucket floor 0
-        s.record(OpClass::PutData, 1, 1); // floor 1
-        s.record(OpClass::PutData, 1, 5); // floor 4
-        s.record(OpClass::PutData, 1, 5); // floor 4 again
+        s.record(OpClass::PutData, 1, 0, 0); // bucket floor 0
+        s.record(OpClass::PutData, 1, 0, 1); // floor 1
+        s.record(OpClass::PutData, 1, 0, 5); // floor 4
+        s.record(OpClass::PutData, 1, 0, 5); // floor 4 again
         let h = s.latency_histogram();
         assert!(h.contains(&(0, 1)));
         assert!(h.contains(&(1, 1)));
@@ -279,10 +311,10 @@ mod tests {
     #[test]
     fn merge_sums_everything() {
         let mut a = NetStats::new();
-        a.record(OpClass::PutData, 10, 100);
+        a.record(OpClass::PutData, 10, 0, 100);
         let mut b = NetStats::new();
-        b.record(OpClass::Clock, 20, 200);
-        b.record(OpClass::PutData, 5, 100);
+        b.record(OpClass::Clock, 20, 0, 200);
+        b.record(OpClass::PutData, 5, 0, 100);
         a.merge(&b);
         assert_eq!(a.total_msgs(), 3);
         assert_eq!(a.total_bytes(), 35);
@@ -293,7 +325,7 @@ mod tests {
     #[test]
     fn display_contains_totals() {
         let mut s = NetStats::new();
-        s.record(OpClass::PutData, 10, 100);
+        s.record(OpClass::PutData, 10, 0, 100);
         let text = s.to_string();
         assert!(text.contains("put-data"));
         assert!(text.contains("total"));

@@ -69,6 +69,16 @@ pub enum FrameError {
         /// The version the peer announced.
         got: u8,
     },
+    /// A well-formed event names a process the session does not have (see
+    /// [`WireEvent::check_ranks`]).
+    RankOutOfRange {
+        /// Which rank of the event.
+        what: &'static str,
+        /// The offending rank.
+        rank: Rank,
+        /// The session's process count.
+        n: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -85,6 +95,9 @@ impl std::fmt::Display for FrameError {
             FrameError::BadUtf8 { what } => write!(f, "invalid utf-8 in {what}"),
             FrameError::Version { got } => {
                 write!(f, "protocol version {got} (expected {PROTOCOL_VERSION})")
+            }
+            FrameError::RankOutOfRange { what, rank, n } => {
+                write!(f, "event {what} rank {rank} out of range for {n} processes")
             }
         }
     }
@@ -164,6 +177,42 @@ pub enum WireEvent {
         /// Lock identity.
         lock: LockId,
     },
+}
+
+impl WireEvent {
+    /// Check every rank the event names — actor, the owner of each range,
+    /// lock holder and lock home — against the session's process count.
+    /// The detector sizes its clock storage by the ranks it is handed, so an
+    /// event that decodes fine but names rank 2³²−1 must be refused before
+    /// it is applied, not trusted.
+    pub fn check_ranks(&self, n: usize) -> Result<(), FrameError> {
+        let check = |what, rank: Rank| {
+            if rank < n {
+                Ok(())
+            } else {
+                Err(FrameError::RankOutOfRange { what, rank, n })
+            }
+        };
+        match *self {
+            WireEvent::Op(op) => {
+                check("actor", op.actor)?;
+                match op.kind {
+                    OpKind::Put { src, dst } | OpKind::Get { src, dst } => {
+                        check("source", src.addr.rank)?;
+                        check("destination", dst.addr.rank)
+                    }
+                    OpKind::LocalRead { range }
+                    | OpKind::LocalWrite { range }
+                    | OpKind::AtomicRmw { range } => check("target", range.addr.rank),
+                }
+            }
+            WireEvent::Barrier => Ok(()),
+            WireEvent::Acquire { rank, lock } | WireEvent::Release { rank, lock } => {
+                check("actor", rank)?;
+                check("lock", lock.0)
+            }
+        }
+    }
 }
 
 /// Frames a client may send.

@@ -1031,6 +1031,7 @@ fn run_session(
     let mut armed = cfg.panic_on_op_id;
     let mut recovered: Option<String> = None;
 
+    let n = session.config().n;
     let mut batch: VecDeque<Cmd> = VecDeque::new();
     let end = 'drive: loop {
         let Some(cmd) = batch.pop_front() else {
@@ -1042,6 +1043,14 @@ fn run_session(
         };
         match cmd {
             Cmd::Event(ev) => {
+                // The frame decoded, but its ranks are still the client's
+                // word: the detector grows its clock storage to any rank it
+                // is handed, so an event outside the session's `n` ends the
+                // session here, unapplied.
+                if let Err(e) = ev.check_ranks(n) {
+                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                    break 'drive EndReason::Poison(e.to_string());
+                }
                 events += 1;
                 let step = catch_unwind(AssertUnwindSafe(|| {
                     if let WireEvent::Op(op) = &ev {

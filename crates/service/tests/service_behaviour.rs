@@ -199,6 +199,90 @@ fn a_hello_sized_to_exhaust_memory_poisons_only_its_session() {
 }
 
 #[test]
+fn an_event_outside_the_sessions_ranks_poisons_only_its_session() {
+    // A well-formed event whose ranks the Hello never announced. The clock
+    // store grows its per-rank slab list to any rank it is handed, so a put
+    // to rank 2^32 - 1 used to ask for hundreds of GB and abort the whole
+    // process — every session in it — past both catch_unwinds. Each of the
+    // ranks an event can name is refused where the worker applies events.
+    let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
+    let far = u32::MAX as usize;
+    let put = |actor, src_rank, dst_rank| {
+        WireEvent::Op(DsmOp {
+            op_id: 1,
+            actor,
+            kind: OpKind::Put {
+                src: GlobalAddr::private(src_rank, 0).range(8),
+                dst: GlobalAddr::public(dst_rank, 0).range(8),
+            },
+        })
+    };
+    let hostile_events = [
+        (put(0, 0, far), "destination"),
+        (put(far, 0, 1), "actor"),
+        (put(0, far, 1), "source"),
+        (put(0, 0, N), "destination"), // the first rank past the end
+        (
+            WireEvent::Acquire {
+                rank: 0,
+                lock: (far, 0),
+            },
+            "lock",
+        ),
+        (
+            WireEvent::Release {
+                rank: far,
+                lock: (1, 0),
+            },
+            "actor",
+        ),
+    ];
+
+    // An innocent session, open across every attack.
+    let events = racing_events(4, 1);
+    let mut client = ServiceClient::connect(server.local_addr(), &config()).unwrap();
+    client.send(&events[0]).unwrap();
+
+    for (event, what) in hostile_events {
+        let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = ClientFrame::Hello {
+            config_json: config().to_json(),
+        };
+        write_frames(&mut hostile, &[hello, ClientFrame::Event(event)]);
+        let ack = ServerFrame::decode(&read_frame(&mut hostile).unwrap()).unwrap();
+        assert!(matches!(ack, ServerFrame::HelloAck { .. }), "got {ack:?}");
+        match ServerFrame::decode(&read_frame(&mut hostile).unwrap()).unwrap() {
+            ServerFrame::Error { message } => assert!(
+                message.starts_with(&format!("event {what} rank "))
+                    && message.contains("out of range for 4 processes"),
+                "got {message:?}"
+            ),
+            other => panic!("wanted an error frame, got {other:?}"),
+        }
+    }
+
+    for ev in &events[1..] {
+        client.send(ev).unwrap();
+    }
+    let remote = client.finish().unwrap();
+    assert_eq!(remote.raw_json, in_process_json(&events));
+    assert!(!remote.summary.degraded);
+
+    let report = server.shutdown();
+    assert_eq!(report.stats.finished, 1);
+    assert_eq!(report.stats.poisoned, 6);
+    assert_eq!(report.stats.panics_supervised, 0);
+    for record in report.with_outcome(SessionOutcome::Poisoned) {
+        assert_eq!(record.events, 0, "the hostile event was never applied");
+        let error = record.error.as_deref().unwrap_or_default();
+        assert!(error.contains("out of range for 4 processes"), "{error:?}");
+    }
+}
+
+#[test]
 fn mid_stream_hangup_degrades_that_session_only() {
     let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
 

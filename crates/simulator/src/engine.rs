@@ -5,30 +5,40 @@
 //! `race_core::Detector` observing every access. The protocol follows the
 //! paper exactly:
 //!
-//! * a **put** is one `PutData` message (plus a completion ack — the
-//!   paper's operations are atomic/blocking, §III-B);
+//! * a **put** is one `PutData` message, fire-and-forget (Fig 2);
 //! * a **get** is a `GetRequest` / `GetReply` exchange (two messages);
 //! * a put overlapping an in-progress get at the owner is **deferred**
 //!   until the get ends (Fig 3, via `dsm::RdmaEngine`);
-//! * when the detector requires it (Algorithms 1–2), the op is wrapped in
-//!   NIC **area locks** on its public source/destination (acquired in
-//!   canonical order to avoid deadlock) and **clock traffic** is exchanged
-//!   with each *remote* area's owner: one `ClockReadRequest`/`Reply` before
-//!   the data (the `get_clock` of Algorithms 1–2) and one
-//!   `ClockWrite`/`Ack` after it (Algorithm 5's `update_clock`), sized by
-//!   `Detector::clock_components_per_area`.
+//! * when the detector requires it (Algorithms 1–2), the op's **critical
+//!   section runs at the owner** and the clocks are **piggy-backed**, so a
+//!   detected remote access is two messages. The data request carries a
+//!   [`DetHeader`]: the initiator's clock and a take-the-area-lock flag.
+//!   The owner's NIC acquires the area lock in its `LockTable` on the
+//!   initiator's behalf (queuing behind a holder like any lock request),
+//!   reads `(V, W)`, performs the access through `RdmaEngine` (Fig 3
+//!   deferral still applies, with the lock held across it), merges the
+//!   clock (Algorithm 5), releases, and answers with `GetReply` /
+//!   `AtomicReply` / `PutAck` carrying `(V, W)` for the initiator's
+//!   Algorithm 3 comparison. A put therefore blocks for its ack under
+//!   detection — the one message detection adds;
+//! * an op that locks **two** public areas (a public local source or
+//!   destination plus a remote area) keeps explicit NIC lock messages,
+//!   acquired in canonical order — holding a local lock while a fused
+//!   request queues remotely would deadlock against the symmetric op. It
+//!   pays no clock messages either: `(V, W)` rides on the `LockGrant`, the
+//!   initiator's clock on the data request, completion on the reply.
 //!
 //! Detection logic itself is centralised in the detector (the simulator is
-//! omniscient); the wire messages carry correctly-sized dummy clock payloads
-//! so the traffic accounting (§V-A) is faithful while the logic stays in
-//! one place.
+//! omniscient); the wire messages carry the clocks as correctly-sized word
+//! counts (`Detector::clock_components_per_area`) so the traffic accounting
+//! (§V-A) is faithful while the logic stays in one place.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use dsm::addr::{MemRange, Segment};
 use dsm::lockmgr::{LockOutcome, LockTable};
-use dsm::proto::{AtomicOp, DsmPayload, OpToken};
+use dsm::proto::{AtomicOp, DetHeader, DsmPayload, OpToken};
 use dsm::rdma::{DeferredPut, RdmaEngine};
 use dsm::ProcessMemory;
 use netsim::{EventQueue, Message, NetStats, Network, SimTime};
@@ -85,22 +95,20 @@ impl InstrClass {
 }
 
 /// Steps of an in-flight operation plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Step {
-    /// Acquire a detection lock (skipped if a held program lock covers it).
+    /// Acquire a detection lock explicitly (skipped if a held program lock
+    /// covers it). Only ops that are not fused take these: local accesses
+    /// and ops that lock two public areas.
     DetLock(MemRange),
     /// Acquire a program lock (the `Lock` instruction).
     ProgLock(MemRange),
     /// Release a program lock.
     ProgUnlock(MemRange),
-    /// Fetch a remote area's clocks (detection traffic).
-    ClockFetch(MemRange),
-    /// Push merged clocks to a remote area (detection traffic).
-    ClockPush(MemRange),
-    /// Move the put's data.
+    /// Move the put's data (from `src`, else from [`Plan::data`]). Under
+    /// detection a remote put waits for its `PutAck`.
     PutData {
         src: Option<MemRange>,
-        imm: Option<Vec<u8>>,
         dst: MemRange,
     },
     /// Move the get's data.
@@ -111,11 +119,8 @@ enum Step {
         op: AtomicOp,
         fetch_into: Option<MemRange>,
     },
-    /// Local access (observe + apply).
-    LocalAccess {
-        range: MemRange,
-        write: Option<Vec<u8>>,
-    },
+    /// Local access (observe + apply); a write takes [`Plan::data`].
+    LocalAccess { range: MemRange, write: bool },
     /// Local compute.
     Compute(u64),
     /// Enter the barrier.
@@ -132,6 +137,14 @@ struct Plan {
     steps: Vec<Step>,
     idx: usize,
     op: Option<DsmOp>,
+    /// Immediate bytes of a put / value of a local write, moved out by the
+    /// step that ships them.
+    data: Option<Vec<u8>>,
+    /// The current step sent its request and waits for the reply (a
+    /// message or a local lock grant). Only that reply — or the lossy-plan
+    /// recovery — unblocks the process; any other wake is ignored, so a
+    /// stray one never re-executes a step whose request is in flight.
+    blocked: bool,
     det_locks: Vec<(Rank, u64)>,
     started_at: SimTime,
     class: InstrClass,
@@ -168,16 +181,18 @@ impl Proc {
 /// What a completion token resolves to.
 #[derive(Debug)]
 enum TokenUse {
-    /// Wake the process (simple acks: clock traffic, put ack).
+    /// Wake the process (a put's `PutAck` under detection).
     Wake(Rank),
-    /// A detection-lock grant: stash the lock token, wake.
-    DetLockGrant(Rank),
-    /// A program-lock grant: stash, wake, record the HB hand-off.
-    ProgLockGrant(Rank, MemRange),
+    /// A lock grant (detection or program lock): stash the lock token for
+    /// the lock step that asked, wake it.
+    LockGrant(Rank),
     /// An atomic reply: store the old value at the requester, wake.
     AtomicReply {
         actor: Rank,
         fetch_into: Option<MemRange>,
+        op: DsmOp,
+        /// The request reached the owner (a duplicate must not be served).
+        served: bool,
     },
     /// A get reply: apply data at the requester, wake, end the get at the
     /// owner.
@@ -186,6 +201,24 @@ enum TokenUse {
         dst: MemRange,
         op: DsmOp,
         src_owner: Rank,
+        /// The request reached the owner (a duplicate must not be served).
+        served: bool,
+    },
+}
+
+/// How a put completes once it is applied at the owner.
+#[derive(Debug, Clone, Copy)]
+enum PutDone {
+    /// Fire-and-forget (no detection): the initiator moved on at injection.
+    Forget,
+    /// Local put under detection: the initiator is blocked on it (it may
+    /// have been deferred, Fig 3) and advances now.
+    Local,
+    /// Remote put under detection: end the owner-side critical section
+    /// (release `lock` if the owner took it) and send the `PutAck`.
+    Ack {
+        lock: Option<u64>,
+        clock_words: usize,
     },
 }
 
@@ -195,6 +228,36 @@ struct PutCtx {
     op: DsmOp,
     held: Vec<LockId>,
     sent_at: SimTime,
+    done: PutDone,
+    /// The data reached the owner (a duplicate must not be applied).
+    at_owner: bool,
+}
+
+/// A data request at its owner, waiting to be served (possibly queued on
+/// the area lock it asked the owner to take).
+#[derive(Debug)]
+enum Request {
+    Put(DeferredPut),
+    Get {
+        src: MemRange,
+        token: OpToken,
+    },
+    Atomic {
+        range: MemRange,
+        aop: AtomicOp,
+        token: OpToken,
+    },
+}
+
+impl Request {
+    /// The public range the request accesses (what its area lock covers).
+    fn range(&self) -> MemRange {
+        match self {
+            Request::Put(put) => put.dst,
+            Request::Get { src, .. } => *src,
+            Request::Atomic { range, .. } => *range,
+        }
+    }
 }
 
 /// Engine events (beyond network arrivals).
@@ -270,12 +333,18 @@ pub struct Engine {
     procs: Vec<Proc>,
     tokens: HashMap<OpToken, TokenUse>,
     put_ctx: HashMap<OpToken, PutCtx>,
-    /// Pending atomic ops: token → (op, program locks held at issue).
-    atomic_ctx: HashMap<OpToken, (DsmOp, Vec<LockId>)>,
     /// Local lock waiters: (owner, table lock token) → engine token.
     local_waiters: HashMap<(Rank, u64), OpToken>,
-    /// Remote lock waiters: (owner, table lock token) → (requester, msg token).
-    remote_waiters: HashMap<(Rank, u64), (Rank, OpToken)>,
+    /// Remote lock waiters: (owner, table lock token) → (requester, msg
+    /// token, clock words the grant must carry).
+    remote_waiters: HashMap<(Rank, u64), (Rank, OpToken, usize)>,
+    /// Fused requests queued on the area lock the owner takes for them:
+    /// (owner, table lock token) → (request, its detection header).
+    fused_waiters: HashMap<(Rank, u64), (Request, DetHeader)>,
+    /// Algorithms 1–2 run (the detector requires locking).
+    detection: bool,
+    /// Components of an area's `(V, W)` on the wire.
+    area_clock_words: usize,
     next_token: OpToken,
     next_op_id: u64,
     barrier_arrived: Vec<Rank>,
@@ -307,6 +376,8 @@ impl Engine {
         // run's reports for RunResult; the session's summary aggregates
         // them bounded.
         let session = cfg.detector.clone().with_n(cfg.n).session();
+        let detection = session.requires_locking();
+        let area_clock_words = session.clock_components_per_area();
         let memories = (0..cfg.n)
             .map(|r| ProcessMemory::new(r, cfg.private_len, cfg.public_len))
             .collect();
@@ -336,9 +407,11 @@ impl Engine {
             procs,
             tokens: HashMap::new(),
             put_ctx: HashMap::new(),
-            atomic_ctx: HashMap::new(),
             local_waiters: HashMap::new(),
             remote_waiters: HashMap::new(),
+            fused_waiters: HashMap::new(),
+            detection,
+            area_clock_words,
             next_token: 0,
             next_op_id: 0,
             barrier_arrived: Vec::new(),
@@ -351,9 +424,14 @@ impl Engine {
         }
     }
 
-    fn token(&mut self, usage: TokenUse) -> OpToken {
+    fn fresh_token(&mut self) -> OpToken {
         let t = self.next_token;
         self.next_token += 1;
+        t
+    }
+
+    fn token(&mut self, usage: TokenUse) -> OpToken {
+        let t = self.fresh_token();
         self.tokens.insert(t, usage);
         t
     }
@@ -367,9 +445,27 @@ impl Engine {
         self.net.send(now, src, dst, payload);
     }
 
-    /// Dummy clock components sized for the wire (logic is centralised).
-    fn clock_payload(&self) -> Vec<u64> {
-        vec![0; self.session.clock_components_per_area() / 2]
+    /// The detection header of `rank`'s data request on the remote `range`
+    /// (`None` without detection). The owner takes the area lock unless the
+    /// initiator already holds one over the range — a program lock, or the
+    /// explicit detection lock of a two-area op, whose grant also delivered
+    /// `(V, W)` already.
+    fn det_header(&self, rank: Rank, range: MemRange) -> Option<DetHeader> {
+        if !self.detection {
+            return None;
+        }
+        let proc = &self.procs[rank];
+        let explicit = proc
+            .plan
+            .iter()
+            .flat_map(|p| &p.det_locks)
+            .any(|&(owner, _)| owner == range.addr.rank);
+        let covered = proc.prog_locks.iter().any(|l| l.range.overlaps(&range));
+        Some(DetHeader {
+            clock_words: self.cfg.n,
+            reply_words: if explicit { 0 } else { self.area_clock_words },
+            take_lock: !explicit && !covered,
+        })
     }
 
     /// Run to quiescence.
@@ -500,8 +596,8 @@ impl Engine {
         }
         let mut barrier_broken = false;
         for rank in wedged {
-            // A rank wedges *waiting*: on a reply message (remote lock,
-            // clock, get, atomic), on a local lock-table grant, or on a
+            // A rank wedges *blocked*: on a reply message (remote lock,
+            // put ack, get, atomic), on a local lock-table grant, or on a
             // barrier release. Skip that step — the reply is gone — and
             // wake the rank so the plan continues. Steps that complete
             // inline cannot be pending at quiescence, but if one is found
@@ -509,16 +605,7 @@ impl Engine {
             let forced = match self.procs[rank].plan.as_mut() {
                 Some(plan) => match plan.steps.get(plan.idx) {
                     Some(step) => {
-                        let waits = matches!(
-                            step,
-                            Step::DetLock(_)
-                                | Step::ProgLock(_)
-                                | Step::ClockFetch(_)
-                                | Step::ClockPush(_)
-                                | Step::GetData { .. }
-                                | Step::AtomicData { .. }
-                                | Step::Barrier
-                        );
+                        let waits = std::mem::take(&mut plan.blocked);
                         barrier_broken |= matches!(step, Step::Barrier);
                         let label = Self::step_label(step);
                         if waits {
@@ -555,8 +642,6 @@ impl Engine {
             Step::DetLock(_) => "detection-lock wait",
             Step::ProgLock(_) => "program-lock wait",
             Step::ProgUnlock(_) => "program unlock",
-            Step::ClockFetch(_) => "clock fetch",
-            Step::ClockPush(_) => "clock push",
             Step::PutData { .. } => "put data",
             Step::GetData { .. } => "get data",
             Step::AtomicData { .. } => "atomic",
@@ -579,131 +664,69 @@ impl Engine {
     /// Build the plan for the next instruction of `rank`.
     fn build_plan(&mut self, rank: Rank) -> Option<Plan> {
         let instr = self.procs[rank].program.get(self.procs[rank].pc)?.clone();
-        let detection = self.session.requires_locking();
         let op_id = self.next_op_id;
         self.next_op_id += 1;
+        let op = |kind| {
+            Some(DsmOp {
+                op_id,
+                actor: rank,
+                kind,
+            })
+        };
 
         let mut steps = Vec::new();
+        let mut data = None;
         let (op, class) = match instr {
             Instr::Put { src, dst } => {
-                let (src_range, imm) = match src {
-                    Src::Range(r) => (Some(r), None),
-                    Src::Imm(v) => (None, Some(v)),
+                let src_range = match src {
+                    Src::Range(r) => Some(r),
+                    Src::Imm(v) => {
+                        data = Some(v);
+                        None
+                    }
                 };
                 let kind = OpKind::Put {
                     src: src_range.unwrap_or_else(|| dsm::GlobalAddr::private(rank, 0).range(0)),
                     dst,
                 };
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind,
-                };
-                if detection {
-                    for r in Self::lock_ranges(src_range, Some(dst)) {
-                        steps.push(Step::DetLock(r));
-                    }
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockFetch(r));
-                    }
-                }
-                steps.push(Step::PutData {
+                let access = Step::PutData {
                     src: src_range,
-                    imm,
                     dst,
-                });
-                if detection {
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockPush(r));
-                    }
-                    steps.push(Step::ReleaseDetLocks);
-                }
-                (Some(op), InstrClass::Put)
+                };
+                self.push_access(&mut steps, rank, src_range, Some(dst), access);
+                (op(kind), InstrClass::Put)
             }
             Instr::Get { src, dst } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::Get { src, dst },
-                };
-                if detection {
-                    for r in Self::lock_ranges(Some(src), Some(dst)) {
-                        steps.push(Step::DetLock(r));
-                    }
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockFetch(r));
-                    }
-                }
-                steps.push(Step::GetData { src, dst });
-                if detection {
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockPush(r));
-                    }
-                    steps.push(Step::ReleaseDetLocks);
-                }
-                (Some(op), InstrClass::Get)
+                let access = Step::GetData { src, dst };
+                self.push_access(&mut steps, rank, Some(src), Some(dst), access);
+                (op(OpKind::Get { src, dst }), InstrClass::Get)
             }
             Instr::LocalRead { range } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::LocalRead { range },
+                let access = Step::LocalAccess {
+                    range,
+                    write: false,
                 };
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::DetLock(range));
-                }
-                steps.push(Step::LocalAccess { range, write: None });
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::ReleaseDetLocks);
-                }
-                (Some(op), InstrClass::Local)
+                self.push_access(&mut steps, rank, Some(range), None, access);
+                (op(OpKind::LocalRead { range }), InstrClass::Local)
             }
             Instr::LocalWrite { range, value } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::LocalWrite { range },
-                };
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::DetLock(range));
-                }
-                steps.push(Step::LocalAccess {
-                    range,
-                    write: Some(value),
-                });
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::ReleaseDetLocks);
-                }
-                (Some(op), InstrClass::Local)
+                data = Some(value);
+                let access = Step::LocalAccess { range, write: true };
+                self.push_access(&mut steps, rank, Some(range), None, access);
+                (op(OpKind::LocalWrite { range }), InstrClass::Local)
             }
             Instr::Atomic {
                 target,
                 op: aop,
                 fetch_into,
             } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::AtomicRmw { range: target },
-                };
-                if detection {
-                    steps.push(Step::DetLock(target));
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockFetch(r));
-                    }
-                }
-                steps.push(Step::AtomicData {
+                let access = Step::AtomicData {
                     target,
                     op: aop,
                     fetch_into,
-                });
-                if detection {
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockPush(r));
-                    }
-                    steps.push(Step::ReleaseDetLocks);
-                }
-                (Some(op), InstrClass::Atomic)
+                };
+                self.push_access(&mut steps, rank, Some(target), None, access);
+                (op(OpKind::AtomicRmw { range: target }), InstrClass::Atomic)
             }
             Instr::Compute { ns } => {
                 steps.push(Step::Compute(ns));
@@ -727,10 +750,44 @@ impl Engine {
             steps,
             idx: 0,
             op,
+            data,
+            blocked: false,
             det_locks: Vec::new(),
             started_at: self.now,
             class,
         })
+    }
+
+    /// Push the steps of one data access whose public footprint is `a` and
+    /// `b` (Algorithms 1–2). Without detection that is the access alone.
+    /// With detection, an access whose whole footprint is one *remote* area
+    /// is **fused**: still the access alone — its request carries the
+    /// detection header and the owner runs the critical section (see
+    /// [`Engine::det_header`]). Anything else — a local access, or an op
+    /// that locks two areas — is bracketed by explicit detection locks in
+    /// canonical order: a rank that held its local lock while its fused
+    /// request queued remotely would deadlock against the symmetric op.
+    fn push_access(
+        &self,
+        steps: &mut Vec<Step>,
+        rank: Rank,
+        a: Option<MemRange>,
+        b: Option<MemRange>,
+        access: Step,
+    ) {
+        let locks = if self.detection {
+            Self::lock_ranges(a, b)
+        } else {
+            Vec::new()
+        };
+        let fused = matches!(locks[..], [r] if r.addr.rank != rank);
+        if fused || locks.is_empty() {
+            steps.push(access);
+        } else {
+            steps.extend(locks.into_iter().map(Step::DetLock));
+            steps.push(access);
+            steps.push(Step::ReleaseDetLocks);
+        }
     }
 
     /// Public ranges an op must lock, canonical order, overlaps merged.
@@ -775,9 +832,12 @@ impl Engine {
             }
         }
 
+        if self.procs[rank].plan.as_ref().is_some_and(|p| p.blocked) {
+            return; // not the reply this process is waiting for
+        }
         let idx = self.procs[rank].plan.as_ref().expect("plan").idx;
         let step = match self.procs[rank].plan.as_ref().expect("plan").steps.get(idx) {
-            Some(s) => s.clone(),
+            Some(&s) => s,
             None => {
                 // Every plan ends in Step::Finish, which consumes it, so a
                 // cursor past the end means a stray control message (a
@@ -834,13 +894,25 @@ impl Engine {
                         }
                         LockOutcome::Queued(tok) => {
                             // Local waiter: resolved when release() grants.
-                            let t = self.token(TokenUse::DetLockGrant(rank));
+                            let t = self.token(TokenUse::LockGrant(rank));
                             self.local_waiters_insert(owner, tok, t);
+                            self.block(rank);
                         }
                     }
                 } else {
-                    let t = self.token(TokenUse::DetLockGrant(rank));
-                    self.send(rank, owner, DsmPayload::LockRequest { range, token: t });
+                    // The grant delivers the area's (V, W) — the `get_clock`
+                    // of Algorithms 1–2 — so no clock message follows.
+                    let t = self.token(TokenUse::LockGrant(rank));
+                    self.send(
+                        rank,
+                        owner,
+                        DsmPayload::LockRequest {
+                            range,
+                            token: t,
+                            clock_words: self.area_clock_words,
+                        },
+                    );
+                    self.block(rank);
                 }
             }
             Step::ProgLock(range) => {
@@ -876,13 +948,23 @@ impl Engine {
                             self.step_done(rank, LOCAL_LOCK_NS);
                         }
                         LockOutcome::Queued(tok) => {
-                            let t = self.token(TokenUse::ProgLockGrant(rank, range));
+                            let t = self.token(TokenUse::LockGrant(rank));
                             self.local_waiters_insert(owner, tok, t);
+                            self.block(rank);
                         }
                     }
                 } else {
-                    let t = self.token(TokenUse::ProgLockGrant(rank, range));
-                    self.send(rank, owner, DsmPayload::LockRequest { range, token: t });
+                    let t = self.token(TokenUse::LockGrant(rank));
+                    self.send(
+                        rank,
+                        owner,
+                        DsmPayload::LockRequest {
+                            range,
+                            token: t,
+                            clock_words: 0,
+                        },
+                    );
+                    self.block(rank);
                 }
             }
             Step::ProgUnlock(range) => {
@@ -906,35 +988,13 @@ impl Engine {
                     }
                 }
             }
-            Step::ClockFetch(range) => {
-                let owner = range.addr.rank;
-                let t = self.token(TokenUse::Wake(rank));
-                self.send(
-                    rank,
-                    owner,
-                    DsmPayload::ClockReadRequest { range, token: t },
-                );
-            }
-            Step::ClockPush(range) => {
-                let owner = range.addr.rank;
-                let t = self.token(TokenUse::Wake(rank));
-                let v = self.clock_payload();
-                let w = self.clock_payload();
-                self.send(
-                    rank,
-                    owner,
-                    DsmPayload::ClockWrite {
-                        range,
-                        v,
-                        w,
-                        token: t,
-                    },
-                );
-            }
-            Step::PutData { src, imm, dst } => {
+            Step::PutData { src, dst } => {
+                let Some((op, imm)) = self.current_op(rank) else {
+                    return;
+                };
                 // Materialise the data on the source side.
-                let data: Vec<u8> = match (&src, &imm) {
-                    (Some(r), _) => match self.memories[rank].read(r, rank) {
+                let data: Vec<u8> = match src {
+                    Some(r) => match self.memories[rank].read(&r, rank) {
                         Ok(d) => d,
                         Err(e) => {
                             self.errors.push(format!("P{rank}: put source: {e}"));
@@ -942,36 +1002,48 @@ impl Engine {
                             return;
                         }
                     },
-                    (None, Some(v)) => v.clone(),
-                    (None, None) => Vec::new(),
+                    None => imm.unwrap_or_default(),
                 };
-                let op = self.procs[rank]
-                    .plan
-                    .as_ref()
-                    .expect("plan")
-                    .op
-                    .expect("op");
                 let held = self.procs[rank].held_lock_ids();
                 // Source-side read access happens now (trace), unless imm.
                 if let Some(r) = src {
                     self.trace
                         .record_access(op.read_access_id(), rank, AccessKind::Read, r);
                 }
-                // Puts are one-sided: the initiator injects the single data
-                // message (Fig 2) and proceeds. Ordering guarantees under
-                // detection come from the FIFO channel: the subsequent
-                // ClockPush ack cannot return before the data was applied.
-                let t = self.next_token;
-                self.next_token += 1;
+                let owner = dst.addr.rank;
+                let det = self.det_header(rank, dst);
+                let done = match det {
+                    None => PutDone::Forget,
+                    Some(_) if owner == rank => PutDone::Local,
+                    Some(d) => PutDone::Ack {
+                        lock: None,
+                        clock_words: d.reply_words,
+                    },
+                };
+                let t = match done {
+                    PutDone::Ack { .. } => self.token(TokenUse::Wake(rank)),
+                    _ => self.fresh_token(),
+                };
                 self.put_ctx.insert(
                     t,
                     PutCtx {
                         op,
                         held,
                         sent_at: self.now,
+                        done,
+                        at_owner: false,
                     },
                 );
-                let owner = dst.addr.rank;
+                let data = Bytes::from(data);
+                // Without detection puts are one-sided: the initiator
+                // injects the single data message (Fig 2) and proceeds.
+                // Under detection the put is Algorithm 1's critical
+                // section: the initiator resumes when it is over — at the
+                // `PutAck`, or for a local put when it is applied (a Fig 3
+                // deferral keeps the initiator, and its lock, until then).
+                if det.is_some() {
+                    self.block(rank);
+                }
                 if owner == rank {
                     // Local put: apply through the same owner-side path, no
                     // wire messages (NIC loopback).
@@ -979,43 +1051,43 @@ impl Engine {
                         owner,
                         DeferredPut {
                             dst,
-                            data: Bytes::from(data),
+                            data,
                             token: t,
                             initiator: rank,
                         },
                     );
                 } else {
-                    self.send(
-                        rank,
-                        owner,
-                        DsmPayload::PutData {
-                            dst,
-                            data: Bytes::from(data),
-                            token: t,
-                        },
-                    );
+                    let put = DsmPayload::PutData {
+                        dst,
+                        data,
+                        token: t,
+                        det,
+                    };
+                    self.send(rank, owner, put);
                 }
-                self.step_done(rank, LOCAL_ACCESS_NS);
+                if det.is_none() {
+                    self.step_done(rank, LOCAL_ACCESS_NS);
+                }
             }
             Step::GetData { src, dst } => {
-                let op = self.procs[rank]
-                    .plan
-                    .as_ref()
-                    .expect("plan")
-                    .op
-                    .expect("op");
+                let Some((op, _)) = self.current_op(rank) else {
+                    return;
+                };
                 let owner = src.addr.rank;
                 let t = self.token(TokenUse::GetReply {
                     actor: rank,
                     dst,
                     op,
                     src_owner: owner,
+                    served: false,
                 });
+                self.block(rank);
                 if owner == rank {
                     // Local get: read + write locally.
-                    self.serve_get_request(rank, src, t, true);
+                    self.serve_get_request(rank, src, t, None);
                 } else {
-                    self.send(rank, owner, DsmPayload::GetRequest { src, token: t });
+                    let det = self.det_header(rank, src);
+                    self.send(rank, owner, DsmPayload::GetRequest { src, token: t, det });
                 }
             }
             Step::AtomicData {
@@ -1023,58 +1095,51 @@ impl Engine {
                 op: aop,
                 fetch_into,
             } => {
-                let op = self.procs[rank]
-                    .plan
-                    .as_ref()
-                    .expect("plan")
-                    .op
-                    .expect("op");
-                let held = self.procs[rank].held_lock_ids();
+                let Some((op, _)) = self.current_op(rank) else {
+                    return;
+                };
                 let owner = target.addr.rank;
                 if owner == rank {
-                    let old = self.apply_atomic_at_owner(owner, target, aop, &op, &held);
+                    let old = self.apply_atomic_at_owner(owner, target, aop, &op);
                     self.store_atomic_result(rank, fetch_into, old);
                     self.step_done(rank, LOCAL_ACCESS_NS);
                 } else {
                     let t = self.token(TokenUse::AtomicReply {
                         actor: rank,
                         fetch_into,
+                        op,
+                        served: false,
                     });
-                    self.atomic_ctx.insert(t, (op, held));
-                    self.send(
-                        rank,
-                        owner,
-                        DsmPayload::AtomicRequest {
-                            range: target,
-                            op: aop,
-                            token: t,
-                        },
-                    );
+                    let request = DsmPayload::AtomicRequest {
+                        range: target,
+                        op: aop,
+                        token: t,
+                        det: self.det_header(rank, target),
+                    };
+                    self.send(rank, owner, request);
+                    self.block(rank);
                 }
             }
             Step::LocalAccess { range, write } => {
-                let op = self.procs[rank]
-                    .plan
-                    .as_ref()
-                    .expect("plan")
-                    .op
-                    .expect("op");
+                let Some((op, value)) = self.current_op(rank) else {
+                    return;
+                };
                 let held = self.procs[rank].held_lock_ids();
-                match &write {
-                    Some(value) => {
-                        if let Err(e) = self.memories[rank].write(&range, value, rank) {
-                            self.errors.push(format!("P{rank}: local write: {e}"));
-                        } else {
-                            self.observe(&op, &held);
-                            self.trace.record_access(
-                                op.write_access_id(),
-                                rank,
-                                AccessKind::Write,
-                                range,
-                            );
-                        }
+                if write {
+                    let value = value.unwrap_or_default();
+                    if let Err(e) = self.memories[rank].write(&range, &value, rank) {
+                        self.errors.push(format!("P{rank}: local write: {e}"));
+                    } else {
+                        self.observe(&op, &held);
+                        self.trace.record_access(
+                            op.write_access_id(),
+                            rank,
+                            AccessKind::Write,
+                            range,
+                        );
                     }
-                    None => match self.memories[rank].read(&range, rank) {
+                } else {
+                    match self.memories[rank].read(&range, rank) {
                         Ok(_) => {
                             self.observe(&op, &held);
                             self.trace.record_access(
@@ -1085,7 +1150,7 @@ impl Engine {
                             );
                         }
                         Err(e) => self.errors.push(format!("P{rank}: local read: {e}")),
-                    },
+                    }
                 }
                 self.step_done(rank, LOCAL_ACCESS_NS);
             }
@@ -1096,6 +1161,7 @@ impl Engine {
                 // Arrival is a message to the coordinator (rank 0).
                 self.send(rank, 0, DsmPayload::BarrierArrive { epoch: 0 });
                 // Process stays blocked until BarrierRelease.
+                self.block(rank);
             }
             Step::ReleaseDetLocks => {
                 let locks =
@@ -1112,6 +1178,30 @@ impl Engine {
                 self.procs[rank].pc += 1;
                 self.wake(rank, self.now);
             }
+        }
+    }
+
+    /// The op of `rank`'s current plan, with the plan's data bytes moved
+    /// out for the step that ships them. `None` (recorded, and the step
+    /// skipped) if the plan carries no op — data steps are only built for
+    /// instructions that have one.
+    fn current_op(&mut self, rank: Rank) -> Option<(DsmOp, Option<Vec<u8>>)> {
+        let plan = self.procs[rank].plan.as_mut()?;
+        match plan.op {
+            Some(op) => Some((op, plan.data.take())),
+            None => {
+                self.errors
+                    .push(format!("P{rank}: data step without an op; skipped"));
+                self.step_done(rank, 0);
+                None
+            }
+        }
+    }
+
+    /// `rank`'s current step has sent its request: block until the reply.
+    fn block(&mut self, rank: Rank) {
+        if let Some(plan) = self.procs[rank].plan.as_mut() {
+            plan.blocked = true;
         }
     }
 
@@ -1145,26 +1235,26 @@ impl Engine {
         }
     }
 
-    /// Deliver lock grants produced at `owner`'s table.
+    /// Deliver lock grants produced at `owner`'s table: to a local waiter
+    /// (engine token), to a remote waiter (`LockGrant` message), or to a
+    /// fused request the owner queued on the lock it takes for it.
     fn dispatch_grants(&mut self, owner: Rank, grants: Vec<dsm::lockmgr::Grant>) {
         for g in grants {
-            // Local waiters registered an engine token; remote waiters'
-            // request token is stored in the table entry? The table only
-            // knows requester rank; the engine keyed remote requests by the
-            // message token at request time (see handle LockRequest).
-            if let Some(engine_token) = self.local_waiters.remove(&(owner, g.token)) {
+            let key = (owner, g.token);
+            if let Some(engine_token) = self.local_waiters.remove(&key) {
                 self.complete_lock_grant(engine_token, owner, g.token);
-            } else if let Some(&(requester, msg_token)) = self.remote_waiters.get(&(owner, g.token))
-            {
-                self.remote_waiters.remove(&(owner, g.token));
+            } else if let Some((requester, token, clock_words)) = self.remote_waiters.remove(&key) {
                 self.send(
                     owner,
                     requester,
                     DsmPayload::LockGrant {
-                        token: msg_token,
+                        token,
                         lock_token: g.token,
+                        clock_words,
                     },
                 );
+            } else if let Some((request, det)) = self.fused_waiters.remove(&key) {
+                self.serve(owner, request, Some(det), Some(g.token));
             } else {
                 self.errors
                     .push(format!("grant for unknown waiter at P{owner}"));
@@ -1172,16 +1262,12 @@ impl Engine {
         }
     }
 
-    /// Resolve an engine token for a granted lock (local grant path).
+    /// Resolve the engine token of a granted lock request (a local grant,
+    /// or a `LockGrant` message from `owner`).
     fn complete_lock_grant(&mut self, engine_token: OpToken, owner: Rank, lock_token: u64) {
         match self.tokens.remove(&engine_token) {
-            Some(TokenUse::DetLockGrant(rank)) => {
-                self.procs[rank].last_grant = Some((owner, lock_token));
-                self.wake(rank, self.now);
-            }
-            Some(TokenUse::ProgLockGrant(rank, _range)) => {
-                self.procs[rank].last_grant = Some((owner, lock_token));
-                self.wake(rank, self.now);
+            Some(TokenUse::LockGrant(rank)) => {
+                self.deliver_grant(rank, owner, lock_token);
             }
             other => self
                 .errors
@@ -1189,7 +1275,118 @@ impl Engine {
         }
     }
 
+    /// Hand a granted lock to `rank`, blocked at the lock step that asked
+    /// for it: stash the grant for the step to consume and wake it. A grant
+    /// that comes after the rank was forced past that wait (lossy plans)
+    /// is released again at once — nobody else would.
+    fn deliver_grant(&mut self, rank: Rank, owner: Rank, lock_token: u64) {
+        let proc = &mut self.procs[rank];
+        match proc.plan.as_mut() {
+            Some(plan)
+                if plan.blocked
+                    && matches!(
+                        plan.steps.get(plan.idx),
+                        Some(Step::DetLock(_) | Step::ProgLock(_))
+                    ) =>
+            {
+                plan.blocked = false;
+                proc.last_grant = Some((owner, lock_token));
+                self.wake(rank, self.now);
+            }
+            _ => {
+                self.errors.push(format!(
+                    "P{rank}: lock grant from P{owner} came after its wait was abandoned; released"
+                ));
+                self.release_lock(rank, owner, lock_token);
+            }
+        }
+    }
+
     // ----- owner-side operations ------------------------------------------
+
+    /// A data request from `requester` arrives at `owner`. Under detection
+    /// with the take-lock flag, this opens the owner-side critical section
+    /// of Algorithms 1–2: the NIC acquires the area lock on the requester's
+    /// behalf — queuing behind a holder exactly as a `LockRequest` does —
+    /// and serves the request once it holds it.
+    fn admit(&mut self, owner: Rank, requester: Rank, request: Request, det: Option<DetHeader>) {
+        if !self.first_arrival(&request) {
+            self.errors.push(format!(
+                "P{owner}: duplicate request from P{requester} ignored"
+            ));
+            return;
+        }
+        match det {
+            Some(d) if d.take_lock => match self.locks[owner].acquire(request.range(), requester) {
+                LockOutcome::Granted(lock) => self.serve(owner, request, det, Some(lock)),
+                LockOutcome::Queued(lock) => {
+                    self.fused_waiters.insert((owner, lock), (request, d));
+                }
+            },
+            _ => self.serve(owner, request, det, None),
+        }
+    }
+
+    /// Mark `request` as having reached its owner; false if it already had
+    /// (a duplicate injected by the fault plan must not be served — and
+    /// observed — twice) or if its op is unknown.
+    fn first_arrival(&mut self, request: &Request) -> bool {
+        let seen = match request {
+            Request::Put(put) => self.put_ctx.get_mut(&put.token).map(|c| &mut c.at_owner),
+            Request::Get { token, .. } => match self.tokens.get_mut(token) {
+                Some(TokenUse::GetReply { served, .. }) => Some(served),
+                _ => None,
+            },
+            Request::Atomic { token, .. } => match self.tokens.get_mut(token) {
+                Some(TokenUse::AtomicReply { served, .. }) => Some(served),
+                _ => None,
+            },
+        };
+        match seen {
+            Some(seen) => !std::mem::replace(seen, true),
+            None => false,
+        }
+    }
+
+    /// Serve a request at its owner: read `(V, W)`, perform the access
+    /// (where the detector observes it and merges the clock — Algorithm 5's
+    /// order, data before clock), release `lock` if the owner took one for
+    /// it, and answer with the clocks the header asked for. A put does the
+    /// last two itself once it is applied (see [`PutDone`]) — now, or after
+    /// a Fig 3 deferral, with the lock held across it.
+    fn serve(&mut self, owner: Rank, request: Request, det: Option<DetHeader>, lock: Option<u64>) {
+        let reply_words = det.map_or(0, |d| d.reply_words);
+        match request {
+            Request::Put(put) => {
+                if let Some(PutCtx {
+                    done: PutDone::Ack { lock: slot, .. },
+                    ..
+                }) = self.put_ctx.get_mut(&put.token)
+                {
+                    *slot = lock;
+                }
+                return self.apply_put_at_owner(owner, put);
+            }
+            Request::Get { src, token } => {
+                self.serve_get_request(owner, src, token, Some(reply_words));
+            }
+            Request::Atomic { range, aop, token } => {
+                if let Some(TokenUse::AtomicReply { actor, op, .. }) = self.tokens.get(&token) {
+                    let (actor, op) = (*actor, *op);
+                    let old = self.apply_atomic_at_owner(owner, range, aop, &op);
+                    let reply = DsmPayload::AtomicReply {
+                        token,
+                        old,
+                        clock_words: reply_words,
+                    };
+                    self.send(owner, actor, reply);
+                }
+            }
+        }
+        if let Some(lock) = lock {
+            self.release_lock(owner, owner, lock);
+        }
+    }
 
     /// Apply (or defer) a put at the owner.
     fn apply_put_at_owner(&mut self, owner: Rank, put: DeferredPut) {
@@ -1201,9 +1398,14 @@ impl Engine {
 
     fn apply_put_now(&mut self, owner: Rank, put: DeferredPut) {
         let initiator = put.initiator;
-        if let Err(e) = self.memories[owner].write(&put.dst, &put.data, initiator) {
+        let written = self.memories[owner].write(&put.dst, &put.data, initiator);
+        if let Err(e) = &written {
             self.errors.push(format!("put apply at P{owner}: {e}"));
-        } else if let Some(ctx) = self.put_ctx.remove(&put.token) {
+        }
+        let Some(ctx) = self.put_ctx.remove(&put.token) else {
+            return;
+        };
+        if written.is_ok() {
             self.observe(&ctx.op, &ctx.held);
             self.trace.record_access(
                 ctx.op.write_access_id(),
@@ -1213,10 +1415,42 @@ impl Engine {
             );
             self.put_apply_delays.push(self.now.since(ctx.sent_at));
         }
+        // The put is over (applied, or failed and signalled): end its
+        // critical section, whichever side is waiting on it.
+        match ctx.done {
+            PutDone::Forget => {}
+            PutDone::Local => self.resume(initiator, self.now + LOCAL_ACCESS_NS),
+            PutDone::Ack { lock, clock_words } => {
+                if let Some(lock) = lock {
+                    self.release_lock(owner, owner, lock);
+                }
+                let ack = DsmPayload::PutAck {
+                    token: put.token,
+                    clock_words,
+                };
+                self.send(owner, initiator, ack);
+            }
+        }
     }
 
-    /// Serve a get at the owner: observe, read, reply (or apply locally).
-    fn serve_get_request(&mut self, owner: Rank, src: MemRange, token: OpToken, local: bool) {
+    /// Advance `rank` past the reply it was blocked on and wake it at `at`.
+    fn resume(&mut self, rank: Rank, at: SimTime) {
+        if let Some(plan) = self.procs[rank].plan.as_mut() {
+            plan.idx += 1;
+            plan.blocked = false;
+        }
+        self.wake(rank, at);
+    }
+
+    /// Serve a get at the owner: observe, read, then apply locally
+    /// (`reply_words` is `None`) or reply with that many clock words.
+    fn serve_get_request(
+        &mut self,
+        owner: Rank,
+        src: MemRange,
+        token: OpToken,
+        reply_words: Option<usize>,
+    ) {
         // The read happens here. Observe the whole op at the read point.
         let (actor, op) = match self.tokens.get(&token) {
             Some(TokenUse::GetReply { actor, op, .. }) => (*actor, *op),
@@ -1228,39 +1462,28 @@ impl Engine {
         };
         let held = self.procs[actor].held_lock_ids();
         self.rdma[owner].begin_get(token, src);
-        match self.memories[owner].read(&src, actor) {
+        let (data, cost) = match self.memories[owner].read(&src, actor) {
             Ok(data) => {
                 self.observe(&op, &held);
                 self.trace
                     .record_access(op.read_access_id(), actor, AccessKind::Read, src);
-                if local {
-                    self.finish_get(token, Bytes::from(data), self.now + LOCAL_ACCESS_NS);
-                } else {
-                    self.send(
-                        owner,
-                        actor,
-                        DsmPayload::GetReply {
-                            token,
-                            data: Bytes::from(data),
-                        },
-                    );
-                }
+                (Bytes::from(data), LOCAL_ACCESS_NS)
             }
             Err(e) => {
                 self.errors.push(format!("get read at P{owner}: {e}"));
                 // Unblock the requester with empty data to avoid deadlock.
-                if local {
-                    self.finish_get(token, Bytes::new(), self.now);
-                } else {
-                    self.send(
-                        owner,
-                        actor,
-                        DsmPayload::GetReply {
-                            token,
-                            data: Bytes::new(),
-                        },
-                    );
-                }
+                (Bytes::new(), 0)
+            }
+        };
+        match reply_words {
+            None => self.finish_get(token, data, self.now + cost),
+            Some(clock_words) => {
+                let reply = DsmPayload::GetReply {
+                    token,
+                    data,
+                    clock_words,
+                };
+                self.send(owner, actor, reply);
             }
         }
     }
@@ -1273,6 +1496,7 @@ impl Engine {
             dst,
             op,
             src_owner,
+            ..
         }) = self.tokens.remove(&token)
         else {
             self.errors
@@ -1306,10 +1530,7 @@ impl Engine {
             }
             Err(e) => self.errors.push(format!("end_get: {e}")),
         }
-        if let Some(plan) = self.procs[actor].plan.as_mut() {
-            plan.idx += 1;
-        }
-        self.wake(actor, at);
+        self.resume(actor, at);
     }
 
     /// Execute an atomic RMW at the owner: observe (read+write accesses,
@@ -1324,10 +1545,12 @@ impl Engine {
         target: MemRange,
         aop: AtomicOp,
         op: &DsmOp,
-        held: &[LockId],
     ) -> u64 {
         assert_eq!(target.len, 8, "atomics operate on u64 words");
         let initiator = op.actor;
+        // The initiator is blocked on the atomic, so the program locks it
+        // holds now are the ones it held at issue.
+        let held = self.procs[initiator].held_lock_ids();
         let old = match self.memories[owner].read_u64(target.addr, initiator) {
             Ok(v) => v,
             Err(e) => {
@@ -1335,7 +1558,7 @@ impl Engine {
                 return 0;
             }
         };
-        self.observe(op, held);
+        self.observe(op, &held);
         self.trace.record_access_ext(
             op.read_access_id(),
             initiator,
@@ -1382,98 +1605,71 @@ impl Engine {
                 dst: range,
                 data,
                 token,
+                det,
             } => {
-                self.apply_put_at_owner(
-                    dst,
-                    DeferredPut {
-                        dst: range,
-                        data,
-                        token,
-                        initiator: src,
-                    },
-                );
+                let put = DeferredPut {
+                    dst: range,
+                    data,
+                    token,
+                    initiator: src,
+                };
+                self.admit(dst, src, Request::Put(put), det);
             }
-            DsmPayload::PutAck { .. } => {
-                // Not used: puts are fire-and-forget (see Step::PutData).
+            DsmPayload::PutAck { token, .. } => {
+                if let Some(TokenUse::Wake(rank)) = self.tokens.remove(&token) {
+                    self.resume(rank, self.now);
+                }
             }
-            DsmPayload::GetRequest { src: range, token } => {
-                self.serve_get_request(dst, range, token, false);
+            DsmPayload::GetRequest {
+                src: range,
+                token,
+                det,
+            } => {
+                self.admit(dst, src, Request::Get { src: range, token }, det);
             }
-            DsmPayload::GetReply { token, data } => {
+            DsmPayload::GetReply { token, data, .. } => {
                 self.finish_get(token, data, self.now);
             }
-            DsmPayload::LockRequest { range, token } => match self.locks[dst].acquire(range, src) {
+            DsmPayload::LockRequest {
+                range,
+                token,
+                clock_words,
+            } => match self.locks[dst].acquire(range, src) {
                 LockOutcome::Granted(lock_token) => {
-                    self.send(dst, src, DsmPayload::LockGrant { token, lock_token });
+                    let grant = DsmPayload::LockGrant {
+                        token,
+                        lock_token,
+                        clock_words,
+                    };
+                    self.send(dst, src, grant);
                 }
                 LockOutcome::Queued(lock_token) => {
-                    self.remote_waiters.insert((dst, lock_token), (src, token));
+                    self.remote_waiters
+                        .insert((dst, lock_token), (src, token, clock_words));
                 }
             },
-            DsmPayload::LockGrant { token, lock_token } => match self.tokens.remove(&token) {
-                Some(TokenUse::DetLockGrant(rank)) => {
-                    self.procs[rank].last_grant = Some((src, lock_token));
-                    self.wake(rank, self.now);
-                }
-                Some(TokenUse::ProgLockGrant(rank, _range)) => {
-                    self.procs[rank].last_grant = Some((src, lock_token));
-                    self.wake(rank, self.now);
-                }
-                other => self
-                    .errors
-                    .push(format!("lock grant with unexpected token use {other:?}")),
-            },
+            DsmPayload::LockGrant {
+                token, lock_token, ..
+            } => self.complete_lock_grant(token, src, lock_token),
             DsmPayload::LockRelease { lock_token } => match self.locks[dst].release(lock_token) {
                 Ok(grants) => self.dispatch_grants(dst, grants),
                 Err(e) => self.errors.push(format!("remote release: {e}")),
             },
-            DsmPayload::ClockReadRequest { range, token } => {
-                let v = self.clock_payload();
-                let w = self.clock_payload();
-                let _ = range;
-                self.send(dst, src, DsmPayload::ClockReadReply { token, v, w });
-            }
-            DsmPayload::ClockReadReply { token, .. } => {
-                if let Some(TokenUse::Wake(rank)) = self.tokens.remove(&token) {
-                    if let Some(plan) = self.procs[rank].plan.as_mut() {
-                        plan.idx += 1;
-                    }
-                    self.wake(rank, self.now);
-                }
-            }
-            DsmPayload::ClockWrite { token, .. } => {
-                self.send(dst, src, DsmPayload::ClockWriteAck { token });
-            }
-            DsmPayload::ClockWriteAck { token } => {
-                if let Some(TokenUse::Wake(rank)) = self.tokens.remove(&token) {
-                    if let Some(plan) = self.procs[rank].plan.as_mut() {
-                        plan.idx += 1;
-                    }
-                    self.wake(rank, self.now);
-                }
-            }
             DsmPayload::AtomicRequest {
                 range,
                 op: aop,
                 token,
+                det,
             } => {
-                let Some((op, held)) = self.atomic_ctx.remove(&token) else {
-                    self.errors
-                        .push(format!("atomic request with unknown token {token}"));
-                    return;
-                };
-                let old = self.apply_atomic_at_owner(dst, range, aop, &op, &held);
-                self.send(dst, src, DsmPayload::AtomicReply { token, old });
+                self.admit(dst, src, Request::Atomic { range, aop, token }, det);
             }
-            DsmPayload::AtomicReply { token, old } => {
-                if let Some(TokenUse::AtomicReply { actor, fetch_into }) =
-                    self.tokens.remove(&token)
+            DsmPayload::AtomicReply { token, old, .. } => {
+                if let Some(TokenUse::AtomicReply {
+                    actor, fetch_into, ..
+                }) = self.tokens.remove(&token)
                 {
                     self.store_atomic_result(actor, fetch_into, old);
-                    if let Some(plan) = self.procs[actor].plan.as_mut() {
-                        plan.idx += 1;
-                    }
-                    self.wake(actor, self.now);
+                    self.resume(actor, self.now);
                 }
             }
             DsmPayload::BarrierArrive { .. } => {
@@ -1498,10 +1694,9 @@ impl Engine {
                 // Only a process actually blocked at a barrier step may
                 // consume a release; a duplicated release would otherwise
                 // over-advance the plan into (or past) later steps.
-                match self.procs[dst].plan.as_mut() {
+                match self.procs[dst].plan.as_ref() {
                     Some(plan) if matches!(plan.steps.get(plan.idx), Some(Step::Barrier)) => {
-                        plan.idx += 1;
-                        self.wake(dst, self.now);
+                        self.resume(dst, self.now);
                     }
                     _ => self
                         .errors

@@ -55,19 +55,26 @@ fn fig2_put_is_one_message_get_is_two() {
 }
 
 #[test]
-fn fig2_with_detection_adds_clock_and_lock_traffic() {
+fn fig2_with_detection_is_two_messages_per_access() {
+    // Fig 2's ops (an immediate put, a get into private memory) each touch
+    // one remote area, so under detection they are fused: the data message
+    // carries the detection header, the owner runs the critical section,
+    // and the reply carries the clocks. The put gains its ack; the get
+    // gains nothing; nobody sends a lock message.
     let w = figures::fig2();
     let cfg = SimConfig::lockstep(w.n, 100).with_detector(DetectorKind::Dual);
     let r = run(cfg, w.programs);
     assert_eq!(r.stats.msgs(OpClass::PutData), 1, "data plane unchanged");
-    assert!(
-        r.stats.msgs(OpClass::Clock) > 0,
-        "Algorithms 1-2 clock traffic"
+    assert_eq!(r.stats.msgs(OpClass::GetRequest), 1);
+    assert_eq!(r.stats.msgs(OpClass::GetReply), 1);
+    assert_eq!(r.stats.msgs(OpClass::Clock), 1, "the put's ack");
+    assert_eq!(
+        r.stats.msgs(OpClass::Lock),
+        0,
+        "locks are taken at the owner"
     );
-    assert!(
-        r.stats.msgs(OpClass::Lock) > 0,
-        "Algorithms 1-2 lock traffic"
-    );
+    assert_eq!(r.stats.total_msgs(), 4);
+    assert!(r.stats.detection_bytes() > 0, "the clocks still cost bytes");
 }
 
 #[test]
