@@ -118,3 +118,92 @@ fn fault_cells_fire_and_stay_graded() {
         .filter(|c| c.degraded)
         .all(|c| c.net == "fault-delay" || c.net == "fault-reorder"));
 }
+
+/// What every `RunResult` promises about its three views of the report
+/// stream, whoever owns the stream inside the engine: the summary counts the
+/// raw reports, and `deduped` keeps the first report of each access pair.
+fn assert_report_views_agree(result: &simulator::RunResult, at: &str) {
+    use race_core::{dedup_reports, RaceSummary};
+
+    assert_eq!(result.summary.total, result.reports.len(), "{at}: total");
+    let mut from_reports = RaceSummary::from_reports(&result.reports);
+    from_reports.degraded = result.summary.degraded;
+    assert_eq!(result.summary, from_reports, "{at}: summary");
+    assert_eq!(
+        result.deduped,
+        dedup_reports(&result.reports),
+        "{at}: deduped"
+    );
+    // And `dedup_reports` itself against the plainest statement of it.
+    let mut seen = std::collections::BTreeSet::new();
+    let firsts: Vec<_> = result
+        .reports
+        .iter()
+        .filter(|r| seen.insert(r.dedup_key()))
+        .cloned()
+        .collect();
+    assert_eq!(result.deduped, firsts, "{at}: first of each pair, in order");
+}
+
+#[test]
+fn run_results_keep_their_report_views_consistent() {
+    use race_core::{DetectorConfig, DetectorKind};
+    use simulator::workloads::random_access::{self, RandomSpec};
+    use simulator::workloads::{master_worker, stencil};
+    use simulator::{Engine, SimConfig};
+
+    // The BENCH_0005 corpus: every scenario on every network model, under
+    // every detector kind (lockset reports are unattributed, vanilla has
+    // none).
+    let mut reports_seen = 0;
+    for w in scenario_matrix() {
+        for net in dsm_bench::scenarios::net_matrix() {
+            for kind in DetectorKind::ALL {
+                let mut cfg = SimConfig::debugging(w.n).with_seed(1).with_detector(kind);
+                cfg.latency = net.latency;
+                if let Some(topology) = net.topology {
+                    cfg.topology = topology(w.n);
+                }
+                if let Some(spec) = net.faults {
+                    cfg = cfg.with_faults(spec);
+                }
+                let result = Engine::new(cfg, w.programs.clone()).run();
+                let at = format!("{} [{} net={}]", w.name, kind.label(), net.name);
+                assert_report_views_agree(&result, &at);
+                reports_seen += result.reports.len();
+            }
+        }
+    }
+    assert!(reports_seen > 0, "the corpus has racy twins");
+
+    // The three `sim_debug` programs (benchmark/src/sim.rs), at full scale.
+    const RANKS: usize = 10;
+    let programs = [
+        stencil::with_barrier(RANKS, 64, 32),
+        master_worker::racy(RANKS - 1, 64),
+        random_access::generate(RandomSpec {
+            n: RANKS,
+            ops_per_rank: 256,
+            hot_words: 64,
+            p_write: 0.25,
+            locked: false,
+            seed: 176,
+        }),
+    ];
+    for (program, racy) in programs.iter().zip([false, true, true]) {
+        for kind in [DetectorKind::Vanilla, DetectorKind::Dual] {
+            let config = SimConfig::debugging(RANKS)
+                .with_seed(176)
+                .with_detector_config(DetectorConfig::new(kind, RANKS));
+            let result = Engine::new(config, program.programs.clone()).run();
+            let at = format!("{} [{}]", program.name, kind.label());
+            assert_report_views_agree(&result, &at);
+            assert_eq!(
+                !result.reports.is_empty(),
+                racy && kind == DetectorKind::Dual,
+                "{at}: {} report(s)",
+                result.reports.len()
+            );
+        }
+    }
+}

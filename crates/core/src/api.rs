@@ -52,7 +52,6 @@
 //! assert_eq!(summary.total, 1); // exactly one write-write race streamed out
 //! ```
 
-use std::collections::HashSet;
 use std::sync::mpsc::Sender;
 
 use serde::{Deserialize, Serialize};
@@ -61,7 +60,7 @@ use crate::clockstore::{Granularity, StoreConfig};
 use crate::detector::{Detector, DetectorKind};
 use crate::event::{DsmOp, LockId};
 use crate::hb::HbDetector;
-use crate::report::RaceReport;
+use crate::report::{dedup_keys, DedupKeys, RaceReport};
 use crate::summary::RaceSummary;
 
 // ---------------------------------------------------------------------------
@@ -90,6 +89,16 @@ pub trait ReportSink: Send {
         self.on_report(&report);
     }
 
+    /// Every report of one operation, by value and in detection order;
+    /// `reports` comes back empty with its capacity kept. The default hands
+    /// them to [`ReportSink::accept`] one by one; a sink that can take the
+    /// whole run at once ([`VecSink`]: one append) overrides it.
+    fn accept_all(&mut self, reports: &mut Vec<RaceReport>) {
+        for report in reports.drain(..) {
+            self.accept(report);
+        }
+    }
+
     /// End-of-stream notification with the session's bounded aggregate.
     /// Called once by [`Session::finish`]; defaults to a no-op.
     fn on_flush(&mut self, summary: &RaceSummary) {
@@ -102,6 +111,15 @@ pub trait ReportSink: Send {
     /// the façade.
     fn reports(&self) -> &[RaceReport] {
         &[]
+    }
+
+    /// Move the retained reports out of the sink, leaving it holding none:
+    /// how the owner of a finished session takes the report stream by value
+    /// instead of copying [`ReportSink::reports`]. The default copies (a
+    /// sink that retains nothing returns the empty `Vec`); [`VecSink`] and
+    /// the wrappers around it hand their storage over.
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        self.reports().to_vec()
     }
 
     /// Serialize sink state that must survive a [`Session::checkpoint`] /
@@ -170,8 +188,16 @@ impl ReportSink for VecSink {
         self.reports.push(report); // by value: no clone on the hot path
     }
 
+    fn accept_all(&mut self, reports: &mut Vec<RaceReport>) {
+        self.reports.append(reports);
+    }
+
     fn reports(&self) -> &[RaceReport] {
         &self.reports
+    }
+
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        std::mem::take(&mut self.reports)
     }
 }
 
@@ -280,7 +306,7 @@ impl ReportSink for ChannelSink {
 /// same trade the paper makes for the bounded area histories).
 pub struct DedupSink {
     inner: Box<dyn ReportSink>,
-    seen: HashSet<(u64, u64)>,
+    seen: DedupKeys,
     /// Insertion order of `seen`, for FIFO eviction at the bound.
     order: std::collections::VecDeque<(u64, u64)>,
     capacity: usize,
@@ -308,7 +334,7 @@ impl DedupSink {
         assert!(capacity > 0, "dedup capacity must be at least 1");
         DedupSink {
             inner,
-            seen: HashSet::new(),
+            seen: dedup_keys(0),
             order: std::collections::VecDeque::new(),
             capacity,
             evictions: 0,
@@ -369,6 +395,10 @@ impl ReportSink for DedupSink {
         self.inner.reports()
     }
 
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        self.inner.take_reports()
+    }
+
     /// Persist the dedup window: eviction counter plus the seen keys in
     /// insertion order (the `seen` set is re-derived on restore).
     fn snapshot_state(&self) -> Option<Vec<u8>> {
@@ -426,6 +456,11 @@ impl ReportSink for Tee<'_> {
     fn accept(&mut self, report: RaceReport) {
         self.summary.add(&report);
         self.sink.accept(report);
+    }
+
+    fn accept_all(&mut self, reports: &mut Vec<RaceReport>) {
+        self.summary.add_all(reports);
+        self.sink.accept_all(reports);
     }
 }
 
@@ -758,8 +793,8 @@ impl Session {
         let mut tmp = VecSink::new();
         self.detector.observe_sink(op, held_locks, &mut tmp);
         let collected = tmp.into_reports();
+        self.summary.add_all(&collected);
         for report in &collected {
-            self.summary.add(report);
             self.sink.on_report(report);
         }
         collected
@@ -962,6 +997,39 @@ mod tests {
         assert!(s.reports().is_empty(), "counting sink keeps no reports");
         let (summary, _) = s.finish();
         assert_eq!(summary.total, 1);
+    }
+
+    #[test]
+    fn take_reports_hands_over_what_reports_shows_and_leaves_none() {
+        let wide = |op_id, actor: usize| DsmOp {
+            op_id,
+            actor,
+            kind: OpKind::Put {
+                src: GlobalAddr::private(actor, 0).range(16),
+                dst: GlobalAddr::public(1, 0).range(16),
+            },
+        };
+        let config = DetectorConfig::new(DetectorKind::Dual, 3);
+        let (tx, _rx) = std::sync::mpsc::channel();
+        let sinks: [(Box<dyn ReportSink>, usize); 5] = [
+            (Box::new(VecSink::new()), 2),
+            (Box::new(DedupSink::new(Box::new(VecSink::new()))), 1),
+            (Box::new(CountingSink::default()), 0),
+            (Box::new(SummarySink::default()), 0),
+            (Box::new(ChannelSink::new(tx)), 0),
+        ];
+        for (sink, retained) in sinks {
+            let mut s = config.session_with(sink);
+            s.observe(&wide(0, 0), &[]);
+            s.observe(&wide(1, 2), &[]);
+            let shown = s.reports().to_vec();
+            assert_eq!(shown.len(), retained);
+            let (summary, mut sink) = s.finish();
+            assert_eq!(summary.total, 2, "two blocks raced, whatever the sink");
+            assert_eq!(sink.take_reports(), shown);
+            assert!(sink.reports().is_empty(), "taken means gone");
+            assert!(sink.take_reports().is_empty());
+        }
     }
 
     #[test]

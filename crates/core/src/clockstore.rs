@@ -159,7 +159,7 @@ impl AreaHistory {
     pub fn record_write(&mut self, access: AccessSummary) {
         let v_le = self.v.leq(&access.clock);
         let w_le = self.w.leq(&access.clock);
-        self.record_write_hinted(access, v_le, w_le);
+        self.record_write_hinted(access, v_le, w_le, |_| {});
     }
 
     /// [`AreaHistory::record_write`] with the pre-update guard results
@@ -169,21 +169,38 @@ impl AreaHistory {
     /// Crate-private: an inconsistent hint would corrupt the antichain
     /// invariant, so only the detector (which just computed the guards)
     /// may supply them.
-    pub(crate) fn record_write_hinted(&mut self, access: AccessSummary, v_le: bool, w_le: bool) {
+    ///
+    /// `concurrent` sees, before anything is updated, every recorded entry
+    /// whose clock is concurrent with the access's — the writes in
+    /// antichain order, then the reads. Those are exactly the entries the
+    /// antichains keep, so the detector's race check (Algorithm 3) rides on
+    /// the pass that prunes them instead of walking each antichain twice.
+    pub(crate) fn record_write_hinted(
+        &mut self,
+        access: AccessSummary,
+        v_le: bool,
+        w_le: bool,
+        mut concurrent: impl FnMut(&AccessSummary),
+    ) {
         debug_assert_eq!(v_le, self.v.leq(&access.clock));
         debug_assert_eq!(w_le, self.w.leq(&access.clock));
-        if v_le {
+        debug_assert!(w_le || !v_le, "W is a join of a subset of V's events");
+        let mut keep = |p: &AccessSummary| {
+            let unordered = p.clock.concurrent_with(&access.clock);
+            if unordered {
+                concurrent(p);
+            }
+            unordered
+        };
+        if w_le {
             self.writes.clear();
+        } else {
+            self.writes.retain(&mut keep);
+        }
+        if v_le {
             self.reads.clear();
         } else {
-            if w_le {
-                self.writes.clear();
-            } else {
-                self.writes
-                    .retain(|p| p.clock.concurrent_with(&access.clock));
-            }
-            self.reads
-                .retain(|p| p.clock.concurrent_with(&access.clock));
+            self.reads.retain(&mut keep);
         }
         // Demotion resolvers look the epoch event up in the *pre-push*
         // antichains: a concurrent (non-dominated) epoch event is always

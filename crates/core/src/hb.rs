@@ -61,7 +61,7 @@ use dsm::addr::Segment;
 use vclock::{MatrixClock, VectorClock};
 
 use crate::api::{ReportSink, VecSink};
-use crate::clockstore::{AreaHistory, AreaKey, ClockStore, Granularity, StoreConfig};
+use crate::clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
 use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId};
 use crate::report::{RaceClass, RaceReport};
@@ -233,63 +233,47 @@ impl HbDetector {
     }
 }
 
-/// Check one access against one area's history, per the mode's rules,
-/// appending reports to `out`. Does not record the access.
-///
-/// The epoch guards make the common ordered case O(1): if the area's
-/// `W` (resp. `V`) join precedes the access's clock (`w_le` / `v_le`,
-/// computed by the caller against the authoritative [`AreaHistory`]), every
-/// recorded write (resp. read) does too, and the scan is skipped wholesale.
-fn check_access(
+/// Signal the race between `access` and the recorded `prev`, whose clocks
+/// the caller found concurrent (Algorithm 3 / Corollary 1) — unless the
+/// pair cannot race: a process is ordered with itself by program order,
+/// and the NIC serialises atomic-atomic pairs.
+fn signal_race(
     mode: HbMode,
-    hist: &AreaHistory,
     access: &AccessSummary,
+    prev: &AccessSummary,
     area: AreaKey,
-    w_le: bool,
-    v_le: bool,
     out: &mut Vec<RaceReport>,
 ) {
-    let (check_writes, check_reads) = mode.checks(access.kind);
-    if check_writes && !hist.writes.is_empty() && !w_le {
-        for prev in &hist.writes {
-            if access.atomic && prev.atomic {
-                continue; // NIC serialises atomic-atomic pairs
-            }
-            if prev.process != access.process && prev.clock.concurrent_with(&access.clock) {
-                let class = if access.kind.is_write() {
-                    RaceClass::WriteWrite
-                } else {
-                    RaceClass::ReadWrite
-                };
-                out.push(RaceReport {
-                    detector: mode.detector_name(),
-                    class,
-                    current: access.clone(),
-                    previous: Some(prev.clone()),
-                    area,
-                });
-            }
-        }
+    if prev.process == access.process || (access.atomic && prev.atomic) {
+        return;
     }
-    if check_reads && !hist.reads.is_empty() && !v_le {
-        for prev in &hist.reads {
-            if access.atomic && prev.atomic {
-                continue;
-            }
-            if prev.process != access.process && prev.clock.concurrent_with(&access.clock) {
-                let class = if access.kind.is_write() {
-                    RaceClass::ReadWrite
-                } else {
-                    RaceClass::ReadRead
-                };
-                out.push(RaceReport {
-                    detector: mode.detector_name(),
-                    class,
-                    current: access.clone(),
-                    previous: Some(prev.clone()),
-                    area,
-                });
-            }
+    let class = match (access.kind, prev.kind) {
+        (AccessKind::Write, AccessKind::Write) => RaceClass::WriteWrite,
+        (AccessKind::Read, AccessKind::Read) => RaceClass::ReadRead,
+        _ => RaceClass::ReadWrite,
+    };
+    out.push(RaceReport {
+        detector: mode.detector_name(),
+        class,
+        current: access.clone(),
+        previous: Some(prev.clone()),
+        area,
+    });
+}
+
+/// Check a read against one antichain of its area (Algorithm 2 compares
+/// before updating). A write's check rides on the pass that prunes the
+/// antichains: see [`crate::clockstore::AreaHistory::record_write_hinted`].
+fn check_read(
+    mode: HbMode,
+    chain: &[AccessSummary],
+    access: &AccessSummary,
+    area: AreaKey,
+    out: &mut Vec<RaceReport>,
+) {
+    for prev in chain {
+        if prev.process != access.process && prev.clock.concurrent_with(&access.clock) {
+            signal_race(mode, access, prev, area, out);
         }
     }
 }
@@ -338,20 +322,30 @@ impl Detector for HbDetector {
                 let hist = self.store.history_mut(area);
                 let w_le = hist.w.leq(&access.clock);
                 let v_le = hist.v.leq(&access.clock);
-                // Check first (Algorithms 1–2 compare before updating)…
-                check_access(
-                    self.mode,
-                    hist,
-                    &access,
-                    area,
-                    w_le,
-                    v_le,
-                    &mut self.scratch,
-                );
-                // …then update the area clocks (Algorithm 5).
+                // Check first (Algorithms 1–2 compare before updating),
+                // then update the area clocks (Algorithm 5). The epoch
+                // guards make the common ordered case O(1): when the
+                // area's `W` (resp. `V`) join precedes the access's clock,
+                // every recorded write (resp. read) does too, and its
+                // antichain is not scanned at all.
+                let mode = self.mode;
+                let (_, check_reads) = mode.checks(kind);
+                let scratch = &mut self.scratch;
                 match kind {
-                    AccessKind::Write => hist.record_write_hinted(access.clone(), v_le, w_le),
+                    AccessKind::Write => {
+                        hist.record_write_hinted(access.clone(), v_le, w_le, |prev| {
+                            if check_reads || prev.kind.is_write() {
+                                signal_race(mode, &access, prev, area, scratch);
+                            }
+                        });
+                    }
                     AccessKind::Read => {
+                        if !w_le {
+                            check_read(mode, &hist.writes, &access, area, scratch);
+                        }
+                        if check_reads && !v_le {
+                            check_read(mode, &hist.reads, &access, area, scratch);
+                        }
                         // The read absorbs the area's write knowledge (the
                         // get reply carries the clock, matrix-clock rule of
                         // §IV-B). Collected and merged after the loop so the
@@ -384,11 +378,11 @@ impl Detector for HbDetector {
         if absorbed {
             self.clocks[op.actor].absorb(&self.absorb);
         }
-        // Hand the op's reports to the sink by value — the racy path pays
-        // one move per report, the silent path never touches the sink.
+        // Hand the op's reports to the sink by value, in one call — the
+        // silent path never touches the sink.
         let new = self.scratch.len();
-        for report in self.scratch.drain(..) {
-            sink.accept(report);
+        if new > 0 {
+            sink.accept_all(&mut self.scratch);
         }
         new
     }

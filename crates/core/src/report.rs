@@ -119,18 +119,97 @@ impl std::fmt::Display for RaceReport {
     }
 }
 
-/// Deduplicate reports by unordered access pair (keeping first occurrence),
-/// so one logical race crossing several clock-granularity blocks counts
-/// once in the tables.
-pub fn dedup_reports(reports: &[RaceReport]) -> Vec<RaceReport> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for r in reports {
-        if seen.insert(r.dedup_key()) {
-            out.push(r.clone());
+/// A set of [`RaceReport::dedup_key`]s — the one key-set type behind
+/// [`dedup_reports`] and [`crate::api::DedupSink`].
+pub(crate) type DedupKeys = std::collections::HashSet<(u64, u64), WordHashState>;
+
+/// An empty [`DedupKeys`] with room for `capacity` keys.
+pub(crate) fn dedup_keys(capacity: usize) -> DedupKeys {
+    DedupKeys::with_capacity_and_hasher(capacity, WordHashState::default())
+}
+
+/// Hash state for maps keyed by a few machine words (access-id pairs, word
+/// indices): one folded 64 × 64 → 128-bit multiply per word instead of
+/// SipHash's rounds. Every state draws its own secret from
+/// [`std::collections::hash_map::RandomState`], because access ids reach
+/// [`crate::api::DedupSink`] from outside the program and a fixed
+/// multiplicative hash would let a client craft colliding keys. No output
+/// ever depends on the iteration order of a map built with it.
+#[derive(Debug, Clone)]
+pub struct WordHashState {
+    secret: u64,
+}
+
+impl Default for WordHashState {
+    fn default() -> Self {
+        use std::hash::{BuildHasher, Hasher};
+        let secret = std::collections::hash_map::RandomState::new()
+            .build_hasher()
+            .finish();
+        WordHashState { secret }
+    }
+}
+
+impl std::hash::BuildHasher for WordHashState {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher { state: self.secret }
+    }
+}
+
+/// The hasher of [`WordHashState`].
+#[derive(Debug, Clone)]
+pub struct WordHasher {
+    state: u64,
+}
+
+impl WordHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let wide = u128::from(self.state ^ word) * u128::from(K ^ self.state.rotate_left(32));
+        self.state = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
         }
     }
-    out
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.fold(x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.fold(x as u64);
+    }
+}
+
+/// Deduplicate reports by unordered access pair (keeping first occurrence),
+/// so one logical race crossing several clock-granularity blocks counts
+/// once in the tables. One pass; only the kept reports are cloned.
+pub fn dedup_reports(reports: &[RaceReport]) -> Vec<RaceReport> {
+    let mut seen = dedup_keys(reports.len());
+    let firsts: Vec<&RaceReport> = reports
+        .iter()
+        .filter(|r| seen.insert(r.dedup_key()))
+        .collect();
+    // An exact-size iterator: the kept reports are cloned into a `Vec` that
+    // never regrows.
+    firsts.into_iter().cloned().collect()
 }
 
 #[cfg(test)]

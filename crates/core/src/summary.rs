@@ -49,16 +49,33 @@ impl RaceSummary {
     /// of reports, so long-running sessions can aggregate forever in
     /// bounded memory (§IV-D: signalled, never stored fatal-or-forever).
     pub fn add(&mut self, r: &RaceReport) {
-        *self.by_class.entry(r.class).or_insert(0) += 1;
-        *self.by_area.entry(r.area).or_insert(0) += 1;
-        if let Some(prev) = &r.previous {
-            let pair = (
-                r.current.process.min(prev.process),
-                r.current.process.max(prev.process),
-            );
-            *self.by_process_pair.entry(pair).or_insert(0) += 1;
+        self.add_all(std::slice::from_ref(r));
+    }
+
+    /// Fold a run of reports in — the same aggregate as [`RaceSummary::add`]
+    /// on each. One operation reports an (area, class) against a whole
+    /// antichain at a time, so consecutive reports mostly share both and
+    /// each such run costs one `by_class` and one `by_area` update, however
+    /// long it is.
+    pub fn add_all(&mut self, reports: &[RaceReport]) {
+        let mut rest = reports;
+        while let Some(first) = rest.first() {
+            let same = |r: &&RaceReport| r.class == first.class && r.area == first.area;
+            let (run, tail) = rest.split_at(rest.iter().take_while(same).count());
+            *self.by_class.entry(first.class).or_insert(0) += run.len();
+            *self.by_area.entry(first.area).or_insert(0) += run.len();
+            for r in run {
+                if let Some(prev) = &r.previous {
+                    let pair = (
+                        r.current.process.min(prev.process),
+                        r.current.process.max(prev.process),
+                    );
+                    *self.by_process_pair.entry(pair).or_insert(0) += 1;
+                }
+            }
+            rest = tail;
         }
-        self.total += 1;
+        self.total += reports.len();
     }
 
     /// Reports in the class.
@@ -111,7 +128,11 @@ impl RaceSummary {
     }
 
     /// Inverse of [`RaceSummary::to_json`]. Malformed input is reported,
-    /// never panicked — this sits on the service's untrusted wire path.
+    /// never panicked — this sits on the service's untrusted wire path. So
+    /// is a summary that contradicts itself: [`RaceSummary::add`] keeps
+    /// `total` = Σ `by_class` = Σ `by_area` ≥ Σ `by_pair` (a report has one
+    /// class, one area and at most one attributed pair), and a key appears
+    /// once per object.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let mut out = RaceSummary {
             total: scalar_field(json, "total")?
@@ -127,7 +148,7 @@ impl RaceSummary {
         for (key, count) in object_entries(json, "by_class")? {
             let class =
                 RaceClass::from_label(&key).ok_or_else(|| format!("unknown race class {key:?}"))?;
-            out.by_class.insert(class, count);
+            insert_once(&mut out.by_class, class, count, "by_class", &key)?;
         }
         for (key, count) in object_entries(json, "by_area")? {
             let (rank, block) = key
@@ -135,7 +156,13 @@ impl RaceSummary {
                 .ok_or_else(|| format!("area key {key:?} is not rank:block"))?;
             let rank = rank.parse().map_err(|e| format!("area rank: {e}"))?;
             let block = block.parse().map_err(|e| format!("area block: {e}"))?;
-            out.by_area.insert(AreaKey::new(rank, block), count);
+            insert_once(
+                &mut out.by_area,
+                AreaKey::new(rank, block),
+                count,
+                "by_area",
+                &key,
+            )?;
         }
         for (key, count) in object_entries(json, "by_pair")? {
             let (a, b) = key
@@ -143,10 +170,41 @@ impl RaceSummary {
                 .ok_or_else(|| format!("pair key {key:?} is not a-b"))?;
             let a: Rank = a.parse().map_err(|e| format!("pair rank: {e}"))?;
             let b: Rank = b.parse().map_err(|e| format!("pair rank: {e}"))?;
-            out.by_process_pair.insert((a, b), count);
+            insert_once(&mut out.by_process_pair, (a, b), count, "by_pair", &key)?;
+        }
+        let by_class = sum(&out.by_class, "by_class")?;
+        let by_area = sum(&out.by_area, "by_area")?;
+        let by_pair = sum(&out.by_process_pair, "by_pair")?;
+        if by_class != out.total || by_area != out.total || by_pair > out.total {
+            return Err(format!(
+                "total {} contradicts the counts: by_class {by_class}, by_area {by_area}, \
+                 by_pair {by_pair}",
+                out.total
+            ));
         }
         Ok(out)
     }
+}
+
+/// `map[key] = count`, unless the object named `key` before.
+fn insert_once<K: Ord>(
+    map: &mut BTreeMap<K, usize>,
+    key: K,
+    count: usize,
+    object: &str,
+    label: &str,
+) -> Result<(), String> {
+    match map.insert(key, count) {
+        None => Ok(()),
+        Some(_) => Err(format!("object {object:?}: duplicate key {label:?}")),
+    }
+}
+
+/// The sum of an object's counts.
+fn sum<K>(map: &BTreeMap<K, usize>, object: &str) -> Result<usize, String> {
+    map.values()
+        .try_fold(0usize, |acc, &count| acc.checked_add(count))
+        .ok_or_else(|| format!("object {object:?}: counts overflow"))
 }
 
 /// The raw token of a scalar (non-object) field in the summary JSON.
@@ -305,6 +363,107 @@ mod tests {
         assert_eq!(
             RaceSummary::from_json(&empty.to_json()).expect("empty round trip"),
             empty
+        );
+    }
+
+    /// A summary JSON with the given total and object bodies.
+    fn json_of(total: &str, by_class: &str, by_area: &str, by_pair: &str) -> String {
+        format!(
+            "{{\"total\":{total},\"degraded\":false,\"by_class\":{{{by_class}}},\
+             \"by_area\":{{{by_area}}},\"by_pair\":{{{by_pair}}}}}"
+        )
+    }
+
+    #[test]
+    fn json_rejects_a_total_that_contradicts_the_counts() {
+        let ww = "\"write-write\":2";
+        let area = "\"0:3\":2";
+        let pair = "\"0-1\":2";
+        assert!(RaceSummary::from_json(&json_of("2", ww, area, pair)).is_ok());
+        for (what, json) in [
+            ("total above by_class", json_of("3", ww, "\"0:3\":3", pair)),
+            ("total below by_class", json_of("1", ww, "\"0:3\":1", "")),
+            ("total above by_area", json_of("2", ww, "\"0:3\":1", pair)),
+            (
+                "total below by_area",
+                json_of("2", ww, "\"0:3\":2,\"0:4\":1", pair),
+            ),
+            (
+                "by_pair above total",
+                json_of("2", ww, area, "\"0-1\":2,\"1-2\":1"),
+            ),
+            ("counts without a total", json_of("0", ww, area, pair)),
+        ] {
+            let err = RaceSummary::from_json(&json).expect_err(what);
+            assert!(err.contains("contradicts"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn json_rejects_a_key_named_twice() {
+        let dup = |err: Result<RaceSummary, String>, what: &str| {
+            let err = err.expect_err(what);
+            assert!(err.contains("duplicate key"), "{what}: {err}");
+        };
+        // Each pair of duplicates adds up to a consistent total, so only
+        // the duplicate check can reject them.
+        dup(
+            RaceSummary::from_json(&json_of(
+                "2",
+                "\"write-write\":1,\"write-write\":1",
+                "\"0:3\":2",
+                "",
+            )),
+            "by_class",
+        );
+        dup(
+            RaceSummary::from_json(&json_of(
+                "2",
+                "\"write-write\":2",
+                "\"0:3\":1,\"0:3\":1",
+                "",
+            )),
+            "by_area",
+        );
+        dup(
+            RaceSummary::from_json(&json_of(
+                "2",
+                "\"write-write\":2",
+                "\"0:3\":2",
+                "\"0-1\":1,\"0-1\":1",
+            )),
+            "by_pair",
+        );
+    }
+
+    #[test]
+    fn json_rejects_counts_that_overflow() {
+        let max = usize::MAX;
+        let err = RaceSummary::from_json(&json_of(
+            "2",
+            &format!("\"write-write\":{max},\"read-write\":3"),
+            "\"0:3\":2",
+            "",
+        ))
+        .expect_err("overflow");
+        assert!(err.contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn json_inputs_that_never_contradicted_themselves_behave_as_before() {
+        // The empty summary, and a lockset-style one (unattributed reports:
+        // by_pair below total), still parse…
+        let empty = RaceSummary::from_json(&json_of("0", "", "", "")).expect("empty");
+        assert_eq!(empty, RaceSummary::default());
+        let unattributed =
+            RaceSummary::from_json(&json_of("2", "\"read-write\":2", "\"1:0\":2", ""))
+                .expect("by_pair may stay below total");
+        assert_eq!(unattributed.total, 2);
+        assert!(unattributed.by_process_pair.is_empty());
+        // …and a truncated object still fails on its first missing field.
+        assert_eq!(
+            RaceSummary::from_json("{\"total\":0}").unwrap_err(),
+            "missing field \"degraded\""
         );
     }
 

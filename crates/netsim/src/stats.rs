@@ -16,8 +16,10 @@ pub struct NetStats {
     msgs: [u64; OpClass::ALL.len()],
     /// Bytes per class, indexed in [`OpClass::ALL`] order.
     bytes: [u64; OpClass::ALL.len()],
-    /// log2 latency histogram: bucket `i` counts deliveries with latency in
-    /// `[2^i, 2^(i+1))` ns; bucket 0 also holds 0-latency deliveries.
+    /// log2 latency histogram: bucket 0 counts the 0 ns deliveries, bucket
+    /// `i ≥ 1` those with latency in `[2^(i-1), 2^i)` ns (`i` is the
+    /// latency's bit length) — the floors [`NetStats::latency_histogram`]
+    /// decodes.
     latency_buckets: Vec<u64>,
     total_msgs: u64,
     total_bytes: u64,
@@ -306,6 +308,21 @@ mod tests {
         assert!(h.contains(&(0, 1)));
         assert!(h.contains(&(1, 1)));
         assert!(h.contains(&(4, 2)));
+    }
+
+    #[test]
+    fn histogram_bucket_edges() {
+        // Bucket `i ≥ 1` is `[2^(i-1), 2^i)`: each power of two opens a
+        // bucket, the value before it closes the previous one.
+        for (latency_ns, floor) in [(1, 1), (2, 2), (3, 2), (4, 4), (7, 4), (8, 8)] {
+            let mut s = NetStats::new();
+            s.record(OpClass::PutData, 1, 0, latency_ns);
+            assert_eq!(
+                s.latency_histogram(),
+                vec![(floor, 1)],
+                "{latency_ns} ns lands in the bucket starting at {floor} ns"
+            );
+        }
     }
 
     #[test]

@@ -540,7 +540,7 @@ impl Engine {
         // End the session: fire the sink's end-of-stream hook, and take
         // the retained reports plus the bounded aggregate.
         let clock_memory_bytes = self.session.clock_memory_bytes();
-        let (mut summary, sink) = self.session.finish();
+        let (mut summary, mut sink) = self.session.finish();
         // A run that absorbed injected network faults is a degraded run:
         // detection still saw every delivered event, but delivery itself
         // was perturbed, so downstream consumers should know (§IV-D:
@@ -548,7 +548,7 @@ impl Engine {
         if self.net.stats().injected_total() > 0 {
             summary.degraded = true;
         }
-        let reports = sink.reports().to_vec();
+        let reports = sink.take_reports();
         let deduped = dedup_reports(&reports);
         RunResult {
             virtual_time: self.now,

@@ -9,10 +9,16 @@
 //! synchronisation, and including them would make every pair ordered and
 //! define races out of existence.
 
-use dsm::addr::MemRange;
+use std::collections::hash_map::{Entry, HashMap};
+
+use dsm::addr::{MemRange, Segment};
+use race_core::report::WordHashState;
 use race_core::{AccessKind, LockId, Trace, TraceAccess};
 
 use crate::Rank;
+
+/// Bytes per word of the write registry's index.
+const WORD: usize = 8;
 
 /// Incremental trace builder used by the engine.
 #[derive(Debug)]
@@ -23,10 +29,40 @@ pub struct TraceBuilder {
     /// Edge sources waiting to attach to a process's next access.
     pending_edges: Vec<Vec<u64>>,
     /// Per lock id: last access of the most recent releaser.
-    lock_last: std::collections::HashMap<LockId, u64>,
-    /// Per rank: live write registry for data-flow edges
-    /// (range, write access id).
-    writes: Vec<Vec<(MemRange, u64)>>,
+    lock_last: HashMap<LockId, u64>,
+    /// Write registry for data-flow edges: every recorded write in apply
+    /// order, as (range, write access id).
+    writes: Vec<(MemRange, u64)>,
+    /// Index of `writes` by (owner, segment, 8-byte word): per word, the
+    /// chain through `links` of the writes holding a byte of it, oldest
+    /// first. One link per word a write covers, so the index is as large as
+    /// the writes recorded (times their width in words), whatever the
+    /// address space.
+    by_word: HashMap<(Rank, Segment, usize), Chain, WordHashState>,
+    /// The chains' links: (position in `writes`, next link of the word).
+    links: Vec<(usize, usize)>,
+    /// Scratch: the positions a read gathers from its words' chains.
+    gathered: Vec<usize>,
+    /// Index entries visited by reads so far.
+    visited: u64,
+}
+
+/// One word's chain in [`TraceBuilder::links`].
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    first: usize,
+    last: usize,
+}
+
+/// "No next link".
+const END: usize = usize::MAX;
+
+/// The words of the registry index that `range` holds a byte of.
+fn words_of(range: &MemRange) -> std::ops::Range<usize> {
+    if range.len == 0 {
+        return 0..0;
+    }
+    range.addr.offset / WORD..(range.end() - 1) / WORD + 1
 }
 
 impl TraceBuilder {
@@ -36,8 +72,12 @@ impl TraceBuilder {
             trace: Trace::new(n),
             last_access: vec![None; n],
             pending_edges: vec![Vec::new(); n],
-            lock_last: std::collections::HashMap::new(),
-            writes: vec![Vec::new(); n],
+            lock_last: HashMap::new(),
+            writes: Vec::new(),
+            by_word: HashMap::default(),
+            links: Vec::new(),
+            gathered: Vec::new(),
+            visited: 0,
         }
     }
 
@@ -60,18 +100,41 @@ impl TraceBuilder {
             self.trace.push_edge(src, id);
         }
 
+        let key = |word| (range.addr.rank, range.addr.segment, word);
         if kind == AccessKind::Read {
             // Data flow: absorb edges from every prior write overlapping the
-            // range — causality reaches the reader's *later* events only
-            // (check-then-absorb, Algorithm 2). All prior writes, not just
-            // the live value: the protocol's `W` is the *join* of every
-            // writer's clock (update_clock_W merges, never replaces), so a
-            // read becomes causally dependent on overwritten writers too.
-            // The oracle mirrors that so it measures the paper's
-            // happens-before, not a value-precise one.
-            let owner = range.addr.rank;
-            for (wr, wid) in &self.writes[owner] {
-                if wr.overlaps(&range) {
+            // range, in the order the writes were applied — causality
+            // reaches the reader's *later* events only (check-then-absorb,
+            // Algorithm 2). All prior writes, not just the live value: the
+            // protocol's `W` is the *join* of every writer's clock
+            // (update_clock_W merges, never replaces), so a read becomes
+            // causally dependent on overwritten writers too. The oracle
+            // mirrors that so it measures the paper's happens-before, not a
+            // value-precise one.
+            //
+            // Only writes sharing a word with the read are visited. Sharing
+            // a word is not sharing a byte, and a write spanning several of
+            // the read's words is gathered once per word: hence `overlaps`,
+            // and the sort + dedup that also restores apply order.
+            let words = words_of(&range);
+            let several = words.len() > 1;
+            self.gathered.clear();
+            for word in words {
+                let mut link = self.by_word.get(&key(word)).map_or(END, |c| c.first);
+                while link != END {
+                    let (at, next) = self.links[link];
+                    self.gathered.push(at);
+                    link = next;
+                }
+            }
+            self.visited += self.gathered.len() as u64;
+            if several {
+                self.gathered.sort_unstable();
+                self.gathered.dedup();
+            }
+            for &at in &self.gathered {
+                let (written, wid) = &self.writes[at];
+                if written.overlaps(&range) {
                     self.trace.push_absorb_edge(*wid, id);
                 }
             }
@@ -89,8 +152,32 @@ impl TraceBuilder {
         if kind == AccessKind::Write {
             // Keep every write (see the absorb-edge note above); bounded by
             // the run length, which is fine at debugging scale.
-            self.writes[range.addr.rank].push((range, id));
+            let at = self.writes.len();
+            self.writes.push((range, id));
+            for word in words_of(&range) {
+                let link = self.links.len();
+                self.links.push((at, END));
+                match self.by_word.entry(key(word)) {
+                    Entry::Occupied(mut chain) => {
+                        let chain = chain.get_mut();
+                        self.links[chain.last].1 = link;
+                        chain.last = link;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(Chain {
+                            first: link,
+                            last: link,
+                        });
+                    }
+                }
+            }
         }
+    }
+
+    /// Index entries that reads have visited so far: what the data-flow
+    /// edges cost, as a count that repeats exactly.
+    pub fn registry_visits(&self) -> u64 {
+        self.visited
     }
 
     /// A program-level lock on `lock` was released by `process`.
