@@ -15,9 +15,15 @@
 //! memory accounting intentionally counts only the `V`/`W` clocks to match
 //! the paper's claim.
 //!
-//! Two hot-path optimisations over the naive layout (see `hb` for the
+//! Three hot-path optimisations over the naive layout (see `hb` for the
 //! detector that exploits them):
 //!
+//! * an antichain entry ([`AccessEntry`]) keeps its clock as the *event*
+//!   `(process, count)` it is, beside a copy of the actor's row that many
+//!   entries share: pruning an antichain and checking an access against it
+//!   cost one integer test per entry (Lemma 1 for an event clock), and a
+//!   full vector exists only where one is asked for — a report, a
+//!   demotion, a read absorbing the area.
 //! * `V`/`W` are adaptive [`AreaClock`]s: while an area's accesses stay
 //!   totally ordered the clocks are FastTrack-style **epochs** and every
 //!   compare/update is O(1); they demote to full vectors only on genuine
@@ -27,11 +33,13 @@
 //!   path) with a spillover map for blocks beyond the dense prefix, so
 //!   memory never scales with the highest touched block index.
 
+use std::sync::Arc;
+
 use dsm::addr::{MemRange, Segment};
 use serde::{Deserialize, Serialize};
-use vclock::{AreaClock, VectorClock};
+use vclock::{AreaClock, Epoch, VectorClock};
 
-use crate::event::AccessSummary;
+use crate::event::{AccessKind, AccessSummary};
 use crate::Rank;
 
 /// Clock granularity: one `(V, W)` pair per `block_bytes` block of public
@@ -75,7 +83,10 @@ impl Granularity {
 
     /// Block indices covered by `range`, allocation-free. Empty for
     /// private or zero-length ranges (private memory is single-owner and
-    /// cannot race, §IV-A).
+    /// cannot race, §IV-A). A range running past the end of the address
+    /// space is clocked up to the last block: computed from the last byte,
+    /// so `offset + len` is never formed and cannot wrap to an empty —
+    /// silently unclocked — range.
     #[inline]
     pub fn blocks_of(&self, range: &MemRange) -> std::ops::RangeInclusive<usize> {
         if range.addr.segment != Segment::Public || range.len == 0 {
@@ -83,7 +94,8 @@ impl Granularity {
             #[allow(clippy::reversed_empty_ranges)]
             return 1..=0;
         }
-        self.block_of(range.addr.offset)..=self.block_of(range.end() - 1)
+        let last_byte = range.addr.offset.saturating_add(range.len - 1);
+        self.block_of(range.addr.offset)..=self.block_of(last_byte)
     }
 }
 
@@ -109,6 +121,113 @@ impl std::fmt::Display for AreaKey {
     }
 }
 
+/// One recorded access in an area's antichain, with its clock stored as
+/// what it is: the clock of the *event* `(process, count)`.
+///
+/// For an event clock the paper's Lemma 1 collapses to one integer test,
+/// `C(e) ≤ C' ⟺ C'[process] ≥ count` ([`AccessEntry::leq_row`]) — all the
+/// antichain prune and the race check need. The full clock (a report, a
+/// demotion to `Vector`, a read absorbing the area) is `row` with component
+/// `process` raised to `count`. `row` is a copy of the actor's row shared
+/// by every access the actor records until its knowledge of *other*
+/// processes changes, so its own component may lag `count`; it is replaced
+/// by the exact clock the first time a report needs one
+/// ([`AccessEntry::exact`]).
+#[derive(Debug, Clone)]
+pub struct AccessEntry {
+    /// Globally unique access id (derived from the op id).
+    pub id: u64,
+    /// Performing process.
+    pub process: Rank,
+    /// Read or write.
+    pub kind: AccessKind,
+    /// Bytes touched.
+    pub range: MemRange,
+    /// True for accesses performed by a NIC-atomic operation.
+    pub atomic: bool,
+    /// The process's own clock component at the access (`C(e)[process]`).
+    pub count: u64,
+    /// Every other component of `C(e)`; `row[process] ≤ count`.
+    pub(crate) row: Arc<VectorClock>,
+}
+
+/// `dst[rank] = max(dst[rank], count)`.
+fn raise(dst: &mut VectorClock, rank: Rank, count: u64) {
+    if dst.get(rank) < count {
+        dst.set(rank, count);
+    }
+}
+
+impl AccessEntry {
+    /// `C(e) ≤ row` for a clock `row` of the same execution — Lemma 1's
+    /// event-clock form, one integer compare. `row` not knowing the event
+    /// means the two are concurrent whenever `row` is the clock of a later
+    /// access (a recorded access is never causally after a new one).
+    #[inline]
+    pub fn leq_row(&self, row: &VectorClock) -> bool {
+        self.count <= row.get(self.process)
+    }
+
+    /// `dst ∨= C(e)` (Algorithm 4).
+    pub fn merge_into(&self, dst: &mut VectorClock) {
+        dst.merge(&self.row);
+        raise(dst, self.process, self.count);
+    }
+
+    /// The components of the full clock `C(e)`, in rank order.
+    pub fn components(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let own = self.process;
+        self.row
+            .components()
+            .iter()
+            .enumerate()
+            .map(move |(rank, &c)| if rank == own { self.count } else { c })
+    }
+
+    /// A fresh copy of the full clock `C(e)`.
+    pub fn to_vector(&self) -> VectorClock {
+        let mut clock = VectorClock::clone(&self.row);
+        clock.set(self.process, self.count);
+        clock
+    }
+
+    /// The full clock `C(e)`, shared. Copies it at most once per entry:
+    /// the copy replaces the lagging row, and later calls hand it out.
+    pub fn exact(&mut self) -> &Arc<VectorClock> {
+        if self.row.get(self.process) != self.count {
+            self.row = Arc::new(self.to_vector());
+        }
+        &self.row
+    }
+
+    /// The access as a report carries it.
+    pub fn summary(&mut self) -> AccessSummary {
+        AccessSummary {
+            id: self.id,
+            process: self.process,
+            kind: self.kind,
+            range: self.range,
+            clock: Arc::clone(self.exact()),
+            atomic: self.atomic,
+        }
+    }
+}
+
+impl From<AccessSummary> for AccessEntry {
+    /// The entry of an access known by its full clock (snapshot decode).
+    fn from(access: AccessSummary) -> Self {
+        AccessEntry {
+            id: access.id,
+            process: access.process,
+            kind: access.kind,
+            range: access.range,
+            atomic: access.atomic,
+            count: access.clock.get(access.process),
+            row: access.clock,
+        }
+    }
+}
+
 /// Clock state and recent-access history for one area.
 #[derive(Debug, Clone, Default)]
 pub struct AreaHistory {
@@ -118,28 +237,48 @@ pub struct AreaHistory {
     /// Write clock: join of every write's clock.
     pub w: AreaClock,
     /// Antichain of recent writes (pairwise concurrent).
-    pub writes: Vec<AccessSummary>,
+    pub writes: Vec<AccessEntry>,
     /// Antichain of recent reads not yet superseded.
-    pub reads: Vec<AccessSummary>,
+    pub reads: Vec<AccessEntry>,
 }
 
-/// Full clock of the epoch event `e`, looked up in the given antichains.
+/// `dst ∨= C(e)` for the epoch event `e`, looked up in the given antichains.
 ///
-/// Invariant (maintained by `record_write`/`record_read`): an `AreaClock`
-/// in `Epoch` state always names a *live* antichain entry — the event that
+/// Invariant (maintained by `prune_for_*`/`push`): an `AreaClock` in
+/// `Epoch` state always names a *live* antichain entry — the event that
 /// last dominated the area. Searched newest-first; the entry is typically
-/// the last one.
-fn antichain_clock(chains: [&[AccessSummary]; 2], e: vclock::Epoch) -> &VectorClock {
-    for chain in chains {
-        if let Some(a) = chain
-            .iter()
-            .rev()
-            .find(|a| a.process == e.rank && a.clock.get(e.rank) == e.count)
-        {
-            return &a.clock;
-        }
+/// the last one. An atomic's read and write share `(process, count)` and
+/// the clock, so which of the two is found does not matter.
+fn merge_event(writes: &[AccessEntry], reads: &[AccessEntry], e: Epoch, dst: &mut VectorClock) {
+    let mut live = writes.iter().rev().chain(reads.iter().rev());
+    match live.find(|p| p.process == e.rank && p.count == e.count) {
+        Some(p) => p.merge_into(dst),
+        // Only a restored snapshot whose clocks were forged to break
+        // Lemma 1 loses its epoch event; all that is known of it then is
+        // the event itself.
+        None => raise(dst, e.rank, e.count),
     }
-    unreachable!("epoch event {e} is not a live antichain entry")
+}
+
+/// Drop from `chain` the entries that precede `row` — all of them when the
+/// join they belong to does (`join_le`) — showing `concurrent` the rest.
+fn prune(
+    chain: &mut Vec<AccessEntry>,
+    row: &VectorClock,
+    join_le: bool,
+    concurrent: &mut impl FnMut(&mut AccessEntry),
+) {
+    if join_le {
+        chain.clear();
+    } else {
+        chain.retain_mut(|p| {
+            let unordered = !p.leq_row(row);
+            if unordered {
+                concurrent(p);
+            }
+            unordered
+        });
+    }
 }
 
 impl AreaHistory {
@@ -147,108 +286,119 @@ impl AreaHistory {
         AreaHistory::default()
     }
 
-    /// Record a write with clock `access.clock`: drop superseded entries
-    /// (those whose clock precedes the new one), keep concurrent ones.
+    /// Record a write: drop superseded entries (those whose clock precedes
+    /// the new one), keep concurrent ones.
     ///
     /// Fast path: when the area's join precedes the new clock (an O(1)
     /// epoch test while ordered), *every* recorded entry is superseded and
-    /// the antichains reset without a single vector compare. An entry can
-    /// never be causally *after* the new access (its clock would need the
-    /// actor's fresh tick), so `retain(concurrent)` and "drop everything
-    /// ≤ new" are the same filter.
-    pub fn record_write(&mut self, access: AccessSummary) {
-        let v_le = self.v.leq(&access.clock);
-        let w_le = self.w.leq(&access.clock);
-        self.record_write_hinted(access, v_le, w_le, |_| {});
-    }
-
-    /// [`AreaHistory::record_write`] with the pre-update guard results
-    /// `v ≤ access.clock` / `w ≤ access.clock` supplied by a caller that
-    /// already computed them — the detector computes each guard exactly
-    /// once per access and shares it between check, absorb and record.
-    /// Crate-private: an inconsistent hint would corrupt the antichain
-    /// invariant, so only the detector (which just computed the guards)
-    /// may supply them.
-    ///
-    /// `concurrent` sees, before anything is updated, every recorded entry
-    /// whose clock is concurrent with the access's — the writes in
-    /// antichain order, then the reads. Those are exactly the entries the
-    /// antichains keep, so the detector's race check (Algorithm 3) rides on
-    /// the pass that prunes them instead of walking each antichain twice.
-    pub(crate) fn record_write_hinted(
-        &mut self,
-        access: AccessSummary,
-        v_le: bool,
-        w_le: bool,
-        mut concurrent: impl FnMut(&AccessSummary),
-    ) {
-        debug_assert_eq!(v_le, self.v.leq(&access.clock));
-        debug_assert_eq!(w_le, self.w.leq(&access.clock));
-        debug_assert!(w_le || !v_le, "W is a join of a subset of V's events");
-        let mut keep = |p: &AccessSummary| {
-            let unordered = p.clock.concurrent_with(&access.clock);
-            if unordered {
-                concurrent(p);
-            }
-            unordered
-        };
-        if w_le {
-            self.writes.clear();
-        } else {
-            self.writes.retain(&mut keep);
-        }
-        if v_le {
-            self.reads.clear();
-        } else {
-            self.reads.retain(&mut keep);
-        }
-        // Demotion resolvers look the epoch event up in the *pre-push*
-        // antichains: a concurrent (non-dominated) epoch event is always
-        // retained above. W's event is a write; V's may be either kind.
-        let (writes, reads) = (&self.writes, &self.reads);
-        self.v.record(access.process, &access.clock, |e| {
-            antichain_clock([writes, reads], e).clone()
-        });
-        self.w.record(access.process, &access.clock, |e| {
-            antichain_clock([writes, &[]], e).clone()
-        });
-        self.writes.push(access);
+    /// the antichains reset without a single compare. An entry can never
+    /// be causally *after* the new access (its clock would need the
+    /// actor's fresh tick), so "keep the concurrent ones" and "drop
+    /// everything ≤ new" are the same filter — and for the recorded
+    /// *event* clocks that filter is [`AccessEntry::leq_row`].
+    pub fn record_write(&mut self, entry: AccessEntry) {
+        let row = entry.to_vector();
+        let (v_le, w_le) = (self.v.leq(&row), self.w.leq(&row));
+        self.prune_for_write(&row, v_le, w_le, |_| {});
+        self.push(entry, &row);
     }
 
     /// Record a read (same fast path as [`AreaHistory::record_write`]).
-    pub fn record_read(&mut self, access: AccessSummary) {
-        let v_le = self.v.leq(&access.clock);
-        self.record_read_hinted(access, v_le);
+    pub fn record_read(&mut self, entry: AccessEntry) {
+        let row = entry.to_vector();
+        let v_le = self.v.leq(&row);
+        self.prune_for_read(&row, v_le, |_| {});
+        self.push(entry, &row);
     }
 
-    /// [`AreaHistory::record_read`] with the pre-update `v ≤ access.clock`
-    /// guard supplied by the caller (crate-private; see
-    /// [`AreaHistory::record_write_hinted`]).
-    pub(crate) fn record_read_hinted(&mut self, access: AccessSummary, v_le: bool) {
-        debug_assert_eq!(v_le, self.v.leq(&access.clock));
-        if v_le {
-            self.reads.clear();
-        } else {
-            self.reads
-                .retain(|p| p.clock.concurrent_with(&access.clock));
-        }
+    /// First half of recording a write whose clock is `row`: drop what it
+    /// supersedes. The guards `v ≤ row` / `w ≤ row` come from the caller,
+    /// which computes each exactly once per access and shares it between
+    /// check, absorb and record. Crate-private: an inconsistent hint would
+    /// corrupt the antichain invariant, and [`AreaHistory::push`] must
+    /// follow.
+    ///
+    /// `concurrent` sees, before anything is updated, every recorded entry
+    /// whose clock is concurrent with `row` — the writes in antichain
+    /// order, then the reads. Those are exactly the entries the antichains
+    /// keep, so the detector's race check (Algorithm 3) rides on the pass
+    /// that prunes them instead of walking each antichain twice.
+    pub(crate) fn prune_for_write(
+        &mut self,
+        row: &VectorClock,
+        v_le: bool,
+        w_le: bool,
+        mut concurrent: impl FnMut(&mut AccessEntry),
+    ) {
+        debug_assert_eq!(w_le, self.w.leq(row));
+        prune(&mut self.writes, row, w_le, &mut concurrent);
+        self.prune_for_read(row, v_le, concurrent);
+    }
+
+    /// First half of recording a read whose clock is `row`: drop the reads
+    /// it supersedes (see [`AreaHistory::prune_for_write`]; a read leaves
+    /// the write antichain alone).
+    pub(crate) fn prune_for_read(
+        &mut self,
+        row: &VectorClock,
+        v_le: bool,
+        mut concurrent: impl FnMut(&mut AccessEntry),
+    ) {
+        debug_assert_eq!(v_le, self.v.leq(row));
+        prune(&mut self.reads, row, v_le, &mut concurrent);
+    }
+
+    /// Second half of recording: join `row` — the full clock of `entry` —
+    /// into the area clocks (Algorithm 5) and append the entry.
+    pub(crate) fn push(&mut self, entry: AccessEntry, row: &VectorClock) {
+        debug_assert_eq!(row.get(entry.process), entry.count);
+        debug_assert!(entry.row.get(entry.process) <= entry.count);
+        // Demotion resolvers look the epoch event up in the *pre-push*
+        // antichains: a concurrent (non-dominated) epoch event is always
+        // retained by the prune.
         let (writes, reads) = (&self.writes, &self.reads);
-        self.v.record(access.process, &access.clock, |e| {
-            antichain_clock([reads, writes], e).clone()
-        });
-        self.reads.push(access);
+        let resolve = |e| {
+            let mut clock = VectorClock::zero(row.len());
+            merge_event(writes, reads, e, &mut clock);
+            clock
+        };
+        self.v.record(entry.process, row, resolve);
+        if entry.kind.is_write() {
+            self.w.record(entry.process, row, resolve);
+            self.writes.push(entry);
+        } else {
+            self.reads.push(entry);
+        }
+    }
+
+    /// Whether every recorded entry obeys the lemma the integer tests rest
+    /// on, against `row`, the clock of a new access: `C(e) ≤ row` exactly
+    /// when `row` knows the event, and the two concurrent otherwise.
+    /// O(entries × n) and allocation-free: for `debug_assert!`s and tests.
+    pub fn obeys_lemma(&self, row: &VectorClock) -> bool {
+        self.writes.iter().chain(&self.reads).all(|p| {
+            // Full-vector dominance, both directions (Corollary 1).
+            let (mut behind, mut ahead) = (false, false);
+            for (c, r) in p.components().zip(row.components()) {
+                behind |= c < *r;
+                ahead |= c > *r;
+            }
+            // Known ⟺ `C(e) ≤ row`; unknown ⟹ `row` is not below it either.
+            let known = p.leq_row(row);
+            known != ahead && (known || behind)
+        })
     }
 
     /// Merge the area's write clock into `dst` (the get-reply absorption).
     pub fn merge_w_into(&self, dst: &mut VectorClock) {
         self.w
-            .merge_into(dst, |e| antichain_clock([&self.writes, &[]], e));
+            .merge_into(dst, |e, dst| merge_event(&self.writes, &[], e, dst));
     }
 
     /// Merge the area's general clock into `dst` (Single/Literal modes).
     pub fn merge_v_into(&self, dst: &mut VectorClock) {
         self.v
-            .merge_into(dst, |e| antichain_clock([&self.reads, &self.writes], e));
+            .merge_into(dst, |e, dst| merge_event(&self.writes, &self.reads, e, dst));
     }
 
     /// The write clock as a dense vector (tests / accounting; cold path).
@@ -479,20 +629,46 @@ impl ClockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::AccessKind;
     use dsm::addr::GlobalAddr;
-    use std::sync::Arc;
-    use vclock::VectorClock;
 
-    fn summary(id: u64, process: usize, clock: Vec<u64>) -> AccessSummary {
-        AccessSummary {
+    /// The entry of a write known by its full clock.
+    fn summary(id: u64, process: usize, clock: Vec<u64>) -> AccessEntry {
+        AccessEntry::from(AccessSummary {
             id,
             process,
             kind: AccessKind::Write,
             range: GlobalAddr::public(0, 0).range(8),
             clock: Arc::new(VectorClock::from_components(clock)),
             atomic: false,
-        }
+        })
+    }
+
+    #[test]
+    fn entry_with_a_lagging_row_is_the_event_clock() {
+        // P1's 5th tick, recorded against a row copied at its 3rd.
+        let row = Arc::new(VectorClock::from_components(vec![2, 3, 0]));
+        let mut e = AccessEntry {
+            id: 9,
+            process: 1,
+            kind: AccessKind::Write,
+            range: GlobalAddr::public(0, 0).range(8),
+            atomic: false,
+            count: 5,
+            row: Arc::clone(&row),
+        };
+        assert_eq!(e.to_vector().components(), &[2, 5, 0]);
+        assert_eq!(e.components().collect::<Vec<_>>(), vec![2, 5, 0]);
+        assert!(e.leq_row(&VectorClock::from_components(vec![0, 5, 0])));
+        assert!(!e.leq_row(&VectorClock::from_components(vec![9, 4, 9])));
+        let mut dst = VectorClock::from_components(vec![0, 7, 1]);
+        e.merge_into(&mut dst);
+        assert_eq!(dst.components(), &[2, 7, 1]);
+        // The first `exact` copies, the second hands the copy out again.
+        let first = Arc::clone(e.exact());
+        assert!(!Arc::ptr_eq(&first, &row));
+        assert_eq!(first.components(), &[2, 5, 0]);
+        assert!(Arc::ptr_eq(&first, e.exact()));
+        assert!(Arc::ptr_eq(&first, &e.summary().clock));
     }
 
     #[test]
@@ -531,6 +707,17 @@ mod tests {
         assert!(store
             .areas_for(&GlobalAddr::public(0, 8).range(0))
             .is_empty());
+    }
+
+    #[test]
+    fn a_range_past_the_end_of_the_address_space_keeps_its_areas() {
+        // offset + len wraps: the parent computed `end() - 1` and got the
+        // empty range in release, an overflow panic in debug.
+        let store = ClockStore::new(2, Granularity::WORD, true);
+        let r = GlobalAddr::public(1, usize::MAX - 3).range(8);
+        assert_eq!(store.areas_for(&r), vec![AreaKey::new(1, usize::MAX / 8)]);
+        let r = GlobalAddr::public(1, usize::MAX - 11).range(usize::MAX);
+        assert_eq!(store.areas_for(&r).len(), 2);
     }
 
     #[test]
@@ -587,6 +774,27 @@ mod tests {
         assert_eq!(h.writes.len(), 2);
         assert!(!h.w.is_epoch(), "concurrent writes demote the write clock");
         assert_eq!(h.w_vector(2).components(), &[2, 1]);
+    }
+
+    #[test]
+    fn a_forged_history_that_lost_its_epoch_event_joins_the_event_alone() {
+        // Two writes by different processes with the *same* clock cannot
+        // come from an execution, but pass every structural check of the
+        // snapshot decoder: each dominates the other, so `V` may name one
+        // and `W` the other. A row that knows only `W`'s event then clears
+        // the writes (`w ≤ row`) while `V` still demotes — and its epoch
+        // event is gone. All that is left to join is the event itself.
+        let mut h = AreaHistory::new();
+        h.writes = vec![summary(1, 0, vec![3, 3, 0]), summary(3, 1, vec![3, 3, 0])];
+        h.v = AreaClock::Epoch(Epoch { rank: 0, count: 3 });
+        h.w = AreaClock::Epoch(Epoch { rank: 1, count: 3 });
+        let row = VectorClock::from_components(vec![0, 3, 1]);
+        let (v_le, w_le) = (h.v.leq(&row), h.w.leq(&row));
+        assert!(w_le && !v_le && !h.obeys_lemma(&row));
+        h.prune_for_write(&row, v_le, w_le, |_| {});
+        h.push(summary(5, 2, row.components().to_vec()), &row);
+        assert_eq!(h.v_vector(3).components(), &[3, 3, 1]);
+        assert_eq!(h.writes.len(), 1);
     }
 
     #[test]

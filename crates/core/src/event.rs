@@ -206,9 +206,9 @@ pub struct AccessSummary {
     /// Bytes touched.
     pub range: MemRange,
     /// The actor's vector clock when the access was performed. Shared: the
-    /// detector snapshots one clock per *operation* and every access /
-    /// history entry / report of that op references it, instead of cloning
-    /// the `Vec<u64>` per access.
+    /// clock-based detector copies it at most once per *operation* — and
+    /// only for an op that appears in a report — and every report and
+    /// history entry of that op references the copy.
     pub clock: Arc<VectorClock>,
     /// True for accesses performed by a NIC-atomic operation.
     #[serde(default)]

@@ -4,9 +4,9 @@
 //! Per operation (Algorithm 1 for put, Algorithm 2 for get), with the
 //! source and destination areas locked by the backend:
 //!
-//! 1. `update_local_clock` — the actor's matrix-clock diagonal is ticked
-//!    and its row snapshot `V` is attached to the op's accesses (shared via
-//!    `Arc`, one snapshot per op);
+//! 1. `update_local_clock` — the actor's matrix-clock diagonal is ticked;
+//!    the ticked row `V` *is* the clock of every access of the op, and is
+//!    borrowed, not copied;
 //! 2. for each area the op touches, the relevant area clock is compared
 //!    with `V` (Algorithm 3 / Corollary 1); concurrent ⇒
 //!    `signal_race_condition()` (a [`RaceReport`], never an abort);
@@ -35,33 +35,60 @@
 //! |---|---|---|
 //! | `Bottom` (untouched) | skip — zero clock precedes everything, O(1) | promote to `Epoch`, O(1) |
 //! | `Epoch`, dominated by the access (`count ≤ V[rank]`) | **no race possible** — skip the antichain scan entirely, O(1) | re-point the epoch at this access, O(1) |
-//! | `Epoch`, concurrent with the access | fall back: O(n)-compare the (usually 1-entry) antichain and report | demote to `Vector`, O(n) |
-//! | `Vector` | guard `join ≤ V` is an O(n) compare; scan only when it fails | merge O(n); **re-promote** to `Epoch` once an access dominates again |
+//! | `Epoch`, concurrent with the access | fall back: scan the (usually 1-entry) antichain, O(1) per entry, and report | demote to `Vector`, O(n) |
+//! | `Vector` | guard `join ≤ V` is an O(n) compare; scan only when it fails, O(1) per entry | merge O(n); **re-promote** to `Epoch` once an access dominates again |
 //!
 //! Well-synchronised traffic (stencils, rings, reductions — anything where
 //! conflicting accesses are ordered by barriers/locks/data flow) therefore
 //! runs the whole check-and-update in O(1) per touched area. Racy or
-//! genuinely concurrent areas degrade gracefully to the paper's exact O(n)
-//! behaviour. The fast path is a *pure filter*: it only skips scans whose
-//! every compare is provably ordered, so the emitted reports — class,
-//! attribution, order — are byte-identical to the full-vector-clock
-//! reference (`reference::ReferenceHbDetector`, which the differential
-//! property tests check against).
+//! genuinely concurrent areas pay the paper's O(n) only for the area's
+//! *joins*; the antichain scan stays O(1) per entry, because a recorded
+//! access is an *event* `(process, count)` and Lemma 1 for an event clock
+//! is one integer test: the entry precedes the access iff
+//! `V[process] ≥ count`, and is concurrent with it otherwise (see
+//! [`crate::clockstore::AccessEntry`]; `tests/lemma.rs` checks the
+//! equivalence against the full-vector compare, and a `debug_assert!` in
+//! the loop below re-checks it on every access of every debug run). The
+//! fast path is a *pure filter*: it only skips scans whose every compare
+//! is provably ordered, so the emitted reports — class, attribution, order
+//! — are byte-identical to the full-vector-clock reference
+//! (`reference::ReferenceHbDetector`, which the differential property
+//! tests check against).
 //!
-//! The observe hot loop is allocation-free on the no-race path: the op's
-//! clock snapshot is one `Arc` shared by every access, the read-absorb
-//! scratch clock is reused across ops, and reports stream out by value
-//! through the caller's [`crate::api::ReportSink`] (the legacy
-//! `observe`/`reports` pair routes through an internal
-//! [`crate::api::VecSink`]; callers wanting copies use `observe_collect`).
+//! # What is allocated, and when
+//!
+//! `tests/alloc_guard.rs` counts it with a counting global allocator:
+//!
+//! * An op that reports nothing and learns nothing allocates **nothing**.
+//!   Its clock is the actor's row, borrowed; the entries it records share
+//!   one copy of that row per actor (`Arc`), which a tick leaves valid —
+//!   the entry keeps its own `count` beside it; the read-absorb scratch
+//!   clock is reused across ops; antichains keep their capacity.
+//! * That shared copy is re-made — one `Vec`, one `Arc` — only when the
+//!   actor's knowledge of *other* processes moved: a read that absorbed
+//!   something new, an acquire, or a barrier (where every row becomes the
+//!   join and one copy serves all `n` actors: two allocations per barrier,
+//!   not 2·n).
+//! * A full clock is copied for a report, and only then: the first
+//!   report of an op copies the actor's row (the op's later reports, the
+//!   entries it goes on to record and the actor's shared slot all take
+//!   that copy), and an entry named as `previous` copies its own clock
+//!   once, if the row it shares lags its count. With one public access per
+//!   op that is at most one copy per op that appears in a report.
+//! * An area clock that demotes to `Vector` allocates its join.
+//!
+//! Reports stream out by value through the caller's
+//! [`crate::api::ReportSink`] (the legacy `observe`/`reports` pair routes
+//! through an internal [`crate::api::VecSink`]; callers wanting copies use
+//! `observe_collect`).
 
 use std::sync::Arc;
 
-use dsm::addr::Segment;
+use dsm::addr::{MemRange, Segment};
 use vclock::{MatrixClock, VectorClock};
 
 use crate::api::{ReportSink, VecSink};
-use crate::clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
+use crate::clockstore::{AccessEntry, AreaKey, ClockStore, Granularity, StoreConfig};
 use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId};
 use crate::report::{RaceClass, RaceReport};
@@ -134,6 +161,12 @@ pub struct HbDetector {
     store: ClockStore,
     /// One matrix clock per process (§IV-B).
     clocks: Vec<MatrixClock>,
+    /// Per process, the copy of its row that the entries it records share
+    /// (`None`: not made yet, or out of date). Equal to the process's row
+    /// in every *other* component — its own may lag, an entry keeps the
+    /// count beside the row — so a tick leaves it valid and only an
+    /// absorb, acquire or barrier that moved the row drops it.
+    shared_rows: Vec<Option<Arc<VectorClock>>>,
     /// Clock snapshots taken at program-lock releases, merged into the
     /// acquirer on hand-off (the grant message carries the clock).
     lock_clocks: std::collections::HashMap<LockId, VectorClock>,
@@ -144,6 +177,11 @@ pub struct HbDetector {
     scratch: Vec<RaceReport>,
     /// Scratch clock for the read-absorb merge, reused across ops.
     absorb: VectorClock,
+    /// The state was decoded from bytes, which may have been forged: the
+    /// debug checks that rest on Lemma 1 then do not apply (restored
+    /// *valid* state obeys it, forged state need not, and the two cannot
+    /// be told apart cheaply).
+    decoded: bool,
     n: usize,
 }
 
@@ -166,10 +204,12 @@ impl HbDetector {
             mode,
             store: ClockStore::with_config(n, granularity, mode != HbMode::Single, store),
             clocks: (0..n).map(|i| MatrixClock::zero(i, n)).collect(),
+            shared_rows: vec![None; n],
             lock_clocks: std::collections::HashMap::new(),
             log: VecSink::new(),
             scratch: Vec::new(),
             absorb: VectorClock::zero(n),
+            decoded: false,
             n,
         }
     }
@@ -201,7 +241,8 @@ impl HbDetector {
 
     /// Rebuild a detector from restored parts — the inverse of
     /// [`HbDetector::snapshot_parts`]. Scratch state starts empty, exactly
-    /// as it is at every op boundary of a live detector.
+    /// as it is at every op boundary of a live detector; the shared rows
+    /// are re-made on demand.
     pub(crate) fn from_parts(
         mode: HbMode,
         store: ClockStore,
@@ -213,10 +254,12 @@ impl HbDetector {
             mode,
             store,
             clocks,
+            shared_rows: vec![None; n],
             lock_clocks,
             log: VecSink::new(),
             scratch: Vec::new(),
             absorb: VectorClock::zero(n),
+            decoded: true,
             n,
         }
     }
@@ -233,14 +276,68 @@ impl HbDetector {
     }
 }
 
+/// The access being checked. Its clock is the actor's row itself, borrowed
+/// — between the tick and the end of the op the two are the same value —
+/// and is copied only if the access turns up in a report.
+struct Current<'a> {
+    id: u64,
+    process: Rank,
+    kind: AccessKind,
+    range: MemRange,
+    atomic: bool,
+    /// The actor's tick at the access: `row[process]`.
+    count: u64,
+    /// The actor's row: the access's full clock.
+    row: &'a VectorClock,
+    /// The actor's slot of `HbDetector::shared_rows`.
+    shared: &'a mut Option<Arc<VectorClock>>,
+}
+
+impl Current<'_> {
+    /// The access as a report carries it. The first report of an op
+    /// copies the row into the actor's shared slot; the op's later
+    /// reports, and the entries it goes on to record, take that copy.
+    fn summary(&mut self) -> AccessSummary {
+        let clock = match self.shared {
+            Some(exact) if exact.get(self.process) == self.count => Arc::clone(exact),
+            _ => Arc::clone(self.shared.insert(Arc::new(self.row.clone()))),
+        };
+        AccessSummary {
+            id: self.id,
+            process: self.process,
+            kind: self.kind,
+            range: self.range,
+            clock,
+            atomic: self.atomic,
+        }
+    }
+
+    /// The antichain entry of the access: its count, and the shared row.
+    fn entry(&mut self) -> AccessEntry {
+        let row = self
+            .shared
+            .get_or_insert_with(|| Arc::new(self.row.clone()));
+        AccessEntry {
+            id: self.id,
+            process: self.process,
+            kind: self.kind,
+            range: self.range,
+            atomic: self.atomic,
+            count: self.count,
+            row: Arc::clone(row),
+        }
+    }
+}
+
 /// Signal the race between `access` and the recorded `prev`, whose clocks
 /// the caller found concurrent (Algorithm 3 / Corollary 1) — unless the
 /// pair cannot race: a process is ordered with itself by program order,
-/// and the NIC serialises atomic-atomic pairs.
+/// and the NIC serialises atomic-atomic pairs. The only place a full clock
+/// is copied and an [`AccessSummary`] built.
 fn signal_race(
     mode: HbMode,
-    access: &AccessSummary,
-    prev: &AccessSummary,
+    access: &mut Current<'_>,
+    prev: &mut AccessEntry,
     area: AreaKey,
     out: &mut Vec<RaceReport>,
 ) {
@@ -255,27 +352,10 @@ fn signal_race(
     out.push(RaceReport {
         detector: mode.detector_name(),
         class,
-        current: access.clone(),
-        previous: Some(prev.clone()),
+        current: access.summary(),
+        previous: Some(prev.summary()),
         area,
     });
-}
-
-/// Check a read against one antichain of its area (Algorithm 2 compares
-/// before updating). A write's check rides on the pass that prunes the
-/// antichains: see [`crate::clockstore::AreaHistory::record_write_hinted`].
-fn check_read(
-    mode: HbMode,
-    chain: &[AccessSummary],
-    access: &AccessSummary,
-    area: AreaKey,
-    out: &mut Vec<RaceReport>,
-) {
-    for prev in chain {
-        if prev.process != access.process && prev.clock.concurrent_with(&access.clock) {
-            signal_race(mode, access, prev, area, out);
-        }
-    }
 }
 
 impl Detector for HbDetector {
@@ -290,61 +370,72 @@ impl Detector for HbDetector {
         sink: &mut dyn ReportSink,
     ) -> usize {
         debug_assert!(self.scratch.is_empty(), "scratch drained at op end");
-        // Algorithm 1/2 step: update_local_clock before the event. One
-        // snapshot allocation per op, shared by every access via Arc.
-        let actor_clock = self.clocks[op.actor].tick_shared();
+        // Algorithm 1/2 step: update_local_clock before the event. The
+        // ticked row is the clock of every access of the op; nothing is
+        // copied.
+        let count = self.clocks[op.actor].tick_in_place();
+        let row = self.clocks[op.actor].own_row();
         // Scratch absorb clock is cleared lazily, on the first merge.
         let mut absorbed = false;
         let granularity = self.store.granularity();
+        let mode = self.mode;
+        let scratch = &mut self.scratch;
 
-        for (kind, range, access_id) in op.accesses() {
+        for (kind, range, id) in op.accesses() {
             if range.addr.segment != Segment::Public {
                 // Private memory cannot race (owner-only; §IV-A: "no need of
                 // a real lock" — and no clocks either).
                 continue;
             }
-            let access = AccessSummary {
-                id: access_id,
+            let mut access = Current {
+                id,
                 process: op.actor,
                 kind,
                 range,
-                clock: Arc::clone(&actor_clock),
                 atomic: op.is_atomic(),
+                count,
+                row,
+                shared: &mut self.shared_rows[op.actor],
             };
+            let (_, check_reads) = mode.checks(kind);
             for block in granularity.blocks_of(&range) {
                 let area = AreaKey::new(range.addr.rank, block);
                 // One slab lookup per area, and each happens-before guard
-                // (`W ≤ clock`, `V ≤ clock`) computed exactly once per
-                // access — O(1) integer compares while the area is in
-                // epoch state — then shared by the race check (Algorithm
-                // 3), the read absorption and the clock update (Algorithm
-                // 5).
+                // (`W ≤ row`, `V ≤ row`) computed exactly once per access
+                // — O(1) integer compares while the area is in epoch state
+                // — then shared by the race check (Algorithm 3), the read
+                // absorption and the clock update (Algorithm 5).
                 let hist = self.store.history_mut(area);
-                let w_le = hist.w.leq(&access.clock);
-                let v_le = hist.v.leq(&access.clock);
+                let w_le = hist.w.leq(row);
+                let v_le = hist.v.leq(row);
+                debug_assert!(
+                    self.decoded || ((w_le || !v_le) && hist.obeys_lemma(row)),
+                    "W joins a subset of V's events, and every recorded clock \
+                     is an event clock (Lemma 1): {hist:?} against {row}"
+                );
                 // Check first (Algorithms 1–2 compare before updating),
                 // then update the area clocks (Algorithm 5). The epoch
                 // guards make the common ordered case O(1): when the
-                // area's `W` (resp. `V`) join precedes the access's clock,
-                // every recorded write (resp. read) does too, and its
-                // antichain is not scanned at all.
-                let mode = self.mode;
-                let (_, check_reads) = mode.checks(kind);
-                let scratch = &mut self.scratch;
+                // area's `W` (resp. `V`) join precedes the row, every
+                // recorded write (resp. read) does too, and its antichain
+                // is not scanned at all. A scanned entry costs one integer
+                // test: it is concurrent with the access exactly when the
+                // row does not know its event.
                 match kind {
                     AccessKind::Write => {
-                        hist.record_write_hinted(access.clone(), v_le, w_le, |prev| {
+                        hist.prune_for_write(row, v_le, w_le, |prev| {
                             if check_reads || prev.kind.is_write() {
-                                signal_race(mode, &access, prev, area, scratch);
+                                signal_race(mode, &mut access, prev, area, scratch);
                             }
                         });
                     }
                     AccessKind::Read => {
                         if !w_le {
-                            check_read(mode, &hist.writes, &access, area, scratch);
-                        }
-                        if check_reads && !v_le {
-                            check_read(mode, &hist.reads, &access, area, scratch);
+                            for prev in &mut hist.writes {
+                                if !prev.leq_row(row) {
+                                    signal_race(mode, &mut access, prev, area, scratch);
+                                }
+                            }
                         }
                         // The read absorbs the area's write knowledge (the
                         // get reply carries the clock, matrix-clock rule of
@@ -359,7 +450,7 @@ impl Detector for HbDetector {
                             }
                             hist.merge_w_into(&mut self.absorb);
                         }
-                        if self.mode == HbMode::Single || self.mode == HbMode::Literal {
+                        if mode == HbMode::Single || mode == HbMode::Literal {
                             // Only V exists / is fetched in these modes.
                             if !v_le {
                                 if !absorbed {
@@ -369,14 +460,22 @@ impl Detector for HbDetector {
                                 hist.merge_v_into(&mut self.absorb);
                             }
                         }
-                        hist.record_read_hinted(access.clone(), v_le);
+                        hist.prune_for_read(row, v_le, |prev| {
+                            if check_reads {
+                                signal_race(mode, &mut access, prev, area, scratch);
+                            }
+                        });
                     }
                 }
+                // Built after the checks, so an access that was reported
+                // records the clock copy its reports already share.
+                hist.push(access.entry(), row);
             }
         }
 
-        if absorbed {
-            self.clocks[op.actor].absorb(&self.absorb);
+        // A tick leaves the shared row valid; new foreign knowledge does not.
+        if absorbed && self.clocks[op.actor].absorb(&self.absorb) {
+            self.shared_rows[op.actor] = None;
         }
         // Hand the op's reports to the sink by value, in one call — the
         // silent path never touches the sink.
@@ -425,7 +524,9 @@ impl Detector for HbDetector {
     /// (the grant message carries the clock).
     fn on_acquire(&mut self, rank: usize, lock: LockId) {
         if let Some(c) = self.lock_clocks.get(&lock) {
-            self.clocks[rank].absorb(c);
+            if self.clocks[rank].absorb(c) {
+                self.shared_rows[rank] = None;
+            }
         }
     }
 
@@ -437,8 +538,13 @@ impl Detector for HbDetector {
         for c in &self.clocks {
             join.merge(c.own_row());
         }
+        let mut moved = false;
         for c in &mut self.clocks {
-            c.absorb(&join);
+            moved |= c.absorb(&join);
+        }
+        if moved {
+            // Every row now equals the join: one copy serves all n actors.
+            self.shared_rows.fill(Some(Arc::new(join)));
         }
     }
 
@@ -659,6 +765,19 @@ mod tests {
         let reports = d.observe_collect(&b, &[]);
         // Word 1 (bytes 8..16) is shared → exactly one area races.
         assert_eq!(reports.len(), 1);
+    }
+
+    #[test]
+    fn writes_to_a_range_that_overflows_the_address_space_still_race() {
+        // `offset + len` wraps. The parent clocked no area for such a
+        // range in release (0 reports) and panicked on the add in debug.
+        let mut d = dual(3);
+        let off = usize::MAX - 3;
+        assert_eq!(d.observe(&put(0, 0, 1, off), &[]), 0);
+        let reports = d.observe_collect(&put(1, 2, 1, off), &[]);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].class, RaceClass::WriteWrite);
+        assert_eq!(reports[0].area, AreaKey::new(1, usize::MAX / 8));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use dsm::addr::{GlobalAddr, MemRange, Segment};
 use vclock::{AreaClock, Epoch, MatrixClock, VectorClock};
 
 use crate::api::{DetectorConfig, ReportSink};
-use crate::clockstore::{AreaKey, ClockStore};
+use crate::clockstore::{AccessEntry, AreaKey, ClockStore};
 use crate::detector::{Detector, DetectorKind};
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId, OpKind};
 use crate::hb::{HbDetector, HbMode};
@@ -418,13 +418,37 @@ fn take_op(r: &mut Reader<'_>) -> Result<DsmOp, SnapshotError> {
     Ok(DsmOp { op_id, actor, kind })
 }
 
-fn put_access(buf: &mut Vec<u8>, access: &AccessSummary) {
-    put_u64(buf, access.id);
-    put_u32(buf, access.process as u32);
-    put_u8(buf, if access.kind.is_write() { 1 } else { 0 });
-    put_range(buf, &access.range);
-    put_u8(buf, access.atomic as u8);
-    put_vc(buf, &access.clock);
+/// Everything of an access but its clock.
+fn put_access_head(
+    buf: &mut Vec<u8>,
+    id: u64,
+    process: Rank,
+    kind: AccessKind,
+    range: &MemRange,
+    atomic: bool,
+) {
+    put_u64(buf, id);
+    put_u32(buf, process as u32);
+    put_u8(buf, if kind.is_write() { 1 } else { 0 });
+    put_range(buf, range);
+    put_u8(buf, atomic as u8);
+}
+
+fn put_access(buf: &mut Vec<u8>, a: &AccessSummary) {
+    put_access_head(buf, a.id, a.process, a.kind, &a.range, a.atomic);
+    put_vc(buf, &a.clock);
+}
+
+/// An antichain entry, in [`put_access`]'s layout: the entry's full clock
+/// is written out (its count in the own slot), so the bytes do not show
+/// whether the entry shared a lagging row.
+fn put_entry(buf: &mut Vec<u8>, e: &AccessEntry) {
+    put_access_head(buf, e.id, e.process, e.kind, &e.range, e.atomic);
+    let components = e.components();
+    put_u32(buf, components.len() as u32);
+    for component in components {
+        put_u64(buf, component);
+    }
 }
 
 fn take_access(r: &mut Reader<'_>) -> Result<AccessSummary, SnapshotError> {
@@ -602,12 +626,12 @@ pub(crate) fn encode_hb(hb: &HbDetector) -> Vec<u8> {
         put_area_clock(&mut buf, &history.v);
         put_area_clock(&mut buf, &history.w);
         put_u32(&mut buf, history.writes.len() as u32);
-        for access in &history.writes {
-            put_access(&mut buf, access);
+        for entry in &history.writes {
+            put_entry(&mut buf, entry);
         }
         put_u32(&mut buf, history.reads.len() as u32);
-        for access in &history.reads {
-            put_access(&mut buf, access);
+        for entry in &history.reads {
+            put_entry(&mut buf, entry);
         }
     }
     buf
@@ -710,8 +734,8 @@ pub(crate) fn decode_hb(
         let history = store.history_mut(AreaKey::new(rank, block));
         history.v = v;
         history.w = w;
-        history.writes = writes;
-        history.reads = reads;
+        history.writes = writes.into_iter().map(AccessEntry::from).collect();
+        history.reads = reads.into_iter().map(AccessEntry::from).collect();
     }
     r.finish()?;
     Ok(HbDetector::from_parts(mode, store, clocks, lock_clocks))

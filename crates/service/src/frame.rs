@@ -79,6 +79,16 @@ pub enum FrameError {
         /// The session's process count.
         n: usize,
     },
+    /// A well-formed event names a range that runs past the end of the
+    /// address space (see [`WireEvent::check_ranges`]).
+    RangeOverflow {
+        /// Which range of the event.
+        what: &'static str,
+        /// The range's first byte.
+        offset: usize,
+        /// Its length.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -99,6 +109,10 @@ impl std::fmt::Display for FrameError {
             FrameError::RankOutOfRange { what, rank, n } => {
                 write!(f, "event {what} rank {rank} out of range for {n} processes")
             }
+            FrameError::RangeOverflow { what, offset, len } => write!(
+                f,
+                "event {what} range of {len} bytes at offset {offset} overflows the address space"
+            ),
         }
     }
 }
@@ -211,6 +225,33 @@ impl WireEvent {
                 check("actor", rank)?;
                 check("lock", lock.0)
             }
+        }
+    }
+
+    /// Check that every range of the event ends inside the address space.
+    /// The wire carries a 64-bit offset and a 32-bit length, so their sum
+    /// is the client's to overflow; no byte past `usize::MAX` exists, and
+    /// range arithmetic downstream (`MemRange::end`) assumes the sum.
+    pub fn check_ranges(&self) -> Result<(), FrameError> {
+        let check = |what, range: MemRange| match range.addr.offset.checked_add(range.len) {
+            Some(_) => Ok(()),
+            None => Err(FrameError::RangeOverflow {
+                what,
+                offset: range.addr.offset,
+                len: range.len,
+            }),
+        };
+        match *self {
+            WireEvent::Op(op) => match op.kind {
+                OpKind::Put { src, dst } | OpKind::Get { src, dst } => {
+                    check("source", src)?;
+                    check("destination", dst)
+                }
+                OpKind::LocalRead { range }
+                | OpKind::LocalWrite { range }
+                | OpKind::AtomicRmw { range } => check("target", range),
+            },
+            WireEvent::Barrier | WireEvent::Acquire { .. } | WireEvent::Release { .. } => Ok(()),
         }
     }
 }

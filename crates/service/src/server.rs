@@ -1046,8 +1046,9 @@ fn run_session(
                 // The frame decoded, but its ranks are still the client's
                 // word: the detector grows its clock storage to any rank it
                 // is handed, so an event outside the session's `n` ends the
-                // session here, unapplied.
-                if let Err(e) = ev.check_ranks(n) {
+                // session here, unapplied — as does a range whose end
+                // overflows the address space.
+                if let Err(e) = ev.check_ranks(n).and(ev.check_ranges()) {
                     stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                     break 'drive EndReason::Poison(e.to_string());
                 }

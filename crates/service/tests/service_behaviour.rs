@@ -283,6 +283,71 @@ fn an_event_outside_the_sessions_ranks_poisons_only_its_session() {
 }
 
 #[test]
+fn a_range_that_overflows_the_address_space_poisons_only_its_session() {
+    // The wire carries a 64-bit offset and a 32-bit length: their sum is
+    // the client's to overflow. The detector used to clock *no* area for
+    // such a range in release (two unordered writes, no report) and to
+    // panic on the addition in debug; the range is refused at the door.
+    let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
+    let events = racing_events(4, 1);
+    let mut client = ServiceClient::connect(server.local_addr(), &config()).unwrap();
+    client.send(&events[0]).unwrap();
+
+    let wrapping = GlobalAddr::public(1, usize::MAX - 3).range(8);
+    let hostile_events = [
+        (
+            OpKind::Put {
+                src: GlobalAddr::private(0, 0).range(8),
+                dst: wrapping,
+            },
+            "destination",
+        ),
+        (OpKind::LocalWrite { range: wrapping }, "target"),
+    ];
+    for (kind, what) in hostile_events {
+        let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = ClientFrame::Hello {
+            config_json: config().to_json(),
+        };
+        let event = WireEvent::Op(DsmOp {
+            op_id: 1,
+            actor: 1,
+            kind,
+        });
+        write_frames(&mut hostile, &[hello, ClientFrame::Event(event)]);
+        let ack = ServerFrame::decode(&read_frame(&mut hostile).unwrap()).unwrap();
+        assert!(matches!(ack, ServerFrame::HelloAck { .. }), "got {ack:?}");
+        match ServerFrame::decode(&read_frame(&mut hostile).unwrap()).unwrap() {
+            ServerFrame::Error { message } => assert_eq!(
+                message,
+                format!(
+                    "event {what} range of 8 bytes at offset {} overflows the address space",
+                    usize::MAX - 3
+                )
+            ),
+            other => panic!("wanted an error frame, got {other:?}"),
+        }
+    }
+
+    for ev in &events[1..] {
+        client.send(ev).unwrap();
+    }
+    let remote = client.finish().unwrap();
+    assert_eq!(remote.raw_json, in_process_json(&events));
+
+    let report = server.shutdown();
+    assert_eq!(report.stats.finished, 1);
+    assert_eq!(report.stats.poisoned, 2);
+    assert_eq!(report.stats.panics_supervised, 0);
+    for record in report.with_outcome(SessionOutcome::Poisoned) {
+        assert_eq!(record.events, 0, "the hostile event was never applied");
+    }
+}
+
+#[test]
 fn mid_stream_hangup_degrades_that_session_only() {
     let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
 

@@ -71,10 +71,11 @@ impl std::fmt::Display for Epoch {
 ///
 /// The `Epoch` state stores only the 16-byte `(rank, count)` pair — not the
 /// event's full clock. The *owner* of an `AreaClock` (the detector's area
-/// history, which already retains every live access's clock snapshot in its
-/// antichains) supplies the full clock through a resolver closure on the
-/// rare paths that need it (demotion, merging). This keeps the hot-path
-/// update completely free of reference-count traffic.
+/// history, whose antichains retain every live access as an event beside a
+/// shared row — the same identity, used per entry) supplies the full clock
+/// through a closure on the rare paths that need it (demotion, merging).
+/// This keeps the hot-path update completely free of reference-count
+/// traffic.
 #[derive(Debug, Clone, Default)]
 pub enum AreaClock {
     /// No events recorded: the zero clock, which precedes everything.
@@ -152,16 +153,17 @@ impl AreaClock {
     }
 
     /// Merge the join into `dst` (Algorithm 4 applied to the represented
-    /// value). `Bottom` merges nothing; the `Epoch` state borrows its full
-    /// clock from `resolve`.
-    pub fn merge_into<'a>(
-        &'a self,
+    /// value). `Bottom` merges nothing; in the `Epoch` state the owner
+    /// merges the event's full clock itself through `merge_event` — it may
+    /// hold that clock in a form that is not a `VectorClock` it can lend.
+    pub fn merge_into(
+        &self,
         dst: &mut VectorClock,
-        resolve: impl FnOnce(Epoch) -> &'a VectorClock,
+        merge_event: impl FnOnce(Epoch, &mut VectorClock),
     ) {
         match self {
             AreaClock::Bottom => {}
-            AreaClock::Epoch(e) => dst.merge(resolve(*e)),
+            AreaClock::Epoch(e) => merge_event(*e, dst),
             AreaClock::Vector(v) => dst.merge(v),
         }
     }
@@ -194,7 +196,7 @@ mod tests {
 
         fn to_vector(&self, area: &AreaClock, n: usize) -> VectorClock {
             let mut out = VectorClock::zero(n);
-            area.merge_into(&mut out, |e| self.resolve(e));
+            area.merge_into(&mut out, |e, dst| dst.merge(self.resolve(e)));
             out
         }
     }
@@ -291,7 +293,7 @@ mod tests {
         let mut log = Log::default();
         log.record(&mut a, 0, &[3, 0]);
         let mut dst = VectorClock::from_components(vec![1, 7]);
-        a.merge_into(&mut dst, |e| log.resolve(e));
+        a.merge_into(&mut dst, |e, dst| dst.merge(log.resolve(e)));
         assert_eq!(dst.components(), &[3, 7]);
     }
 

@@ -73,16 +73,13 @@ impl MatrixClock {
         self.rows[owner].clone()
     }
 
-    /// [`MatrixClock::tick`] returning the snapshot behind an
-    /// [`std::sync::Arc`].
-    ///
-    /// The detectors attach one snapshot per operation to every access the
-    /// operation induces, and reports carry them on to whichever thread
-    /// consumes the sink. `Arc<VectorClock>` is `Send + Sync` (the clock is
-    /// immutable once snapshotted), so the same allocation is shared across
-    /// accesses, area histories and reports without copying.
-    pub fn tick_shared(&mut self) -> std::sync::Arc<VectorClock> {
-        std::sync::Arc::new(self.tick())
+    /// [`MatrixClock::tick`] without the snapshot: the event's clock *is*
+    /// [`MatrixClock::own_row`] until the next tick, so a caller that only
+    /// compares against it (the detector hot loop) borrows the row instead
+    /// of copying it. Returns the new diagonal value — the event's count.
+    pub fn tick_in_place(&mut self) -> u64 {
+        let owner = self.owner;
+        self.rows[owner].tick(owner)
     }
 
     /// The owner's current vector clock (row `owner`), without ticking.
@@ -107,8 +104,17 @@ impl MatrixClock {
     /// only — `observe(owner, clock)` without the redundant second merge of
     /// the same row. Used by the detector hot path when a read absorbs an
     /// area's write clock.
-    pub fn absorb(&mut self, clock: &VectorClock) {
-        self.rows[self.owner].merge(clock);
+    ///
+    /// Returns whether the row moved (some component of `clock` was ahead
+    /// of it): a caller that shares copies of the row re-makes them only
+    /// then.
+    pub fn absorb(&mut self, clock: &VectorClock) -> bool {
+        let row = &mut self.rows[self.owner];
+        let moved = !clock.leq(row);
+        if moved {
+            row.merge(clock);
+        }
+        moved
     }
 
     /// Merge an entire remote matrix (gossip-style exchange): component-wise
@@ -165,15 +171,23 @@ mod tests {
     }
 
     #[test]
-    fn tick_shared_snapshots_are_send_sync() {
-        fn assert_send_sync<T: Send + Sync>(_: &T) {}
+    fn tick_in_place_is_tick_without_the_copy() {
+        let mut a = MatrixClock::zero(0, 2);
+        let mut b = a.clone();
+        assert_eq!(a.tick_in_place(), 1);
+        assert_eq!(a.own_row(), &b.tick());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn absorb_reports_whether_the_row_moved() {
         let mut m = MatrixClock::zero(0, 2);
-        let snap = m.tick_shared();
-        assert_send_sync(&snap);
-        assert_eq!(snap.components(), &[1, 0]);
-        // Sharing does not copy: a clone is the same allocation.
-        let other = std::sync::Arc::clone(&snap);
-        assert!(std::sync::Arc::ptr_eq(&snap, &other));
+        m.tick_in_place();
+        assert!(!m.absorb(&VectorClock::from_components(vec![1, 0])));
+        assert!(!m.absorb(&VectorClock::zero(2)));
+        assert!(m.absorb(&VectorClock::from_components(vec![0, 3])));
+        assert_eq!(m.own_row().components(), &[1, 3]);
+        assert!(!m.absorb(&VectorClock::from_components(vec![1, 3])));
     }
 
     #[test]

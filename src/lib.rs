@@ -32,9 +32,13 @@
 //!   re-promotes it.
 //! * **flat per-rank store** (`race_core::ClockStore`): per-rank dense
 //!   slabs indexed by block number — no hashing on the access path.
-//! * **allocation-free observe**: one shared `Arc` clock snapshot per
-//!   operation, a reused absorb scratch clock, reports streamed by value
-//!   into the caller's `race_core::ReportSink`.
+//! * **event-clock antichains, no clock copy per op**: an access's clock
+//!   is the actor's row, borrowed; a recorded access keeps `(rank, count)`
+//!   beside a shared copy of that row, so every antichain prune and race
+//!   check is one integer test too, an op that reports nothing and learns
+//!   nothing allocates nothing, and a full clock is copied only for a
+//!   report (`crates/core/tests/alloc_guard.rs` counts it). Reports
+//!   stream by value into the caller's `race_core::ReportSink`.
 //!
 //! Report parity with the unoptimised implementation
 //! (`race_core::ReferenceHbDetector`) is enforced by differential property
