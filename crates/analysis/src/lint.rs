@@ -21,8 +21,8 @@
 //!
 //! `crates/compat/` is deliberately out of scope: the offline shims
 //! reproduce external crates' documented panicking APIs (`proptest`'s
-//! macro asserts, `criterion`'s harness), and their panics never reach
-//! the library's op path. See `docs/ANALYSIS.md` for the policy.
+//! macro asserts), and their panics never reach the library's op path.
+//! See `docs/ANALYSIS.md` for the policy.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -1,21 +1,9 @@
-//! Regenerate every figure and quantified claim of the paper, plus the
-//! detector perf summary.
+//! Regenerate every figure and quantified claim of the paper, and run the
+//! repository's smoke and sweep checks.
 //!
 //! Usage:
 //!   repro                 # all experiment tables (the EXPERIMENTS.md content)
 //!   repro FIG2 SEC5A      # a selection by experiment id
-//!   repro --bench         # single-line JSON perf rows (the BENCH_0001.json
-//!                         # content): epoch fast path vs full-vector-clock
-//!                         # reference on stencil / random_access at WORD
-//!   repro --bench-check   # CI perf smoke: fails (exit 1) if the epoch
-//!                         # detector's throughput drops below the
-//!                         # reference detector's on either seed workload
-//!                         # (order-inversion check only — robust on
-//!                         # shared runners)
-//!   repro --bench-sinks   # the BENCH_0004.json content: the report-path
-//!                         # microbench — legacy direct log append vs the
-//!                         # api::Session paths (VecSink / SummarySink /
-//!                         # CountingSink) on hotspot and stencil
 //!   repro --config JSON   # DetectorConfig round-trip smoke: build a
 //!                         # session from the JSON, drive the hotspot
 //!                         # stream, serialize → reparse → rebuild, and
@@ -224,45 +212,6 @@ fn main() {
                 eprintln!("config round-trip FAILED: {e}");
                 std::process::exit(1);
             }
-        }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench-sinks") {
-        let rows = dsm_bench::perfjson::bench_rows_sinks();
-        for row in &rows {
-            println!("{}", row.to_json());
-        }
-        for (workload, path, ratio) in dsm_bench::perfjson::sink_overheads(&rows) {
-            eprintln!("# {workload}: {path} {ratio:.2}x ns/access vs legacy-log");
-        }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench-check") {
-        // Rows to stdout, verdicts to stderr — the one measurement serves
-        // as both the BENCH_0001-shaped summary and the smoke verdict.
-        let check = dsm_bench::perfjson::bench_check();
-        for row in &check.rows {
-            println!("{}", row.to_json());
-        }
-        for line in &check.lines {
-            eprintln!("{line}");
-        }
-        if !check.ok {
-            eprintln!("bench-check: epoch/reference throughput order inverted");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench") {
-        let rows = dsm_bench::perfjson::bench_rows();
-        for row in &rows {
-            println!("{}", row.to_json());
-        }
-        for (workload, speedup) in dsm_bench::perfjson::speedups(&rows) {
-            eprintln!("# {workload}: epoch fast path {speedup:.2}x vs reference");
         }
         return;
     }

@@ -1,11 +1,11 @@
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! Shared helpers for the `repro` binary.
 //!
 //! Every experiment of the paper (DESIGN.md's index) is a function here
 //! returning a printable table; the `repro` binary selects and prints them,
 //! and EXPERIMENTS.md records the output. Measurements use *virtual* time
-//! and message counts, which are deterministic per seed — the Criterion
-//! benches in `benches/` additionally measure the wall-clock cost of the
-//! simulator and detector machinery themselves.
+//! and message counts, which are deterministic per seed — the wall-clock
+//! cost of the simulator and detector machinery is measured end to end by
+//! the separate `benchmark/` crate.
 
 use race_core::{DetectorKind, Oracle, RaceClass};
 use simulator::workloads::{figures, master_worker, random_access, reduction};

@@ -1,12 +1,11 @@
-//! Detector-only operation streams for perf measurement.
+//! Detector-only operation streams.
 //!
-//! The full-system benches (`ops`, `detect`, `overhead`) run the whole
-//! discrete-event engine, where network and lock plumbing dominates. To
-//! measure the *detector hot path* itself — the target of the epoch
-//! fast-path work — these generators reproduce the access patterns of the
-//! `stencil` and `random_access` workloads as bare [`DsmOp`] streams plus
-//! synchronisation events, and [`drive`] feeds them straight into a
-//! [`Detector`].
+//! These generators reproduce the access patterns of the `stencil`,
+//! `random_access`, `hotspot` and `producer_consumer` workloads as bare
+//! [`DsmOp`] streams plus synchronisation events, without the
+//! discrete-event engine: [`drive_sink`] feeds them straight into a
+//! [`Detector`], [`drive_session`] into a [`race_core::Session`]. The
+//! `repro --config` smoke and the serve smoke replay them.
 
 use race_core::{Detector, DsmOp, LockId, OpKind};
 use simulator::workloads::random_access::RandomSpec;
@@ -41,8 +40,7 @@ pub enum StreamEvent {
 /// accesses of each op (private memory never reaches the clocks, §IV-A).
 /// Synchronisation events — barriers and lock hand-offs — touch clocks but
 /// never memory, so they count zero; the match is exhaustive on purpose,
-/// so a new event variant cannot silently skew every `ns/access` and
-/// `accesses_per_sec` column in the committed BENCH_*.json files.
+/// so a new event variant cannot silently skew an access count.
 pub fn access_count(events: &[StreamEvent]) -> u64 {
     use dsm::addr::Segment;
     events
@@ -231,20 +229,6 @@ pub fn producer_consumer(pairs: usize, items: usize) -> Vec<StreamEvent> {
     events
 }
 
-/// Feed a stream through a detector; returns the total number of reports.
-pub fn drive(detector: &mut dyn Detector, events: &[StreamEvent]) -> usize {
-    let mut reports = 0;
-    for e in events {
-        match e {
-            StreamEvent::Op(op) => reports += detector.observe(op, &[]),
-            StreamEvent::Barrier => detector.on_barrier(),
-            StreamEvent::Acquire { rank, lock } => detector.on_acquire(*rank, *lock),
-            StreamEvent::Release { rank, lock } => detector.on_release(*rank, *lock),
-        }
-    }
-    reports
-}
-
 /// Feed a stream through a detector's sink path
 /// ([`Detector::observe_sink`]) with a caller-owned sink — the bare
 /// streaming hot loop, no session bookkeeping; returns the total number of
@@ -285,14 +269,14 @@ pub fn drive_session(session: &mut race_core::Session, events: &[StreamEvent]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use race_core::{Granularity, HbDetector, HbMode, ReferenceHbDetector};
+    use race_core::{Granularity, HbDetector, HbMode, ReferenceHbDetector, VecSink};
 
     #[test]
     fn stencil_stream_is_race_free_and_stays_on_fast_path() {
         let events = stencil(8, 8, 3);
         let mut d = HbDetector::new(8, Granularity::WORD, HbMode::Dual);
         assert_eq!(
-            drive(&mut d, &events),
+            drive_sink(&mut d, &mut VecSink::new(), &events),
             0,
             "synchronised stencil never races"
         );
@@ -316,8 +300,8 @@ mod tests {
         let events = random(spec);
         let mut fast = HbDetector::new(spec.n, Granularity::WORD, HbMode::Dual);
         let mut slow = ReferenceHbDetector::new(spec.n, Granularity::WORD, HbMode::Dual);
-        let a = drive(&mut fast, &events);
-        let b = drive(&mut slow, &events);
+        let a = drive_sink(&mut fast, &mut VecSink::new(), &events);
+        let b = drive_sink(&mut slow, &mut VecSink::new(), &events);
         assert_eq!(a, b);
         assert!(a > 0, "unlocked random traffic must race");
     }
@@ -327,11 +311,12 @@ mod tests {
         let events = hotspot(4, 32, 4);
         let mut fast = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let mut slow = ReferenceHbDetector::new(4, Granularity::WORD, HbMode::Dual);
-        let a = drive(&mut fast, &events);
-        let b = drive(&mut slow, &events);
+        let (mut fast_log, mut slow_log) = (VecSink::new(), VecSink::new());
+        let a = drive_sink(&mut fast, &mut fast_log, &events);
+        let b = drive_sink(&mut slow, &mut slow_log, &events);
         assert_eq!(a, b);
         assert!(a > 0, "unsynchronised hotspot traffic must race");
-        assert_eq!(fast.reports(), slow.reports());
+        assert_eq!(fast_log.as_slice(), slow_log.as_slice());
     }
 
     #[test]
@@ -344,10 +329,10 @@ mod tests {
 
     #[test]
     fn lock_events_count_zero_accesses() {
-        // Sync events must never skew the ns/access denominators of
-        // committed bench rows: the producer/consumer stream is 2 clocked
-        // accesses per item per pair (the write and the get's public read),
-        // no matter how many lock events bracket them.
+        // Sync events must never skew an access count: the
+        // producer/consumer stream is 2 clocked accesses per item per pair
+        // (the write and the get's public read), no matter how many lock
+        // events bracket them.
         let events = producer_consumer(2, 3);
         assert_eq!(access_count(&events), 2 * 3 * 2);
         let locks = events
@@ -361,10 +346,12 @@ mod tests {
     fn lock_disciplined_stream_is_race_free_on_every_drive_path() {
         let events = producer_consumer(2, 4);
         let mut d = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
-        assert_eq!(drive(&mut d, &events), 0, "hand-off orders every pair");
-        let mut d = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
-        let mut sink = race_core::VecSink::new();
-        assert_eq!(drive_sink(&mut d, &mut sink, &events), 0);
+        let mut sink = VecSink::new();
+        assert_eq!(
+            drive_sink(&mut d, &mut sink, &events),
+            0,
+            "hand-off orders every pair"
+        );
         let mut session =
             race_core::DetectorConfig::new(race_core::DetectorKind::Dual, 4).session();
         assert_eq!(drive_session(&mut session, &events), 0);
@@ -380,7 +367,7 @@ mod tests {
             .filter(|e| matches!(e, StreamEvent::Op(_)))
             .collect();
         let mut d = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
-        let inline_reports = drive(&mut d, &events);
+        let inline_reports = drive_sink(&mut d, &mut VecSink::new(), &events);
         assert!(inline_reports > 0, "unlocked hand-off must race");
         let mut session =
             race_core::DetectorConfig::new(race_core::DetectorKind::Dual, 4).session();

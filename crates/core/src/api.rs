@@ -17,14 +17,14 @@
 //! ```
 //!
 //! * [`DetectorConfig`] — every knob that previously lived on a scattered
-//!   constructor (`DetectorKind::build`, `HbDetector::new`,
-//!   `StoreConfig`) in one serialisable value. [`DetectorConfig::to_json`]
+//!   constructor (`HbDetector::new`, `StoreConfig`) in one serialisable
+//!   value. [`DetectorConfig::to_json`]
 //!   / [`DetectorConfig::from_json`] round-trip the exact configuration so
 //!   bench JSON rows and CI can record and replay it.
 //! * [`Session`] — owns the detector plus a pluggable [`ReportSink`] trait
 //!   object and a running [`RaceSummary`]. Reports stream out as they are
 //!   detected; the session itself retains only the bounded aggregate.
-//! * Shipped sinks: [`VecSink`] (the legacy keep-everything log),
+//! * Shipped sinks: [`VecSink`] (keeps everything),
 //!   [`CountingSink`], [`SummarySink`], [`ChannelSink`], [`DedupSink`].
 //!
 //! # Lifecycle
@@ -71,10 +71,9 @@ use crate::summary::RaceSummary;
 ///
 /// Detectors emit through a sink on the hot path instead of appending to an
 /// internal grow-forever log; what a report *costs* is therefore the sink's
-/// decision — [`VecSink`] keeps everything (the legacy behaviour),
-/// [`SummarySink`] aggregates in O(areas) memory, [`CountingSink`] keeps
-/// two integers. Sinks are `Send` so a [`Session`] can cross threads with
-/// its detector.
+/// decision — [`VecSink`] keeps everything, [`SummarySink`] aggregates in
+/// O(areas) memory, [`CountingSink`] keeps two integers. Sinks are `Send`
+/// so a [`Session`] can cross threads with its detector.
 pub trait ReportSink: Send {
     /// One report, by reference. Implementations that retain the report
     /// clone it; aggregating sinks just read it.
@@ -140,7 +139,7 @@ pub trait ReportSink: Send {
     }
 }
 
-/// The keep-everything sink: today's detector log as a pluggable value.
+/// The keep-everything sink.
 #[derive(Debug, Default)]
 pub struct VecSink {
     reports: Vec<RaceReport>,
@@ -170,12 +169,6 @@ impl VecSink {
     /// True when no report was retained.
     pub fn is_empty(&self) -> bool {
         self.reports.is_empty()
-    }
-
-    /// Move every held report into `out` (used by the legacy
-    /// `observe_into` bridge).
-    pub fn drain_into(&mut self, out: &mut Vec<RaceReport>) {
-        out.append(&mut self.reports);
     }
 }
 

@@ -1,5 +1,6 @@
 //! The detector interface shared by the reference algorithm and the
-//! baselines, plus a factory for the experiment harnesses.
+//! baselines, plus the kind selector that [`crate::api::DetectorConfig`]
+//! builds from.
 
 use crate::api::{ReportSink, VecSink};
 use crate::event::{DsmOp, LockId};
@@ -20,11 +21,8 @@ use crate::report::RaceReport;
 /// caller-supplied [`ReportSink`] as they are detected, and the detector
 /// itself retains nothing — what a report costs is the sink's policy, which
 /// is how long-running sessions stay bounded (see [`crate::api`]).
-/// [`Detector::observe`] / [`Detector::reports`] are the legacy
-/// keep-everything convenience: each detector owns a [`VecSink`] log that
-/// only the legacy entry points feed. Drive a detector through one
-/// interface or the other, not both — the log deliberately does *not* see
-/// sink-streamed reports (no double-reporting).
+/// [`Detector::observe_collect`] is the convenience for tests and
+/// interactive callers that want the reports of one op as a `Vec`.
 pub trait Detector: Send {
     /// Detector name for report attribution and tables.
     fn name(&self) -> &'static str;
@@ -47,42 +45,15 @@ pub trait Detector: Send {
         sink: &mut dyn ReportSink,
     ) -> usize;
 
-    /// Legacy entry point: observe one operation, appending its reports to
-    /// the detector's internal log ([`Detector::reports`]); returns the
-    /// number of new reports. Implemented by routing
-    /// [`Detector::observe_sink`] into the internal [`VecSink`].
-    fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize;
-
-    /// Observe one op and push a copy of each new report into the
-    /// caller-owned `out`; returns the number of new reports. Goes through
-    /// a temporary [`VecSink`], so the reports land in `out` and **only**
-    /// in `out` — neither the internal log nor any attached sink sees them,
-    /// which is what makes double-reporting impossible when both exist.
-    fn observe_into(
-        &mut self,
-        op: &DsmOp,
-        held_locks: &[LockId],
-        out: &mut Vec<RaceReport>,
-    ) -> usize {
-        let mut tmp = VecSink::new();
-        let n = self.observe_sink(op, held_locks, &mut tmp);
-        tmp.drain_into(out);
-        n
-    }
-
     /// Observe one op and return the new reports as a fresh `Vec`
-    /// (convenience for tests and interactive callers). Same temporary
-    /// [`VecSink`] discipline as [`Detector::observe_into`].
+    /// (convenience for tests and interactive callers). The reports go
+    /// through a temporary [`VecSink`] and land **only** in the returned
+    /// `Vec`.
     fn observe_collect(&mut self, op: &DsmOp, held_locks: &[LockId]) -> Vec<RaceReport> {
         let mut tmp = VecSink::new();
         self.observe_sink(op, held_locks, &mut tmp);
         tmp.into_reports()
     }
-
-    /// All reports the *legacy* entry points accumulated so far — the
-    /// [`VecSink`]-backed convenience. Empty for detectors driven purely
-    /// through [`Detector::observe_sink`].
-    fn reports(&self) -> &[RaceReport];
 
     /// Number of clock components of an area that a remote access to it
     /// ships back to the initiator (`0` = no clock traffic; `n` = one
@@ -128,21 +99,6 @@ pub trait Detector: Send {
     }
 }
 
-/// The shared body of every legacy [`Detector::observe`] shim: take the
-/// internal [`VecSink`] log out of `self` (a three-word swap, no clone) so
-/// it can be passed as the sink without aliasing `&mut self`, run
-/// `observe_sink`, and put it back. One definition, so the bridge's
-/// semantics cannot drift between detectors.
-macro_rules! observe_via_log {
-    ($self:ident . $log:ident, $op:expr, $held:expr) => {{
-        let mut log = std::mem::take(&mut $self.$log);
-        let n = $self.observe_sink($op, $held, &mut log);
-        $self.$log = log;
-        n
-    }};
-}
-pub(crate) use observe_via_log;
-
 /// Detector selection for harnesses and config files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectorKind {
@@ -167,18 +123,6 @@ impl DetectorKind {
         DetectorKind::Lockset,
         DetectorKind::Vanilla,
     ];
-
-    /// Instantiate for `n` processes at `granularity`.
-    ///
-    /// **Legacy shim.** This predates the [`crate::api`] façade and is kept
-    /// as a thin wrapper so old call sites and tests keep compiling; new
-    /// code should build through [`crate::api::DetectorConfig`], which is
-    /// where the slab layout knob lives.
-    pub fn build(self, n: usize, granularity: crate::clockstore::Granularity) -> Box<dyn Detector> {
-        crate::api::DetectorConfig::new(self, n)
-            .with_granularity(granularity)
-            .build()
-    }
 
     /// The happens-before mode this kind runs, for the clock-based kinds
     /// (`None` for the lockset and vanilla baselines, which keep no area
@@ -213,14 +157,31 @@ impl DetectorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::DetectorConfig;
     use crate::clockstore::Granularity;
+    use crate::event::OpKind;
+    use dsm::GlobalAddr;
+
+    fn build(kind: DetectorKind, n: usize) -> Box<dyn Detector> {
+        DetectorConfig::new(kind, n)
+            .with_granularity(Granularity::WORD)
+            .build()
+    }
 
     #[test]
     fn factory_builds_every_kind() {
+        let first_write = DsmOp {
+            op_id: 0,
+            actor: 0,
+            kind: OpKind::Put {
+                src: GlobalAddr::private(0, 0).range(8),
+                dst: GlobalAddr::public(1, 0).range(8),
+            },
+        };
         for kind in DetectorKind::ALL {
-            let d = kind.build(4, Granularity::WORD);
+            let mut d = build(kind, 4);
             assert!(!d.name().is_empty());
-            assert!(d.reports().is_empty());
+            assert!(d.observe_collect(&first_write, &[]).is_empty());
         }
     }
 
@@ -228,35 +189,23 @@ mod tests {
     fn clock_traffic_by_kind() {
         let n = 4;
         assert_eq!(
-            DetectorKind::Dual
-                .build(n, Granularity::WORD)
-                .clock_components_per_area(),
+            build(DetectorKind::Dual, n).clock_components_per_area(),
             2 * n
         );
         assert_eq!(
-            DetectorKind::Single
-                .build(n, Granularity::WORD)
-                .clock_components_per_area(),
+            build(DetectorKind::Single, n).clock_components_per_area(),
             n
         );
         assert_eq!(
-            DetectorKind::Vanilla
-                .build(n, Granularity::WORD)
-                .clock_components_per_area(),
+            build(DetectorKind::Vanilla, n).clock_components_per_area(),
             0
         );
     }
 
     #[test]
     fn locking_requirements() {
-        assert!(DetectorKind::Dual
-            .build(2, Granularity::WORD)
-            .requires_locking());
-        assert!(!DetectorKind::Vanilla
-            .build(2, Granularity::WORD)
-            .requires_locking());
-        assert!(!DetectorKind::Lockset
-            .build(2, Granularity::WORD)
-            .requires_locking());
+        assert!(build(DetectorKind::Dual, 2).requires_locking());
+        assert!(!build(DetectorKind::Vanilla, 2).requires_locking());
+        assert!(!build(DetectorKind::Lockset, 2).requires_locking());
     }
 }

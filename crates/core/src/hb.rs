@@ -78,16 +78,15 @@
 //! * An area clock that demotes to `Vector` allocates its join.
 //!
 //! Reports stream out by value through the caller's
-//! [`crate::api::ReportSink`] (the legacy `observe`/`reports` pair routes
-//! through an internal [`crate::api::VecSink`]; callers wanting copies use
-//! `observe_collect`).
+//! [`crate::api::ReportSink`]; callers wanting copies use
+//! `observe_collect`.
 
 use std::sync::Arc;
 
 use dsm::addr::{MemRange, Segment};
 use vclock::{MatrixClock, VectorClock};
 
-use crate::api::{ReportSink, VecSink};
+use crate::api::ReportSink;
 use crate::clockstore::{AccessEntry, AreaKey, ClockStore, Granularity, StoreConfig};
 use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId};
@@ -134,8 +133,8 @@ impl HbMode {
 /// The clock-based detector.
 ///
 /// Observing an operation runs Algorithms 1–5 for each access it induces
-/// and returns the number of new race reports (accumulated in
-/// [`Detector::reports`] — signalled, never fatal):
+/// and streams the race reports it finds into the caller's sink —
+/// signalled, never fatal:
 ///
 /// ```
 /// use dsm::GlobalAddr;
@@ -152,9 +151,10 @@ impl HbMode {
 ///         dst,
 ///     },
 /// };
-/// assert_eq!(det.observe(&put(0, 0), &[]), 0); // first write: silent
-/// assert_eq!(det.observe(&put(1, 2), &[]), 1); // concurrent write: a race
-/// assert_eq!(det.reports()[0].class, RaceClass::WriteWrite);
+/// assert!(det.observe_collect(&put(0, 0), &[]).is_empty()); // first write: silent
+/// let reports = det.observe_collect(&put(1, 2), &[]); // concurrent write: a race
+/// assert_eq!(reports.len(), 1);
+/// assert_eq!(reports[0].class, RaceClass::WriteWrite);
 /// ```
 pub struct HbDetector {
     mode: HbMode,
@@ -170,8 +170,6 @@ pub struct HbDetector {
     /// Clock snapshots taken at program-lock releases, merged into the
     /// acquirer on hand-off (the grant message carries the clock).
     lock_clocks: std::collections::HashMap<LockId, VectorClock>,
-    /// The legacy keep-everything log, fed only by [`Detector::observe`].
-    log: VecSink,
     /// Per-op report staging, drained into the sink at op end; reuses its
     /// capacity across ops, so the steady state allocates nothing.
     scratch: Vec<RaceReport>,
@@ -206,7 +204,6 @@ impl HbDetector {
             clocks: (0..n).map(|i| MatrixClock::zero(i, n)).collect(),
             shared_rows: vec![None; n],
             lock_clocks: std::collections::HashMap::new(),
-            log: VecSink::new(),
             scratch: Vec::new(),
             absorb: VectorClock::zero(n),
             decoded: false,
@@ -226,9 +223,9 @@ impl HbDetector {
 
     /// The durable parts of the detector, for the snapshot codec
     /// ([`crate::snapshot`]): the area store, the per-process matrix
-    /// clocks, and the program-lock clock snapshots. The legacy log and
-    /// the per-op scratch buffers are transient at op boundaries and are
-    /// not part of the durable state.
+    /// clocks, and the program-lock clock snapshots. The per-op scratch
+    /// buffers are transient at op boundaries and are not part of the
+    /// durable state.
     pub(crate) fn snapshot_parts(
         &self,
     ) -> (
@@ -256,23 +253,11 @@ impl HbDetector {
             clocks,
             shared_rows: vec![None; n],
             lock_clocks,
-            log: VecSink::new(),
             scratch: Vec::new(),
             absorb: VectorClock::zero(n),
             decoded: true,
             n,
         }
-    }
-
-    /// Reports whose class is a true race under the paper's definition
-    /// (filters the read-read false positives of the baselines). Reads the
-    /// legacy log, like [`Detector::reports`].
-    pub fn true_race_reports(&self) -> Vec<&RaceReport> {
-        self.log
-            .as_slice()
-            .iter()
-            .filter(|r| r.class.is_true_race())
-            .collect()
     }
 }
 
@@ -486,14 +471,6 @@ impl Detector for HbDetector {
         new
     }
 
-    fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
-        crate::detector::observe_via_log!(self.log, op, held_locks)
-    }
-
-    fn reports(&self) -> &[RaceReport] {
-        self.log.as_slice()
-    }
-
     fn clock_components_per_area(&self) -> usize {
         match self.mode {
             HbMode::Dual | HbMode::Literal => 2 * self.n,
@@ -556,6 +533,7 @@ impl Detector for HbDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::VecSink;
     use crate::event::OpKind;
     use dsm::addr::GlobalAddr;
 
@@ -643,14 +621,15 @@ mod tests {
                 range: GlobalAddr::public(1, 0).range(8),
             },
         };
-        d.observe(&init, &[]);
+        let mut log = VecSink::new();
+        d.observe_sink(&init, &[], &mut log);
         // Both readers first absorb the write clock via an initial get each;
         // the first get races (unsynchronised with init) — treat it as the
         // synchronisation step and clear; the *second round* of gets is the
         // Fig 4 scenario proper.
-        d.observe(&get(1, 0, 1, 0), &[]);
-        d.observe(&get(2, 2, 1, 0), &[]);
-        let before = d.reports().len();
+        d.observe_sink(&get(1, 0, 1, 0), &[], &mut log);
+        d.observe_sink(&get(2, 2, 1, 0), &[], &mut log);
+        let before = log.len();
         // Now both P0 and P2 are causally after the write. Concurrent gets:
         let a = d.observe_collect(&get(3, 0, 1, 0), &[]);
         let b = d.observe_collect(&get(4, 2, 1, 0), &[]);
@@ -658,7 +637,7 @@ mod tests {
             a.is_empty() && b.is_empty(),
             "read-read must be silent in dual mode"
         );
-        assert_eq!(d.reports().len(), before);
+        assert_eq!(log.len(), before);
     }
 
     #[test]
@@ -673,9 +652,9 @@ mod tests {
                 range: GlobalAddr::public(1, 0).range(8),
             },
         };
-        d.observe(&init, &[]);
-        d.observe(&get(1, 0, 1, 0), &[]);
-        d.observe(&get(2, 2, 1, 0), &[]);
+        d.observe_collect(&init, &[]);
+        d.observe_collect(&get(1, 0, 1, 0), &[]);
+        d.observe_collect(&get(2, 2, 1, 0), &[]);
         let a = d.observe_collect(&get(3, 0, 1, 0), &[]);
         let b = d.observe_collect(&get(4, 2, 1, 0), &[]);
         let rr: Vec<_> = a
@@ -696,8 +675,8 @@ mod tests {
         // mode checks only W → silent. This is the ABL-lit false negative.
         let scenario = |mode: HbMode| -> usize {
             let mut d = HbDetector::new(3, Granularity::WORD, mode);
-            d.observe(&get(0, 0, 1, 0), &[]);
-            d.observe(&put(1, 2, 1, 0), &[])
+            d.observe_collect(&get(0, 0, 1, 0), &[]);
+            d.observe_collect(&put(1, 2, 1, 0), &[]).len()
         };
         assert!(scenario(HbMode::Dual) >= 1, "dual catches WAR");
         assert_eq!(scenario(HbMode::Literal), 0, "literal misses WAR");
@@ -717,8 +696,8 @@ mod tests {
                 range: GlobalAddr::public(1, 0).range(8),
             },
         };
-        d.observe(&w, &[]);
-        d.observe(&get(1, 2, 1, 0), &[]); // absorbs P1's write (flagged: unsynchronised — but absorbs)
+        d.observe_collect(&w, &[]);
+        d.observe_collect(&get(1, 2, 1, 0), &[]); // absorbs P1's write (flagged: unsynchronised — but absorbs)
         let reports = d.observe_collect(&put(2, 2, 1, 0), &[]);
         assert!(
             reports.is_empty(),
@@ -730,7 +709,7 @@ mod tests {
     fn same_process_never_races_with_itself() {
         let mut d = dual(2);
         for i in 0..5 {
-            let r = d.observe(&put(i, 0, 1, 0), &[]);
+            let r = d.observe_collect(&put(i, 0, 1, 0), &[]).len();
             assert_eq!(r, 0, "program order forbids self-races");
         }
     }
@@ -738,8 +717,8 @@ mod tests {
     #[test]
     fn disjoint_words_never_race() {
         let mut d = dual(2);
-        d.observe(&put(0, 0, 1, 0), &[]);
-        let r = d.observe(&put(1, 1, 1, 8), &[]);
+        d.observe_collect(&put(0, 0, 1, 0), &[]);
+        let r = d.observe_collect(&put(1, 1, 1, 8), &[]).len();
         assert_eq!(r, 0, "different words are different areas");
     }
 
@@ -761,7 +740,7 @@ mod tests {
                 range: GlobalAddr::public(1, 8).range(16),
             },
         };
-        d.observe(&a, &[]);
+        d.observe_collect(&a, &[]);
         let reports = d.observe_collect(&b, &[]);
         // Word 1 (bytes 8..16) is shared → exactly one area races.
         assert_eq!(reports.len(), 1);
@@ -773,7 +752,7 @@ mod tests {
         // range in release (0 reports) and panicked on the add in debug.
         let mut d = dual(3);
         let off = usize::MAX - 3;
-        assert_eq!(d.observe(&put(0, 0, 1, off), &[]), 0);
+        assert_eq!(d.observe_collect(&put(0, 0, 1, off), &[]).len(), 0);
         let reports = d.observe_collect(&put(1, 2, 1, off), &[]);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].class, RaceClass::WriteWrite);
@@ -785,7 +764,7 @@ mod tests {
         let mut d = dual(4);
         let mut s = HbDetector::new(4, Granularity::WORD, HbMode::Single);
         for det in [&mut d, &mut s] {
-            det.observe(&put(0, 0, 1, 0), &[]);
+            det.observe_collect(&put(0, 0, 1, 0), &[]);
         }
         assert_eq!(d.clock_memory_bytes(), 2 * s.clock_memory_bytes());
     }
@@ -794,14 +773,14 @@ mod tests {
     fn tick_advances_process_clock() {
         let mut d = dual(2);
         assert_eq!(d.process_clock(0).total(), 0);
-        d.observe(&put(0, 0, 1, 0), &[]);
+        d.observe_collect(&put(0, 0, 1, 0), &[]);
         assert_eq!(d.process_clock(0).get(0), 1);
     }
 
     #[test]
     fn report_ids_match_access_id_scheme() {
         let mut d = dual(3);
-        d.observe(&put(0, 0, 1, 0), &[]);
+        d.observe_collect(&put(0, 0, 1, 0), &[]);
         let reports = d.observe_collect(&put(1, 2, 1, 0), &[]);
         let r = &reports[0];
         // put's write access id = 2*op_id + 1.
@@ -810,17 +789,16 @@ mod tests {
     }
 
     #[test]
-    fn observe_into_fills_caller_vec_and_only_that() {
+    fn observe_collect_returns_the_reports_and_feeds_no_other_sink() {
         let mut d = dual(3);
-        let mut out = Vec::new();
-        assert_eq!(d.observe_into(&put(0, 0, 1, 0), &[], &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(d.observe_into(&put(1, 2, 1, 0), &[], &mut out), 1);
+        let mut log = VecSink::new();
+        assert_eq!(d.observe_sink(&put(0, 0, 1, 0), &[], &mut log), 0);
+        let out = d.observe_collect(&put(1, 2, 1, 0), &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].class, RaceClass::WriteWrite);
-        // The temporary-VecSink discipline: neither the legacy log nor any
-        // attached sink sees these reports — no double-reporting.
-        assert!(d.reports().is_empty());
+        // The temporary-VecSink discipline: a sink the detector was driven
+        // into before does not see these reports — no double-reporting.
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -829,7 +807,7 @@ mod tests {
         // clocks must remain epochs the whole way.
         let mut d = dual(2);
         for i in 0..64 {
-            assert_eq!(d.observe(&put(i, 0, 1, 0), &[]), 0);
+            assert_eq!(d.observe_collect(&put(i, 0, 1, 0), &[]).len(), 0);
         }
         assert_eq!(d.store().epoch_areas(), d.store().touched_areas());
     }
@@ -837,16 +815,16 @@ mod tests {
     #[test]
     fn racy_area_demotes_then_repromotes_after_barrier() {
         let mut d = dual(2);
-        d.observe(&put(0, 0, 1, 0), &[]);
+        d.observe_collect(&put(0, 0, 1, 0), &[]);
         assert_eq!(
-            d.observe(&put(1, 1, 1, 0), &[]),
+            d.observe_collect(&put(1, 1, 1, 0), &[]).len(),
             1,
             "concurrent writes race"
         );
         assert_eq!(d.store().epoch_areas(), 0, "concurrency demoted the area");
         // Barrier orders everyone; the next write dominates the old join.
         d.on_barrier();
-        assert_eq!(d.observe(&put(2, 0, 1, 0), &[]), 0);
+        assert_eq!(d.observe_collect(&put(2, 0, 1, 0), &[]).len(), 0);
         assert_eq!(d.store().epoch_areas(), 1, "dominating write re-promoted");
     }
 }

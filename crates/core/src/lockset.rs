@@ -49,7 +49,6 @@ pub(crate) enum AreaState {
 pub struct LocksetDetector {
     granularity: Granularity,
     states: std::collections::HashMap<AreaKey, AreaState>,
-    log: crate::api::VecSink,
 }
 
 impl LocksetDetector {
@@ -59,7 +58,6 @@ impl LocksetDetector {
         LocksetDetector {
             granularity,
             states: std::collections::HashMap::new(),
-            log: crate::api::VecSink::new(),
         }
     }
 
@@ -244,14 +242,6 @@ impl Detector for LocksetDetector {
         new
     }
 
-    fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
-        crate::detector::observe_via_log!(self.log, op, held_locks)
-    }
-
-    fn reports(&self) -> &[RaceReport] {
-        self.log.as_slice()
-    }
-
     fn clock_components_per_area(&self) -> usize {
         0 // lockset ships no clocks
     }
@@ -325,14 +315,13 @@ mod tests {
         assert_eq!(r[0].class, RaceClass::WriteWrite);
         // Subsequent unlocked writes do not re-report the same area.
         assert!(d.observe_collect(&wr(2, 0), &[]).is_empty());
-        // observe_collect routes through a temporary sink, so the legacy
-        // log stays empty; the legacy entry point feeds it.
-        assert!(d.reports().is_empty());
+        // The same three writes streamed into one caller-owned sink.
         let mut d = LocksetDetector::new(2, Granularity::WORD);
-        d.observe(&wr(0, 0), &[]);
-        d.observe(&wr(1, 1), &[]);
-        d.observe(&wr(2, 0), &[]);
-        assert_eq!(d.reports().len(), 1);
+        let mut log = crate::api::VecSink::new();
+        d.observe_sink(&wr(0, 0), &[], &mut log);
+        d.observe_sink(&wr(1, 1), &[], &mut log);
+        d.observe_sink(&wr(2, 0), &[], &mut log);
+        assert_eq!(log.len(), 1);
     }
 
     #[test]

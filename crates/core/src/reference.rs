@@ -2,21 +2,16 @@
 //! **no** performance machinery.
 //!
 //! This is the pre-optimisation implementation of [`crate::hb::HbDetector`]
-//! kept verbatim in the tree for two jobs:
-//!
-//! * **parity oracle** — the differential property tests
-//!   (`tests/differential.rs`) drive random operation streams through this
-//!   detector and the epoch-fast-path detector and assert byte-identical
-//!   report sequences in every [`HbMode`] and at several granularities;
-//! * **perf baseline** — the `epoch` bench and `repro --bench` measure the
-//!   fast path's speedup against exactly this code (the numbers in
-//!   `BENCH_0001.json`).
+//! kept verbatim in the tree as its **parity oracle**: the differential
+//! property tests (`tests/differential.rs`) drive random operation streams
+//! through this detector and the epoch-fast-path detector and assert
+//! byte-identical report sequences in every [`HbMode`] and at several
+//! granularities.
 //!
 //! Cost profile it deliberately preserves: a `HashMap` lookup per touched
 //! block, a full `O(n)` vector compare per recorded access, an `O(n)` merge
 //! per area update, one clock snapshot allocation per *access*, and a
-//! per-op `Vec` of reports that is cloned again into the log — every cost
-//! the optimised detector removes.
+//! per-op `Vec` of reports — every cost the optimised detector removes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -92,7 +87,6 @@ pub struct ReferenceHbDetector {
     areas: HashMap<AreaKey, RefAreaHistory>,
     clocks: Vec<MatrixClock>,
     lock_clocks: HashMap<LockId, VectorClock>,
-    log: crate::api::VecSink,
     n: usize,
 }
 
@@ -105,7 +99,6 @@ impl ReferenceHbDetector {
             areas: HashMap::new(),
             clocks: (0..n).map(|i| MatrixClock::zero(i, n)).collect(),
             lock_clocks: HashMap::new(),
-            log: crate::api::VecSink::new(),
             n,
         }
     }
@@ -239,14 +232,6 @@ impl Detector for ReferenceHbDetector {
         count
     }
 
-    fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
-        crate::detector::observe_via_log!(self.log, op, held_locks)
-    }
-
-    fn reports(&self) -> &[RaceReport] {
-        self.log.as_slice()
-    }
-
     fn clock_components_per_area(&self) -> usize {
         match self.mode {
             HbMode::Dual | HbMode::Literal => 2 * self.n,
@@ -310,7 +295,7 @@ mod tests {
     #[test]
     fn reference_detects_fig5a() {
         let mut d = ReferenceHbDetector::new(3, Granularity::WORD, HbMode::Dual);
-        assert_eq!(d.observe(&put(0, 0, 1, 0), &[]), 0);
+        assert_eq!(d.observe_collect(&put(0, 0, 1, 0), &[]).len(), 0);
         let reports = d.observe_collect(&put(1, 2, 1, 0), &[]);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].class, RaceClass::WriteWrite);
@@ -322,8 +307,8 @@ mod tests {
         let mut r = ReferenceHbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let mut h = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
         for d in [&mut r as &mut dyn Detector, &mut h as &mut dyn Detector] {
-            d.observe(&put(0, 0, 1, 0), &[]);
-            d.observe(&put(1, 0, 1, 64), &[]);
+            d.observe_collect(&put(0, 0, 1, 0), &[]);
+            d.observe_collect(&put(1, 0, 1, 64), &[]);
         }
         assert_eq!(r.clock_memory_bytes(), h.clock_memory_bytes());
     }

@@ -8,7 +8,6 @@
 
 use crate::detector::Detector;
 use crate::event::{DsmOp, LockId};
-use crate::report::RaceReport;
 
 /// A detector that detects nothing.
 #[derive(Debug, Default)]
@@ -49,16 +48,6 @@ impl Detector for VanillaDetector {
         0
     }
 
-    fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
-        // No log to feed (vanilla never reports); a throwaway empty sink
-        // keeps the counting in one place. `VecSink::new` never allocates.
-        self.observe_sink(op, held_locks, &mut crate::api::VecSink::new())
-    }
-
-    fn reports(&self) -> &[RaceReport] {
-        &[]
-    }
-
     fn clock_components_per_area(&self) -> usize {
         0
     }
@@ -96,7 +85,6 @@ mod tests {
             assert!(d.observe_collect(&op, &[]).is_empty());
         }
         assert_eq!(d.ops_seen(), 10);
-        assert!(d.reports().is_empty());
         assert_eq!(d.clock_memory_bytes(), 0);
         assert_eq!(d.clock_components_per_area(), 0);
         assert!(!d.requires_locking());

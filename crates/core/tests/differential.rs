@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use race_core::{
     Detector, DsmOp, Granularity, HbDetector, HbMode, OpKind, RaceReport, ReferenceHbDetector,
+    VecSink,
 };
 
 use dsm::addr::GlobalAddr;
@@ -91,16 +92,24 @@ fn normalised(reports: &[RaceReport]) -> Vec<RaceReport> {
         .collect()
 }
 
-fn drive(steps: &[Step], fast: &mut HbDetector, slow: &mut ReferenceHbDetector) {
+/// Drive both detectors through `steps`, comparing each op's reports;
+/// returns the two whole report logs.
+fn drive(
+    steps: &[Step],
+    fast: &mut HbDetector,
+    slow: &mut ReferenceHbDetector,
+) -> (VecSink, VecSink) {
+    let (mut fast_log, mut slow_log) = (VecSink::new(), VecSink::new());
     for (i, step) in steps.iter().enumerate() {
         match step {
             Step::Op(op) => {
-                // Drive the legacy log path (the whole-log assertions below
-                // depend on it) and compare each op's log tail.
-                let na = fast.observe(op, &[]);
-                let nb = slow.observe(op, &[]);
-                let a = &fast.reports()[fast.reports().len() - na..];
-                let b = &slow.reports()[slow.reports().len() - nb..];
+                // Stream into a caller-owned log per detector (the
+                // whole-log assertions depend on it) and compare each op's
+                // log tail.
+                let na = fast.observe_sink(op, &[], &mut fast_log);
+                let nb = slow.observe_sink(op, &[], &mut slow_log);
+                let a = &fast_log.as_slice()[fast_log.len() - na..];
+                let b = &slow_log.as_slice()[slow_log.len() - nb..];
                 assert_eq!(
                     normalised(a),
                     normalised(b),
@@ -121,6 +130,7 @@ fn drive(steps: &[Step], fast: &mut HbDetector, slow: &mut ReferenceHbDetector) 
             }
         }
     }
+    (fast_log, slow_log)
 }
 
 proptest! {
@@ -146,10 +156,10 @@ proptest! {
             ] {
                 let mut fast = HbDetector::new(n, granularity, mode);
                 let mut slow = ReferenceHbDetector::new(n, granularity, mode);
-                drive(&steps, &mut fast, &mut slow);
+                let (fast_log, slow_log) = drive(&steps, &mut fast, &mut slow);
                 // Whole-log equality, emitted order and sorted order.
-                let mut a = normalised(fast.reports());
-                let mut b = normalised(slow.reports());
+                let mut a = normalised(fast_log.as_slice());
+                let mut b = normalised(slow_log.as_slice());
                 prop_assert_eq!(&a, &b, "log divergence mode={:?} gran={:?}", mode, granularity);
                 let key = |r: &RaceReport| (r.current.id, r.previous.as_ref().map(|p| p.id), r.area);
                 a.sort_by_key(key);

@@ -1,8 +1,8 @@
 //! Differential property tests for the `race_core::api` report-streaming
-//! layer: driving any detector through a sink (the façade's hot path) must
-//! produce **byte-for-byte** the report stream of the legacy internal log,
-//! for every [`DetectorKind`] — and the aggregating sinks
-//! must retain bounded state, never per-report copies.
+//! layer: driving any detector through a `Session` must produce
+//! **byte-for-byte** the report stream of the bare
+//! `Detector::observe_sink` hot loop, for every [`DetectorKind`] — and the
+//! aggregating sinks must retain bounded state, never per-report copies.
 
 use proptest::prelude::*;
 use race_core::api::{CountingSink, DetectorConfig, SummarySink, VecSink};
@@ -73,20 +73,21 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
     }
 }
 
-/// Drive the legacy path: `observe()` into the detector's internal log.
-fn drive_legacy(config: &DetectorConfig, steps: &[Step]) -> Vec<race_core::RaceReport> {
+/// Drive the bare path: `observe_sink()` into a caller-owned `VecSink`.
+fn drive_bare(config: &DetectorConfig, steps: &[Step]) -> Vec<race_core::RaceReport> {
     let mut det = config.build();
+    let mut log = VecSink::new();
     for step in steps {
         match step {
             Step::Op(op) => {
-                det.observe(op, &[]);
+                det.observe_sink(op, &[], &mut log);
             }
             Step::Barrier => det.on_barrier(),
             Step::Release { rank, lock } => det.on_release(*rank, *lock),
             Step::Acquire { rank, lock } => det.on_acquire(*rank, *lock),
         }
     }
-    det.reports().to_vec()
+    log.into_reports()
 }
 
 /// Drive the façade path: a `Session` streaming into `VecSink`.
@@ -112,12 +113,12 @@ fn drive_session(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For random op streams, the `VecSink` stream equals the legacy
-    /// `reports()` log byte-for-byte, across every `DetectorKind` — and
-    /// the session's bounded summary agrees with the summary of the
-    /// retained stream.
+    /// For random op streams, the `Session` + `VecSink` stream equals the
+    /// bare `observe_sink` stream byte-for-byte, across every
+    /// `DetectorKind` — and the session's bounded summary agrees with the
+    /// summary of the retained stream.
     #[test]
-    fn vec_sink_stream_equals_legacy_log(
+    fn session_stream_equals_bare_observe_sink(
         n in 2usize..5,
         raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..50),
     ) {
@@ -129,10 +130,10 @@ proptest! {
         for kind in DetectorKind::ALL {
             for granularity in [Granularity::WORD, Granularity::CACHE_LINE] {
                 let config = DetectorConfig::new(kind, n).with_granularity(granularity);
-                let legacy = drive_legacy(&config, &steps);
+                let bare = drive_bare(&config, &steps);
                 let (streamed, summary) = drive_session(&config, &steps);
                 prop_assert_eq!(
-                    &legacy, &streamed,
+                    &bare, &streamed,
                     "sink stream diverges kind={:?} gran={:?}",
                     kind, granularity
                 );

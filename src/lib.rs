@@ -42,8 +42,8 @@
 //!
 //! Report parity with the unoptimised implementation
 //! (`race_core::ReferenceHbDetector`) is enforced by differential property
-//! tests across all detector modes and granularities; the measured speedup
-//! is tracked in `BENCH_0001.json` (`repro --bench`).
+//! tests across all detector modes and granularities; its cost is measured
+//! end to end, layer by layer, by the `benchmark/` crate.
 //!
 //! ## Quickstart
 //!
