@@ -1,58 +1,33 @@
 //! Detector-only operation streams.
 //!
 //! These generators reproduce the access patterns of the `stencil`,
-//! `random_access`, `hotspot` and `producer_consumer` workloads as bare
-//! [`DsmOp`] streams plus synchronisation events, without the
-//! discrete-event engine: [`drive_sink`] feeds them straight into a
-//! [`Detector`], [`drive_session`] into a [`race_core::Session`]. The
-//! `repro --config` smoke and the serve smoke replay them.
+//! `hotspot` and `producer_consumer` workloads as bare [`Event`] streams —
+//! [`DsmOp`]s plus synchronisation events — without the discrete-event
+//! engine: [`race_core::Session::apply`] and [`race_core::Detector::apply`]
+//! drive a session or a bare detector with them. The `repro --config`
+//! smoke and the serve smoke replay them.
 
-use race_core::{Detector, DsmOp, LockId, OpKind};
-use simulator::workloads::random_access::RandomSpec;
+use race_core::{DsmOp, Event, LockId, OpKind};
 
 use dsm::GlobalAddr;
-
-/// One event of a detector-only stream.
-#[derive(Debug, Clone)]
-pub enum StreamEvent {
-    /// A DSM operation observed by the detector.
-    Op(DsmOp),
-    /// A barrier among all ranks.
-    Barrier,
-    /// `rank` acquired the NIC area lock `lock` (scenario streams with
-    /// lock hand-off synchronisation, e.g. [`producer_consumer`]).
-    Acquire {
-        /// Acquiring process.
-        rank: usize,
-        /// The program lock.
-        lock: LockId,
-    },
-    /// `rank` released the NIC area lock `lock`.
-    Release {
-        /// Releasing process.
-        rank: usize,
-        /// The program lock.
-        lock: LockId,
-    },
-}
 
 /// Number of *clocked* memory accesses a stream performs: the public-side
 /// accesses of each op (private memory never reaches the clocks, §IV-A).
 /// Synchronisation events — barriers and lock hand-offs — touch clocks but
 /// never memory, so they count zero; the match is exhaustive on purpose,
 /// so a new event variant cannot silently skew an access count.
-pub fn access_count(events: &[StreamEvent]) -> u64 {
+pub fn access_count(events: &[Event]) -> u64 {
     use dsm::addr::Segment;
     events
         .iter()
         .map(|e| match e {
-            StreamEvent::Op(op) => op
+            Event::Op(op) => op
                 .accesses()
                 .into_iter()
                 .filter(|(_, r, _)| r.addr.segment == Segment::Public)
                 .count() as u64,
-            StreamEvent::Barrier => 0,
-            StreamEvent::Acquire { .. } | StreamEvent::Release { .. } => 0,
+            Event::Barrier => 0,
+            Event::Acquire { .. } | Event::Release { .. } => 0,
         })
         .sum()
 }
@@ -61,12 +36,12 @@ pub fn access_count(events: &[StreamEvent]) -> u64 {
 /// `words` words; per iteration it writes its interior, reads its
 /// neighbours' boundary words, and everyone barriers. Fully synchronised —
 /// the detector's totally-ordered fast path.
-pub fn stencil(n: usize, words: usize, iters: usize) -> Vec<StreamEvent> {
+pub fn stencil(n: usize, words: usize, iters: usize) -> Vec<Event> {
     assert!(n >= 2 && words >= 2);
     let mut events = Vec::new();
     let mut op_id = 0u64;
-    let mut op = |actor: usize, kind: OpKind, events: &mut Vec<StreamEvent>| {
-        events.push(StreamEvent::Op(DsmOp { op_id, actor, kind }));
+    let mut op = |actor: usize, kind: OpKind, events: &mut Vec<Event>| {
+        events.push(Event::Op(DsmOp { op_id, actor, kind }));
         op_id += 1;
     };
     for _ in 0..iters {
@@ -81,7 +56,7 @@ pub fn stencil(n: usize, words: usize, iters: usize) -> Vec<StreamEvent> {
                 );
             }
         }
-        events.push(StreamEvent::Barrier);
+        events.push(Event::Barrier);
         for rank in 0..n {
             let left = (rank + n - 1) % n;
             let right = (rank + 1) % n;
@@ -96,48 +71,7 @@ pub fn stencil(n: usize, words: usize, iters: usize) -> Vec<StreamEvent> {
                 );
             }
         }
-        events.push(StreamEvent::Barrier);
-    }
-    events
-}
-
-/// The `random_access` pattern: every rank issues `spec.ops_per_rank`
-/// put/get operations against `spec.hot_words` shared words, unlocked —
-/// genuinely concurrent traffic exercising demotion and the antichain
-/// slow path.
-pub fn random(spec: RandomSpec) -> Vec<StreamEvent> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut events = Vec::new();
-    let word = |i: usize| {
-        let rank = i % spec.n;
-        let slot = i / spec.n;
-        GlobalAddr::public(rank, slot * 8).range(8)
-    };
-    // Interleave rank streams round-robin, as the engine's lockstep
-    // scheduling roughly does.
-    for op_index in 0..spec.ops_per_rank {
-        for rank in 0..spec.n {
-            let target = word(rng.gen_range(0..spec.hot_words));
-            let op_id = (op_index * spec.n + rank) as u64;
-            let kind = if rng.gen_bool(spec.p_write) {
-                OpKind::Put {
-                    src: GlobalAddr::private(rank, 0).range(8),
-                    dst: target,
-                }
-            } else {
-                OpKind::Get {
-                    src: target,
-                    dst: GlobalAddr::private(rank, 0).range(8),
-                }
-            };
-            events.push(StreamEvent::Op(DsmOp {
-                op_id,
-                actor: rank,
-                kind,
-            }));
-        }
+        events.push(Event::Barrier);
     }
     events
 }
@@ -147,7 +81,7 @@ pub fn random(spec: RandomSpec) -> Vec<StreamEvent> {
 /// contention for the detector: the hot areas demote to dense joins, the
 /// antichains grow to the concurrency width, every access runs the O(n)
 /// scan, and the report stream is dense. Deterministic, no RNG.
-pub fn hotspot(n: usize, ops_per_rank: usize, hot_words: usize) -> Vec<StreamEvent> {
+pub fn hotspot(n: usize, ops_per_rank: usize, hot_words: usize) -> Vec<Event> {
     assert!(n >= 2 && hot_words >= 1);
     let mut events = Vec::new();
     for op_index in 0..ops_per_rank {
@@ -166,7 +100,7 @@ pub fn hotspot(n: usize, ops_per_rank: usize, hot_words: usize) -> Vec<StreamEve
                     dst: GlobalAddr::private(rank, 0).range(8),
                 }
             };
-            events.push(StreamEvent::Op(DsmOp {
+            events.push(Event::Op(DsmOp {
                 op_id,
                 actor: rank,
                 kind,
@@ -182,7 +116,7 @@ pub fn hotspot(n: usize, ops_per_rank: usize, hot_words: usize) -> Vec<StreamEve
 /// word each, every access bracketed by the word's lock hand-off events.
 /// Lock-disciplined — zero reports from any sound detector — while still
 /// exercising the lock-clock path the engine benches never isolate.
-pub fn producer_consumer(pairs: usize, items: usize) -> Vec<StreamEvent> {
+pub fn producer_consumer(pairs: usize, items: usize) -> Vec<Event> {
     assert!(pairs >= 1 && items >= 1);
     let mut events = Vec::new();
     let mut op_id = 0u64;
@@ -192,26 +126,26 @@ pub fn producer_consumer(pairs: usize, items: usize) -> Vec<StreamEvent> {
             let buf = GlobalAddr::public(producer, 0).range(8);
             let lock: LockId = (producer, 0);
             // Producer writes under the lock…
-            events.push(StreamEvent::Acquire {
+            events.push(Event::Acquire {
                 rank: producer,
                 lock,
             });
-            events.push(StreamEvent::Op(DsmOp {
+            events.push(Event::Op(DsmOp {
                 op_id,
                 actor: producer,
                 kind: OpKind::LocalWrite { range: buf },
             }));
             op_id += 1;
-            events.push(StreamEvent::Release {
+            events.push(Event::Release {
                 rank: producer,
                 lock,
             });
             // …and the consumer gets it under the same lock.
-            events.push(StreamEvent::Acquire {
+            events.push(Event::Acquire {
                 rank: consumer,
                 lock,
             });
-            events.push(StreamEvent::Op(DsmOp {
+            events.push(Event::Op(DsmOp {
                 op_id,
                 actor: consumer,
                 kind: OpKind::Get {
@@ -220,7 +154,7 @@ pub fn producer_consumer(pairs: usize, items: usize) -> Vec<StreamEvent> {
                 },
             }));
             op_id += 1;
-            events.push(StreamEvent::Release {
+            events.push(Event::Release {
                 rank: consumer,
                 lock,
             });
@@ -229,54 +163,34 @@ pub fn producer_consumer(pairs: usize, items: usize) -> Vec<StreamEvent> {
     events
 }
 
-/// Feed a stream through a detector's sink path
-/// ([`Detector::observe_sink`]) with a caller-owned sink — the bare
-/// streaming hot loop, no session bookkeeping; returns the total number of
-/// reports.
-pub fn drive_sink(
-    detector: &mut dyn Detector,
-    sink: &mut dyn race_core::ReportSink,
-    events: &[StreamEvent],
-) -> usize {
-    let mut reports = 0;
-    for e in events {
-        match e {
-            StreamEvent::Op(op) => reports += detector.observe_sink(op, &[], sink),
-            StreamEvent::Barrier => detector.on_barrier(),
-            StreamEvent::Acquire { rank, lock } => detector.on_acquire(*rank, *lock),
-            StreamEvent::Release { rank, lock } => detector.on_release(*rank, *lock),
-        }
-    }
-    reports
-}
-
-/// Feed a stream through a `race_core::api` [`race_core::Session`]
-/// (reports go to the session's sink); returns the total number of
-/// reports.
-pub fn drive_session(session: &mut race_core::Session, events: &[StreamEvent]) -> usize {
-    let mut reports = 0;
-    for e in events {
-        match e {
-            StreamEvent::Op(op) => reports += session.observe(op, &[]),
-            StreamEvent::Barrier => session.on_barrier(),
-            StreamEvent::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
-            StreamEvent::Release { rank, lock } => session.on_release(*rank, *lock),
-        }
-    }
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use race_core::{Granularity, HbDetector, HbMode, ReferenceHbDetector, VecSink};
+    use race_core::{
+        Detector, Granularity, HbDetector, HbMode, ReferenceHbDetector, ReportSink, Session,
+        VecSink,
+    };
+
+    /// Total reports of `events` through a bare detector into `sink`.
+    fn detector_reports(
+        d: &mut dyn Detector,
+        sink: &mut dyn ReportSink,
+        events: &[Event],
+    ) -> usize {
+        events.iter().map(|e| d.apply(e, &[], sink)).sum()
+    }
+
+    /// Total reports of `events` through a session.
+    fn session_reports(session: &mut Session, events: &[Event]) -> usize {
+        events.iter().map(|e| session.apply(e, &[])).sum()
+    }
 
     #[test]
     fn stencil_stream_is_race_free_and_stays_on_fast_path() {
         let events = stencil(8, 8, 3);
         let mut d = HbDetector::new(8, Granularity::WORD, HbMode::Dual);
         assert_eq!(
-            drive_sink(&mut d, &mut VecSink::new(), &events),
+            detector_reports(&mut d, &mut VecSink::new(), &events),
             0,
             "synchronised stencil never races"
         );
@@ -288,32 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn random_stream_matches_reference_reports() {
-        let spec = RandomSpec {
-            n: 6,
-            ops_per_rank: 40,
-            hot_words: 12,
-            p_write: 0.5,
-            locked: false,
-            seed: 7,
-        };
-        let events = random(spec);
-        let mut fast = HbDetector::new(spec.n, Granularity::WORD, HbMode::Dual);
-        let mut slow = ReferenceHbDetector::new(spec.n, Granularity::WORD, HbMode::Dual);
-        let a = drive_sink(&mut fast, &mut VecSink::new(), &events);
-        let b = drive_sink(&mut slow, &mut VecSink::new(), &events);
-        assert_eq!(a, b);
-        assert!(a > 0, "unlocked random traffic must race");
-    }
-
-    #[test]
     fn hotspot_is_racy_and_matches_reference() {
         let events = hotspot(4, 32, 4);
         let mut fast = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let mut slow = ReferenceHbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let (mut fast_log, mut slow_log) = (VecSink::new(), VecSink::new());
-        let a = drive_sink(&mut fast, &mut fast_log, &events);
-        let b = drive_sink(&mut slow, &mut slow_log, &events);
+        let a = detector_reports(&mut fast, &mut fast_log, &events);
+        let b = detector_reports(&mut slow, &mut slow_log, &events);
         assert_eq!(a, b);
         assert!(a > 0, "unsynchronised hotspot traffic must race");
         assert_eq!(fast_log.as_slice(), slow_log.as_slice());
@@ -337,7 +232,7 @@ mod tests {
         assert_eq!(access_count(&events), 2 * 3 * 2);
         let locks = events
             .iter()
-            .filter(|e| matches!(e, StreamEvent::Acquire { .. } | StreamEvent::Release { .. }))
+            .filter(|e| matches!(e, Event::Acquire { .. } | Event::Release { .. }))
             .count();
         assert_eq!(locks, 2 * 3 * 4, "an acquire+release bracket per access");
     }
@@ -348,13 +243,13 @@ mod tests {
         let mut d = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let mut sink = VecSink::new();
         assert_eq!(
-            drive_sink(&mut d, &mut sink, &events),
+            detector_reports(&mut d, &mut sink, &events),
             0,
             "hand-off orders every pair"
         );
         let mut session =
             race_core::DetectorConfig::new(race_core::DetectorKind::Dual, 4).session();
-        assert_eq!(drive_session(&mut session, &events), 0);
+        assert_eq!(session_reports(&mut session, &events), 0);
     }
 
     #[test]
@@ -362,15 +257,15 @@ mod tests {
         // The same traffic minus the hand-off events must race — proving
         // the lock events (not luck) made the stream clean — and the
         // session path must agree with the bare detector on it.
-        let events: Vec<StreamEvent> = producer_consumer(2, 4)
+        let events: Vec<Event> = producer_consumer(2, 4)
             .into_iter()
-            .filter(|e| matches!(e, StreamEvent::Op(_)))
+            .filter(|e| matches!(e, Event::Op(_)))
             .collect();
         let mut d = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
-        let inline_reports = drive_sink(&mut d, &mut VecSink::new(), &events);
+        let inline_reports = detector_reports(&mut d, &mut VecSink::new(), &events);
         assert!(inline_reports > 0, "unlocked hand-off must race");
         let mut session =
             race_core::DetectorConfig::new(race_core::DetectorKind::Dual, 4).session();
-        assert_eq!(drive_session(&mut session, &events), inline_reports);
+        assert_eq!(session_reports(&mut session, &events), inline_reports);
     }
 }

@@ -25,7 +25,9 @@ pub fn config_roundtrip(config: &DetectorConfig) -> Result<(usize, u64), String>
     let accesses = opstream::access_count(&events);
     let run = |c: &DetectorConfig| -> Vec<race_core::RaceReport> {
         let mut session = c.session();
-        opstream::drive_session(&mut session, &events);
+        for ev in &events {
+            session.apply(ev, &[]);
+        }
         let (_, sink) = session.finish();
         sink.reports().to_vec()
     };

@@ -21,7 +21,7 @@ use dsm_service::ServiceClient;
 use race_core::api::SummarySink;
 use race_core::{DetectorConfig, DetectorKind, DsmOp, OpKind, RaceSummary, RetryPolicy};
 
-use crate::opstream::{self, StreamEvent};
+use crate::opstream;
 
 /// Op id reserved for the panic-injection client; no generated workload
 /// reaches it.
@@ -56,7 +56,7 @@ fn kind_for(index: usize) -> ClientKind {
 
 /// The stream events of client `index` — deterministic per index/seed, so
 /// the in-process twin replays exactly the same workload.
-fn client_events(index: usize, seed: u64) -> Vec<StreamEvent> {
+fn client_events(index: usize, seed: u64) -> Vec<WireEvent> {
     let variant = (index as u64 + seed) % 3;
     match variant {
         0 => opstream::hotspot(4, 30, 4),
@@ -65,38 +65,12 @@ fn client_events(index: usize, seed: u64) -> Vec<StreamEvent> {
     }
 }
 
-/// Convert a detector stream into wire events (the bench→service bridge).
-pub fn wire_events(events: &[StreamEvent]) -> Vec<WireEvent> {
-    events
-        .iter()
-        .map(|e| match e {
-            StreamEvent::Op(op) => WireEvent::Op(*op),
-            StreamEvent::Barrier => WireEvent::Barrier,
-            StreamEvent::Acquire { rank, lock } => WireEvent::Acquire {
-                rank: *rank,
-                lock: *lock,
-            },
-            StreamEvent::Release { rank, lock } => WireEvent::Release {
-                rank: *rank,
-                lock: *lock,
-            },
-        })
-        .collect()
-}
-
 /// The in-process twin of a served session: the same events through a plain
 /// bounded `Session`, summarised with the same canonical JSON.
 pub fn in_process_summary_json(config: &DetectorConfig, events: &[WireEvent]) -> String {
     let mut session = config.session_with(Box::new(SummarySink::default()));
     for ev in events {
-        match ev {
-            WireEvent::Op(op) => {
-                session.observe(op, &[]);
-            }
-            WireEvent::Barrier => session.on_barrier(),
-            WireEvent::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
-            WireEvent::Release { rank, lock } => session.on_release(*rank, *lock),
-        }
+        session.apply(ev, &[]);
     }
     session.finish().0.to_json()
 }
@@ -215,7 +189,7 @@ pub fn run_serve_smoke(clients: usize, seed: u64) -> ServeSmokeReport {
     }
 
     // --- Post-chaos liveness probe: the server must still serve cleanly. --
-    let probe_events = wire_events(&client_events(0, seed));
+    let probe_events = client_events(0, seed);
     match serve_one(addr, &config, &probe_events) {
         Ok(json) => {
             let twin = in_process_summary_json(&config, &probe_events);
@@ -352,7 +326,7 @@ fn run_client(
     seed: u64,
 ) -> ClientResult {
     let kind = kind_for(index);
-    let events = wire_events(&client_events(index, seed));
+    let events = client_events(index, seed);
     match kind {
         ClientKind::Clean => match serve_one(addr, config, &events) {
             Ok(json) => {
@@ -424,7 +398,7 @@ fn run_panic_client(
     config: &DetectorConfig,
     seed: u64,
 ) -> ClientResult {
-    let mut events = wire_events(&client_events(1, seed));
+    let mut events = client_events(1, seed);
     let half = events.len() / 2;
     events.insert(
         half,
@@ -479,7 +453,7 @@ fn run_boundary_resume_client(
     config: &DetectorConfig,
     seed: u64,
 ) -> ClientResult {
-    let events = wire_events(&client_events(2, seed));
+    let events = client_events(2, seed);
     let cut = events.len() / 2;
     let mut client = match ServiceClient::connect(addr, config) {
         Ok(c) => c,
@@ -530,7 +504,7 @@ fn run_midframe_resume_client(
     seed: u64,
 ) -> ClientResult {
     let broken = |what: String| ClientResult::Broken(format!("midframe-resume: {what}"));
-    let events = wire_events(&client_events(3, seed));
+    let events = client_events(3, seed);
     let cut = events.len() / 2;
 
     // Handshake + prefix on the first connection, by hand.

@@ -52,13 +52,14 @@
 //! assert_eq!(summary.total, 1); // exactly one write-write race streamed out
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
 
 use serde::{Deserialize, Serialize};
 
 use crate::clockstore::{Granularity, StoreConfig};
 use crate::detector::{Detector, DetectorKind};
-use crate::event::{DsmOp, LockId};
+use crate::event::{DsmOp, Event, LockId};
 use crate::hb::HbDetector;
 use crate::report::{dedup_keys, DedupKeys, RaceReport};
 use crate::summary::RaceSummary;
@@ -613,31 +614,33 @@ impl DetectorConfig {
     /// bound cost one map entry each.
     pub const MAX_DENSE_BLOCKS: usize = StoreConfig::DEFAULT_DENSE_BLOCKS;
 
-    /// Inverse of [`DetectorConfig::to_json`]. Accepts any flat JSON object
-    /// carrying these four keys (whitespace-insensitive; other keys are
-    /// ignored, which is how configs written before the sharded pipeline
-    /// was retired — `"shards"`, `"pipeline"`, `"batch"` — still parse).
-    /// Unknown kinds, malformed numbers and out-of-range values are
+    /// Inverse of [`DetectorConfig::to_json`]. Accepts any JSON object
+    /// carrying these four keys at its top level (whitespace-insensitive;
+    /// other keys and their values, nested or not, are ignored, which is
+    /// how configs written before the sharded pipeline was retired —
+    /// `"shards"`, `"pipeline"`, `"batch"` — still parse). A key given
+    /// twice at the top level is an error naming it. Unknown kinds, malformed numbers and out-of-range values are
     /// reported, not panicked: this is the entry point for bytes from a
     /// socket or a checkpoint, so the parsed config is guaranteed safe to
     /// [`DetectorConfig::build`] and to drive with arbitrary events.
     /// Callers that fill the struct directly are not restricted.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let kind_label = json_value(json, "kind")?;
+        let fields = json_fields(json)?;
+        let kind_label = json_value(&fields, "kind")?;
         let kind = DetectorKind::from_label(kind_label)
             .ok_or_else(|| format!("unknown detector kind {kind_label:?}"))?;
-        let block_bytes = json_usize(json, "granularity")?;
+        let block_bytes = json_usize(&fields, "granularity")?;
         if !block_bytes.is_power_of_two() {
             return Err(format!("granularity {block_bytes} is not a power of two"));
         }
-        let n = json_usize(json, "n")?;
+        let n = json_usize(&fields, "n")?;
         if n == 0 {
             return Err("n must be at least 1 (the process count)".into());
         }
         if n > Self::MAX_N {
             return Err(format!("n {n} out of range 1..={}", Self::MAX_N));
         }
-        let dense_blocks = json_usize(json, "dense_blocks")?;
+        let dense_blocks = json_usize(&fields, "dense_blocks")?;
         if dense_blocks > Self::MAX_DENSE_BLOCKS {
             return Err(format!(
                 "dense_blocks {dense_blocks} out of range 0..={}",
@@ -653,31 +656,115 @@ impl DetectorConfig {
     }
 }
 
-/// The raw value token for `"key":` in a flat JSON object.
-fn json_value<'a>(json: &'a str, key: &str) -> Result<&'a str, String> {
-    let pattern = format!("\"{key}\"");
-    let at = json
-        .find(&pattern)
-        .ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = json[at + pattern.len()..].trim_start();
-    let rest = rest
-        .strip_prefix(':')
-        .ok_or_else(|| format!("expected ':' after {key:?}"))?
-        .trim_start();
-    if let Some(quoted) = rest.strip_prefix('"') {
-        let end = quoted
-            .find('"')
-            .ok_or_else(|| format!("unterminated string for {key:?}"))?;
-        Ok(&quoted[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok(rest[..end].trim())
+/// The top-level `"key": value` pairs of a JSON object. The scan is
+/// string-aware and skips nested objects and arrays whole, so neither a
+/// key-like string value nor a key inside a nested value can shadow a
+/// top-level key; a key that appears twice at the top level is an error.
+/// String values come back without their quotes (escapes as written),
+/// other values as their trimmed raw text.
+fn json_fields(json: &str) -> Result<BTreeMap<&str, &str>, String> {
+    let bytes = json.as_bytes();
+    let skip_ws = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
+            i += 1;
+        }
+        i
+    };
+    let mut i = skip_ws(0);
+    if bytes.get(i) != Some(&b'{') {
+        return Err("expected a JSON object".into());
+    }
+    let mut fields = BTreeMap::new();
+    i += 1;
+    loop {
+        i = skip_ws(i);
+        match bytes.get(i) {
+            Some(b'}') => return Ok(fields),
+            Some(b'"') => {}
+            _ => return Err(format!("expected a key at byte {i}")),
+        }
+        let key_end = json_string_end(bytes, i)?;
+        let key = &json[i + 1..key_end];
+        i = skip_ws(key_end + 1);
+        if bytes.get(i) != Some(&b':') {
+            return Err(format!("expected ':' after {key:?}"));
+        }
+        i = skip_ws(i + 1);
+        let (value, next) = match bytes.get(i) {
+            Some(b'"') => {
+                let end = json_string_end(bytes, i)?;
+                (&json[i + 1..end], end + 1)
+            }
+            Some(b'{' | b'[') => {
+                let end = json_nested_end(bytes, i)?;
+                (&json[i..end], end)
+            }
+            _ => {
+                // A quote inside a bare value is malformed: stop there so
+                // the separator check below rejects it.
+                let end = json[i..]
+                    .find([',', '}', '"'])
+                    .map_or(json.len(), |e| i + e);
+                (json[i..end].trim(), end)
+            }
+        };
+        if fields.insert(key, value).is_some() {
+            return Err(format!("duplicate field {key:?}"));
+        }
+        i = skip_ws(next);
+        match bytes.get(i) {
+            Some(b',') => i += 1,
+            Some(b'}') => return Ok(fields),
+            _ => return Err(format!("expected ',' or '}}' after {key:?}")),
+        }
     }
 }
 
+/// Index of the quote closing the JSON string that opens at `start`.
+fn json_string_end(bytes: &[u8], start: usize) -> Result<usize, String> {
+    let mut j = start + 1;
+    while let Some(&b) = bytes.get(j) {
+        match b {
+            b'\\' => j += 2,
+            b'"' => return Ok(j),
+            _ => j += 1,
+        }
+    }
+    Err("unterminated string".into())
+}
+
+/// One past the bracket closing the object or array that opens at `start`.
+fn json_nested_end(bytes: &[u8], start: usize) -> Result<usize, String> {
+    let mut depth = 0usize;
+    let mut j = start;
+    while let Some(&b) = bytes.get(j) {
+        match b {
+            b'"' => j = json_string_end(bytes, j)?,
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Ok(j + 1);
+                }
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    Err("unterminated nested value".into())
+}
+
+/// The value of top-level field `key`.
+fn json_value<'a>(fields: &BTreeMap<&str, &'a str>, key: &str) -> Result<&'a str, String> {
+    fields
+        .get(key)
+        .copied()
+        .ok_or_else(|| format!("missing field {key:?}"))
+}
+
 /// A usize-valued field.
-fn json_usize(json: &str, key: &str) -> Result<usize, String> {
-    json_value(json, key)?
+fn json_usize(fields: &BTreeMap<&str, &str>, key: &str) -> Result<usize, String> {
+    json_value(fields, key)?
         .parse()
         .map_err(|e| format!("field {key:?}: {e}"))
 }
@@ -707,10 +794,11 @@ pub struct Session {
     /// Events applied over the session's whole lifetime (ops + sync
     /// events) — the resume watermark persisted by every checkpoint.
     events: u64,
-    /// Replay journal of events since the last checkpoint. `None` until
+    /// Replay journal of events since the last checkpoint, each with the
+    /// program locks its actor held (empty for sync events). `None` until
     /// the first [`Session::checkpoint`] (or [`Session::enable_journal`]):
     /// sessions that never checkpoint pay nothing for durability.
-    journal: Option<Vec<crate::snapshot::JournalEvent>>,
+    journal: Option<Vec<(Event, Vec<LockId>)>>,
 }
 
 impl Session {
@@ -752,13 +840,10 @@ impl Session {
     /// when a report exists.
     pub fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
         // Journal-before-apply: if the detector dies mid-apply, the journal
-        // still names the event, so `restore(checkpoint) + replay(journal)`
-        // applies it exactly once.
+        // still names the event, so `restore(checkpoint)` + `apply` over the
+        // journal applies it exactly once.
         if let Some(journal) = &mut self.journal {
-            journal.push(crate::snapshot::JournalEvent::Op {
-                op: *op,
-                held: held_locks.to_vec(),
-            });
+            journal.push((Event::Op(*op), held_locks.to_vec()));
         }
         self.events += 1;
         self.detector.observe_sink(
@@ -777,10 +862,7 @@ impl Session {
     /// [`VecSink`], not from re-observing.
     pub fn observe_collect(&mut self, op: &DsmOp, held_locks: &[LockId]) -> Vec<RaceReport> {
         if let Some(journal) = &mut self.journal {
-            journal.push(crate::snapshot::JournalEvent::Op {
-                op: *op,
-                held: held_locks.to_vec(),
-            });
+            journal.push((Event::Op(*op), held_locks.to_vec()));
         }
         self.events += 1;
         let mut tmp = VecSink::new();
@@ -796,7 +878,7 @@ impl Session {
     /// `rank` released program lock `lock` (the release carries its clock).
     pub fn on_release(&mut self, rank: usize, lock: LockId) {
         if let Some(journal) = &mut self.journal {
-            journal.push(crate::snapshot::JournalEvent::Release { rank, lock });
+            journal.push((Event::Release { rank, lock }, Vec::new()));
         }
         self.events += 1;
         self.detector.on_release(rank, lock);
@@ -805,7 +887,7 @@ impl Session {
     /// `rank` acquired program lock `lock` (the grant carries the clock).
     pub fn on_acquire(&mut self, rank: usize, lock: LockId) {
         if let Some(journal) = &mut self.journal {
-            journal.push(crate::snapshot::JournalEvent::Acquire { rank, lock });
+            journal.push((Event::Acquire { rank, lock }, Vec::new()));
         }
         self.events += 1;
         self.detector.on_acquire(rank, lock);
@@ -814,10 +896,33 @@ impl Session {
     /// A barrier completed among all ranks.
     pub fn on_barrier(&mut self) {
         if let Some(journal) = &mut self.journal {
-            journal.push(crate::snapshot::JournalEvent::Barrier);
+            journal.push((Event::Barrier, Vec::new()));
         }
         self.events += 1;
         self.detector.on_barrier();
+    }
+
+    /// Drive the session with one event: the one place an [`Event`] maps
+    /// onto [`Session::observe`] and the sync hooks, so journalling stays
+    /// where those methods put it. `held` is the actor's program locks (see
+    /// [`Detector::observe_sink`]); sync events ignore it. Returns the
+    /// number of reports the event produced (always 0 for sync events).
+    pub fn apply(&mut self, ev: &Event, held: &[LockId]) -> usize {
+        match ev {
+            Event::Op(op) => self.observe(op, held),
+            Event::Barrier => {
+                self.on_barrier();
+                0
+            }
+            Event::Acquire { rank, lock } => {
+                self.on_acquire(*rank, *lock);
+                0
+            }
+            Event::Release { rank, lock } => {
+                self.on_release(*rank, *lock);
+                0
+            }
+        }
     }
 
     /// Total events (ops, lock transitions, barriers) this session has
@@ -835,10 +940,12 @@ impl Session {
         self.journal.is_some()
     }
 
-    /// Events observed since the last checkpoint (empty when journalling is
-    /// off). `restore(checkpoint)` + replaying exactly these events
-    /// reproduces the uninterrupted session byte-for-byte.
-    pub fn journal(&self) -> &[crate::snapshot::JournalEvent] {
+    /// Events observed since the last checkpoint, each with its actor's held
+    /// locks (empty when journalling is off). `restore(checkpoint)` +
+    /// [`Session::apply`] over exactly these entries reproduces the
+    /// uninterrupted session byte-for-byte. The journal lives in memory
+    /// only; it has no byte encoding.
+    pub fn journal(&self) -> &[(Event, Vec<LockId>)] {
         self.journal.as_deref().unwrap_or(&[])
     }
 
@@ -895,26 +1002,6 @@ impl Session {
             events: parts.events,
             journal: Some(Vec::new()),
         })
-    }
-
-    /// Re-apply one journalled event (crash-recovery replay). Returns the
-    /// number of reports the event produced, mirroring [`Session::observe`].
-    pub fn replay(&mut self, event: &crate::snapshot::JournalEvent) -> usize {
-        match event {
-            crate::snapshot::JournalEvent::Op { op, held } => self.observe(op, held),
-            crate::snapshot::JournalEvent::Barrier => {
-                self.on_barrier();
-                0
-            }
-            crate::snapshot::JournalEvent::Acquire { rank, lock } => {
-                self.on_acquire(*rank, *lock);
-                0
-            }
-            crate::snapshot::JournalEvent::Release { rank, lock } => {
-                self.on_release(*rank, *lock);
-                0
-            }
-        }
     }
 
     /// The reports the sink retained — the `reports()` convenience of the

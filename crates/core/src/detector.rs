@@ -3,7 +3,7 @@
 //! builds from.
 
 use crate::api::{ReportSink, VecSink};
-use crate::event::{DsmOp, LockId};
+use crate::event::{DsmOp, Event, LockId};
 use crate::report::RaceReport;
 
 /// An online race detector, driven one operation at a time by an execution
@@ -89,6 +89,29 @@ pub trait Detector: Send {
 
     /// A barrier completed among all ranks.
     fn on_barrier(&mut self) {}
+
+    /// Drive the bare detector with one event: the one place an [`Event`]
+    /// maps onto [`Detector::observe_sink`] and the sync hooks for callers
+    /// that hold a detector rather than a [`crate::api::Session`]. Returns
+    /// the number of reports the event streamed into `sink` (always 0 for
+    /// sync events).
+    fn apply(&mut self, ev: &Event, held: &[LockId], sink: &mut dyn ReportSink) -> usize {
+        match ev {
+            Event::Op(op) => self.observe_sink(op, held, sink),
+            Event::Barrier => {
+                self.on_barrier();
+                0
+            }
+            Event::Acquire { rank, lock } => {
+                self.on_acquire(*rank, *lock);
+                0
+            }
+            Event::Release { rank, lock } => {
+                self.on_release(*rank, *lock);
+                0
+            }
+        }
+    }
 
     /// Serialize this detector's state for the session checkpoint codec
     /// (see [`crate::snapshot`]). `None` means the detector has no durable

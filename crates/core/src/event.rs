@@ -147,6 +147,35 @@ impl DsmOp {
     }
 }
 
+/// One event of a detection stream: a memory operation (Algorithms 1–3) or
+/// a synchronisation message that carries a clock (§IV-B). The one
+/// vocabulary every driver speaks — in-process sessions, the wire codec,
+/// the session journal and the generated streams — so a remote stream and
+/// an in-process replay of the same events agree byte-for-byte.
+///
+/// `Copy`, like [`DsmOp`]: queues and journals hold events by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// A DSM operation to observe.
+    Op(DsmOp),
+    /// A barrier completed among all ranks.
+    Barrier,
+    /// `rank` acquired program lock `lock` (the grant carries the clock).
+    Acquire {
+        /// Acquiring process.
+        rank: Rank,
+        /// The lock.
+        lock: LockId,
+    },
+    /// `rank` released program lock `lock` (the release carries its clock).
+    Release {
+        /// Releasing process.
+        rank: Rank,
+        /// The lock.
+        lock: LockId,
+    },
+}
+
 /// One `(kind, range, access_id)` entry of [`DsmOp::accesses`].
 pub type Access = (AccessKind, MemRange, u64);
 
@@ -293,6 +322,15 @@ mod tests {
             kind: OpKind::LocalRead { range: r },
         };
         assert_ne!(a.read_access_id(), b.read_access_id());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn events_and_journal_entries_stay_small() {
+        // Burst queues, the session journal and generated streams hold
+        // events by value; a variant that grows them shows up here.
+        assert!(std::mem::size_of::<Event>() <= 88);
+        assert!(std::mem::size_of::<(Event, Vec<LockId>)>() <= 112);
     }
 
     #[test]

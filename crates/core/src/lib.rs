@@ -64,14 +64,14 @@ pub use api::{
 pub use clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
 pub use detector::{Detector, DetectorKind};
 pub use error::RetryPolicy;
-pub use event::{AccessKind, AccessList, AccessSummary, DsmOp, LockId, OpKind};
+pub use event::{AccessKind, AccessList, AccessSummary, DsmOp, Event, LockId, OpKind};
 pub use hb::{HbDetector, HbMode};
 pub use lockset::LocksetDetector;
 pub use oracle::{site_of, Oracle, Score, SiteKey, Trace, TraceAccess};
 pub use reference::ReferenceHbDetector;
 pub use report::{dedup_reports, RaceClass, RaceReport};
-pub use snapshot::{JournalEvent, SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};
-pub use summary::{hot_areas, RaceSummary};
+pub use snapshot::{SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};
+pub use summary::RaceSummary;
 pub use vanilla::VanillaDetector;
 
 /// A process identifier (dense rank).

@@ -16,11 +16,12 @@
 //!   baselines' equivalent state.
 //!
 //! The contract, proptested in `tests/checkpoint.rs`: for every
-//! [`DetectorKind`], `restore(checkpoint) + replay(journal)`
-//! produces a report stream and summary **byte-identical** to the
-//! uninterrupted run. Replay cost is O(events since the last checkpoint)
-//! because [`crate::api::Session`] truncates its [`JournalEvent`] log at
-//! every checkpoint.
+//! [`DetectorKind`], `restore(checkpoint)` + [`crate::api::Session::apply`]
+//! over the session's journal produces a report stream and summary
+//! **byte-identical** to the uninterrupted run. Replay cost is O(events
+//! since the last checkpoint) because [`crate::api::Session`] truncates its
+//! in-memory journal at every checkpoint; the journal itself has no byte
+//! form.
 //!
 //! Like every codec in this workspace the format is hand-rolled (no
 //! serialisation dependency), little-endian, length-prefixed, and strict:
@@ -38,7 +39,7 @@ use vclock::{AreaClock, Epoch, MatrixClock, VectorClock};
 use crate::api::{DetectorConfig, ReportSink};
 use crate::clockstore::{AccessEntry, AreaKey, ClockStore};
 use crate::detector::{Detector, DetectorKind};
-use crate::event::{AccessKind, AccessSummary, DsmOp, LockId, OpKind};
+use crate::event::{AccessKind, AccessSummary, LockId};
 use crate::hb::{HbDetector, HbMode};
 use crate::lockset::{AreaState, LocksetDetector};
 use crate::summary::RaceSummary;
@@ -187,116 +188,6 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Journal events
-// ---------------------------------------------------------------------------
-
-/// One entry of a session's replay journal: an operation (with the lock
-/// context the lockset baseline needs) or a synchronisation event, exactly
-/// as the session observed it. `restore(checkpoint)` + replaying the
-/// journal in order reproduces the uninterrupted session byte-for-byte.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalEvent {
-    /// A DSM operation, with the program locks the actor held.
-    Op {
-        /// The operation.
-        op: DsmOp,
-        /// Locks held for application purposes (see
-        /// [`Detector::observe_sink`]).
-        held: Vec<LockId>,
-    },
-    /// A barrier completed among all ranks.
-    Barrier,
-    /// `rank` acquired program lock `lock`.
-    Acquire {
-        /// Acquiring process.
-        rank: Rank,
-        /// The lock.
-        lock: LockId,
-    },
-    /// `rank` released program lock `lock`.
-    Release {
-        /// Releasing process.
-        rank: Rank,
-        /// The lock.
-        lock: LockId,
-    },
-}
-
-const JOURNAL_OP: u8 = 0;
-const JOURNAL_BARRIER: u8 = 1;
-const JOURNAL_ACQUIRE: u8 = 2;
-const JOURNAL_RELEASE: u8 = 3;
-
-/// Encode a journal slice for external persistence (a durable log beside
-/// the checkpoint blob). Unversioned: the journal always travels with a
-/// checkpoint, whose version byte governs both.
-pub fn encode_journal(journal: &[JournalEvent]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, journal.len() as u64);
-    for event in journal {
-        match event {
-            JournalEvent::Op { op, held } => {
-                put_u8(&mut buf, JOURNAL_OP);
-                put_op(&mut buf, op);
-                put_u32(&mut buf, held.len() as u32);
-                for lock in held {
-                    put_lock(&mut buf, lock);
-                }
-            }
-            JournalEvent::Barrier => put_u8(&mut buf, JOURNAL_BARRIER),
-            JournalEvent::Acquire { rank, lock } => {
-                put_u8(&mut buf, JOURNAL_ACQUIRE);
-                put_u32(&mut buf, *rank as u32);
-                put_lock(&mut buf, lock);
-            }
-            JournalEvent::Release { rank, lock } => {
-                put_u8(&mut buf, JOURNAL_RELEASE);
-                put_u32(&mut buf, *rank as u32);
-                put_lock(&mut buf, lock);
-            }
-        }
-    }
-    buf
-}
-
-/// Inverse of [`encode_journal`]; strict (trailing bytes are an error).
-pub fn decode_journal(bytes: &[u8]) -> Result<Vec<JournalEvent>, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let count = r.u64("journal count")?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let event = match r.u8("journal tag")? {
-            JOURNAL_OP => {
-                let op = take_op(&mut r)?;
-                let held_len = r.u32("journal held")?;
-                let mut held = Vec::new();
-                for _ in 0..held_len {
-                    held.push(take_lock(&mut r)?);
-                }
-                JournalEvent::Op { op, held }
-            }
-            JOURNAL_BARRIER => JournalEvent::Barrier,
-            JOURNAL_ACQUIRE => JournalEvent::Acquire {
-                rank: r.u32("journal rank")? as Rank,
-                lock: take_lock(&mut r)?,
-            },
-            JOURNAL_RELEASE => JournalEvent::Release {
-                rank: r.u32("journal rank")? as Rank,
-                lock: take_lock(&mut r)?,
-            },
-            _ => {
-                return Err(SnapshotError::Malformed {
-                    what: "journal tag",
-                })
-            }
-        };
-        out.push(event);
-    }
-    r.finish()?;
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Shared value codecs
 // ---------------------------------------------------------------------------
 
@@ -355,67 +246,6 @@ fn take_range(r: &mut Reader<'_>) -> Result<MemRange, SnapshotError> {
     let offset = r.u64("range offset")? as usize;
     let len = r.u64("range len")? as usize;
     Ok(GlobalAddr { offset, ..addr }.range(len))
-}
-
-const OP_PUT: u8 = 0;
-const OP_GET: u8 = 1;
-const OP_LOCAL_READ: u8 = 2;
-const OP_LOCAL_WRITE: u8 = 3;
-const OP_ATOMIC: u8 = 4;
-
-fn put_op(buf: &mut Vec<u8>, op: &DsmOp) {
-    put_u64(buf, op.op_id);
-    put_u32(buf, op.actor as u32);
-    match &op.kind {
-        OpKind::Put { src, dst } => {
-            put_u8(buf, OP_PUT);
-            put_range(buf, src);
-            put_range(buf, dst);
-        }
-        OpKind::Get { src, dst } => {
-            put_u8(buf, OP_GET);
-            put_range(buf, src);
-            put_range(buf, dst);
-        }
-        OpKind::LocalRead { range } => {
-            put_u8(buf, OP_LOCAL_READ);
-            put_range(buf, range);
-        }
-        OpKind::LocalWrite { range } => {
-            put_u8(buf, OP_LOCAL_WRITE);
-            put_range(buf, range);
-        }
-        OpKind::AtomicRmw { range } => {
-            put_u8(buf, OP_ATOMIC);
-            put_range(buf, range);
-        }
-    }
-}
-
-fn take_op(r: &mut Reader<'_>) -> Result<DsmOp, SnapshotError> {
-    let op_id = r.u64("op id")?;
-    let actor = r.u32("op actor")? as Rank;
-    let kind = match r.u8("op kind")? {
-        OP_PUT => OpKind::Put {
-            src: take_range(r)?,
-            dst: take_range(r)?,
-        },
-        OP_GET => OpKind::Get {
-            src: take_range(r)?,
-            dst: take_range(r)?,
-        },
-        OP_LOCAL_READ => OpKind::LocalRead {
-            range: take_range(r)?,
-        },
-        OP_LOCAL_WRITE => OpKind::LocalWrite {
-            range: take_range(r)?,
-        },
-        OP_ATOMIC => OpKind::AtomicRmw {
-            range: take_range(r)?,
-        },
-        _ => return Err(SnapshotError::Malformed { what: "op kind" }),
-    };
-    Ok(DsmOp { op_id, actor, kind })
 }
 
 /// Everything of an access but its clock.
@@ -983,43 +813,6 @@ pub(crate) fn restore_detector(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn journal_round_trips() {
-        let range = GlobalAddr::public(1, 64).range(8);
-        let journal = vec![
-            JournalEvent::Op {
-                op: DsmOp {
-                    op_id: 7,
-                    actor: 0,
-                    kind: OpKind::Put {
-                        src: GlobalAddr::private(0, 0).range(8),
-                        dst: range,
-                    },
-                },
-                held: vec![(1, 64)],
-            },
-            JournalEvent::Barrier,
-            JournalEvent::Acquire {
-                rank: 2,
-                lock: (0, 8),
-            },
-            JournalEvent::Release {
-                rank: 2,
-                lock: (0, 8),
-            },
-        ];
-        let bytes = encode_journal(&journal);
-        assert_eq!(decode_journal(&bytes).unwrap(), journal);
-    }
-
-    #[test]
-    fn journal_rejects_garbage_typed() {
-        assert!(decode_journal(&[9, 9, 9]).is_err());
-        let mut valid = encode_journal(&[JournalEvent::Barrier]);
-        valid.push(0xFF);
-        assert_eq!(decode_journal(&valid), Err(SnapshotError::TrailingBytes));
-    }
 
     #[test]
     fn unknown_version_is_typed() {

@@ -263,21 +263,6 @@ impl std::fmt::Display for RaceSummary {
     }
 }
 
-/// Convenience: summarise and keep only areas above a report threshold
-/// (triage helper for noisy baselines).
-pub fn hot_areas(reports: &[RaceReport], min_reports: usize) -> Vec<(AreaKey, usize)> {
-    let mut counts: BTreeMap<AreaKey, usize> = BTreeMap::new();
-    for r in reports {
-        *counts.entry(r.area).or_insert(0) += 1;
-    }
-    let mut v: Vec<_> = counts
-        .into_iter()
-        .filter(|(_, c)| *c >= min_reports)
-        .collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,19 +304,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("write-write"));
         assert!(text.contains("P0 × P1"));
-    }
-
-    #[test]
-    fn hot_areas_filters_and_sorts() {
-        let reports = vec![
-            report(RaceClass::WriteWrite, 0, 0, 1),
-            report(RaceClass::WriteWrite, 0, 0, 1),
-            report(RaceClass::WriteWrite, 5, 0, 1),
-        ];
-        let hot = hot_areas(&reports, 2);
-        assert_eq!(hot.len(), 1);
-        assert_eq!(hot[0].0, AreaKey::new(0, 0));
-        assert_eq!(hot[0].1, 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Durable-session parity: `restore(checkpoint) + replay(journal)` must be
-//! byte-identical to the uninterrupted run — same per-event report counts,
-//! same deduped report stream, same summary JSON, same re-checkpoint bytes —
+//! Durable-session parity: `restore(checkpoint)` + `apply` over the
+//! journal must be byte-identical to the uninterrupted run — same
+//! per-event report counts, same deduped report stream, same summary JSON,
+//! same re-checkpoint bytes —
 //! for every detector kind × four seeds, with the kill point chosen
 //! pseudo-randomly per cell. And `Session::restore` is total: byte soup,
 //! corrupted and truncated checkpoints are typed errors or usable
@@ -10,8 +11,8 @@ use proptest::prelude::*;
 use race_core::api::{DedupSink, DetectorConfig, ReportSink, Session, VecSink};
 use race_core::clockstore::Granularity;
 use race_core::detector::DetectorKind;
-use race_core::event::{DsmOp, LockId, OpKind};
-use race_core::{JournalEvent, SnapshotError};
+use race_core::event::{DsmOp, Event, LockId, OpKind};
+use race_core::SnapshotError;
 
 use dsm::addr::GlobalAddr;
 
@@ -35,9 +36,10 @@ impl Lcg {
 const LOCKS: [LockId; 3] = [(0, 0), (0, 64), (1, 0)];
 
 /// A mixed workload: puts/gets/local accesses/atomics on a small shared
-/// region, laced with barriers and lock transitions so every journal event
-/// variant is exercised.
-fn workload(n: usize, len: usize, seed: u64) -> Vec<JournalEvent> {
+/// region, laced with barriers and lock transitions so every event variant
+/// is exercised; each op carries the locks its actor holds, as journal
+/// entries do.
+fn workload(n: usize, len: usize, seed: u64) -> Vec<(Event, Vec<LockId>)> {
     let mut rng = Lcg(seed);
     let mut held: Vec<Vec<LockId>> = vec![Vec::new(); n];
     let mut events = Vec::with_capacity(len);
@@ -48,17 +50,17 @@ fn workload(n: usize, len: usize, seed: u64) -> Vec<JournalEvent> {
             let lock = LOCKS[rng.pick(LOCKS.len())];
             if !held[rank].contains(&lock) {
                 held[rank].push(lock);
-                events.push(JournalEvent::Acquire { rank, lock });
+                events.push((Event::Acquire { rank, lock }, Vec::new()));
                 continue;
             }
         } else if roll < 16 {
             let rank = rng.pick(n);
             if let Some(lock) = held[rank].pop() {
-                events.push(JournalEvent::Release { rank, lock });
+                events.push((Event::Release { rank, lock }, Vec::new()));
                 continue;
             }
         } else if roll < 20 {
-            events.push(JournalEvent::Barrier);
+            events.push((Event::Barrier, Vec::new()));
             continue;
         }
         let actor = rng.pick(n);
@@ -76,14 +78,14 @@ fn workload(n: usize, len: usize, seed: u64) -> Vec<JournalEvent> {
             3 => OpKind::LocalWrite { range: target },
             _ => OpKind::AtomicRmw { range: target },
         };
-        events.push(JournalEvent::Op {
-            op: DsmOp {
+        events.push((
+            Event::Op(DsmOp {
                 op_id: i as u64,
                 actor,
                 kind,
-            },
-            held: held[actor].clone(),
-        });
+            }),
+            held[actor].clone(),
+        ));
     }
     events
 }
@@ -114,7 +116,7 @@ fn restore_plus_replay_matches_uninterrupted() {
             let mut control_counts = Vec::with_capacity(events.len());
             let mut stream_len_at_cut = 0;
             for (i, event) in events.iter().enumerate() {
-                control_counts.push(control.replay(event));
+                control_counts.push(control.apply(&event.0, &event.1));
                 if i + 1 == cut {
                     stream_len_at_cut = control.reports().len();
                 }
@@ -126,29 +128,33 @@ fn restore_plus_replay_matches_uninterrupted() {
             // Durable run: checkpoint at `cut`, die at `kill`.
             let mut durable = config(kind).session_with(durable_sink());
             for (i, event) in events[..cut].iter().enumerate() {
-                assert_eq!(durable.replay(event), control_counts[i], "prefix diverged");
+                assert_eq!(
+                    durable.apply(&event.0, &event.1),
+                    control_counts[i],
+                    "prefix diverged"
+                );
             }
             let ckpt = durable.checkpoint().expect("mid-stream checkpoint");
             for (i, event) in events[cut..kill].iter().enumerate() {
-                assert_eq!(durable.replay(event), control_counts[cut + i]);
+                assert_eq!(durable.apply(&event.0, &event.1), control_counts[cut + i]);
             }
             let journal = durable.journal().to_vec();
             assert_eq!(journal.len(), kill - cut, "journal holds exactly the tail");
             drop(durable); // the crash
 
-            // Resume: restore + replay journal + finish the stream.
+            // Resume: restore + apply the journal + finish the stream.
             let mut resumed = Session::restore(&ckpt, durable_sink()).expect("restore");
             assert_eq!(resumed.events(), cut as u64);
             assert!(resumed.journaling(), "restored sessions journal from birth");
             for (i, event) in journal.iter().enumerate() {
                 assert_eq!(
-                    resumed.replay(event),
+                    resumed.apply(&event.0, &event.1),
                     control_counts[cut + i],
                     "{kind:?}/{round}: replayed event {i} diverged"
                 );
             }
             for (i, event) in events[kill..].iter().enumerate() {
-                assert_eq!(resumed.replay(event), control_counts[kill + i]);
+                assert_eq!(resumed.apply(&event.0, &event.1), control_counts[kill + i]);
             }
             assert_eq!(
                 format!("{:?}", resumed.reports()),
@@ -175,7 +181,7 @@ fn restore_then_checkpoint_is_byte_identical() {
         let events = workload(4, 200, 0xDEADBEEF);
         let mut session = config(kind).session_with(durable_sink());
         for event in &events {
-            session.replay(event);
+            session.apply(&event.0, &event.1);
         }
         let ckpt = session.checkpoint().expect("checkpoint");
         let mut restored = Session::restore(&ckpt, durable_sink()).expect("restore");
@@ -194,7 +200,7 @@ fn journal_truncates_at_each_checkpoint() {
     assert!(!session.journaling(), "journalling is opt-in");
     assert!(session.journal().is_empty());
     for event in &events[..40] {
-        session.replay(event);
+        session.apply(&event.0, &event.1);
     }
     assert!(
         session.journal().is_empty(),
@@ -203,13 +209,13 @@ fn journal_truncates_at_each_checkpoint() {
     session.checkpoint().expect("checkpoint");
     assert!(session.journaling());
     for event in &events[40..100] {
-        session.replay(event);
+        session.apply(&event.0, &event.1);
     }
     assert_eq!(session.journal().len(), 60, "journal = events since ckpt");
     session.checkpoint().expect("checkpoint");
     assert!(session.journal().is_empty(), "checkpoint truncates");
     for event in &events[100..] {
-        session.replay(event);
+        session.apply(&event.0, &event.1);
     }
     assert_eq!(session.journal().len(), 20);
 }
@@ -234,7 +240,7 @@ fn golden_session() -> Session {
     let events = workload(4, 150, 0x90_1D);
     let mut session = config(DetectorKind::Dual).session_with(durable_sink());
     for event in &events {
-        session.replay(event);
+        session.apply(&event.0, &event.1);
     }
     session
 }
@@ -312,7 +318,7 @@ fn golden_with_unknown_version_is_a_typed_error_never_a_panic() {
 fn real_checkpoint(kind: DetectorKind) -> Vec<u8> {
     let mut session = config(kind).session_with(durable_sink());
     for event in &workload(4, 120, 0xF022 ^ kind.label().len() as u64) {
-        session.replay(event);
+        session.apply(&event.0, &event.1);
     }
     session.checkpoint().expect("checkpoint")
 }
@@ -329,7 +335,7 @@ fn restore_and_exercise(bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut session = Session::restore(bytes, durable_sink())?;
     let n = session.config().n;
     for event in &workload(n, 300, 0xAF7E4) {
-        session.replay(event);
+        session.apply(&event.0, &event.1);
     }
     // A usable session can also be checkpointed again.
     session.checkpoint().map(|_| ())?;

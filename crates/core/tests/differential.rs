@@ -9,24 +9,15 @@
 
 use proptest::prelude::*;
 use race_core::{
-    Detector, DsmOp, Granularity, HbDetector, HbMode, OpKind, RaceReport, ReferenceHbDetector,
-    VecSink,
+    Detector, DsmOp, Event, Granularity, HbDetector, HbMode, OpKind, RaceReport,
+    ReferenceHbDetector, VecSink,
 };
 
 use dsm::addr::GlobalAddr;
 
-/// One random step of a workload.
-#[derive(Debug, Clone)]
-enum Step {
-    Op(DsmOp),
-    Barrier,
-    Release { rank: usize, lock: (usize, usize) },
-    Acquire { rank: usize, lock: (usize, usize) },
-}
-
-/// Decode a raw tuple into a step. `n` is the process count; offsets index
+/// Decode a raw tuple into one event. `n` is the process count; offsets index
 /// a small pool of hot words so conflicts actually happen.
-fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Step {
+fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Event {
     let (kind_sel, actor_raw, target_raw, word, len_sel) = raw;
     let actor = actor_raw % n;
     let target = target_raw % n;
@@ -36,17 +27,17 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
     let own_word = GlobalAddr::public(target, offset).range(8);
     let private = GlobalAddr::private(actor, 0).range(len);
     match kind_sel % 10 {
-        0 | 1 => Step::Op(DsmOp {
+        0 | 1 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::LocalWrite { range: public },
         }),
-        2 | 3 => Step::Op(DsmOp {
+        2 | 3 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::LocalRead { range: public },
         }),
-        4 => Step::Op(DsmOp {
+        4 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::Put {
@@ -54,7 +45,7 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
                 dst: public,
             },
         }),
-        5 => Step::Op(DsmOp {
+        5 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::Get {
@@ -62,17 +53,17 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
                 dst: private,
             },
         }),
-        6 => Step::Op(DsmOp {
+        6 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::AtomicRmw { range: own_word },
         }),
-        7 => Step::Barrier,
-        8 => Step::Release {
+        7 => Event::Barrier,
+        8 => Event::Release {
             rank: actor,
             lock: (target, offset),
         },
-        _ => Step::Acquire {
+        _ => Event::Acquire {
             rank: actor,
             lock: (target, offset),
         },
@@ -92,43 +83,26 @@ fn normalised(reports: &[RaceReport]) -> Vec<RaceReport> {
         .collect()
 }
 
-/// Drive both detectors through `steps`, comparing each op's reports;
+/// Drive both detectors through `steps`, comparing each event's reports;
 /// returns the two whole report logs.
 fn drive(
-    steps: &[Step],
+    steps: &[Event],
     fast: &mut HbDetector,
     slow: &mut ReferenceHbDetector,
 ) -> (VecSink, VecSink) {
     let (mut fast_log, mut slow_log) = (VecSink::new(), VecSink::new());
     for (i, step) in steps.iter().enumerate() {
-        match step {
-            Step::Op(op) => {
-                // Stream into a caller-owned log per detector (the
-                // whole-log assertions depend on it) and compare each op's
-                // log tail.
-                let na = fast.observe_sink(op, &[], &mut fast_log);
-                let nb = slow.observe_sink(op, &[], &mut slow_log);
-                let a = &fast_log.as_slice()[fast_log.len() - na..];
-                let b = &slow_log.as_slice()[slow_log.len() - nb..];
-                assert_eq!(
-                    normalised(a),
-                    normalised(b),
-                    "divergent reports at step {i}: {step:?}"
-                );
-            }
-            Step::Barrier => {
-                fast.on_barrier();
-                slow.on_barrier();
-            }
-            Step::Release { rank, lock } => {
-                fast.on_release(*rank, *lock);
-                slow.on_release(*rank, *lock);
-            }
-            Step::Acquire { rank, lock } => {
-                fast.on_acquire(*rank, *lock);
-                slow.on_acquire(*rank, *lock);
-            }
-        }
+        // Stream into a caller-owned log per detector (the whole-log
+        // assertions depend on it) and compare each event's log tail.
+        let na = fast.apply(step, &[], &mut fast_log);
+        let nb = slow.apply(step, &[], &mut slow_log);
+        let a = &fast_log.as_slice()[fast_log.len() - na..];
+        let b = &slow_log.as_slice()[slow_log.len() - nb..];
+        assert_eq!(
+            normalised(a),
+            normalised(b),
+            "divergent reports at step {i}: {step:?}"
+        );
     }
     (fast_log, slow_log)
 }
@@ -142,7 +116,7 @@ proptest! {
         n in 2usize..5,
         raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..60),
     ) {
-        let steps: Vec<Step> = raw
+        let steps: Vec<Event> = raw
             .iter()
             .enumerate()
             .map(|(i, &r)| decode(n, r, i as u64))
@@ -178,7 +152,7 @@ proptest! {
         n in 2usize..5,
         raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..40),
     ) {
-        let steps: Vec<Step> = raw
+        let steps: Vec<Event> = raw
             .iter()
             .enumerate()
             .map(|(i, &r)| decode(n, r, i as u64))

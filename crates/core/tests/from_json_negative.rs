@@ -159,3 +159,27 @@ fn every_accepted_config_builds_without_panicking() {
         let _ = c.build();
     }
 }
+
+#[test]
+fn a_nested_key_never_shadows_a_top_level_one() {
+    let json = r#"{"meta":{"n":2},"kind":"dual-clock","n":4,"granularity":8,"dense_blocks":0}"#;
+    match DetectorConfig::from_json(json) {
+        Ok(c) => assert_eq!(c.n, 4, "the nested n must not be read"),
+        Err(e) => assert!(!e.is_empty()),
+    }
+}
+
+#[test]
+fn a_duplicated_top_level_key_is_an_error_naming_it() {
+    let json = r#"{"kind":"vanilla","n":4,"granularity":8,"dense_blocks":0,"kind":"dual-clock"}"#;
+    let err = DetectorConfig::from_json(json).unwrap_err();
+    assert!(err.contains("kind"), "message names the key: {err:?}");
+}
+
+#[test]
+fn a_string_value_that_spells_a_key_is_not_a_key() {
+    let json = r#"{"note":"n","kind":"dual-clock","n":4,"granularity":8,"dense_blocks":0}"#;
+    let c = DetectorConfig::from_json(json).expect("a value is not a key");
+    assert_eq!(c.n, 4);
+    assert_eq!(c.kind, DetectorKind::Dual);
+}

@@ -6,21 +6,13 @@
 
 use proptest::prelude::*;
 use race_core::api::{CountingSink, DetectorConfig, SummarySink, VecSink};
-use race_core::{DetectorKind, DsmOp, Granularity, OpKind, RaceSummary};
+use race_core::{DetectorKind, DsmOp, Event, Granularity, OpKind, RaceSummary};
 
 use dsm::addr::GlobalAddr;
 
-/// One random step of a workload (same decoding scheme as the
+/// One random event of a workload (same decoding scheme as the
 /// `differential.rs` suite, kept local so the two files stay independent).
-#[derive(Debug, Clone)]
-enum Step {
-    Op(DsmOp),
-    Barrier,
-    Release { rank: usize, lock: (usize, usize) },
-    Acquire { rank: usize, lock: (usize, usize) },
-}
-
-fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Step {
+fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Event {
     let (kind_sel, actor_raw, target_raw, word, len_sel) = raw;
     let actor = actor_raw % n;
     let target = target_raw % n;
@@ -30,17 +22,17 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
     let own_word = GlobalAddr::public(target, offset).range(8);
     let private = GlobalAddr::private(actor, 0).range(len);
     match kind_sel % 10 {
-        0 | 1 => Step::Op(DsmOp {
+        0 | 1 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::LocalWrite { range: public },
         }),
-        2 | 3 => Step::Op(DsmOp {
+        2 | 3 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::LocalRead { range: public },
         }),
-        4 => Step::Op(DsmOp {
+        4 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::Put {
@@ -48,7 +40,7 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
                 dst: public,
             },
         }),
-        5 => Step::Op(DsmOp {
+        5 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::Get {
@@ -56,17 +48,17 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
                 dst: private,
             },
         }),
-        6 => Step::Op(DsmOp {
+        6 => Event::Op(DsmOp {
             op_id,
             actor,
             kind: OpKind::AtomicRmw { range: own_word },
         }),
-        7 => Step::Barrier,
-        8 => Step::Release {
+        7 => Event::Barrier,
+        8 => Event::Release {
             rank: actor,
             lock: (target, offset),
         },
-        _ => Step::Acquire {
+        _ => Event::Acquire {
             rank: actor,
             lock: (target, offset),
         },
@@ -74,37 +66,23 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Ste
 }
 
 /// Drive the bare path: `observe_sink()` into a caller-owned `VecSink`.
-fn drive_bare(config: &DetectorConfig, steps: &[Step]) -> Vec<race_core::RaceReport> {
+fn drive_bare(config: &DetectorConfig, steps: &[Event]) -> Vec<race_core::RaceReport> {
     let mut det = config.build();
     let mut log = VecSink::new();
     for step in steps {
-        match step {
-            Step::Op(op) => {
-                det.observe_sink(op, &[], &mut log);
-            }
-            Step::Barrier => det.on_barrier(),
-            Step::Release { rank, lock } => det.on_release(*rank, *lock),
-            Step::Acquire { rank, lock } => det.on_acquire(*rank, *lock),
-        }
+        det.apply(step, &[], &mut log);
     }
     log.into_reports()
 }
 
 /// Drive the façade path: a `Session` streaming into `VecSink`.
-fn drive_session(
+fn drive_facade(
     config: &DetectorConfig,
-    steps: &[Step],
+    steps: &[Event],
 ) -> (Vec<race_core::RaceReport>, RaceSummary) {
     let mut session = config.session();
     for step in steps {
-        match step {
-            Step::Op(op) => {
-                session.observe(op, &[]);
-            }
-            Step::Barrier => session.on_barrier(),
-            Step::Release { rank, lock } => session.on_release(*rank, *lock),
-            Step::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
-        }
+        session.apply(step, &[]);
     }
     let (summary, sink) = session.finish();
     (sink.reports().to_vec(), summary)
@@ -122,7 +100,7 @@ proptest! {
         n in 2usize..5,
         raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..50),
     ) {
-        let steps: Vec<Step> = raw
+        let steps: Vec<Event> = raw
             .iter()
             .enumerate()
             .map(|(i, &r)| decode(n, r, i as u64))
@@ -131,7 +109,7 @@ proptest! {
             for granularity in [Granularity::WORD, Granularity::CACHE_LINE] {
                 let config = DetectorConfig::new(kind, n).with_granularity(granularity);
                 let bare = drive_bare(&config, &steps);
-                let (streamed, summary) = drive_session(&config, &steps);
+                let (streamed, summary) = drive_facade(&config, &steps);
                 prop_assert_eq!(
                     &bare, &streamed,
                     "sink stream diverges kind={:?} gran={:?}",
@@ -154,7 +132,7 @@ proptest! {
         n in 2usize..5,
         raw in collection::vec((0usize..10, 0usize..8, 0usize..8, 0usize..16, 0usize..3), 1..60),
     ) {
-        let steps: Vec<Step> = raw
+        let steps: Vec<Event> = raw
             .iter()
             .enumerate()
             .map(|(i, &r)| decode(n, r, i as u64))
@@ -164,11 +142,7 @@ proptest! {
         let mut distinct_areas = std::collections::BTreeSet::new();
         let mut total = 0usize;
         for step in &steps {
-            if let Step::Op(op) = step {
-                total += session.observe(op, &[]);
-            } else if let Step::Barrier = step {
-                session.on_barrier();
-            }
+            total += session.apply(step, &[]);
         }
         let summary = session.summary();
         for area in summary.by_area.keys() {

@@ -70,7 +70,7 @@ pub enum FrameError {
         got: u8,
     },
     /// A well-formed event names a process the session does not have (see
-    /// [`WireEvent::check_ranks`]).
+    /// [`check_event`]).
     RankOutOfRange {
         /// Which rank of the event.
         what: &'static str,
@@ -80,7 +80,7 @@ pub enum FrameError {
         n: usize,
     },
     /// A well-formed event names a range that runs past the end of the
-    /// address space (see [`WireEvent::check_ranges`]).
+    /// address space (see [`check_event`]).
     RangeOverflow {
         /// Which range of the event.
         what: &'static str,
@@ -167,93 +167,67 @@ impl WireError {
     }
 }
 
-/// One event in a client's stream — the wire mirror of the in-process
-/// `Session` driving surface (`observe` / `on_barrier` / `on_acquire` /
-/// `on_release`), so a remote stream and an in-process replay of the same
-/// events produce byte-identical summaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireEvent {
-    /// A DSM operation to observe.
-    Op(DsmOp),
-    /// A global barrier.
-    Barrier,
-    /// `rank` acquires `lock`.
-    Acquire {
-        /// Acquiring rank.
-        rank: Rank,
-        /// Lock identity.
-        lock: LockId,
-    },
-    /// `rank` releases `lock`.
-    Release {
-        /// Releasing rank.
-        rank: Rank,
-        /// Lock identity.
-        lock: LockId,
-    },
-}
+/// One event in a client's stream: the detection-stream event
+/// [`race_core::Event`] itself, so a remote stream and an in-process replay
+/// of the same events ([`race_core::Session::apply`]) produce
+/// byte-identical summaries.
+pub use race_core::Event as WireEvent;
 
-impl WireEvent {
-    /// Check every rank the event names — actor, the owner of each range,
-    /// lock holder and lock home — against the session's process count.
-    /// The detector sizes its clock storage by the ranks it is handed, so an
-    /// event that decodes fine but names rank 2³²−1 must be refused before
-    /// it is applied, not trusted.
-    pub fn check_ranks(&self, n: usize) -> Result<(), FrameError> {
-        let check = |what, rank: Rank| {
-            if rank < n {
-                Ok(())
-            } else {
-                Err(FrameError::RankOutOfRange { what, rank, n })
-            }
-        };
-        match *self {
-            WireEvent::Op(op) => {
-                check("actor", op.actor)?;
-                match op.kind {
-                    OpKind::Put { src, dst } | OpKind::Get { src, dst } => {
-                        check("source", src.addr.rank)?;
-                        check("destination", dst.addr.rank)
-                    }
-                    OpKind::LocalRead { range }
-                    | OpKind::LocalWrite { range }
-                    | OpKind::AtomicRmw { range } => check("target", range.addr.rank),
-                }
-            }
-            WireEvent::Barrier => Ok(()),
-            WireEvent::Acquire { rank, lock } | WireEvent::Release { rank, lock } => {
-                check("actor", rank)?;
-                check("lock", lock.0)
-            }
+/// Check a decoded event against the session before it is applied.
+///
+/// Every rank the event names — actor, the owner of each range, lock
+/// holder and lock home — must be below the session's process count `n`:
+/// the detector sizes its clock storage by the ranks it is handed, so an
+/// event that decodes fine but names rank 2³²−1 must be refused, not
+/// trusted ([`FrameError::RankOutOfRange`]). Then every range must end
+/// inside the address space: the wire carries a 64-bit offset and a 32-bit
+/// length, so their sum is the client's to overflow, and range arithmetic
+/// downstream (`MemRange::end`) assumes it ([`FrameError::RangeOverflow`]).
+/// Rank errors are reported before range errors.
+pub fn check_event(ev: &WireEvent, n: usize) -> Result<(), FrameError> {
+    let check_rank = |what, rank: Rank| {
+        if rank < n {
+            Ok(())
+        } else {
+            Err(FrameError::RankOutOfRange { what, rank, n })
         }
-    }
-
-    /// Check that every range of the event ends inside the address space.
-    /// The wire carries a 64-bit offset and a 32-bit length, so their sum
-    /// is the client's to overflow; no byte past `usize::MAX` exists, and
-    /// range arithmetic downstream (`MemRange::end`) assumes the sum.
-    pub fn check_ranges(&self) -> Result<(), FrameError> {
-        let check = |what, range: MemRange| match range.addr.offset.checked_add(range.len) {
-            Some(_) => Ok(()),
-            None => Err(FrameError::RangeOverflow {
-                what,
-                offset: range.addr.offset,
-                len: range.len,
-            }),
-        };
-        match *self {
-            WireEvent::Op(op) => match op.kind {
+    };
+    let (actor, lock_home, ranges) = match *ev {
+        WireEvent::Op(op) => {
+            let ranges = match op.kind {
                 OpKind::Put { src, dst } | OpKind::Get { src, dst } => {
-                    check("source", src)?;
-                    check("destination", dst)
+                    [Some(("source", src)), Some(("destination", dst))]
                 }
                 OpKind::LocalRead { range }
                 | OpKind::LocalWrite { range }
-                | OpKind::AtomicRmw { range } => check("target", range),
-            },
-            WireEvent::Barrier | WireEvent::Acquire { .. } | WireEvent::Release { .. } => Ok(()),
+                | OpKind::AtomicRmw { range } => [Some(("target", range)), None],
+            };
+            (Some(op.actor), None, ranges)
+        }
+        WireEvent::Barrier => (None, None, [None, None]),
+        WireEvent::Acquire { rank, lock } | WireEvent::Release { rank, lock } => {
+            (Some(rank), Some(lock.0), [None, None])
+        }
+    };
+    if let Some(actor) = actor {
+        check_rank("actor", actor)?;
+    }
+    for &(what, range) in ranges.iter().flatten() {
+        check_rank(what, range.addr.rank)?;
+    }
+    if let Some(home) = lock_home {
+        check_rank("lock", home)?;
+    }
+    for (what, range) in ranges.into_iter().flatten() {
+        if range.addr.offset.checked_add(range.len).is_none() {
+            return Err(FrameError::RangeOverflow {
+                what,
+                offset: range.addr.offset,
+                len: range.len,
+            });
         }
     }
+    Ok(())
 }
 
 /// Frames a client may send.

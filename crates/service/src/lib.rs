@@ -15,7 +15,11 @@
 //!
 //! - [`frame`] — the length-prefixed wire codec; the trust boundary.
 //!   Decoding untrusted bytes returns typed [`frame::FrameError`]s and has
-//!   no panicking path.
+//!   no panicking path. The event it carries is [`race_core::Event`]
+//!   itself (re-exported as [`frame::WireEvent`]); [`frame::check_event`]
+//!   refuses a decoded event whose ranks or ranges the session cannot
+//!   hold, and the worker then drives the session with
+//!   [`race_core::Session::apply`], as an in-process caller would.
 //! - [`server`] — accept loop, per-session supervision, bounded queues
 //!   with an explicit slow-client policy, idle reaping, and a graceful
 //!   shutdown that drains every live session's summary.

@@ -52,10 +52,11 @@ use std::time::{Duration, Instant};
 
 use race_core::api::{DetectorConfig, ReportSink, Session, SummarySink};
 use race_core::error::RetryPolicy;
-use race_core::snapshot::JournalEvent;
 use race_core::summary::RaceSummary;
 
-use crate::frame::{append_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent};
+use crate::frame::{
+    append_frame, check_event, ClientFrame, FrameError, ServerFrame, WireError, WireEvent,
+};
 
 mod queue;
 mod reader;
@@ -1048,7 +1049,7 @@ fn run_session(
                 // is handed, so an event outside the session's `n` ends the
                 // session here, unapplied — as does a range whose end
                 // overflows the address space.
-                if let Err(e) = ev.check_ranks(n).and(ev.check_ranges()) {
+                if let Err(e) = check_event(&ev, n) {
                     stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                     break 'drive EndReason::Poison(e.to_string());
                 }
@@ -1059,7 +1060,7 @@ fn run_session(
                             panic!("injected session panic at op {}", op.op_id);
                         }
                     }
-                    apply_event(&mut session, &ev);
+                    session.apply(&ev, &[]);
                 }));
                 if let Err(payload) = step {
                     // The worker just died mid-event. Rebuild the session
@@ -1234,16 +1235,16 @@ fn recover_session(
     cfg: &ServeConfig,
 ) -> Option<Session> {
     let ckpt = ckpt?;
-    let journal: Vec<JournalEvent> = broken.journal().to_vec();
+    let journal = broken.journal().to_vec();
     catch_unwind(AssertUnwindSafe(|| -> Option<Session> {
         let mut session = Session::restore(ckpt, make_sink(cfg)).ok()?;
-        for event in &journal {
-            session.replay(event);
+        for (event, held) in &journal {
+            session.apply(event, held);
         }
         if session.events() + 1 == expected_events {
             // The panic fired before the event reached the session journal
             // (the injection hook, or a pre-apply failure): apply it now.
-            apply_event(&mut session, in_flight);
+            session.apply(in_flight, &[]);
         }
         // Exactly-once: anything else means the journal and the event
         // counter disagree and the rebuilt state cannot be trusted.
@@ -1286,19 +1287,6 @@ fn finalize_parked(parked: ParkedSession, stats: &ServerStats, ledger: &Ledger) 
             error: Some("client hung up mid-stream; parked session expired unresumed".into()),
         },
     );
-}
-
-/// Apply one wire event to the session — the exact mirror of the
-/// in-process driving surface, so remote and local runs agree byte-for-byte.
-fn apply_event(session: &mut Session, ev: &WireEvent) {
-    match ev {
-        WireEvent::Op(op) => {
-            session.observe(op, &[]);
-        }
-        WireEvent::Barrier => session.on_barrier(),
-        WireEvent::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
-        WireEvent::Release { rank, lock } => session.on_release(*rank, *lock),
-    }
 }
 
 /// One frame, one `write`: prefix and payload leave in the same segment.

@@ -101,14 +101,7 @@ fn twin_json(config: &DetectorConfig, events: &[WireEvent]) -> String {
         .clone()
         .session_with(Box::new(SummarySink::default()));
     for ev in events {
-        match ev {
-            WireEvent::Op(op) => {
-                session.observe(op, &[]);
-            }
-            WireEvent::Barrier => session.on_barrier(),
-            WireEvent::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
-            WireEvent::Release { rank, lock } => session.on_release(*rank, *lock),
-        }
+        session.apply(ev, &[]);
     }
     session.finish().0.to_json()
 }

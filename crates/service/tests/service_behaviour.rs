@@ -45,14 +45,7 @@ fn racing_events(words: usize, base_op: u64) -> Vec<WireEvent> {
 fn in_process_json(events: &[WireEvent]) -> String {
     let mut session = config().session_with(Box::new(SummarySink::default()));
     for ev in events {
-        match ev {
-            WireEvent::Op(op) => {
-                session.observe(op, &[]);
-            }
-            WireEvent::Barrier => session.on_barrier(),
-            WireEvent::Acquire { rank, lock } => session.on_acquire(*rank, *lock),
-            WireEvent::Release { rank, lock } => session.on_release(*rank, *lock),
-        }
+        session.apply(ev, &[]);
     }
     session.finish().0.to_json()
 }

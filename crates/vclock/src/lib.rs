@@ -3,8 +3,6 @@
 //! This crate implements the clock machinery that the race-detection
 //! algorithm of Butelle & Coti (IPPS 2011) is built on:
 //!
-//! * [`LamportClock`] — the scalar logical clock of Lamport 1978 (paper
-//!   reference `[12]`), used for totally-ordered event stamping.
 //! * [`VectorClock`] — the vector clock of Mattern 1988 (paper reference
 //!   `[15]`), capturing the *partial* causal order of events. The paper's
 //!   race criterion (Corollary 1) is "two clocks that cannot be ordered ⇒
@@ -45,7 +43,6 @@ pub mod compare;
 pub mod delta;
 pub mod epoch;
 pub mod kernels;
-pub mod lamport;
 pub mod matrix;
 pub mod sparse;
 pub mod vector;
@@ -53,7 +50,6 @@ pub mod vector;
 pub use compare::{compare_clocks, literal_less, max_clock};
 pub use delta::{ClockDelta, DeltaDecoder, DeltaEncoder};
 pub use epoch::{AreaClock, Epoch};
-pub use lamport::LamportClock;
 pub use matrix::MatrixClock;
 pub use sparse::SparseClock;
 pub use vector::{ClockRelation, VectorClock};

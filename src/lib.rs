@@ -12,7 +12,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`vclock`] | Lamport / vector / matrix clocks, the paper's Algorithms 3–4, the `epoch` fast-path module, shared (`Arc`) event-clock snapshots |
+//! | [`vclock`] | Vector / matrix clocks, the paper's Algorithms 3–4, the `epoch` fast-path module, shared (`Arc`) event-clock snapshots |
 //! | [`netsim`] | deterministic discrete-event interconnect + RDMA NIC model |
 //! | [`dsm`] | global address space, symmetric heap, NIC area locks, Fig 3 put-deferral |
 //! | [`race_core`] | the paper's detector (Algorithms 1–2, dual clock) + baselines + oracle + the checkpoint codec, fronted by the `race_core::api` façade (`DetectorConfig` → `Session` → `ReportSink`) |
