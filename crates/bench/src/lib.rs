@@ -181,8 +181,8 @@ pub fn fig5() -> Table {
             Some((prev, cur)) => format!(
                 "5a concurrent puts     : {} race ({} × {})",
                 r.deduped.len(),
-                prev.clock,
-                cur.clock
+                prev.clock(),
+                cur.clock()
             ),
             None => format!("5a concurrent puts     : {} race", r.deduped.len()),
         });

@@ -248,6 +248,12 @@ impl ReportSink for SummarySink {
     fn on_report(&mut self, report: &RaceReport) {
         self.summary.add(report);
     }
+
+    /// An operation's reports folded in by runs ([`RaceSummary::add_all`]).
+    fn accept_all(&mut self, reports: &mut Vec<RaceReport>) {
+        self.summary.add_all(reports);
+        reports.clear();
+    }
 }
 
 /// Forwards every report into an [`std::sync::mpsc`] channel — the bridge
@@ -1251,8 +1257,9 @@ mod tests {
                 process: 0,
                 kind: crate::AccessKind::Write,
                 range: GlobalAddr::public(1, 0).range(8),
-                clock: std::sync::Arc::new(vclock::VectorClock::zero(3)),
                 atomic: false,
+                count: 0,
+                row: std::sync::Arc::new(vclock::VectorClock::zero(3)),
             },
             previous: None,
             area: crate::AreaKey::new(1, 0),

@@ -18,12 +18,13 @@
 //! Three hot-path optimisations over the naive layout (see `hb` for the
 //! detector that exploits them):
 //!
-//! * an antichain entry ([`AccessEntry`]) keeps its clock as the *event*
-//!   `(process, count)` it is, beside a copy of the actor's row that many
-//!   entries share: pruning an antichain and checking an access against it
-//!   cost one integer test per entry (Lemma 1 for an event clock), and a
-//!   full vector exists only where one is asked for — a report, a
-//!   demotion, a read absorbing the area.
+//! * an antichain entry (an [`AccessSummary`]) keeps its clock as the
+//!   *event* `(process, count)` it is, beside a copy of the actor's row
+//!   that many entries share: pruning an antichain and checking an access
+//!   against it cost one integer test per entry (Lemma 1 for an event
+//!   clock), a report names the entry by sharing that row, and a full
+//!   vector exists only where one is asked for — a demotion, a read
+//!   absorbing the area, and printing or encoding a clock.
 //! * `V`/`W` are adaptive [`AreaClock`]s: while an area's accesses stay
 //!   totally ordered the clocks are FastTrack-style **epochs** and every
 //!   compare/update is O(1); they demote to full vectors only on genuine
@@ -33,13 +34,11 @@
 //!   path) with a spillover map for blocks beyond the dense prefix, so
 //!   memory never scales with the highest touched block index.
 
-use std::sync::Arc;
-
 use dsm::addr::{MemRange, Segment};
 use serde::{Deserialize, Serialize};
 use vclock::{AreaClock, Epoch, VectorClock};
 
-use crate::event::{AccessKind, AccessSummary};
+use crate::event::{raise, AccessSummary};
 use crate::Rank;
 
 /// Clock granularity: one `(V, W)` pair per `block_bytes` block of public
@@ -121,113 +120,6 @@ impl std::fmt::Display for AreaKey {
     }
 }
 
-/// One recorded access in an area's antichain, with its clock stored as
-/// what it is: the clock of the *event* `(process, count)`.
-///
-/// For an event clock the paper's Lemma 1 collapses to one integer test,
-/// `C(e) ≤ C' ⟺ C'[process] ≥ count` ([`AccessEntry::leq_row`]) — all the
-/// antichain prune and the race check need. The full clock (a report, a
-/// demotion to `Vector`, a read absorbing the area) is `row` with component
-/// `process` raised to `count`. `row` is a copy of the actor's row shared
-/// by every access the actor records until its knowledge of *other*
-/// processes changes, so its own component may lag `count`; it is replaced
-/// by the exact clock the first time a report needs one
-/// ([`AccessEntry::exact`]).
-#[derive(Debug, Clone)]
-pub struct AccessEntry {
-    /// Globally unique access id (derived from the op id).
-    pub id: u64,
-    /// Performing process.
-    pub process: Rank,
-    /// Read or write.
-    pub kind: AccessKind,
-    /// Bytes touched.
-    pub range: MemRange,
-    /// True for accesses performed by a NIC-atomic operation.
-    pub atomic: bool,
-    /// The process's own clock component at the access (`C(e)[process]`).
-    pub count: u64,
-    /// Every other component of `C(e)`; `row[process] ≤ count`.
-    pub(crate) row: Arc<VectorClock>,
-}
-
-/// `dst[rank] = max(dst[rank], count)`.
-fn raise(dst: &mut VectorClock, rank: Rank, count: u64) {
-    if dst.get(rank) < count {
-        dst.set(rank, count);
-    }
-}
-
-impl AccessEntry {
-    /// `C(e) ≤ row` for a clock `row` of the same execution — Lemma 1's
-    /// event-clock form, one integer compare. `row` not knowing the event
-    /// means the two are concurrent whenever `row` is the clock of a later
-    /// access (a recorded access is never causally after a new one).
-    #[inline]
-    pub fn leq_row(&self, row: &VectorClock) -> bool {
-        self.count <= row.get(self.process)
-    }
-
-    /// `dst ∨= C(e)` (Algorithm 4).
-    pub fn merge_into(&self, dst: &mut VectorClock) {
-        dst.merge(&self.row);
-        raise(dst, self.process, self.count);
-    }
-
-    /// The components of the full clock `C(e)`, in rank order.
-    pub fn components(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        let own = self.process;
-        self.row
-            .components()
-            .iter()
-            .enumerate()
-            .map(move |(rank, &c)| if rank == own { self.count } else { c })
-    }
-
-    /// A fresh copy of the full clock `C(e)`.
-    pub fn to_vector(&self) -> VectorClock {
-        let mut clock = VectorClock::clone(&self.row);
-        clock.set(self.process, self.count);
-        clock
-    }
-
-    /// The full clock `C(e)`, shared. Copies it at most once per entry:
-    /// the copy replaces the lagging row, and later calls hand it out.
-    pub fn exact(&mut self) -> &Arc<VectorClock> {
-        if self.row.get(self.process) != self.count {
-            self.row = Arc::new(self.to_vector());
-        }
-        &self.row
-    }
-
-    /// The access as a report carries it.
-    pub fn summary(&mut self) -> AccessSummary {
-        AccessSummary {
-            id: self.id,
-            process: self.process,
-            kind: self.kind,
-            range: self.range,
-            clock: Arc::clone(self.exact()),
-            atomic: self.atomic,
-        }
-    }
-}
-
-impl From<AccessSummary> for AccessEntry {
-    /// The entry of an access known by its full clock (snapshot decode).
-    fn from(access: AccessSummary) -> Self {
-        AccessEntry {
-            id: access.id,
-            process: access.process,
-            kind: access.kind,
-            range: access.range,
-            atomic: access.atomic,
-            count: access.clock.get(access.process),
-            row: access.clock,
-        }
-    }
-}
-
 /// Clock state and recent-access history for one area.
 #[derive(Debug, Clone, Default)]
 pub struct AreaHistory {
@@ -237,9 +129,9 @@ pub struct AreaHistory {
     /// Write clock: join of every write's clock.
     pub w: AreaClock,
     /// Antichain of recent writes (pairwise concurrent).
-    pub writes: Vec<AccessEntry>,
+    pub writes: Vec<AccessSummary>,
     /// Antichain of recent reads not yet superseded.
-    pub reads: Vec<AccessEntry>,
+    pub reads: Vec<AccessSummary>,
 }
 
 /// `dst ∨= C(e)` for the epoch event `e`, looked up in the given antichains.
@@ -249,7 +141,7 @@ pub struct AreaHistory {
 /// last dominated the area. Searched newest-first; the entry is typically
 /// the last one. An atomic's read and write share `(process, count)` and
 /// the clock, so which of the two is found does not matter.
-fn merge_event(writes: &[AccessEntry], reads: &[AccessEntry], e: Epoch, dst: &mut VectorClock) {
+fn merge_event(writes: &[AccessSummary], reads: &[AccessSummary], e: Epoch, dst: &mut VectorClock) {
     let mut live = writes.iter().rev().chain(reads.iter().rev());
     match live.find(|p| p.process == e.rank && p.count == e.count) {
         Some(p) => p.merge_into(dst),
@@ -263,15 +155,15 @@ fn merge_event(writes: &[AccessEntry], reads: &[AccessEntry], e: Epoch, dst: &mu
 /// Drop from `chain` the entries that precede `row` — all of them when the
 /// join they belong to does (`join_le`) — showing `concurrent` the rest.
 fn prune(
-    chain: &mut Vec<AccessEntry>,
+    chain: &mut Vec<AccessSummary>,
     row: &VectorClock,
     join_le: bool,
-    concurrent: &mut impl FnMut(&mut AccessEntry),
+    concurrent: &mut impl FnMut(&AccessSummary),
 ) {
     if join_le {
         chain.clear();
     } else {
-        chain.retain_mut(|p| {
+        chain.retain(|p| {
             let unordered = !p.leq_row(row);
             if unordered {
                 concurrent(p);
@@ -295,17 +187,17 @@ impl AreaHistory {
     /// be causally *after* the new access (its clock would need the
     /// actor's fresh tick), so "keep the concurrent ones" and "drop
     /// everything ≤ new" are the same filter — and for the recorded
-    /// *event* clocks that filter is [`AccessEntry::leq_row`].
-    pub fn record_write(&mut self, entry: AccessEntry) {
-        let row = entry.to_vector();
+    /// *event* clocks that filter is [`AccessSummary::leq_row`].
+    pub fn record_write(&mut self, entry: AccessSummary) {
+        let row = entry.clock().into_owned();
         let (v_le, w_le) = (self.v.leq(&row), self.w.leq(&row));
         self.prune_for_write(&row, v_le, w_le, |_| {});
         self.push(entry, &row);
     }
 
     /// Record a read (same fast path as [`AreaHistory::record_write`]).
-    pub fn record_read(&mut self, entry: AccessEntry) {
-        let row = entry.to_vector();
+    pub fn record_read(&mut self, entry: AccessSummary) {
+        let row = entry.clock().into_owned();
         let v_le = self.v.leq(&row);
         self.prune_for_read(&row, v_le, |_| {});
         self.push(entry, &row);
@@ -328,7 +220,7 @@ impl AreaHistory {
         row: &VectorClock,
         v_le: bool,
         w_le: bool,
-        mut concurrent: impl FnMut(&mut AccessEntry),
+        mut concurrent: impl FnMut(&AccessSummary),
     ) {
         debug_assert_eq!(w_le, self.w.leq(row));
         prune(&mut self.writes, row, w_le, &mut concurrent);
@@ -342,7 +234,7 @@ impl AreaHistory {
         &mut self,
         row: &VectorClock,
         v_le: bool,
-        mut concurrent: impl FnMut(&mut AccessEntry),
+        mut concurrent: impl FnMut(&AccessSummary),
     ) {
         debug_assert_eq!(v_le, self.v.leq(row));
         prune(&mut self.reads, row, v_le, &mut concurrent);
@@ -350,7 +242,7 @@ impl AreaHistory {
 
     /// Second half of recording: join `row` — the full clock of `entry` —
     /// into the area clocks (Algorithm 5) and append the entry.
-    pub(crate) fn push(&mut self, entry: AccessEntry, row: &VectorClock) {
+    pub(crate) fn push(&mut self, entry: AccessSummary, row: &VectorClock) {
         debug_assert_eq!(row.get(entry.process), entry.count);
         debug_assert!(entry.row.get(entry.process) <= entry.count);
         // Demotion resolvers look the epoch event up in the *pre-push*
@@ -629,25 +521,28 @@ impl ClockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::AccessKind;
     use dsm::addr::GlobalAddr;
+    use std::sync::Arc;
 
     /// The entry of a write known by its full clock.
-    fn summary(id: u64, process: usize, clock: Vec<u64>) -> AccessEntry {
-        AccessEntry::from(AccessSummary {
+    fn summary(id: u64, process: usize, clock: Vec<u64>) -> AccessSummary {
+        AccessSummary {
             id,
             process,
             kind: AccessKind::Write,
             range: GlobalAddr::public(0, 0).range(8),
-            clock: Arc::new(VectorClock::from_components(clock)),
             atomic: false,
-        })
+            count: clock[process],
+            row: Arc::new(VectorClock::from_components(clock)),
+        }
     }
 
     #[test]
     fn entry_with_a_lagging_row_is_the_event_clock() {
         // P1's 5th tick, recorded against a row copied at its 3rd.
         let row = Arc::new(VectorClock::from_components(vec![2, 3, 0]));
-        let mut e = AccessEntry {
+        let e = AccessSummary {
             id: 9,
             process: 1,
             kind: AccessKind::Write,
@@ -656,19 +551,23 @@ mod tests {
             count: 5,
             row: Arc::clone(&row),
         };
-        assert_eq!(e.to_vector().components(), &[2, 5, 0]);
+        assert_eq!(e.clock().components(), &[2, 5, 0]);
         assert_eq!(e.components().collect::<Vec<_>>(), vec![2, 5, 0]);
         assert!(e.leq_row(&VectorClock::from_components(vec![0, 5, 0])));
         assert!(!e.leq_row(&VectorClock::from_components(vec![9, 4, 9])));
         let mut dst = VectorClock::from_components(vec![0, 7, 1]);
         e.merge_into(&mut dst);
         assert_eq!(dst.components(), &[2, 7, 1]);
-        // The first `exact` copies, the second hands the copy out again.
-        let first = Arc::clone(e.exact());
-        assert!(!Arc::ptr_eq(&first, &row));
-        assert_eq!(first.components(), &[2, 5, 0]);
-        assert!(Arc::ptr_eq(&first, e.exact()));
-        assert!(Arc::ptr_eq(&first, &e.summary().clock));
+        // A lagging row is copied only when the full clock is asked for,
+        // and the entry keeps sharing it; an exact row is lent as is.
+        assert!(matches!(e.clock(), std::borrow::Cow::Owned(_)));
+        assert!(Arc::ptr_eq(&e.clone().row, &row));
+        let exact = summary(9, 1, vec![2, 5, 0]);
+        assert!(matches!(exact.clock(), std::borrow::Cow::Borrowed(_)));
+        // Equality and `Debug` see the full clock, not the row.
+        assert_eq!(e, exact);
+        assert_eq!(format!("{e:?}"), format!("{exact:?}"));
+        assert_eq!(e.to_string(), exact.to_string());
     }
 
     #[test]

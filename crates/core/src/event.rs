@@ -6,6 +6,7 @@
 //! destination. The paper's algorithms attach the race checks to these
 //! accesses.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use dsm::addr::{MemRange, Segment};
@@ -223,8 +224,20 @@ impl IntoIterator for AccessList {
     }
 }
 
-/// A recorded access, as embedded in race reports and area histories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A recorded access: what a race report names and what an area's
+/// antichain keeps. Its clock is stored as what it is, the clock of the
+/// *event* `(process, count)`.
+///
+/// For an event clock the paper's Lemma 1 collapses to one integer test,
+/// `C(e) ≤ C' ⟺ C'[process] ≥ count` ([`AccessSummary::leq_row`]) — all the
+/// antichain prune and the race check need. The full clock `C(e)` is `row`
+/// with component `process` raised to `count` ([`AccessSummary::clock`]).
+/// `row` is a copy of the actor's row shared by every access the actor
+/// records — and by every report naming one — until its knowledge of
+/// *other* processes changes, so its own component may lag `count`. A
+/// report therefore costs two `Arc` clones, and a full clock is built only
+/// where one is printed, encoded or compared.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct AccessSummary {
     /// Globally unique access id (derived from the op id).
     pub id: u64,
@@ -234,14 +247,90 @@ pub struct AccessSummary {
     pub kind: AccessKind,
     /// Bytes touched.
     pub range: MemRange,
-    /// The actor's vector clock when the access was performed. Shared: the
-    /// clock-based detector copies it at most once per *operation* — and
-    /// only for an op that appears in a report — and every report and
-    /// history entry of that op references the copy.
-    pub clock: Arc<VectorClock>,
     /// True for accesses performed by a NIC-atomic operation.
     #[serde(default)]
     pub atomic: bool,
+    /// The process's own clock component at the access (`C(e)[process]`).
+    pub count: u64,
+    /// Every other component of `C(e)`; `row[process] ≤ count`.
+    pub row: Arc<VectorClock>,
+}
+
+impl AccessSummary {
+    /// `C(e) ≤ row` for a clock `row` of the same execution — Lemma 1's
+    /// event-clock form, one integer compare. `row` not knowing the event
+    /// means the two are concurrent whenever `row` is the clock of a later
+    /// access (a recorded access is never causally after a new one).
+    #[inline]
+    pub fn leq_row(&self, row: &VectorClock) -> bool {
+        self.count <= row.get(self.process)
+    }
+
+    /// `dst ∨= C(e)` (Algorithm 4).
+    pub fn merge_into(&self, dst: &mut VectorClock) {
+        dst.merge(&self.row);
+        raise(dst, self.process, self.count);
+    }
+
+    /// The components of the full clock `C(e)`, in rank order, without
+    /// building it.
+    pub fn components(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let own = self.process;
+        self.row
+            .components()
+            .iter()
+            .enumerate()
+            .map(move |(rank, &c)| if rank == own { self.count } else { c })
+    }
+
+    /// The full clock `C(e)`: the shared row itself when it is exact, a
+    /// fresh copy with `count` in the own slot when the row lags. A row
+    /// with no component for `process` (the lockset baseline's zero-width
+    /// clock) is the clock as it is.
+    pub fn clock(&self) -> Cow<'_, VectorClock> {
+        match self.row.components().get(self.process) {
+            Some(&own) if own != self.count => {
+                let mut clock = VectorClock::clone(&self.row);
+                clock.set(self.process, self.count);
+                Cow::Owned(clock)
+            }
+            _ => Cow::Borrowed(&self.row),
+        }
+    }
+}
+
+/// `dst[rank] = max(dst[rank], count)`: `dst ∨=` the clock of the event
+/// `(rank, count)`, as far as that event alone is known.
+pub(crate) fn raise(dst: &mut VectorClock, rank: Rank, count: u64) {
+    if dst.get(rank) < count {
+        dst.set(rank, count);
+    }
+}
+
+/// Equal accesses have equal full clocks, whether or not their rows lag.
+impl PartialEq for AccessSummary {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.process == other.process
+            && self.kind == other.kind
+            && self.range == other.range
+            && self.atomic == other.atomic
+            && self.clock() == other.clock()
+    }
+}
+
+/// Prints the full clock, as [`PartialEq`] compares it.
+impl std::fmt::Debug for AccessSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AccessSummary")
+            .field("id", &self.id)
+            .field("process", &self.process)
+            .field("kind", &self.kind)
+            .field("range", &self.range)
+            .field("clock", &*self.clock())
+            .field("atomic", &self.atomic)
+            .finish()
+    }
 }
 
 impl std::fmt::Display for AccessSummary {
@@ -253,7 +342,10 @@ impl std::fmt::Display for AccessSummary {
         write!(
             f,
             "{k}#{} by P{} on {} @{}",
-            self.id, self.process, self.range, self.clock
+            self.id,
+            self.process,
+            self.range,
+            self.clock()
         )
     }
 }
@@ -340,8 +432,9 @@ mod tests {
             process: 1,
             kind: AccessKind::Write,
             range: GlobalAddr::public(2, 0).range(8),
-            clock: Arc::new(VectorClock::from_components(vec![1, 1, 0])),
             atomic: false,
+            count: 1,
+            row: Arc::new(VectorClock::from_components(vec![1, 1, 0])),
         };
         let text = s.to_string();
         assert!(text.contains("W#3"));

@@ -46,7 +46,7 @@
 //! access is an *event* `(process, count)` and Lemma 1 for an event clock
 //! is one integer test: the entry precedes the access iff
 //! `V[process] ≥ count`, and is concurrent with it otherwise (see
-//! [`crate::clockstore::AccessEntry`]; `tests/lemma.rs` checks the
+//! [`crate::AccessSummary`]; `tests/lemma.rs` checks the
 //! equivalence against the full-vector compare, and a `debug_assert!` in
 //! the loop below re-checks it on every access of every debug run). The
 //! fast path is a *pure filter*: it only skips scans whose every compare
@@ -69,12 +69,11 @@
 //!   something new, an acquire, or a barrier (where every row becomes the
 //!   join and one copy serves all `n` actors: two allocations per barrier,
 //!   not 2·n).
-//! * A full clock is copied for a report, and only then: the first
-//!   report of an op copies the actor's row (the op's later reports, the
-//!   entries it goes on to record and the actor's shared slot all take
-//!   that copy), and an entry named as `previous` copies its own clock
-//!   once, if the row it shares lags its count. With one public access per
-//!   op that is at most one copy per op that appears in a report.
+//! * A report copies no clock. It names both accesses as the events they
+//!   are — `(process, count)` beside the shared row — so building one is
+//!   two `Arc` clones, and the report keeps alive the rows its entries
+//!   already hold. A full clock is built only when a report is printed,
+//!   encoded or compared ([`crate::AccessSummary::clock`]).
 //! * An area clock that demotes to `Vector` allocates its join.
 //!
 //! Reports stream out by value through the caller's
@@ -87,7 +86,7 @@ use dsm::addr::{MemRange, Segment};
 use vclock::{MatrixClock, VectorClock};
 
 use crate::api::ReportSink;
-use crate::clockstore::{AccessEntry, AreaKey, ClockStore, Granularity, StoreConfig};
+use crate::clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
 use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId};
 use crate::report::{RaceClass, RaceReport};
@@ -262,8 +261,7 @@ impl HbDetector {
 }
 
 /// The access being checked. Its clock is the actor's row itself, borrowed
-/// — between the tick and the end of the op the two are the same value —
-/// and is copied only if the access turns up in a report.
+/// — between the tick and the end of the op the two are the same value.
 struct Current<'a> {
     id: u64,
     process: Rank,
@@ -279,30 +277,14 @@ struct Current<'a> {
 }
 
 impl Current<'_> {
-    /// The access as a report carries it. The first report of an op
-    /// copies the row into the actor's shared slot; the op's later
-    /// reports, and the entries it goes on to record, take that copy.
+    /// The access as its reports name it and its antichain entries keep
+    /// it: its count, and the actor's shared row — copied from the row
+    /// only if the actor has none yet.
     fn summary(&mut self) -> AccessSummary {
-        let clock = match self.shared {
-            Some(exact) if exact.get(self.process) == self.count => Arc::clone(exact),
-            _ => Arc::clone(self.shared.insert(Arc::new(self.row.clone()))),
-        };
-        AccessSummary {
-            id: self.id,
-            process: self.process,
-            kind: self.kind,
-            range: self.range,
-            clock,
-            atomic: self.atomic,
-        }
-    }
-
-    /// The antichain entry of the access: its count, and the shared row.
-    fn entry(&mut self) -> AccessEntry {
         let row = self
             .shared
             .get_or_insert_with(|| Arc::new(self.row.clone()));
-        AccessEntry {
+        AccessSummary {
             id: self.id,
             process: self.process,
             kind: self.kind,
@@ -317,12 +299,12 @@ impl Current<'_> {
 /// Signal the race between `access` and the recorded `prev`, whose clocks
 /// the caller found concurrent (Algorithm 3 / Corollary 1) — unless the
 /// pair cannot race: a process is ordered with itself by program order,
-/// and the NIC serialises atomic-atomic pairs. The only place a full clock
-/// is copied and an [`AccessSummary`] built.
+/// and the NIC serialises atomic-atomic pairs. A report is the two events:
+/// building it clones two `Arc`s and copies no clock.
 fn signal_race(
     mode: HbMode,
     access: &mut Current<'_>,
-    prev: &mut AccessEntry,
+    prev: &AccessSummary,
     area: AreaKey,
     out: &mut Vec<RaceReport>,
 ) {
@@ -338,7 +320,7 @@ fn signal_race(
         detector: mode.detector_name(),
         class,
         current: access.summary(),
-        previous: Some(prev.summary()),
+        previous: Some(prev.clone()),
         area,
     });
 }
@@ -416,7 +398,7 @@ impl Detector for HbDetector {
                     }
                     AccessKind::Read => {
                         if !w_le {
-                            for prev in &mut hist.writes {
+                            for prev in &hist.writes {
                                 if !prev.leq_row(row) {
                                     signal_race(mode, &mut access, prev, area, scratch);
                                 }
@@ -452,9 +434,7 @@ impl Detector for HbDetector {
                         });
                     }
                 }
-                // Built after the checks, so an access that was reported
-                // records the clock copy its reports already share.
-                hist.push(access.entry(), row);
+                hist.push(access.summary(), row);
             }
         }
 
@@ -575,8 +555,8 @@ mod tests {
         let r = &reports[0];
         assert!(r
             .current
-            .clock
-            .concurrent_with(&r.previous.as_ref().unwrap().clock));
+            .clock()
+            .concurrent_with(&r.previous.as_ref().unwrap().clock()));
     }
 
     #[test]

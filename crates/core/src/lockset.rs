@@ -228,8 +228,9 @@ impl Detector for LocksetDetector {
                 process: op.actor,
                 kind,
                 range,
-                clock: std::sync::Arc::clone(&no_clock), // locksets carry no clocks
                 atomic: op.is_atomic(),
+                count: 0,
+                row: std::sync::Arc::clone(&no_clock), // locksets carry no clocks
             };
             for block in granularity.blocks_of(&range) {
                 let area = AreaKey::new(range.addr.rank, block);

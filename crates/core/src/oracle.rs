@@ -451,16 +451,18 @@ mod tests {
                 process: 0,
                 kind: AccessKind::Write,
                 range: GlobalAddr::public(0, 0).range(8),
-                clock: std::sync::Arc::new(VectorClock::zero(3)),
                 atomic: false,
+                count: 0,
+                row: std::sync::Arc::new(VectorClock::zero(3)),
             },
             previous: Some(AccessSummary {
                 id: prev,
                 process: 1,
                 kind: AccessKind::Write,
                 range: GlobalAddr::public(0, 0).range(8),
-                clock: std::sync::Arc::new(VectorClock::zero(3)),
                 atomic: false,
+                count: 0,
+                row: std::sync::Arc::new(VectorClock::zero(3)),
             }),
             area: AreaKey::new(0, 0),
         };

@@ -55,7 +55,7 @@ impl RefAreaHistory {
     /// `Arc`, which would otherwise hide it).
     fn owned_clock_copy(access: &AccessSummary) -> AccessSummary {
         AccessSummary {
-            clock: Arc::new((*access.clock).clone()),
+            row: Arc::new(access.clock().into_owned()),
             ..access.clone()
         }
     }
@@ -63,19 +63,19 @@ impl RefAreaHistory {
     fn record_write(&mut self, access: &AccessSummary) {
         let access = Self::owned_clock_copy(access);
         self.writes
-            .retain(|p| p.clock.concurrent_with(&access.clock));
+            .retain(|p| p.clock().concurrent_with(&access.clock()));
         self.reads
-            .retain(|p| p.clock.concurrent_with(&access.clock));
-        self.v.merge(&access.clock);
-        self.w.merge(&access.clock);
+            .retain(|p| p.clock().concurrent_with(&access.clock()));
+        self.v.merge(&access.clock());
+        self.w.merge(&access.clock());
         self.writes.push(access);
     }
 
     fn record_read(&mut self, access: &AccessSummary) {
         let access = Self::owned_clock_copy(access);
         self.reads
-            .retain(|p| p.clock.concurrent_with(&access.clock));
-        self.v.merge(&access.clock);
+            .retain(|p| p.clock().concurrent_with(&access.clock()));
+        self.v.merge(&access.clock());
         self.reads.push(access);
     }
 }
@@ -130,7 +130,7 @@ impl ReferenceHbDetector {
                 if access.atomic && prev.atomic {
                     continue;
                 }
-                if prev.process != access.process && prev.clock.concurrent_with(&access.clock) {
+                if prev.process != access.process && prev.clock().concurrent_with(&access.clock()) {
                     let class = if access.kind.is_write() {
                         RaceClass::WriteWrite
                     } else {
@@ -151,7 +151,7 @@ impl ReferenceHbDetector {
                 if access.atomic && prev.atomic {
                     continue;
                 }
-                if prev.process != access.process && prev.clock.concurrent_with(&access.clock) {
+                if prev.process != access.process && prev.clock().concurrent_with(&access.clock()) {
                     let class = if access.kind.is_write() {
                         RaceClass::ReadWrite
                     } else {
@@ -198,9 +198,10 @@ impl Detector for ReferenceHbDetector {
                 process: op.actor,
                 kind,
                 range,
-                // One snapshot allocation per access — the original cost.
-                clock: Arc::new(actor_clock.clone()),
                 atomic: op.is_atomic(),
+                count: actor_clock.get(op.actor),
+                // One snapshot allocation per access — the original cost.
+                row: Arc::new(actor_clock.clone()),
             };
             for area in self.areas_for(&range) {
                 new_reports.extend(self.check_access(&access, area));

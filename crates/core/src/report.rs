@@ -225,8 +225,9 @@ mod tests {
             process,
             kind: AccessKind::Write,
             range: GlobalAddr::public(1, 0).range(8),
-            clock: std::sync::Arc::new(VectorClock::zero(3)),
             atomic: false,
+            count: 0,
+            row: std::sync::Arc::new(VectorClock::zero(3)),
         }
     }
 

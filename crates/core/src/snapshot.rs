@@ -37,7 +37,7 @@ use dsm::addr::{GlobalAddr, MemRange, Segment};
 use vclock::{AreaClock, Epoch, MatrixClock, VectorClock};
 
 use crate::api::{DetectorConfig, ReportSink};
-use crate::clockstore::{AccessEntry, AreaKey, ClockStore};
+use crate::clockstore::{AreaKey, ClockStore};
 use crate::detector::{Detector, DetectorKind};
 use crate::event::{AccessKind, AccessSummary, LockId};
 use crate::hb::{HbDetector, HbMode};
@@ -248,33 +248,16 @@ fn take_range(r: &mut Reader<'_>) -> Result<MemRange, SnapshotError> {
     Ok(GlobalAddr { offset, ..addr }.range(len))
 }
 
-/// Everything of an access but its clock.
-fn put_access_head(
-    buf: &mut Vec<u8>,
-    id: u64,
-    process: Rank,
-    kind: AccessKind,
-    range: &MemRange,
-    atomic: bool,
-) {
-    put_u64(buf, id);
-    put_u32(buf, process as u32);
-    put_u8(buf, if kind.is_write() { 1 } else { 0 });
-    put_range(buf, range);
-    put_u8(buf, atomic as u8);
-}
-
+/// An access, with its full clock written out (its count in the own
+/// slot), so the bytes do not show whether the access shared a lagging
+/// row. Builds no clock.
 fn put_access(buf: &mut Vec<u8>, a: &AccessSummary) {
-    put_access_head(buf, a.id, a.process, a.kind, &a.range, a.atomic);
-    put_vc(buf, &a.clock);
-}
-
-/// An antichain entry, in [`put_access`]'s layout: the entry's full clock
-/// is written out (its count in the own slot), so the bytes do not show
-/// whether the entry shared a lagging row.
-fn put_entry(buf: &mut Vec<u8>, e: &AccessEntry) {
-    put_access_head(buf, e.id, e.process, e.kind, &e.range, e.atomic);
-    let components = e.components();
+    put_u64(buf, a.id);
+    put_u32(buf, a.process as u32);
+    put_u8(buf, if a.kind.is_write() { 1 } else { 0 });
+    put_range(buf, &a.range);
+    put_u8(buf, a.atomic as u8);
+    let components = a.components();
     put_u32(buf, components.len() as u32);
     for component in components {
         put_u64(buf, component);
@@ -303,17 +286,18 @@ fn take_access(r: &mut Reader<'_>) -> Result<AccessSummary, SnapshotError> {
             })
         }
     };
-    // Arc sharing across accesses of one op is an in-memory optimisation;
-    // restoring one Arc per access is semantically identical (clocks are
-    // immutable once snapshotted) and does not change any encoded byte.
-    let clock = Arc::new(take_vc(r)?);
+    // Row sharing across accesses is an in-memory optimisation; restoring
+    // one exact row per access is semantically identical (clocks are
+    // immutable once recorded) and does not change any encoded byte.
+    let clock = take_vc(r)?;
     Ok(AccessSummary {
         id,
         process,
         kind,
         range,
-        clock,
         atomic,
+        count: clock.components().get(process).copied().unwrap_or(0),
+        row: Arc::new(clock),
     })
 }
 
@@ -387,7 +371,7 @@ fn take_antichain(
     let mut chain = Vec::new();
     for _ in 0..len {
         let access = take_access(r)?;
-        if access.process >= n || access.clock.len() != n {
+        if access.process >= n || access.row.len() != n {
             return Err(SnapshotError::Malformed {
                 what: "antichain access",
             });
@@ -408,13 +392,13 @@ fn clock_is_join_of(clock: &AreaClock, chains: &[&[AccessSummary]]) -> bool {
         AreaClock::Epoch(e) => {
             let named = accesses
                 .clone()
-                .find(|a| a.process == e.rank && a.clock.get(e.rank) == e.count);
-            named.is_some_and(|named| accesses.all(|a| a.clock.leq(&named.clock)))
+                .find(|a| a.process == e.rank && a.count == e.count);
+            named.is_some_and(|named| accesses.all(|a| a.clock().leq(&named.clock())))
         }
         AreaClock::Vector(join) => {
             let mut expected = VectorClock::zero(join.len());
             for access in accesses {
-                expected.merge(&access.clock);
+                access.merge_into(&mut expected);
             }
             expected == *join
         }
@@ -457,11 +441,11 @@ pub(crate) fn encode_hb(hb: &HbDetector) -> Vec<u8> {
         put_area_clock(&mut buf, &history.w);
         put_u32(&mut buf, history.writes.len() as u32);
         for entry in &history.writes {
-            put_entry(&mut buf, entry);
+            put_access(&mut buf, entry);
         }
         put_u32(&mut buf, history.reads.len() as u32);
         for entry in &history.reads {
-            put_entry(&mut buf, entry);
+            put_access(&mut buf, entry);
         }
     }
     buf
@@ -555,7 +539,7 @@ pub(crate) fn decode_hb(
         let reads = take_antichain(&mut r, n, "reads len")?;
         if !clock_is_join_of(&w, &[&writes])
             || !clock_is_join_of(&v, &[&writes, &reads])
-            || writes.iter().chain(&reads).any(|a| !ticked(&a.clock))
+            || writes.iter().chain(&reads).any(|a| !ticked(&a.clock()))
         {
             return Err(SnapshotError::Malformed {
                 what: "area clocks inconsistent with the antichains",
@@ -564,8 +548,8 @@ pub(crate) fn decode_hb(
         let history = store.history_mut(AreaKey::new(rank, block));
         history.v = v;
         history.w = w;
-        history.writes = writes.into_iter().map(AccessEntry::from).collect();
-        history.reads = reads.into_iter().map(AccessEntry::from).collect();
+        history.writes = writes;
+        history.reads = reads;
     }
     r.finish()?;
     Ok(HbDetector::from_parts(mode, store, clocks, lock_clocks))

@@ -1,27 +1,35 @@
 //! Aggregate views over race reports — what a runtime would print at exit
 //! (§IV-D: signalled on standard output, execution never aborted).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::clockstore::AreaKey;
-use crate::report::{RaceClass, RaceReport};
+use crate::report::{RaceClass, RaceReport, WordHashState};
 use crate::Rank;
+
+/// A count per key, hashed a word at a time. Area keys and ranks come from
+/// client frames, so the hash keeps [`WordHashState`]'s per-map secret; no
+/// output depends on the iteration order — everything printed is sorted
+/// first.
+pub type Counts<K> = HashMap<K, usize, WordHashState>;
 
 /// Aggregated statistics over a set of reports.
 ///
 /// Keys are the cheap value types ([`RaceClass`], [`AreaKey`], rank pairs),
-/// so folding a report in ([`RaceSummary::add`]) allocates nothing — this
-/// is on the session hot path for every detected race.
+/// so folding a report in ([`RaceSummary::add`]) is a hashed count and
+/// allocates nothing once a key is known — this is on the session hot path
+/// for every detected race. The maps are unordered; [`RaceSummary::to_json`]
+/// and `Display` sort them, once, when the summary is printed.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RaceSummary {
     /// Count per race class.
-    pub by_class: BTreeMap<RaceClass, usize>,
+    pub by_class: Counts<RaceClass>,
     /// Count per memory area.
-    pub by_area: BTreeMap<AreaKey, usize>,
+    pub by_area: Counts<AreaKey>,
     /// Count per unordered process pair.
-    pub by_process_pair: BTreeMap<(Rank, Rank), usize>,
+    pub by_process_pair: Counts<(Rank, Rank)>,
     /// Total reports summarised.
     pub total: usize,
     /// True when the run that produced this summary degraded: the
@@ -88,19 +96,21 @@ impl RaceSummary {
         self.count(RaceClass::WriteWrite) + self.count(RaceClass::ReadWrite)
     }
 
-    /// The most-reported area, if any.
+    /// The most-reported area, if any; of areas reported equally often,
+    /// the largest key.
     pub fn hottest_area(&self) -> Option<(AreaKey, usize)> {
         self.by_area
             .iter()
-            .max_by_key(|(_, &c)| c)
+            .max_by_key(|&(&k, &c)| (c, k))
             .map(|(&k, &c)| (k, c))
     }
 
     /// One-line canonical JSON encoding — the detection service's wire
-    /// currency. `BTreeMap` iteration is ordered, so two structurally equal
-    /// summaries always serialise to **byte-identical** strings; the server
-    /// parity checks (remote session vs in-process run) compare exactly
-    /// this. Hand-formatted like every JSON producer in the workspace.
+    /// currency. Every object is written in key order, so two structurally
+    /// equal summaries always serialise to **byte-identical** strings,
+    /// whatever order their reports were folded in; the server parity
+    /// checks (remote session vs in-process run) compare exactly this.
+    /// Hand-formatted like every JSON producer in the workspace.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(128);
@@ -109,17 +119,17 @@ impl RaceSummary {
             "{{\"total\":{},\"degraded\":{},\"by_class\":{{",
             self.total, self.degraded
         );
-        for (i, (class, count)) in self.by_class.iter().enumerate() {
+        for (i, (class, count)) in sorted(&self.by_class).into_iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(s, "{sep}\"{}\":{count}", class.label());
         }
         s.push_str("},\"by_area\":{");
-        for (i, (area, count)) in self.by_area.iter().enumerate() {
+        for (i, (area, count)) in sorted(&self.by_area).into_iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(s, "{sep}\"{}:{}\":{count}", area.rank, area.block);
         }
         s.push_str("},\"by_pair\":{");
-        for (i, ((a, b), count)) in self.by_process_pair.iter().enumerate() {
+        for (i, ((a, b), count)) in sorted(&self.by_process_pair).into_iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(s, "{sep}\"{a}-{b}\":{count}");
         }
@@ -186,9 +196,16 @@ impl RaceSummary {
     }
 }
 
+/// The entries of `map` in key order.
+fn sorted<K: Ord + Copy>(map: &Counts<K>) -> Vec<(K, usize)> {
+    let mut entries: Vec<(K, usize)> = map.iter().map(|(&k, &c)| (k, c)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    entries
+}
+
 /// `map[key] = count`, unless the object named `key` before.
-fn insert_once<K: Ord>(
-    map: &mut BTreeMap<K, usize>,
+fn insert_once<K: Eq + std::hash::Hash>(
+    map: &mut Counts<K>,
     key: K,
     count: usize,
     object: &str,
@@ -201,7 +218,7 @@ fn insert_once<K: Ord>(
 }
 
 /// The sum of an object's counts.
-fn sum<K>(map: &BTreeMap<K, usize>, object: &str) -> Result<usize, String> {
+fn sum<K>(map: &Counts<K>, object: &str) -> Result<usize, String> {
     map.values()
         .try_fold(0usize, |acc, &count| acc.checked_add(count))
         .ok_or_else(|| format!("object {object:?}: counts overflow"))
@@ -247,13 +264,13 @@ fn object_entries(json: &str, key: &str) -> Result<Vec<(String, usize)>, String>
 impl std::fmt::Display for RaceSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "{} race report(s):", self.total)?;
-        for (class, count) in &self.by_class {
+        for (class, count) in sorted(&self.by_class) {
             writeln!(f, "  {:<12} {count}", class.label())?;
         }
         if let Some((area, count)) = self.hottest_area() {
             writeln!(f, "  hottest area: {area} ({count} report(s))")?;
         }
-        for ((a, b), count) in &self.by_process_pair {
+        for ((a, b), count) in sorted(&self.by_process_pair) {
             writeln!(f, "  P{a} × P{b}: {count}")?;
         }
         if self.degraded {
@@ -276,8 +293,9 @@ mod tests {
             process,
             kind: AccessKind::Write,
             range: GlobalAddr::public(0, area_block * 8).range(8),
-            clock: std::sync::Arc::new(VectorClock::zero(2)),
             atomic: false,
+            count: 0,
+            row: std::sync::Arc::new(VectorClock::zero(2)),
         };
         RaceReport {
             detector: "t",

@@ -10,7 +10,7 @@
 //!   !p.leq_row(r) ==  C(p) ∥ r          (and otherwise the two are concurrent)
 //! ```
 //!
-//! where `C(p) = p.to_vector()` is the full vector clock. Checked here on
+//! where `C(p) = p.clock()` is the full vector clock. Checked here on
 //! random programs — barriers, lock hand-offs, reads that absorb, accesses
 //! spanning several blocks, ops with two public accesses — for every entry
 //! ever recorded (pruned or live) against every later access row, at
@@ -19,8 +19,8 @@
 use std::collections::HashSet;
 
 use dsm::addr::GlobalAddr;
-use race_core::clockstore::{AccessEntry, AreaKey};
-use race_core::{Detector, DsmOp, Granularity, HbDetector, HbMode, LockId, OpKind};
+use race_core::clockstore::AreaKey;
+use race_core::{AccessSummary, Detector, DsmOp, Granularity, HbDetector, HbMode, LockId, OpKind};
 
 /// Deterministic generator (same LCG family the chaos layer uses).
 struct Lcg(u64);
@@ -78,7 +78,7 @@ fn check_program(n: usize, mode: HbMode, seed: u64, steps: usize) -> (usize, usi
     let mut rng = Lcg(seed);
     let mut det = HbDetector::new(n, Granularity::WORD, mode);
     let mut held: Vec<Option<LockId>> = vec![None; n];
-    let mut recorded: Vec<AccessEntry> = Vec::new();
+    let mut recorded: Vec<AccessSummary> = Vec::new();
     let mut seen: HashSet<(u64, AreaKey)> = HashSet::new();
     let (mut ordered, mut concurrent) = (0, 0);
 
@@ -105,7 +105,7 @@ fn check_program(n: usize, mode: HbMode, seed: u64, steps: usize) -> (usize, usi
                 let mut row = det.process_clock(op.actor).clone();
                 row.tick(op.actor);
                 for p in &recorded {
-                    let clock = p.to_vector();
+                    let clock = p.clock();
                     let known = p.leq_row(&row);
                     assert_eq!(
                         known,
@@ -128,7 +128,7 @@ fn check_program(n: usize, mode: HbMode, seed: u64, steps: usize) -> (usize, usi
                 for (area, history) in det.store().sorted_entries() {
                     for p in history.writes.iter().chain(&history.reads) {
                         if seen.insert((p.id, area)) {
-                            assert_eq!(p.to_vector().get(p.process), p.count);
+                            assert_eq!(p.clock().get(p.process), p.count);
                             recorded.push(p.clone());
                         }
                     }

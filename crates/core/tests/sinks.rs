@@ -4,9 +4,15 @@
 //! `Detector::observe_sink` hot loop, for every [`DetectorKind`] — and the
 //! aggregating sinks must retain bounded state, never per-report copies.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use race_core::api::{CountingSink, DetectorConfig, SummarySink, VecSink};
-use race_core::{DetectorKind, DsmOp, Event, Granularity, OpKind, RaceSummary};
+use race_core::api::{CountingSink, DedupSink, DetectorConfig, ReportSink, SummarySink, VecSink};
+use race_core::{
+    AccessKind, AccessSummary, AreaKey, DetectorKind, DsmOp, Event, Granularity, OpKind, RaceClass,
+    RaceReport, RaceSummary,
+};
+use vclock::VectorClock;
 
 use dsm::addr::GlobalAddr;
 
@@ -158,29 +164,32 @@ proptest! {
     }
 }
 
+/// A write-write report on word 0 of rank 1 by the access `current`,
+/// attributed to the access `previous` when there is one.
+fn report(current: u64, previous: Option<u64>) -> RaceReport {
+    let access = |id, process| AccessSummary {
+        id,
+        process,
+        kind: AccessKind::Write,
+        range: GlobalAddr::public(1, 0).range(8),
+        atomic: false,
+        count: 0,
+        row: Arc::new(VectorClock::zero(2)),
+    };
+    RaceReport {
+        detector: "test",
+        class: RaceClass::WriteWrite,
+        current: access(current, 0),
+        previous: previous.map(|id| access(id, 1)),
+        area: AreaKey::new(1, 0),
+    }
+}
+
 /// Memory shape of the aggregating sinks, checked structurally: a million
 /// same-pair reports leave a one-entry summary and a two-word counter.
 #[test]
 fn aggregating_sinks_do_not_grow_with_report_count() {
-    use race_core::api::ReportSink;
-    use race_core::{AccessKind, AccessSummary, AreaKey, RaceClass, RaceReport};
-    use std::sync::Arc;
-    use vclock::VectorClock;
-
-    let report = RaceReport {
-        detector: "test",
-        class: RaceClass::WriteWrite,
-        current: AccessSummary {
-            id: 1,
-            process: 0,
-            kind: AccessKind::Write,
-            range: GlobalAddr::public(1, 0).range(8),
-            clock: Arc::new(VectorClock::zero(2)),
-            atomic: false,
-        },
-        previous: None,
-        area: AreaKey::new(1, 0),
-    };
+    let report = report(1, None);
     let mut summary = SummarySink::default();
     let mut counting = CountingSink::default();
     let mut vec = VecSink::new();
@@ -197,4 +206,37 @@ fn aggregating_sinks_do_not_grow_with_report_count() {
     assert_eq!(counting.total(), 100_000);
     assert_eq!(counting.true_races(), 100_000);
     assert_eq!(vec.len(), 100, "only the retaining sink grows");
+}
+
+/// A full `DedupSink` evicts its *oldest* key, and a restored one keeps
+/// that order: the key that goes is the one seen first, not the newest.
+#[test]
+fn dedup_sink_evicts_the_oldest_key_before_and_after_a_restore() {
+    let forwarded = |sink: &DedupSink| -> Vec<(u64, u64)> {
+        sink.reports().iter().map(RaceReport::dedup_key).collect()
+    };
+    let (a, b, c, d) = ((1, 2), (3, 4), (5, 6), (7, 8));
+    let send = |sink: &mut DedupSink, (cur, prev): (u64, u64)| {
+        sink.on_report(&report(cur, Some(prev)));
+    };
+
+    let mut sink = DedupSink::with_capacity(Box::new(VecSink::new()), 2);
+    for key in [a, b, c] {
+        send(&mut sink, key);
+    }
+    assert_eq!(sink.evictions(), 1, "c found the window full");
+    let state = sink.snapshot_state().expect("a dedup window to persist");
+    // c pushed out a, the oldest: a is new again, c is still resident.
+    send(&mut sink, a);
+    send(&mut sink, c);
+    assert_eq!(forwarded(&sink), vec![a, b, c, a]);
+
+    // The restored window is [b, c], oldest first: d pushes out b.
+    let mut restored = DedupSink::with_capacity(Box::new(VecSink::new()), 2);
+    assert!(restored.restore_state(&state));
+    send(&mut restored, d);
+    send(&mut restored, c);
+    send(&mut restored, b);
+    assert_eq!(forwarded(&restored), vec![d, b]);
+    assert_eq!(restored.evictions(), 3);
 }

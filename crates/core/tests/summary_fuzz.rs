@@ -34,8 +34,9 @@ fn report((class, area, cur, prev): (usize, usize, usize, usize)) -> RaceReport 
         process,
         kind: AccessKind::Write,
         range: GlobalAddr::public(area % 3, 8 * area).range(8),
-        clock: Arc::new(VectorClock::zero(8)),
         atomic: false,
+        count: 0,
+        row: Arc::new(VectorClock::zero(8)),
     };
     RaceReport {
         detector: "fuzz",
@@ -110,6 +111,31 @@ proptest! {
         prop_assert_eq!(json, reference.to_json());
     }
 
+    /// The maps are hashed, each with its own secret, and unordered; the
+    /// printed forms are not. The same reports folded in any order, into
+    /// summaries that hash differently, print byte-identically.
+    #[test]
+    fn a_summary_prints_the_same_whatever_the_fold_order(
+        seeds in collection::vec(((0usize..3, 0usize..6, 0usize..8, 0usize..9), 1usize..5), 0..40usize),
+        shuffle in collection::vec(0u64..1 << 32, 0..200usize),
+    ) {
+        let reports = stream(seeds);
+        let forward = RaceSummary::from_reports(&reports);
+        let mut order: Vec<(u64, &RaceReport)> = reports
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (shuffle.get(i).copied().unwrap_or(i as u64), r))
+            .collect();
+        order.sort_by_key(|&(key, _)| key);
+        let mut shuffled = RaceSummary::default();
+        for (_, r) in order.iter().rev() {
+            shuffled.add(r);
+        }
+        prop_assert_eq!(&shuffled, &forward);
+        prop_assert_eq!(shuffled.to_json(), forward.to_json());
+        prop_assert_eq!(shuffled.to_string(), forward.to_string());
+    }
+
     /// The same through a real session: what the tee folded in, operation
     /// by operation, is the aggregate of the reports the sink retained.
     #[test]
@@ -155,6 +181,25 @@ proptest! {
             assert_self_consistent(&parsed);
             prop_assert_eq!(RaceSummary::from_json(&parsed.to_json()), Ok(parsed));
         }
+    }
+}
+
+#[test]
+fn the_hottest_of_equally_hot_areas_is_the_largest_key() {
+    // Areas 3, 5 and 1 twice each, area 0 once; of the three tied keys,
+    // area 5's is the largest.
+    let mut s = RaceSummary::default();
+    for area in [3, 5, 1, 0, 5, 1, 3] {
+        s.add(&report((0, area, 0, 1)));
+    }
+    assert_eq!(s.hottest_area(), Some((AreaKey::new(5 % 3, 5), 2)));
+    // Every summary of these reports agrees, whatever it hashes with.
+    for _ in 0..16 {
+        let reports = [0, 1, 3, 5, 5, 3, 1].map(|area| report((0, area, 0, 1)));
+        assert_eq!(
+            RaceSummary::from_reports(&reports).hottest_area(),
+            s.hottest_area()
+        );
     }
 }
 

@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use race_core::api::{DetectorConfig, ReportSink, Session, SummarySink};
+use race_core::api::{CountingSink, DetectorConfig, ReportSink, Session};
 use race_core::error::RetryPolicy;
 use race_core::summary::RaceSummary;
 
@@ -122,8 +122,10 @@ pub struct ServeConfig {
     /// one-shot per session: recovery disarms it so the replayed event is
     /// applied, exactly once.
     pub panic_on_op_id: Option<u64>,
-    /// Per-session report sink. `None` uses a [`SummarySink`] (bounded
-    /// memory, the right default for a long-lived service).
+    /// Per-session report sink. `None` uses a [`CountingSink`]: two
+    /// integers, the right default for a long-lived service — the summary
+    /// a client receives is the `Session`'s own (see [`SinkFactory`]), so
+    /// a summarising sink would only fold every report a second time.
     pub sink_factory: Option<SinkFactory>,
 }
 
@@ -957,7 +959,7 @@ fn forward(
 fn make_sink(cfg: &ServeConfig) -> Box<dyn ReportSink> {
     match &cfg.sink_factory {
         Some(f) => f(),
-        None => Box::new(SummarySink::default()),
+        None => Box::new(CountingSink::default()),
     }
 }
 

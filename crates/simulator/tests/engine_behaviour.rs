@@ -154,8 +154,8 @@ fn fig5a_write_write_race_detected_in_every_schedule() {
         let rep = ww[0];
         assert!(rep
             .current
-            .clock
-            .concurrent_with(&rep.previous.as_ref().unwrap().clock));
+            .clock()
+            .concurrent_with(&rep.previous.as_ref().unwrap().clock()));
     }
 }
 

@@ -130,8 +130,8 @@ fn fig5a_clock_values_match_figure() {
     assert_eq!(r.deduped.len(), 1);
     let rep = &r.deduped[0];
     let clocks: Vec<String> = [
-        rep.previous.as_ref().unwrap().clock.to_string(),
-        rep.current.clock.to_string(),
+        rep.previous.as_ref().unwrap().clock().to_string(),
+        rep.current.clock().to_string(),
     ]
     .to_vec();
     // One put carries P0's clock 100, the other P2's 001 (order depends on
@@ -139,8 +139,8 @@ fn fig5a_clock_values_match_figure() {
     assert!(clocks.contains(&"100".to_string()) || clocks.contains(&"001".to_string()));
     assert!(rep
         .current
-        .clock
-        .concurrent_with(&rep.previous.as_ref().unwrap().clock));
+        .clock()
+        .concurrent_with(&rep.previous.as_ref().unwrap().clock()));
 }
 
 /// FIG5b — the causally chained scenario: silent in every schedule, and

@@ -158,7 +158,7 @@ proptest! {
         let r = run(SimConfig::debugging(n), w.programs);
         for rep in &r.deduped {
             let prev = rep.previous.as_ref().expect("hb reports attribute");
-            prop_assert!(rep.current.clock.concurrent_with(&prev.clock));
+            prop_assert!(rep.current.clock().concurrent_with(&prev.clock()));
         }
     }
 }
