@@ -50,6 +50,8 @@
 //!                         # allowlist (LINT_ALLOWLIST.txt). Fails (exit 1)
 //!                         # on any unlisted hit or stale allowlist entry.
 
+#![forbid(unsafe_code)]
+
 fn parse_seeds(args: &[String], default: u64) -> u64 {
     args.iter()
         .position(|a| a == "--seeds")

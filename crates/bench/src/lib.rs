@@ -7,6 +7,8 @@
 //! cost of the simulator and detector machinery is measured end to end by
 //! the separate `benchmark/` crate.
 
+#![forbid(unsafe_code)]
+
 use race_core::{DetectorKind, Oracle, RaceClass};
 use simulator::workloads::{figures, master_worker, random_access, reduction};
 use simulator::{Engine, Program, RunResult, SimConfig};

@@ -7,6 +7,8 @@
 //! and there is **no shrinking** — a failing case prints its seed/index via
 //! the assert message instead. Default case count is 64.
 
+#![forbid(unsafe_code)]
+
 /// Deterministic per-test random source (SplitMix64).
 pub struct TestRng {
     x: u64,

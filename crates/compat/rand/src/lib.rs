@@ -3,6 +3,8 @@
 //! workspace uses (`gen_range`, `gen_bool`). Deterministic per seed, which
 //! is all the simulator's jitter/workload generation requires.
 
+#![forbid(unsafe_code)]
+
 /// Core random source: 64 random bits per call.
 pub trait RngCore {
     /// The next 64 random bits.

@@ -55,12 +55,11 @@
 use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clockstore::{Granularity, StoreConfig};
 use crate::detector::{Detector, DetectorKind};
 use crate::event::{DsmOp, Event, LockId};
 use crate::hb::HbDetector;
+use crate::json;
 use crate::report::{dedup_keys, DedupKeys, RaceReport};
 use crate::summary::RaceSummary;
 
@@ -486,7 +485,7 @@ impl ReportSink for Tee<'_> {
 /// let reparsed = DetectorConfig::from_json(&config.to_json()).unwrap();
 /// assert_eq!(config, reparsed);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Which detector runs.
     pub kind: DetectorKind,
@@ -631,7 +630,7 @@ impl DetectorConfig {
     /// [`DetectorConfig::build`] and to drive with arbitrary events.
     /// Callers that fill the struct directly are not restricted.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let fields = json_fields(json)?;
+        let fields = json::fields(json)?;
         let kind_label = json_value(&fields, "kind")?;
         let kind = DetectorKind::from_label(kind_label)
             .ok_or_else(|| format!("unknown detector kind {kind_label:?}"))?;
@@ -662,110 +661,14 @@ impl DetectorConfig {
     }
 }
 
-/// The top-level `"key": value` pairs of a JSON object. The scan is
-/// string-aware and skips nested objects and arrays whole, so neither a
-/// key-like string value nor a key inside a nested value can shadow a
-/// top-level key; a key that appears twice at the top level is an error.
-/// String values come back without their quotes (escapes as written),
-/// other values as their trimmed raw text.
-fn json_fields(json: &str) -> Result<BTreeMap<&str, &str>, String> {
-    let bytes = json.as_bytes();
-    let skip_ws = |mut i: usize| {
-        while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
-            i += 1;
-        }
-        i
-    };
-    let mut i = skip_ws(0);
-    if bytes.get(i) != Some(&b'{') {
-        return Err("expected a JSON object".into());
-    }
-    let mut fields = BTreeMap::new();
-    i += 1;
-    loop {
-        i = skip_ws(i);
-        match bytes.get(i) {
-            Some(b'}') => return Ok(fields),
-            Some(b'"') => {}
-            _ => return Err(format!("expected a key at byte {i}")),
-        }
-        let key_end = json_string_end(bytes, i)?;
-        let key = &json[i + 1..key_end];
-        i = skip_ws(key_end + 1);
-        if bytes.get(i) != Some(&b':') {
-            return Err(format!("expected ':' after {key:?}"));
-        }
-        i = skip_ws(i + 1);
-        let (value, next) = match bytes.get(i) {
-            Some(b'"') => {
-                let end = json_string_end(bytes, i)?;
-                (&json[i + 1..end], end + 1)
-            }
-            Some(b'{' | b'[') => {
-                let end = json_nested_end(bytes, i)?;
-                (&json[i..end], end)
-            }
-            _ => {
-                // A quote inside a bare value is malformed: stop there so
-                // the separator check below rejects it.
-                let end = json[i..]
-                    .find([',', '}', '"'])
-                    .map_or(json.len(), |e| i + e);
-                (json[i..end].trim(), end)
-            }
-        };
-        if fields.insert(key, value).is_some() {
-            return Err(format!("duplicate field {key:?}"));
-        }
-        i = skip_ws(next);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => return Ok(fields),
-            _ => return Err(format!("expected ',' or '}}' after {key:?}")),
-        }
-    }
-}
-
-/// Index of the quote closing the JSON string that opens at `start`.
-fn json_string_end(bytes: &[u8], start: usize) -> Result<usize, String> {
-    let mut j = start + 1;
-    while let Some(&b) = bytes.get(j) {
-        match b {
-            b'\\' => j += 2,
-            b'"' => return Ok(j),
-            _ => j += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-/// One past the bracket closing the object or array that opens at `start`.
-fn json_nested_end(bytes: &[u8], start: usize) -> Result<usize, String> {
-    let mut depth = 0usize;
-    let mut j = start;
-    while let Some(&b) = bytes.get(j) {
-        match b {
-            b'"' => j = json_string_end(bytes, j)?,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(j + 1);
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    Err("unterminated nested value".into())
-}
-
-/// The value of top-level field `key`.
+/// The value of top-level field `key`; a string comes back without its
+/// quotes (escapes as written).
 fn json_value<'a>(fields: &BTreeMap<&str, &'a str>, key: &str) -> Result<&'a str, String> {
-    fields
-        .get(key)
-        .copied()
-        .ok_or_else(|| format!("missing field {key:?}"))
+    let raw = json::value(fields, key)?;
+    Ok(raw
+        .strip_prefix('"')
+        .and_then(|v| v.strip_suffix('"'))
+        .unwrap_or(raw))
 }
 
 /// A usize-valued field.

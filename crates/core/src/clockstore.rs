@@ -35,7 +35,6 @@
 //!   memory never scales with the highest touched block index.
 
 use dsm::addr::{MemRange, Segment};
-use serde::{Deserialize, Serialize};
 use vclock::{AreaClock, Epoch, VectorClock};
 
 use crate::event::{raise, AccessSummary};
@@ -43,7 +42,7 @@ use crate::Rank;
 
 /// Clock granularity: one `(V, W)` pair per `block_bytes` block of public
 /// memory. Must be a power of two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Granularity {
     block_bytes: usize,
 }
@@ -99,7 +98,7 @@ impl Granularity {
 }
 
 /// Identifies one clocked area: a block of one rank's public segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AreaKey {
     /// Owning rank.
     pub rank: Rank,
@@ -313,7 +312,7 @@ impl AreaHistory {
 /// The detectors accept one of these on their `with_config` constructors;
 /// the plain constructors use [`StoreConfig::default`], which preserves the
 /// original hardcoded layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Blocks held in the direct-indexed dense prefix of each rank's slab.
     /// Blocks at or above this index fall back to the spillover map, so

@@ -10,13 +10,12 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use dsm::addr::{MemRange, Segment};
-use serde::{Deserialize, Serialize};
 use vclock::VectorClock;
 
 use crate::Rank;
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// The access observes data.
     Read,
@@ -237,7 +236,7 @@ impl IntoIterator for AccessList {
 /// *other* processes changes, so its own component may lag `count`. A
 /// report therefore costs two `Arc` clones, and a full clock is built only
 /// where one is printed, encoded or compared.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct AccessSummary {
     /// Globally unique access id (derived from the op id).
     pub id: u64,
@@ -248,7 +247,6 @@ pub struct AccessSummary {
     /// Bytes touched.
     pub range: MemRange,
     /// True for accesses performed by a NIC-atomic operation.
-    #[serde(default)]
     pub atomic: bool,
     /// The process's own clock component at the access (`C(e)[process]`).
     pub count: u64,

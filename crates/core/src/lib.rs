@@ -50,6 +50,7 @@ pub mod detector;
 pub mod error;
 pub mod event;
 pub mod hb;
+mod json;
 pub mod lockset;
 pub mod oracle;
 pub mod reference;

@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use dsm::addr::MemRange;
-use serde::{Deserialize, Serialize};
 use vclock::VectorClock;
 
 use crate::event::AccessKind;
@@ -24,7 +23,7 @@ use crate::Rank;
 
 /// One access as recorded in the trace (ids use the same
 /// `2*op_id (+1)` scheme as the online detectors).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceAccess {
     /// Access id.
     pub id: u64,
@@ -35,7 +34,6 @@ pub struct TraceAccess {
     /// Bytes touched.
     pub range: MemRange,
     /// True for NIC-atomic accesses (atomic-atomic pairs never race).
-    #[serde(default)]
     pub atomic: bool,
 }
 
@@ -54,7 +52,7 @@ pub struct TraceAccess {
 ///   happens to see a write is still a race (the read could equally have
 ///   lost the schedule race), while everything the reader does afterwards
 ///   is causally after the write (the Fig 5b chains).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Number of processes.
     pub n: usize,
@@ -97,7 +95,7 @@ impl Trace {
 pub type TruthPair = (u64, u64);
 
 /// Result of scoring a detector's reports against ground truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Score {
     /// Reported pairs that are true races.
     pub true_positives: usize,

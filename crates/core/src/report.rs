@@ -5,13 +5,11 @@
 //! of the program." Reports are therefore values: detectors accumulate
 //! them, harnesses print them, nothing panics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clockstore::AreaKey;
 use crate::event::AccessSummary;
 
 /// What kind of conflicting pair was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RaceClass {
     /// Two concurrent writes.
     WriteWrite,
@@ -52,7 +50,7 @@ impl RaceClass {
 
 /// One detected race: the access being performed and the recorded access it
 /// conflicts with, with both clocks (which are concurrent by construction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RaceReport {
     /// Which detector produced the report (a static label — reports are
     /// hot-path values; no allocation per report).

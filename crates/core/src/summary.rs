@@ -1,11 +1,10 @@
 //! Aggregate views over race reports — what a runtime would print at exit
 //! (§IV-D: signalled on standard output, execution never aborted).
 
-use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::clockstore::AreaKey;
+use crate::json;
 use crate::report::{RaceClass, RaceReport, WordHashState};
 use crate::Rank;
 
@@ -22,7 +21,7 @@ pub type Counts<K> = HashMap<K, usize, WordHashState>;
 /// allocates nothing once a key is known — this is on the session hot path
 /// for every detected race. The maps are unordered; [`RaceSummary::to_json`]
 /// and `Display` sort them, once, when the summary is printed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RaceSummary {
     /// Count per race class.
     pub by_class: Counts<RaceClass>,
@@ -37,7 +36,6 @@ pub struct RaceSummary {
     /// fault plans), events were shed or cut off by the transport, or a
     /// session was recovered after a panic (the detection service). Set by
     /// the backends, never by a detector.
-    #[serde(default)]
     pub degraded: bool,
 }
 
@@ -142,25 +140,26 @@ impl RaceSummary {
     /// is a summary that contradicts itself: [`RaceSummary::add`] keeps
     /// `total` = Σ `by_class` = Σ `by_area` ≥ Σ `by_pair` (a report has one
     /// class, one area and at most one attributed pair), and a key appears
-    /// once per object.
+    /// once per object, the top-level one included.
     pub fn from_json(json: &str) -> Result<Self, String> {
+        let fields = json::fields(json)?;
         let mut out = RaceSummary {
-            total: scalar_field(json, "total")?
+            total: json::value(&fields, "total")?
                 .parse()
                 .map_err(|e| format!("total: {e}"))?,
-            degraded: match scalar_field(json, "degraded")? {
+            degraded: match json::value(&fields, "degraded")? {
                 "true" => true,
                 "false" => false,
                 other => return Err(format!("degraded: expected bool, got {other:?}")),
             },
             ..RaceSummary::default()
         };
-        for (key, count) in object_entries(json, "by_class")? {
+        for (key, count) in counts(&fields, "by_class")? {
             let class =
-                RaceClass::from_label(&key).ok_or_else(|| format!("unknown race class {key:?}"))?;
-            insert_once(&mut out.by_class, class, count, "by_class", &key)?;
+                RaceClass::from_label(key).ok_or_else(|| format!("unknown race class {key:?}"))?;
+            insert_once(&mut out.by_class, class, count, "by_class", key)?;
         }
-        for (key, count) in object_entries(json, "by_area")? {
+        for (key, count) in counts(&fields, "by_area")? {
             let (rank, block) = key
                 .split_once(':')
                 .ok_or_else(|| format!("area key {key:?} is not rank:block"))?;
@@ -171,16 +170,16 @@ impl RaceSummary {
                 AreaKey::new(rank, block),
                 count,
                 "by_area",
-                &key,
+                key,
             )?;
         }
-        for (key, count) in object_entries(json, "by_pair")? {
+        for (key, count) in counts(&fields, "by_pair")? {
             let (a, b) = key
                 .split_once('-')
                 .ok_or_else(|| format!("pair key {key:?} is not a-b"))?;
             let a: Rank = a.parse().map_err(|e| format!("pair rank: {e}"))?;
             let b: Rank = b.parse().map_err(|e| format!("pair rank: {e}"))?;
-            insert_once(&mut out.by_process_pair, (a, b), count, "by_pair", &key)?;
+            insert_once(&mut out.by_process_pair, (a, b), count, "by_pair", key)?;
         }
         let by_class = sum(&out.by_class, "by_class")?;
         let by_area = sum(&out.by_area, "by_area")?;
@@ -224,41 +223,22 @@ fn sum<K>(map: &Counts<K>, object: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("object {object:?}: counts overflow"))
 }
 
-/// The raw token of a scalar (non-object) field in the summary JSON.
-fn scalar_field<'a>(json: &'a str, key: &str) -> Result<&'a str, String> {
-    let pattern = format!("\"{key}\":");
-    let at = json
-        .find(&pattern)
-        .ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &json[at + pattern.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
-}
-
-/// The `"key":count` entries of a flat `{"k":1,...}` sub-object.
-fn object_entries(json: &str, key: &str) -> Result<Vec<(String, usize)>, String> {
-    let pattern = format!("\"{key}\":{{");
-    let at = json
-        .find(&pattern)
-        .ok_or_else(|| format!("missing object {key:?}"))?;
-    let body = &json[at + pattern.len()..];
-    let end = body
-        .find('}')
-        .ok_or_else(|| format!("unterminated object {key:?}"))?;
-    let mut entries = Vec::new();
-    for part in body[..end].split(',').filter(|p| !p.trim().is_empty()) {
-        // rsplit: the count never contains ':', but an area key ("0:3") does.
-        let (k, v) = part
-            .rsplit_once(':')
-            .ok_or_else(|| format!("object {key:?}: entry {part:?} has no ':'"))?;
-        let k = k.trim().trim_matches('"').to_string();
-        let v = v
-            .trim()
-            .parse()
-            .map_err(|e| format!("object {key:?}: count for {k:?}: {e}"))?;
-        entries.push((k, v));
-    }
-    Ok(entries)
+/// The `"key":count` entries of the count object `object` among the
+/// top-level `fields`.
+fn counts<'a>(
+    fields: &BTreeMap<&str, &'a str>,
+    object: &str,
+) -> Result<Vec<(&'a str, usize)>, String> {
+    json::fields(json::value(fields, object)?)
+        .map_err(|e| format!("object {object:?}: {e}"))?
+        .into_iter()
+        .map(|(key, count)| {
+            count
+                .parse()
+                .map(|count| (key, count))
+                .map_err(|e| format!("object {object:?}: count for {key:?}: {e}"))
+        })
+        .collect()
 }
 
 impl std::fmt::Display for RaceSummary {
@@ -424,6 +404,16 @@ mod tests {
             )),
             "by_pair",
         );
+        // A top-level key named twice: the first occurrence must not win.
+        let valid = json_of("2", "\"write-write\":2", "\"0:3\":2", "");
+        let open = valid.strip_suffix('}').expect("an object");
+        for (what, tail) in [
+            ("total", ",\"total\":5}"),
+            ("degraded", ",\"degraded\":true}"),
+            ("by_class object", ",\"by_class\":{\"write-write\":9}}"),
+        ] {
+            dup(RaceSummary::from_json(&format!("{open}{tail}")), what);
+        }
     }
 
     #[test]
@@ -467,6 +457,13 @@ mod tests {
             "{\"total\":1,\"degraded\":true,\"by_class\":{\"quantum\":1},\"by_area\":{},\"by_pair\":{}}",
             "{\"total\":1,\"degraded\":true,\"by_class\":{},\"by_area\":{\"07\":1},\"by_pair\":{}}",
             "{\"total\":1,\"degraded\":true,\"by_class\":{},\"by_area\":{},\"by_pair\":{\"0:1\":1}}",
+            // Not an object, or the fields only inside a nested one.
+            "\"total\":0,\"degraded\":false,\"by_class\":{},\"by_area\":{},\"by_pair\":{}",
+            "[{\"total\":0,\"degraded\":false,\"by_class\":{},\"by_area\":{},\"by_pair\":{}}",
+            "{\"x\":{\"total\":0,\"degraded\":false,\"by_class\":{},\"by_area\":{},\"by_pair\":{}}}",
+            // A count object given as a string, a count as a string.
+            "{\"total\":0,\"degraded\":false,\"by_class\":\"{}\",\"by_area\":{},\"by_pair\":{}}",
+            "{\"total\":1,\"degraded\":false,\"by_class\":{\"write-write\":\"1\"},\"by_area\":{\"0:3\":1},\"by_pair\":{}}",
         ] {
             assert!(RaceSummary::from_json(bad).is_err(), "accepted {bad:?}");
         }

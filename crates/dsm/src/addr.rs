@@ -5,8 +5,6 @@
 //! processor. This couple (processor_name, local_address) is the addressing
 //! system used in the global address space."
 
-use serde::{Deserialize, Serialize};
-
 use crate::Rank;
 
 /// Which segment of a process's memory an address refers to.
@@ -14,7 +12,7 @@ use crate::Rank;
 /// §III-A: the private area is accessible only by its owner; the public area
 /// is accessible by everyone, with *no distinction* between local and remote
 /// accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Segment {
     /// Accessible only by the owning process.
     Private,
@@ -23,7 +21,7 @@ pub enum Segment {
 }
 
 /// An address in the global address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalAddr {
     /// Owning process.
     pub rank: Rank,
@@ -88,7 +86,7 @@ impl std::fmt::Display for GlobalAddr {
 
 /// A contiguous byte range in one process's memory — the unit locks and
 /// race checks operate on ("areas of memory" in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRange {
     /// First byte.
     pub addr: GlobalAddr,

@@ -8,15 +8,13 @@
 //! policy and records an allocation id per area (which the race detector
 //! uses as its default clock granularity).
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{GlobalAddr, MemRange};
 use crate::error::DsmError;
 use crate::Rank;
 
 /// Data placement policies — the "compiler decides to put it into the
 /// memory of a processor P" step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Place everything on a fixed rank.
     Owner(Rank),
@@ -31,7 +29,7 @@ pub enum Placement {
 }
 
 /// One named allocation in the global address space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Dense allocation id (the detector's default area id).
     pub id: usize,

@@ -31,7 +31,6 @@ pub mod lockmgr;
 pub mod memory;
 pub mod proto;
 pub mod rdma;
-pub mod typed;
 
 pub use addr::{GlobalAddr, MemRange, Segment};
 pub use error::DsmError;
@@ -40,7 +39,6 @@ pub use lockmgr::{LockOutcome, LockTable, LockToken};
 pub use memory::ProcessMemory;
 pub use proto::DsmPayload;
 pub use rdma::RdmaEngine;
-pub use typed::{Pod, SharedArray, SharedVar};
 
 /// A process identifier (dense rank).
 pub type Rank = usize;

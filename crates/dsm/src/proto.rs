@@ -19,9 +19,9 @@
 //! their size. [`Classify::detection_bytes`] reports the piggy-backed
 //! bytes, so the §V-A overhead split stays measurable.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use netsim::{Classify, OpClass};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::MemRange;
 
@@ -30,7 +30,7 @@ pub type OpToken = u64;
 
 /// Atomic read-modify-write operations a NIC can execute on a u64 word
 /// (the standard RDMA verbs; §V-B's "new operations can be imagined").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomicOp {
     /// `old = *p; *p = old + v; return old`.
     FetchAdd(u64),
@@ -94,7 +94,7 @@ pub enum DsmPayload {
         /// Destination range in the target's public memory.
         dst: MemRange,
         /// Data to write (`data.len() == dst.len`).
-        data: Bytes,
+        data: Arc<[u8]>,
         /// Completion token echoed to the initiator.
         token: OpToken,
         /// Detection header; when present the owner answers with a
@@ -115,7 +115,7 @@ pub enum DsmPayload {
         /// Token of the original request.
         token: OpToken,
         /// The bytes read.
-        data: Bytes,
+        data: Arc<[u8]>,
         /// Components of the area's `(V, W)` piggy-backed for detection.
         clock_words: usize,
     },
@@ -241,7 +241,7 @@ impl Classify for DsmPayload {
 }
 
 /// Serializable summary of a payload (for traces; omits bulk data).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PayloadSummary {
     /// Payload discriminant name.
     pub kind: String,
@@ -295,7 +295,7 @@ mod tests {
     fn put_is_put_class_and_sized_by_data() {
         let p = DsmPayload::PutData {
             dst: range(),
-            data: Bytes::from(vec![0u8; 100]),
+            data: Arc::from(vec![0u8; 100]),
             token: 1,
             det: None,
         };
@@ -313,7 +313,7 @@ mod tests {
         };
         let rep = DsmPayload::GetReply {
             token: 1,
-            data: Bytes::from(vec![0u8; 8]),
+            data: Arc::from(vec![0u8; 8]),
             clock_words: 0,
         };
         assert_eq!(req.class(), OpClass::GetRequest);
@@ -328,13 +328,13 @@ mod tests {
         let n = 4;
         let vanilla = DsmPayload::PutData {
             dst: range(),
-            data: Bytes::from(vec![0u8; 8]),
+            data: Arc::from(vec![0u8; 8]),
             token: 0,
             det: None,
         };
         let put = DsmPayload::PutData {
             dst: range(),
-            data: Bytes::from(vec![0u8; 8]),
+            data: Arc::from(vec![0u8; 8]),
             token: 0,
             det: Some(header(n)),
         };
@@ -344,7 +344,7 @@ mod tests {
 
         let reply = DsmPayload::GetReply {
             token: 0,
-            data: Bytes::from(vec![0u8; 8]),
+            data: Arc::from(vec![0u8; 8]),
             clock_words: 2 * n,
         };
         assert_eq!(reply.class(), OpClass::GetReply);

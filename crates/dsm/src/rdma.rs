@@ -12,8 +12,7 @@
 //! same range (Fig 4 — reads don't conflict) proceed immediately.
 
 use std::collections::VecDeque;
-
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::addr::MemRange;
 use crate::error::DsmError;
@@ -26,7 +25,7 @@ pub struct DeferredPut {
     /// Destination range.
     pub dst: MemRange,
     /// Data to apply.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
     /// Completion token to ack once applied.
     pub token: OpToken,
     /// Initiating rank (for the ack).
@@ -122,7 +121,7 @@ mod tests {
     fn put(offset: usize, len: usize, token: OpToken) -> DeferredPut {
         DeferredPut {
             dst: r(offset, len),
-            data: Bytes::from(vec![0xAB; len]),
+            data: Arc::from(vec![0xAB; len]),
             token,
             initiator: 2,
         }

@@ -4,8 +4,6 @@
 //! an [`OpClass`] for the statistics tables (Fig 2 message counting, §V-A
 //! overhead accounting split into data vs detection traffic).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 use crate::Rank;
 
@@ -14,7 +12,7 @@ use crate::Rank;
 pub type MsgId = u64;
 
 /// Coarse classification of traffic for the accounting tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Application data movement: the single message of a `put`.
     PutData,

@@ -5,12 +5,10 @@
 //! message, a get is two" is asserted directly against these counters, and
 //! §V-A's overhead table is `detection bytes / data bytes`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::OpClass;
 
 /// Per-class message/byte counters plus latency histogram.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetStats {
     /// Messages per class, indexed in [`OpClass::ALL`] order.
     msgs: [u64; OpClass::ALL.len()],

@@ -4,15 +4,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in nanoseconds from simulation start.
 ///
 /// Virtual time is what the latency / overhead experiments report: it is
 /// deterministic for a given seed, unlike wall-clock time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

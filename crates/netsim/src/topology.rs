@@ -6,12 +6,10 @@
 //! NoC mesh — the paper's intro mentions 80-core NoCs — or a star through a
 //! switch).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Rank;
 
 /// Static interconnect shapes with closed-form hop counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Every pair is one hop apart (a crossbar / single big switch).
     FullMesh,

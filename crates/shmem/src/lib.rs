@@ -30,9 +30,8 @@
 pub mod locks;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use race_core::{DetectorConfig, DetectorKind, DsmOp, LockId, OpKind, RaceReport, Session};
 
 pub use dsm::addr::{GlobalAddr, MemRange, Segment};
@@ -82,6 +81,12 @@ impl ShmemConfig {
     }
 }
 
+/// Lock `m`, ignoring poison: a PE that panicked while holding it does
+/// not wedge the others (the panic itself surfaces when [`run`] joins).
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared {
     n: usize,
     segments: Vec<Mutex<Box<[u8]>>>,
@@ -121,7 +126,7 @@ impl Pe {
         );
         assert!(range.addr.rank < self.shared.n, "rank out of range");
         assert!(range.len == len, "buffer length must equal range length");
-        let seg_len = self.shared.segments[range.addr.rank].lock().len();
+        let seg_len = lock(&self.shared.segments[range.addr.rank]).len();
         assert!(
             range.end() <= seg_len,
             "range {range} out of segment bounds"
@@ -135,14 +140,14 @@ impl Pe {
         self.check(&dst, data.len());
         // Algorithm 1 discipline: area (segment) lock, then the detection
         // step, then the data movement, all before unlock.
-        let mut seg = self.shared.segments[dst.addr.rank].lock();
+        let mut seg = lock(&self.shared.segments[dst.addr.rank]);
         let op = DsmOp {
             op_id: self.next_op(),
             actor: self.rank,
             kind: OpKind::LocalWrite { range: dst },
         };
         let reports = {
-            let mut session = self.shared.session.lock();
+            let mut session = lock(&self.shared.session);
             session.observe_collect(&op, &self.held_locks.borrow())
         };
         seg[dst.addr.offset..dst.end()].copy_from_slice(data);
@@ -157,14 +162,14 @@ impl Pe {
     /// One-sided read of `src` into `buf`.
     pub fn get(&self, src: MemRange, buf: &mut [u8]) -> Vec<RaceReport> {
         self.check(&src, buf.len());
-        let seg = self.shared.segments[src.addr.rank].lock();
+        let seg = lock(&self.shared.segments[src.addr.rank]);
         let op = DsmOp {
             op_id: self.next_op(),
             actor: self.rank,
             kind: OpKind::LocalRead { range: src },
         };
         let reports = {
-            let mut session = self.shared.session.lock();
+            let mut session = lock(&self.shared.session);
             session.observe_collect(&op, &self.held_locks.borrow())
         };
         buf.copy_from_slice(&seg[src.addr.offset..src.end()]);
@@ -206,7 +211,7 @@ impl Pe {
     pub fn barrier(&self) {
         let res = self.shared.barrier.wait();
         if res.is_leader() {
-            self.shared.session.lock().on_barrier();
+            lock(&self.shared.session).on_barrier();
         }
         self.shared.barrier.wait();
     }
@@ -232,14 +237,14 @@ impl Pe {
 
     fn atomic(&self, target: MemRange, aop: dsm::proto::AtomicOp) -> (u64, Vec<RaceReport>) {
         self.check(&target, 8);
-        let mut seg = self.shared.segments[target.addr.rank].lock();
+        let mut seg = lock(&self.shared.segments[target.addr.rank]);
         let op = DsmOp {
             op_id: self.next_op(),
             actor: self.rank,
             kind: OpKind::AtomicRmw { range: target },
         };
         let reports = {
-            let mut session = self.shared.session.lock();
+            let mut session = lock(&self.shared.session);
             session.observe_collect(&op, &self.held_locks.borrow())
         };
         let off = target.addr.offset;
@@ -375,7 +380,10 @@ fn collect_report(shared: Arc<Shared>) -> ShmemReport {
             summary,
         };
     };
-    let session = shared.session.into_inner();
+    let session = shared
+        .session
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let clock_memory_bytes = session.clock_memory_bytes();
     let (summary, sink) = session.finish();
     let reports = race_core::dedup_reports(sink.reports());
@@ -386,7 +394,11 @@ fn collect_report(shared: Arc<Shared>) -> ShmemReport {
         segments: shared
             .segments
             .into_iter()
-            .map(|m| m.into_inner().into_vec())
+            .map(|m| {
+                m.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .into_vec()
+            })
             .collect(),
     }
 }

@@ -3,7 +3,7 @@
 use netsim::{AlphaBeta, Constant, FaultSpec, Jittered, LatencyModel, Topology};
 use race_core::{DetectorConfig, DetectorKind};
 
-/// Which latency model to instantiate (serde-friendly description; the
+/// Which latency model to instantiate (a plain-data description; the
 /// model itself is stateful because of the seeded jitter).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencySpec {

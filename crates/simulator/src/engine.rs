@@ -34,8 +34,8 @@
 //! (§V-A) is faithful while the logic stays in one place.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use bytes::Bytes;
 use dsm::addr::{MemRange, Segment};
 use dsm::lockmgr::{LockOutcome, LockTable};
 use dsm::proto::{AtomicOp, DetHeader, DsmPayload, OpToken};
@@ -1034,7 +1034,7 @@ impl Engine {
                         at_owner: false,
                     },
                 );
-                let data = Bytes::from(data);
+                let data: Arc<[u8]> = Arc::from(data);
                 // Without detection puts are one-sided: the initiator
                 // injects the single data message (Fig 2) and proceeds.
                 // Under detection the put is Algorithm 1's critical
@@ -1467,12 +1467,12 @@ impl Engine {
                 self.observe(&op, &held);
                 self.trace
                     .record_access(op.read_access_id(), actor, AccessKind::Read, src);
-                (Bytes::from(data), LOCAL_ACCESS_NS)
+                (Arc::from(data), LOCAL_ACCESS_NS)
             }
             Err(e) => {
                 self.errors.push(format!("get read at P{owner}: {e}"));
                 // Unblock the requester with empty data to avoid deadlock.
-                (Bytes::new(), 0)
+                (Arc::from([]), 0)
             }
         };
         match reply_words {
@@ -1490,7 +1490,7 @@ impl Engine {
 
     /// Complete a get at the requester: write dst, end the owner-side
     /// protection window, release deferred puts (Fig 3).
-    fn finish_get(&mut self, token: OpToken, data: Bytes, at: SimTime) {
+    fn finish_get(&mut self, token: OpToken, data: Arc<[u8]>, at: SimTime) {
         let Some(TokenUse::GetReply {
             actor,
             dst,

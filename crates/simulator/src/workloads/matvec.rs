@@ -1,8 +1,8 @@
 //! Distributed matrix–vector multiply — the PGAS "real application" the
 //! paper's introduction motivates (UPC-style data-parallel code), built on
-//! the `dsm` symmetric heap and typed arrays rather than hand-placed
-//! offsets: this is the workload that exercises the allocator's
-//! compiler-role (§III-A data placement / address resolution).
+//! the `dsm` symmetric heap rather than hand-placed offsets: this is the
+//! workload that exercises the allocator's compiler-role (§III-A data
+//! placement / address resolution).
 //!
 //! Layout (all placement decided by [`dsm::SymmetricHeap`]):
 //! * the input vector `x` (length `dim`) is **replicated**: a symmetric

@@ -9,13 +9,11 @@
 //! EXT-delta accounting compares full vs delta bytes on the protocol's
 //! update stream.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::VectorClock;
 use crate::Rank;
 
 /// The changed components between two clocks.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClockDelta {
     changes: Vec<(Rank, u64)>,
 }

@@ -12,13 +12,11 @@
 //! `P_k` last time I heard from it", which the discussion sections use for
 //! the storage-cost accounting (`n²` entries per process).
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::VectorClock;
 use crate::Rank;
 
 /// An `n × n` matrix clock owned by one process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixClock {
     owner: Rank,
     rows: Vec<VectorClock>,

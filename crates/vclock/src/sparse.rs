@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::{ClockRelation, VectorClock};
 use crate::Rank;
 
@@ -19,7 +17,7 @@ use crate::Rank;
 ///
 /// Semantically identical to a [`VectorClock`] of width `n` whose absent
 /// components are zero.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SparseClock {
     entries: BTreeMap<Rank, u64>,
 }

@@ -6,13 +6,11 @@
 //! The race criterion (Corollary 1) is therefore "the two clocks are
 //! [`ClockRelation::Concurrent`]".
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels;
 use crate::Rank;
 
 /// Outcome of comparing two vector clocks under the causal partial order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClockRelation {
     /// Identical component-wise.
     Equal,
@@ -37,7 +35,7 @@ impl ClockRelation {
 ///
 /// Components are `u64` event counts; component `i` is the number of events
 /// of process `i` known to have causally preceded the clock's owner state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     components: Vec<u64>,
 }

@@ -63,6 +63,8 @@
 //! assert!(result.stuck.is_empty());    // and the program still completed
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dsm;
 pub use dsm_service;
 pub use netsim;
