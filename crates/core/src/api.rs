@@ -236,11 +236,6 @@ impl SummarySink {
     pub fn summary(&self) -> &RaceSummary {
         &self.summary
     }
-
-    /// Consume the sink, keeping the aggregate.
-    pub fn into_summary(self) -> RaceSummary {
-        self.summary
-    }
 }
 
 impl ReportSink for SummarySink {
@@ -509,12 +504,6 @@ impl DetectorConfig {
             granularity: Granularity::WORD,
             dense_blocks: StoreConfig::DEFAULT_DENSE_BLOCKS,
         }
-    }
-
-    /// Select a different detector kind.
-    pub fn with_kind(mut self, kind: DetectorKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// Set the process count (backends call this to keep the embedded

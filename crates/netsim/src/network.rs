@@ -57,11 +57,6 @@ impl<P: Classify> Network<P> {
         net
     }
 
-    /// Install or clear the fault plan mid-run (chaos harnesses).
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.faults = plan;
-    }
-
     /// Convenience constructor: full mesh with a constant latency.
     pub fn full_mesh(n: usize, ns_per_hop: u64) -> Self {
         Network::new(

@@ -35,8 +35,9 @@ use crate::frame::{
     append_frame, read_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent,
 };
 
-/// Default bound of the client-side replay buffer (events retained for
-/// resume). Matches the server's default checkpoint cadence with headroom.
+/// Bound of the client-side replay buffer (events retained for resume).
+/// Matches the server's default checkpoint cadence with headroom; a
+/// reconnect needing older events fails with [`ClientError::ResumeGap`].
 const DEFAULT_REPLAY_CAPACITY: usize = 4096;
 
 /// A client-side failure. Like the server, the client never panics on wire
@@ -185,7 +186,6 @@ pub struct ServiceClient {
     sent: u64,
     /// Recently sent events, by sequence, for resume replay.
     replay: VecDeque<(u64, WireEvent)>,
-    replay_capacity: usize,
     /// Reconnects performed over this client's lifetime.
     reconnects: u64,
     /// Outgoing bytes, reused: each frame (on resume, the whole replay
@@ -200,22 +200,6 @@ impl ServiceClient {
         config: &DetectorConfig,
     ) -> Result<ServiceClient, ClientError> {
         Self::connect_with_timeouts(addr, config, ClientTimeouts::default())
-    }
-
-    /// [`ServiceClient::connect`] with an explicit per-read timeout.
-    pub fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
-        config: &DetectorConfig,
-        read_timeout: Duration,
-    ) -> Result<ServiceClient, ClientError> {
-        Self::connect_with_timeouts(
-            addr,
-            config,
-            ClientTimeouts {
-                read: read_timeout,
-                ..ClientTimeouts::default()
-            },
-        )
     }
 
     /// [`ServiceClient::connect`] with explicit connect and read timeouts.
@@ -236,7 +220,6 @@ impl ServiceClient {
             retry: RetryPolicy::default(),
             sent: 0,
             replay: VecDeque::new(),
-            replay_capacity: DEFAULT_REPLAY_CAPACITY,
             reconnects: 0,
             wire: Vec::new(),
         };
@@ -274,15 +257,6 @@ impl ServiceClient {
         self.retry = retry;
     }
 
-    /// Bound the resume replay buffer. A reconnect needing events older
-    /// than the buffer holds fails with [`ClientError::ResumeGap`].
-    pub fn set_replay_capacity(&mut self, capacity: usize) {
-        self.replay_capacity = capacity.max(1);
-        while self.replay.len() > self.replay_capacity {
-            self.replay.pop_front();
-        }
-    }
-
     /// Chaos hook: kill the underlying TCP connection *now*, as a network
     /// fault would. The next [`ServiceClient::send`], [`ServiceClient::ping`]
     /// or [`ServiceClient::finish`] exercises the full reconnect-and-resume
@@ -297,7 +271,7 @@ impl ServiceClient {
     pub fn send(&mut self, event: &WireEvent) -> Result<(), ClientError> {
         let seq = self.sent;
         self.replay.push_back((seq, *event));
-        if self.replay.len() > self.replay_capacity {
+        if self.replay.len() > DEFAULT_REPLAY_CAPACITY {
             self.replay.pop_front();
         }
         self.sent += 1;

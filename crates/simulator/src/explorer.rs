@@ -67,16 +67,6 @@ impl ExplorationSummary {
     pub fn total_false_positives(&self) -> usize {
         self.outcomes.iter().map(|o| o.score.false_positives).sum()
     }
-
-    /// Total true positives across seeds.
-    pub fn total_true_positives(&self) -> usize {
-        self.outcomes.iter().map(|o| o.score.true_positives).sum()
-    }
-
-    /// Total false negatives across seeds.
-    pub fn total_false_negatives(&self) -> usize {
-        self.outcomes.iter().map(|o| o.score.false_negatives).sum()
-    }
 }
 
 /// Run `programs` under `seeds`, one engine per seed, in parallel threads

@@ -560,3 +560,41 @@ fn healthy_net_deadlocks_still_report_stuck() {
     let r = Engine::new(cfg, programs).run();
     assert_eq!(r.stuck, vec![0, 1], "quiet plan must not mask the deadlock");
 }
+
+#[test]
+fn atomic_on_a_range_that_is_not_one_word_is_an_error_not_a_panic() {
+    // Atomics operate on 8-byte words. A 4-byte fetch-add, on the
+    // initiator's own word and on another rank's, is refused where it
+    // would execute (at the owner for the remote one): the error names the
+    // rank and the width, nothing is observed or written, and the
+    // initiator still gets its reply.
+    let own = GlobalAddr::public(0, 0).range(8);
+    let other = GlobalAddr::public(1, 0).range(8);
+    let narrow = |word: dsm::MemRange| GlobalAddr::public(word.addr.rank, 0).range(4);
+    let programs = vec![
+        ProgramBuilder::new(0)
+            .local_write_u64(own, 5)
+            .barrier()
+            .fetch_add(narrow(own), 1, None)
+            .fetch_add(narrow(other), 1, None)
+            .build(),
+        ProgramBuilder::new(1)
+            .local_write_u64(other, 7)
+            .barrier()
+            .build(),
+    ];
+    let r = Engine::new(SimConfig::lockstep(2, 100), programs).run();
+    assert!(r.stuck.is_empty(), "stuck processes: {:?}", r.stuck);
+    assert_eq!(
+        r.errors.len(),
+        2,
+        "one error per refused atomic: {:?}",
+        r.errors
+    );
+    for (e, owner) in r.errors.iter().zip(["P0", "P1"]) {
+        assert!(e.contains(owner) && e.contains("4-byte"), "{e}");
+    }
+    assert_eq!(r.read_u64(own), 5, "own word unchanged");
+    assert_eq!(r.read_u64(other), 7, "remote word unchanged");
+    assert!(r.trace.events.iter().all(|a| !a.atomic), "nothing observed");
+}

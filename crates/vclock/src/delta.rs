@@ -83,11 +83,6 @@ impl DeltaEncoder {
         self.last_sent.merge(clock);
         delta
     }
-
-    /// Bytes a full dense transmission would have cost.
-    pub fn dense_cost(&self) -> usize {
-        self.last_sent.dense_wire_size()
-    }
 }
 
 /// Stateful decoder: reconstructs the sender's clock stream.

@@ -23,14 +23,6 @@ pub enum ClockRelation {
     Concurrent,
 }
 
-impl ClockRelation {
-    /// True when the relation establishes a causal order (either direction)
-    /// or equality — i.e. *not* a race even if the accesses conflict.
-    pub fn is_ordered(self) -> bool {
-        !matches!(self, ClockRelation::Concurrent)
-    }
-}
-
 /// A fixed-width vector clock over `n` processes.
 ///
 /// Components are `u64` event counts; component `i` is the number of events
@@ -90,11 +82,6 @@ impl VectorClock {
     /// detector hot path — avoids reallocating a zero clock per operation).
     pub fn clear(&mut self) {
         self.components.fill(0);
-    }
-
-    /// True when every component is zero.
-    pub fn is_zero(&self) -> bool {
-        self.components.iter().all(|&c| c == 0)
     }
 
     /// Algorithm 4 (`max_clock`): component-wise maximum, in place.
