@@ -1,6 +1,5 @@
 //! Static analysis for the reproduction: a schedule-free MHP/race
-//! analyzer over `simulator` workload programs, and the repo's
-//! never-panic lint pass.
+//! analyzer over `simulator` workload programs.
 //!
 //! The paper's detector (and the offline [`race_core::Oracle`]) grade
 //! *one observed schedule*. The [`mhp`] module instead grades the
@@ -22,22 +21,22 @@
 //! over dynamic runs on every scenario-matrix twin, and it is what lets
 //! [`simulator::workloads::ScenarioTruth`] carry the three-valued
 //! [`simulator::workloads::RaceGrade`] (the `sometimes` twins cannot be
-//! certified by any single dynamic run).
-//!
-//! The [`lint`] module is unrelated machinery under the same
-//! static-analysis roof: a std-only Rust token scanner that makes the
-//! PR-6 one-off panic audit permanent (`repro --lint`), rejecting
-//! `unwrap`/`expect`/`panic!`/`todo!` and decoder indexing in library
-//! (non-test) code against a committed, justified allowlist. See
-//! `docs/ANALYSIS.md` for both policies.
+//! certified by any single dynamic run). See `docs/ANALYSIS.md`.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
-pub mod lint;
 pub mod mhp;
 
-pub use lint::{run_lint, LintConfig, LintFinding, LintReport};
 pub use mhp::{
     analyze, analyze_programs, Analysis, AnalysisError, PairVerdict, SiteVerdict, StaticAccess,
     Verdict,

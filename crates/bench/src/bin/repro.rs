@@ -43,14 +43,17 @@
 //!                         # Oracle::analyze over per-seed dynamic runs.
 //!                         # Fails (exit 1) on any disagreement. `--seeds
 //!                         # N` widens the dynamic sample (default 6).
-//!   repro --lint          # never-panic repo lint: scan library (non-test)
-//!                         # code of the root crate and crates/*/src for
-//!                         # unwrap/expect/panic!/todo! and decoder
-//!                         # indexing, against the committed justified
-//!                         # allowlist (LINT_ALLOWLIST.txt). Fails (exit 1)
-//!                         # on any unlisted hit or stale allowlist entry.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 fn parse_seeds(args: &[String], default: u64) -> u64 {
     args.iter()
@@ -86,34 +89,6 @@ fn main() {
             "# analyze: {} scenario(s), {} dynamic run(s): static verdicts == annotations == oracle",
             report.scenarios, report.runs
         );
-        return;
-    }
-
-    if args.iter().any(|a| a == "--lint") {
-        // CI runs `cargo run -p dsm-bench --bin repro -- --lint` from the
-        // workspace root; allow an explicit root for out-of-tree use.
-        let root = args
-            .iter()
-            .position(|a| a == "--root")
-            .and_then(|at| args.get(at + 1))
-            .map(String::as_str)
-            .unwrap_or(".")
-            .to_string();
-        let cfg = dsm_analysis::LintConfig::new(root);
-        let report = match dsm_analysis::run_lint(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("lint: io error: {e}");
-                std::process::exit(1);
-            }
-        };
-        for line in report.lines() {
-            println!("{line}");
-        }
-        if !report.ok() {
-            eprintln!("lint: panic-policy violation (see FAIL lines above)");
-            std::process::exit(1);
-        }
         return;
     }
 

@@ -8,6 +8,15 @@
 //! the separate `benchmark/` crate.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use race_core::{DetectorKind, Oracle, RaceClass};
 use simulator::workloads::{figures, master_worker, random_access, reduction};

@@ -97,6 +97,10 @@ pub struct NetModel {
     pub faults: Option<FaultSpec>,
 }
 
+#[expect(
+    clippy::panic,
+    reason = "static label lookup; the net_matrix unit test exercises every label, so absence is a programmer error, not a runtime condition."
+)]
 fn fault_plan(label: &str) -> FaultSpec {
     chaos::spec_matrix()
         .into_iter()

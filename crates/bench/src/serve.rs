@@ -113,6 +113,10 @@ pub fn run_serve_smoke(clients: usize, seed: u64) -> ServeSmokeReport {
     let mut ok = true;
     let config = DetectorConfig::new(DetectorKind::Dual, 4);
 
+    #[expect(
+        clippy::expect_used,
+        reason = "stress-harness startup: failing to bind the loopback listener must abort the smoke run immediately."
+    )]
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {

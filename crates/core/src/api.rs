@@ -422,7 +422,15 @@ impl ReportSink for DedupSink {
         self.order.clear();
         for i in 0..len as usize {
             let key = (
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the enclosing decoder verified `len` covers every 16-byte record before the loop; u64_at cannot fail inside it."
+                )]
                 u64_at(16 + i * 16).expect("length checked"),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "same bounds proof as the previous record field."
+                )]
                 u64_at(24 + i * 16).expect("length checked"),
             );
             // `remember` re-applies the FIFO bound, so a blob recorded
@@ -547,14 +555,10 @@ impl DetectorConfig {
                 mode,
                 self.store_config(),
             )),
-            None => match self.kind {
-                DetectorKind::Lockset => Box::new(crate::lockset::LocksetDetector::new(
-                    self.n,
-                    self.granularity,
-                )),
-                DetectorKind::Vanilla => Box::new(crate::vanilla::VanillaDetector::new()),
-                _ => unreachable!("clock-based kinds have an hb_mode"),
-            },
+            None if self.kind == DetectorKind::Lockset => Box::new(
+                crate::lockset::LocksetDetector::new(self.n, self.granularity),
+            ),
+            None => Box::new(crate::vanilla::VanillaDetector::new()),
         }
     }
 

@@ -88,8 +88,10 @@ impl Granularity {
     #[inline]
     pub fn blocks_of(&self, range: &MemRange) -> std::ops::RangeInclusive<usize> {
         if range.addr.segment != Segment::Public || range.len == 0 {
-            // An inclusive range with start > end iterates zero times.
-            #[allow(clippy::reversed_empty_ranges)]
+            #[expect(
+                clippy::reversed_empty_ranges,
+                reason = "an inclusive range with start > end iterates zero times"
+            )]
             return 1..=0;
         }
         let last_byte = range.addr.offset.saturating_add(range.len - 1);
@@ -454,6 +456,10 @@ impl ClockStore {
                 *slot = Some(AreaHistory::new());
                 self.touched += 1;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the slot is written `Some` on the line above; this is a get-or-insert split to satisfy the borrow checker."
+            )]
             slot.as_mut().expect("just filled")
         } else {
             // Spillover for blocks beyond the bounded dense prefix.

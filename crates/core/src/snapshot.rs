@@ -30,6 +30,8 @@
 //! panic. The leading version byte ([`SNAPSHOT_VERSION`]) is the drift
 //! guard; a committed golden blob pins the v1 layout.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -777,20 +779,17 @@ pub(crate) fn restore_detector(
 ) -> Result<Box<dyn Detector>, SnapshotError> {
     match config.kind.hb_mode() {
         Some(mode) => Ok(Box::new(decode_hb(config, mode, state)?)),
-        None => match config.kind {
-            DetectorKind::Lockset => {
-                let mut detector = LocksetDetector::new(config.n, config.granularity);
-                detector.restore_states(decode_lockset(state)?);
-                Ok(Box::new(detector))
-            }
-            DetectorKind::Vanilla => {
-                let mut r = Reader::new(state);
-                let ops_seen = r.u64("ops seen")?;
-                r.finish()?;
-                Ok(Box::new(VanillaDetector::from_ops_seen(ops_seen)))
-            }
-            _ => unreachable!("clock-based kinds have an hb_mode"),
-        },
+        None if config.kind == DetectorKind::Lockset => {
+            let mut detector = LocksetDetector::new(config.n, config.granularity);
+            detector.restore_states(decode_lockset(state)?);
+            Ok(Box::new(detector))
+        }
+        None => {
+            let mut r = Reader::new(state);
+            let ops_seen = r.u64("ops seen")?;
+            r.finish()?;
+            Ok(Box::new(VanillaDetector::from_ops_seen(ops_seen)))
+        }
     }
 }
 

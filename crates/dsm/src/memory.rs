@@ -101,6 +101,10 @@ impl ProcessMemory {
     /// Convenience: read a little-endian `u64` from `addr`.
     pub fn read_u64(&self, addr: GlobalAddr, accessor: Rank) -> Result<u64, DsmError> {
         let bytes = self.read(&addr.range(8), accessor)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the read above returned a slice of the requested (checked) length; the width is static."
+        )]
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 

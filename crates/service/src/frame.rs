@@ -13,6 +13,8 @@
 //! lax decoder would silently "accept" flipped bits as different-but-valid
 //! events.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::io::{Read, Write};
 
 use dsm::addr::{GlobalAddr, MemRange, Segment};

@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -403,7 +403,7 @@ impl Server {
                     // Track the new connection and join the ones that have
                     // ended since the last accept, so the registry holds
                     // live connections, not every connection ever made.
-                    let mut conns = conns.lock().expect("conn registry poisoned");
+                    let mut conns = locked(&conns, "conn registry");
                     for ended in conns.extract_if(.., |h| h.is_finished()) {
                         let _ = ended.join(); // cannot block: the thread has exited
                     }
@@ -425,7 +425,7 @@ impl Server {
                 while !shutdown.load(Ordering::SeqCst) {
                     std::thread::sleep(TICK);
                     let expired: Vec<ParkedSession> = {
-                        let mut reg = registry.lock().expect("park registry poisoned");
+                        let mut reg = locked(&registry, "park registry");
                         let tokens: Vec<u64> = reg
                             .iter()
                             .filter(|(_, p)| p.parked_at.elapsed() >= config.park_ttl)
@@ -478,9 +478,7 @@ impl Server {
     /// Copy of the completed-session ledger so far (live and parked
     /// sessions are not in it until they end).
     pub fn sessions(&self) -> Vec<SessionRecord> {
-        self.ledger
-            .lock()
-            .expect("ledger poisoned")
+        locked(&self.ledger, "ledger")
             .records
             .iter()
             .cloned()
@@ -489,7 +487,7 @@ impl Server {
 
     /// Number of sessions currently parked awaiting resume.
     pub fn parked_sessions(&self) -> usize {
-        self.registry.lock().expect("park registry poisoned").len()
+        locked(&self.registry, "park registry").len()
     }
 
     /// Graceful shutdown: stop accepting, drain every live session (each
@@ -504,7 +502,7 @@ impl Server {
             let _ = h.join();
         }
         let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
+            std::mem::take(&mut *locked(&self.conns, "conn registry"));
         for h in handles {
             let _ = h.join();
         }
@@ -514,14 +512,14 @@ impl Server {
         // Sweep: anything still parked was never resumed — finalise it so
         // no stream vanishes from the ledger.
         let leftover: Vec<ParkedSession> = {
-            let mut reg = self.registry.lock().expect("park registry poisoned");
+            let mut reg = locked(&self.registry, "park registry");
             reg.drain().map(|(_, p)| p).collect()
         };
         for parked in leftover {
             finalize_parked(parked, &self.stats, &self.ledger);
         }
         let (sessions, evicted_records) = {
-            let ledger = self.ledger.lock().expect("ledger poisoned");
+            let ledger = locked(&self.ledger, "ledger");
             (ledger.records.iter().cloned().collect(), ledger.evicted)
         };
         ShutdownReport {
@@ -645,10 +643,7 @@ fn handle_connection(
             token,
             last_acked_seq,
         } => {
-            let parked = registry
-                .lock()
-                .expect("park registry poisoned")
-                .remove(&token);
+            let parked = locked(registry, "park registry").remove(&token);
             let Some(parked) = parked else {
                 stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                 reject_connection(
@@ -665,10 +660,7 @@ fn handle_connection(
                 // The client claims more progress than this session ever
                 // made: a forged or mismatched token. Put the state back so
                 // the attack cannot destroy the real client's session.
-                registry
-                    .lock()
-                    .expect("park registry poisoned")
-                    .insert(token, parked);
+                locked(registry, "park registry").insert(token, parked);
                 stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                 reject_connection(
                     &write_stream,
@@ -770,7 +762,7 @@ fn handle_connection(
             shed,
         }) => {
             stats.parked.fetch_add(1, Ordering::Relaxed);
-            registry.lock().expect("park registry poisoned").insert(
+            locked(registry, "park registry").insert(
                 token,
                 ParkedSession {
                     session_id,
@@ -1058,6 +1050,10 @@ fn run_session(
                 events += 1;
                 let step = catch_unwind(AssertUnwindSafe(|| {
                     if let WireEvent::Op(op) = &ev {
+                        #[expect(
+                            clippy::panic,
+                            reason = "deliberate fault injection: the serve-smoke chaos path needs a real panic for the session supervisor to observe and degrade."
+                        )]
                         if armed == Some(op.op_id) {
                             panic!("injected session panic at op {}", op.op_id);
                         }
@@ -1101,11 +1097,11 @@ fn run_session(
 
     let shed_total = shed.load(Ordering::Relaxed);
 
-    // Park: checkpoint the whole session and hand it back for the registry.
-    // If the checkpoint fails (it should not — flush precedes encode) the
-    // session degrades to a terminal hangup record below.
-    let end = if matches!(end, EndReason::Park) {
-        match session.checkpoint() {
+    let (outcome, mut summary, error) = match end {
+        // Park: checkpoint the whole session and hand it back for the
+        // registry. If the checkpoint fails (it should not — flush precedes
+        // encode) the session degrades to a terminal hangup record.
+        EndReason::Park => match session.checkpoint() {
             Ok(checkpoint) => {
                 return WorkerExit::Parked {
                     checkpoint,
@@ -1113,52 +1109,36 @@ fn run_session(
                     shed: shed_total,
                 };
             }
-            Err(e) => EndReason::Poison(format!("__park__{e}")),
-        }
-    } else {
-        end
-    };
-
-    let (outcome, mut summary, error) = if let EndReason::Poison(msg) = &end {
-        if let Some(panic_msg) = msg.strip_prefix("__panic__") {
-            // Unrebuildable panic: the session may be mid-mutation; drop it
-            // supervised so a panicking Drop cannot re-enter the unwind.
-            let _ = catch_unwind(AssertUnwindSafe(move || drop(session)));
-            (
-                SessionOutcome::Panicked,
-                RaceSummary::default(),
-                Some(format!("session panicked: {panic_msg}")),
-            )
-        } else if let Some(park_msg) = msg.strip_prefix("__park__") {
-            finish_session(
+            Err(e) => finish_session(
                 session,
-                EndReason::Poison(String::new()),
                 SessionOutcome::Hangup,
                 Some(format!(
-                    "client hung up mid-stream and the session could not be parked: {park_msg}"
+                    "client hung up mid-stream and the session could not be parked: {e}"
                 )),
-            )
-        } else {
-            finish_session(
-                session,
-                EndReason::Poison(msg.clone()),
-                SessionOutcome::Poisoned,
-                Some(msg.clone()),
-            )
-        }
-    } else {
-        let (outcome, message) = match &end {
-            EndReason::Finish => (SessionOutcome::Finished, None),
-            EndReason::Drain => (SessionOutcome::Drained, None),
-            EndReason::Reap => (
-                SessionOutcome::Reaped,
-                Some("session idle past timeout".to_string()),
             ),
-            // Park is returned above; reaching here means the checkpoint
-            // failed and the Poison arm already handled it.
-            EndReason::Park | EndReason::Poison(_) => unreachable!("handled above"),
-        };
-        finish_session(session, end, outcome, message)
+        },
+        EndReason::Poison(msg) => {
+            if let Some(panic_msg) = msg.strip_prefix("__panic__") {
+                // Unrebuildable panic: the session may be mid-mutation; drop
+                // it supervised so a panicking Drop cannot re-enter the
+                // unwind.
+                let _ = catch_unwind(AssertUnwindSafe(move || drop(session)));
+                (
+                    SessionOutcome::Panicked,
+                    RaceSummary::default(),
+                    Some(format!("session panicked: {panic_msg}")),
+                )
+            } else {
+                finish_session(session, SessionOutcome::Poisoned, Some(msg))
+            }
+        }
+        EndReason::Finish => finish_session(session, SessionOutcome::Finished, None),
+        EndReason::Drain => finish_session(session, SessionOutcome::Drained, None),
+        EndReason::Reap => finish_session(
+            session,
+            SessionOutcome::Reaped,
+            Some("session idle past timeout".to_string()),
+        ),
     };
 
     let degraded = summary.degraded
@@ -1209,7 +1189,6 @@ fn run_session(
 /// outcome to [`SessionOutcome::Panicked`] instead of killing the worker.
 fn finish_session(
     session: Session,
-    _end: EndReason,
     outcome: SessionOutcome,
     message: Option<String>,
 ) -> (SessionOutcome, RaceSummary, Option<String>) {
@@ -1314,8 +1293,18 @@ fn bump_outcome(stats: &ServerStats, outcome: SessionOutcome) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Lock one of the server's registries, failing fast if it is poisoned.
+#[expect(
+    clippy::panic,
+    reason = "mutex poisoning = a prior panic in a holder thread; the server's design is fail-fast on poisoned state rather than serving corrupt registries."
+)]
+fn locked<'a, T>(m: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
+    m.lock()
+        .unwrap_or_else(|e| panic!("{what} poisoned: {e:?}"))
+}
+
 fn push_record(ledger: &Ledger, record: SessionRecord) {
-    ledger.lock().expect("ledger poisoned").push(record);
+    locked(ledger, "ledger").push(record);
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {

@@ -199,6 +199,10 @@ impl RunResult {
     /// Convenience: read a u64 from a final memory image.
     pub fn read_u64(&self, range: MemRange) -> u64 {
         let m = &self.memories[range.addr.rank];
+        #[expect(
+            clippy::expect_used,
+            reason = "the plan validated this range against local memory before scheduling the op; an unreadable range here is an engine bug."
+        )]
         m.read_u64(range.addr, range.addr.rank).expect("readable")
     }
 }
@@ -373,11 +377,19 @@ impl Engine {
                 }
                 // A wake-up due no later than the next arrival goes first.
                 (_, Some(te)) if t_net.is_none_or(|tn| te <= tn) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "pop follows a peek that proved the queue non-empty in the same match arm."
+                    )]
                     let (at, rank) = self.queue.pop().expect("peeked");
                     self.now = at;
                     self.advance(rank);
                 }
                 _ => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "deliver_next follows a peek that proved a message is due in the same match arm."
+                    )]
                     let (at, msg) = self.net.deliver_next().expect("peeked");
                     self.now = at;
                     self.handle_message(msg);

@@ -282,8 +282,12 @@ impl Engine {
         if self.procs[rank].plan.as_ref().is_some_and(|p| p.blocked) {
             return; // not the reply this process is waiting for
         }
-        let idx = self.procs[rank].plan.as_ref().expect("plan").idx;
-        let step = match self.procs[rank].plan.as_ref().expect("plan").steps.get(idx) {
+        #[expect(
+            clippy::expect_used,
+            reason = "scheduler invariant: ops are only dispatched to ranks holding an active plan."
+        )]
+        let plan = self.procs[rank].plan.as_ref().expect("plan");
+        let step = match plan.steps.get(plan.idx) {
             Some(&s) => s,
             None => {
                 // Every plan ends in Step::Finish, which consumes it, so a
@@ -486,6 +490,10 @@ impl Engine {
                 self.block(rank);
             }
             Step::ReleaseDetLocks => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "scheduler invariant: detection-lock bookkeeping runs only under an active plan."
+                )]
                 let locks =
                     std::mem::take(&mut self.procs[rank].plan.as_mut().expect("plan").det_locks);
                 for (owner, tok) in locks {
@@ -523,6 +531,10 @@ impl Engine {
 
     /// Mark the current step complete and wake the process after `cost` ns.
     pub(super) fn step_done(&mut self, rank: Rank, cost: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "scheduler invariant: plan-step advance runs only under an active plan."
+        )]
         let plan = self.procs[rank].plan.as_mut().expect("plan");
         plan.idx += 1;
         let at = self.now + cost;

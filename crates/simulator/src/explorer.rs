@@ -72,24 +72,25 @@ impl ExplorationSummary {
 /// Run `programs` under `seeds`, one engine per seed, in parallel threads
 /// (std scoped threads; the per-seed engines are fully independent).
 pub fn explore(cfg: &SimConfig, programs: &[Program], seeds: &[u64]) -> ExplorationSummary {
-    let mut outcomes: Vec<Option<SeedOutcome>> = Vec::new();
-    outcomes.resize_with(seeds.len(), || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (slot, &seed) in seeds.iter().enumerate() {
-            let cfg = cfg.clone().with_seed(seed);
-            let programs = programs.to_vec();
-            handles.push((slot, scope.spawn(move || run_one(cfg, programs, seed))));
-        }
-        for (slot, h) in handles {
-            outcomes[slot] = Some(h.join().expect("seed thread panicked"));
-        }
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let cfg = cfg.clone().with_seed(seed);
+                let programs = programs.to_vec();
+                scope.spawn(move || run_one(cfg, programs, seed))
+            })
+            .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "propagate a worker-thread panic into the exploring test instead of fabricating an outcome."
+        )]
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("seed thread panicked"))
+            .collect()
     });
-
-    ExplorationSummary {
-        outcomes: outcomes.into_iter().map(|o| o.expect("filled")).collect(),
-    }
+    ExplorationSummary { outcomes }
 }
 
 fn run_one(cfg: SimConfig, programs: Vec<Program>, seed: u64) -> SeedOutcome {

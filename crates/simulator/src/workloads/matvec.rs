@@ -56,8 +56,16 @@ pub fn build(n: usize, dim: usize) -> MatVec {
     let mut heap = SymmetricHeap::new(n, 1 << 16);
 
     // Replicated x: same offset on every rank (SHMEM-style symmetric).
+    #[expect(
+        clippy::expect_used,
+        reason = "workload fixture setup: the debugging-sized symmetric heap cannot be exhausted here; failure is a setup bug that should abort."
+    )]
     let x = heap.alloc_symmetric(dim * 8, "x").expect("heap");
     // y distributed round-robin, one element per row owner.
+    #[expect(
+        clippy::expect_used,
+        reason = "workload fixture setup (see the `x` allocation note)."
+    )]
     let y = heap
         .alloc_array(dim, 8, Placement::RoundRobin, "y")
         .expect("heap");
