@@ -160,14 +160,14 @@ pub fn fig4() -> Table {
             w.programs.clone(),
         );
         let rr = r
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class == RaceClass::ReadRead)
             .count();
         rows.push(format!(
             "{:<14} reports {:>2} (read-read false positives: {})",
             kind.label(),
-            r.deduped.len(),
+            r.deduped().len(),
             rr
         ));
     }
@@ -185,17 +185,17 @@ pub fn fig5() -> Table {
         let w = figures::fig5a();
         let r = run(SimConfig::debugging(w.n), w.programs);
         let clocks = r
-            .deduped
+            .deduped()
             .first()
             .and_then(|rep| rep.previous.as_ref().map(|prev| (prev, &rep.current)));
         rows.push(match clocks {
             Some((prev, cur)) => format!(
                 "5a concurrent puts     : {} race ({} × {})",
-                r.deduped.len(),
+                r.deduped().len(),
                 prev.clock(),
                 cur.clock()
             ),
-            None => format!("5a concurrent puts     : {} race", r.deduped.len()),
+            None => format!("5a concurrent puts     : {} race", r.deduped().len()),
         });
     }
     {
@@ -203,7 +203,7 @@ pub fn fig5() -> Table {
         let r = run(SimConfig::debugging(w.n), w.programs);
         rows.push(format!(
             "5b causal get/put chain: {} races (chain value delivered: {})",
-            r.deduped.len(),
+            r.deduped().len(),
             r.read_u64(dsm::GlobalAddr::public(0, 0).range(8))
         ));
     }
@@ -211,7 +211,7 @@ pub fn fig5() -> Table {
         let w = figures::fig5c();
         let r = run(SimConfig::debugging(w.n), w.programs);
         let ww_on_a = r
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class == RaceClass::WriteWrite && x.area == race_core::AreaKey::new(1, 0))
             .count();
@@ -221,7 +221,7 @@ pub fn fig5() -> Table {
         let w = figures::fig5c_racy();
         let r = run(SimConfig::debugging(w.n), w.programs);
         let ww_on_a = r
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class == RaceClass::WriteWrite && x.area == race_core::AreaKey::new(1, 0))
             .count();
@@ -317,7 +317,7 @@ pub fn memory() -> Table {
             kind.label(),
             r.clock_memory_bytes,
             areas,
-            r.deduped.len()
+            r.deduped().len()
         ));
     }
     rows.push(String::new());
@@ -337,7 +337,7 @@ pub fn memory() -> Table {
             "{:<14} {:>12} {:>10}",
             label,
             r.clock_memory_bytes,
-            r.deduped.len()
+            r.deduped().len()
         ));
     }
     Table {
@@ -383,9 +383,9 @@ pub fn falsepos() -> Table {
                     w.programs,
                 );
                 let oracle = Oracle::analyze(&r.trace);
-                let pairs = oracle.score(&r.deduped);
-                let sites = oracle.site_score(&r.deduped);
-                reports += r.deduped.len();
+                let pairs = oracle.score(r.deduped());
+                let sites = oracle.site_score(r.deduped());
+                reports += r.deduped().len();
                 fp += pairs.false_positives;
                 site_fn += sites.false_negatives;
                 prec += pairs.precision();
@@ -482,7 +482,7 @@ pub fn reduction_exp() -> Table {
             r.stats.msgs(netsim::OpClass::GetRequest),
             r.stats.msgs(netsim::OpClass::GetReply),
             r.stats.msgs(netsim::OpClass::PutData),
-            r.deduped.len()
+            r.deduped().len()
         ));
     }
     Table {
@@ -515,11 +515,11 @@ pub fn literal() -> Table {
             SimConfig::debugging(3).with_detector(kind),
             programs.clone(),
         );
-        let war = r.deduped.iter().any(|x| x.class == RaceClass::ReadWrite);
+        let war = r.deduped().iter().any(|x| x.class == RaceClass::ReadWrite);
         let w4 = figures::fig4();
         let r4 = run(SimConfig::debugging(w4.n).with_detector(kind), w4.programs);
         let rr = r4
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class == RaceClass::ReadRead)
             .count();
@@ -618,7 +618,7 @@ pub fn atomics() -> Table {
             r.stats.msgs(netsim::OpClass::Lock),
             data,
             value,
-            r.deduped.len()
+            r.deduped().len()
         ));
     }
     Table {
@@ -649,7 +649,7 @@ pub fn matvec_exp() -> Table {
             dim,
             r.stats.total_msgs(),
             r.virtual_time.as_us_f64(),
-            r.deduped.len(),
+            r.deduped().len(),
             correct
         ));
     }

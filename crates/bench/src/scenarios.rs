@@ -224,8 +224,8 @@ fn run_cell(
     catch_unwind(AssertUnwindSafe(move || {
         let r = Engine::new(cfg, programs).run();
         let oracle = Oracle::analyze(&r.trace);
-        let pairs = oracle.score(&r.deduped);
-        let sites = oracle.site_score(&r.deduped);
+        let pairs = oracle.score(r.deduped());
+        let sites = oracle.site_score(r.deduped());
         let mut oracle_truth_sites: Vec<(usize, usize)> =
             oracle.truth_sites().into_iter().collect();
         oracle_truth_sites.sort_unstable();
@@ -235,14 +235,14 @@ fn run_cell(
                 detector: kind.label(),
                 net: net_name,
                 seed,
-                reports: r.deduped.len(),
+                reports: r.deduped().len(),
                 truth_pairs: oracle.truth().len(),
                 truth_sites: oracle_truth_sites.len(),
                 pairs,
                 sites,
                 degraded: r.summary.degraded,
             },
-            read_read_only: r.deduped.iter().all(|p| p.class == RaceClass::ReadRead),
+            read_read_only: r.deduped().iter().all(|p| p.class == RaceClass::ReadRead),
             oracle_truth_sites,
             stuck: r.stuck.len(),
             errors: r.errors.len(),
@@ -533,8 +533,8 @@ pub fn bench_rows_scenarios() -> Vec<ScenarioRow> {
             }
             let wall_ns_per_run = (started.elapsed().as_nanos() / u128::from(runs)) as u64;
             let oracle = Oracle::analyze(&r.trace);
-            let pairs = oracle.score(&r.deduped);
-            let sites = oracle.site_score(&r.deduped);
+            let pairs = oracle.score(r.deduped());
+            let sites = oracle.site_score(r.deduped());
             let accesses = r.trace.events.len();
             rows.push(ScenarioRow {
                 scenario: w.name.clone(),
@@ -549,7 +549,7 @@ pub fn bench_rows_scenarios() -> Vec<ScenarioRow> {
                 } else {
                     (accesses as u128 * 1_000_000_000 / wall_ns_per_run as u128) as u64
                 },
-                reports: r.deduped.len(),
+                reports: r.deduped().len(),
                 truth_pairs: oracle.truth().len(),
                 truth_sites: oracle.truth_sites().len(),
                 pair_precision: pairs.precision(),

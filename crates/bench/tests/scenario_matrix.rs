@@ -130,7 +130,7 @@ fn assert_report_views_agree(result: &simulator::RunResult, at: &str) {
     from_reports.degraded = result.summary.degraded;
     assert_eq!(result.summary, from_reports, "{at}: summary");
     assert_eq!(
-        result.deduped,
+        result.deduped(),
         dedup_reports(&result.reports),
         "{at}: deduped"
     );
@@ -142,7 +142,11 @@ fn assert_report_views_agree(result: &simulator::RunResult, at: &str) {
         .filter(|r| seen.insert(r.dedup_key()))
         .cloned()
         .collect();
-    assert_eq!(result.deduped, firsts, "{at}: first of each pair, in order");
+    assert_eq!(
+        result.deduped(),
+        firsts,
+        "{at}: first of each pair, in order"
+    );
 }
 
 #[test]

@@ -46,6 +46,15 @@ pub enum DsmError {
         /// Bytes remaining.
         available: usize,
     },
+    /// A write whose data is not exactly as long as its destination range
+    /// (a put from a source of another length, or a local write whose
+    /// value does not fit its range).
+    LengthMismatch {
+        /// The destination range.
+        range: MemRange,
+        /// Bytes of data supplied.
+        data_len: usize,
+    },
     /// An RDMA completion referenced an unknown operation token.
     UnknownOp {
         /// The unmatched token.
@@ -73,6 +82,11 @@ impl std::fmt::Display for DsmError {
             } => write!(
                 f,
                 "symmetric heap exhausted: need {requested}, have {available}"
+            ),
+            DsmError::LengthMismatch { range, data_len } => write!(
+                f,
+                "{data_len} bytes written to {range} ({} bytes long)",
+                range.len
             ),
             DsmError::UnknownOp { token } => write!(f, "unknown RDMA operation token {token}"),
         }

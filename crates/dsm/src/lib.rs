@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod data;
 pub mod error;
 pub mod heap;
 pub mod lockmgr;
@@ -42,6 +43,7 @@ pub mod proto;
 pub mod rdma;
 
 pub use addr::{GlobalAddr, MemRange, Segment};
+pub use data::Data;
 pub use error::DsmError;
 pub use heap::{Placement, SymmetricHeap};
 pub use lockmgr::{LockOutcome, LockTable, LockToken};

@@ -1,6 +1,7 @@
 //! Per-process private and public memory segments (Fig 1).
 
 use crate::addr::{GlobalAddr, MemRange, Segment};
+use crate::data::Data;
 use crate::error::DsmError;
 use crate::Rank;
 
@@ -11,20 +12,42 @@ use crate::Rank;
 /// owner-only. The paper stresses that the owner's own accesses to its
 /// public segment go through the same rules as remote ones — callers enforce
 /// that by routing every public access through the same check/monitor path.
+///
+/// A segment stores only its written prefix: the bytes up to the end of
+/// the furthest write so far. Bytes past it read as zero, and
+/// [`ProcessMemory::segment_len`] is the configured length, so the
+/// representation is not observable — but a fresh memory costs nothing
+/// however large its segments are.
 #[derive(Debug, Clone)]
 pub struct ProcessMemory {
     rank: Rank,
-    private: Vec<u8>,
-    public: Vec<u8>,
+    private: Store,
+    public: Store,
+}
+
+/// One segment: its configured length and its written prefix.
+#[derive(Debug, Clone)]
+struct Store {
+    len: usize,
+    written: Vec<u8>,
+}
+
+impl Store {
+    fn new(len: usize) -> Self {
+        Store {
+            len,
+            written: Vec::new(),
+        }
+    }
 }
 
 impl ProcessMemory {
-    /// Allocate both segments, zero-initialised.
+    /// Map both segments, zero-initialised.
     pub fn new(rank: Rank, private_len: usize, public_len: usize) -> Self {
         ProcessMemory {
             rank,
-            private: vec![0; private_len],
-            public: vec![0; public_len],
+            private: Store::new(private_len),
+            public: Store::new(public_len),
         }
     }
 
@@ -35,27 +58,28 @@ impl ProcessMemory {
 
     /// Length of a segment.
     pub fn segment_len(&self, segment: Segment) -> usize {
-        match segment {
-            Segment::Private => self.private.len(),
-            Segment::Public => self.public.len(),
-        }
+        self.store(segment).len
     }
 
-    fn segment(&self, segment: Segment) -> &[u8] {
+    fn store(&self, segment: Segment) -> &Store {
         match segment {
             Segment::Private => &self.private,
             Segment::Public => &self.public,
         }
     }
 
-    fn segment_mut(&mut self, segment: Segment) -> &mut [u8] {
+    fn store_mut(&mut self, segment: Segment) -> &mut Store {
         match segment {
             Segment::Private => &mut self.private,
             Segment::Public => &mut self.public,
         }
     }
 
-    fn check(&self, range: &MemRange, accessor: Rank) -> Result<(), DsmError> {
+    /// Check that `accessor` may access `range`: it lies in this process's
+    /// memory, inside its segment, and is public or `accessor`'s own. The
+    /// check [`ProcessMemory::read`] and [`ProcessMemory::write`] make,
+    /// without touching the bytes.
+    pub fn check_access(&self, range: &MemRange, accessor: Rank) -> Result<(), DsmError> {
         if range.addr.rank != self.rank {
             return Err(DsmError::BadRank {
                 rank: range.addr.rank,
@@ -79,33 +103,40 @@ impl ProcessMemory {
     }
 
     /// Read `range` on behalf of `accessor`.
-    pub fn read(&self, range: &MemRange, accessor: Rank) -> Result<Vec<u8>, DsmError> {
-        self.check(range, accessor)?;
-        let seg = self.segment(range.addr.segment);
-        Ok(seg[range.addr.offset..range.end()].to_vec())
+    pub fn read(&self, range: &MemRange, accessor: Rank) -> Result<Data, DsmError> {
+        self.check_access(range, accessor)?;
+        let written = &self.store(range.addr.segment).written;
+        let prefix = written.get(range.addr.offset..).unwrap_or_default();
+        Ok(Data::zero_extended(prefix, range.len))
     }
 
     /// Write `data` at `range.addr` on behalf of `accessor`.
     ///
-    /// # Panics
-    /// Panics if `data.len() != range.len` (caller constructs both).
+    /// `data` must be exactly `range.len` bytes long; otherwise nothing is
+    /// written and the error is [`DsmError::LengthMismatch`].
     pub fn write(&mut self, range: &MemRange, data: &[u8], accessor: Rank) -> Result<(), DsmError> {
-        assert_eq!(data.len(), range.len, "data length must match range");
-        self.check(range, accessor)?;
-        let off = range.addr.offset;
-        let seg = self.segment_mut(range.addr.segment);
-        seg[off..off + data.len()].copy_from_slice(data);
+        if data.len() != range.len {
+            return Err(DsmError::LengthMismatch {
+                range: *range,
+                data_len: data.len(),
+            });
+        }
+        self.check_access(range, accessor)?;
+        let (off, end) = (range.addr.offset, range.end());
+        let written = &mut self.store_mut(range.addr.segment).written;
+        if written.len() < end {
+            written.resize(end, 0);
+        }
+        written[off..end].copy_from_slice(data);
         Ok(())
     }
 
     /// Convenience: read a little-endian `u64` from `addr`.
     pub fn read_u64(&self, addr: GlobalAddr, accessor: Rank) -> Result<u64, DsmError> {
         let bytes = self.read(&addr.range(8), accessor)?;
-        #[expect(
-            clippy::expect_used,
-            reason = "the read above returned a slice of the requested (checked) length; the width is static."
-        )]
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        let mut word = [0; 8];
+        word.iter_mut().zip(bytes.iter()).for_each(|(w, b)| *w = *b);
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Convenience: write a little-endian `u64` at `addr`.
@@ -186,10 +217,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "data length must match")]
-    fn mismatched_write_panics() {
+    fn mismatched_write_is_an_error() {
         let mut m = mem();
         let r = GlobalAddr::public(1, 0).range(4);
-        let _ = m.write(&r, &[1, 2], 1);
+        assert_eq!(
+            m.write(&r, &[1, 2], 1),
+            Err(DsmError::LengthMismatch {
+                range: r,
+                data_len: 2
+            })
+        );
+        assert_eq!(m.read(&r, 1).unwrap(), vec![0; 4], "nothing written");
+    }
+
+    #[test]
+    fn bytes_past_the_written_prefix_read_as_zero() {
+        let mut m = mem();
+        m.write(&GlobalAddr::public(1, 4).range(4), &[1, 2, 3, 4], 1)
+            .unwrap();
+        let all = GlobalAddr::public(1, 0).range(128);
+        let mut want = vec![0; 128];
+        want[4..8].copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(m.read(&all, 1).unwrap(), want);
+        assert_eq!(
+            m.read(&GlobalAddr::public(1, 6).range(4), 1).unwrap(),
+            vec![3, 4, 0, 0]
+        );
+        assert_eq!(m.segment_len(Segment::Public), 128);
+        assert_eq!(m.segment_len(Segment::Private), 64);
     }
 }

@@ -19,11 +19,10 @@
 //! their size. [`Classify::detection_bytes`] reports the piggy-backed
 //! bytes, so the §V-A overhead split stays measurable.
 
-use std::sync::Arc;
-
 use netsim::{Classify, OpClass};
 
 use crate::addr::MemRange;
+use crate::data::Data;
 
 /// An operation token correlating requests with replies/completions.
 pub type OpToken = u64;
@@ -94,7 +93,7 @@ pub enum DsmPayload {
         /// Destination range in the target's public memory.
         dst: MemRange,
         /// Data to write (`data.len() == dst.len`).
-        data: Arc<[u8]>,
+        data: Data,
         /// Completion token echoed to the initiator.
         token: OpToken,
         /// Detection header; when present the owner answers with a
@@ -115,7 +114,7 @@ pub enum DsmPayload {
         /// Token of the original request.
         token: OpToken,
         /// The bytes read.
-        data: Arc<[u8]>,
+        data: Data,
         /// Components of the area's `(V, W)` piggy-backed for detection.
         clock_words: usize,
     },
@@ -295,7 +294,7 @@ mod tests {
     fn put_is_put_class_and_sized_by_data() {
         let p = DsmPayload::PutData {
             dst: range(),
-            data: Arc::from(vec![0u8; 100]),
+            data: Data::from(&[0u8; 100][..]),
             token: 1,
             det: None,
         };
@@ -313,7 +312,7 @@ mod tests {
         };
         let rep = DsmPayload::GetReply {
             token: 1,
-            data: Arc::from(vec![0u8; 8]),
+            data: Data::from(&[0u8; 8][..]),
             clock_words: 0,
         };
         assert_eq!(req.class(), OpClass::GetRequest);
@@ -328,13 +327,13 @@ mod tests {
         let n = 4;
         let vanilla = DsmPayload::PutData {
             dst: range(),
-            data: Arc::from(vec![0u8; 8]),
+            data: Data::from(&[0u8; 8][..]),
             token: 0,
             det: None,
         };
         let put = DsmPayload::PutData {
             dst: range(),
-            data: Arc::from(vec![0u8; 8]),
+            data: Data::from(&[0u8; 8][..]),
             token: 0,
             det: Some(header(n)),
         };
@@ -344,7 +343,7 @@ mod tests {
 
         let reply = DsmPayload::GetReply {
             token: 0,
-            data: Arc::from(vec![0u8; 8]),
+            data: Data::from(&[0u8; 8][..]),
             clock_words: 2 * n,
         };
         assert_eq!(reply.class(), OpClass::GetReply);

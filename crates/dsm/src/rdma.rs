@@ -12,9 +12,9 @@
 //! same range (Fig 4 — reads don't conflict) proceed immediately.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::addr::MemRange;
+use crate::data::Data;
 use crate::error::DsmError;
 use crate::proto::OpToken;
 use crate::Rank;
@@ -25,7 +25,7 @@ pub struct DeferredPut {
     /// Destination range.
     pub dst: MemRange,
     /// Data to apply.
-    pub data: Arc<[u8]>,
+    pub data: Data,
     /// Completion token to ack once applied.
     pub token: OpToken,
     /// Initiating rank (for the ack).
@@ -121,7 +121,7 @@ mod tests {
     fn put(offset: usize, len: usize, token: OpToken) -> DeferredPut {
         DeferredPut {
             dst: r(offset, len),
-            data: Arc::from(vec![0xAB; len]),
+            data: Data::from(vec![0xAB; len].as_slice()),
             token,
             initiator: 2,
         }

@@ -78,34 +78,17 @@ impl std::fmt::Display for SimTime {
 /// Events scheduled for the same instant pop in insertion order (a strictly
 /// increasing sequence number breaks ties), which is what makes whole-system
 /// replays bit-identical for a given seed.
+///
+/// The heap orders small `(time, sequence, slot)` keys; the events
+/// themselves sit in a slab whose freed slots are reused, so a sift moves
+/// 24-byte keys whatever the size of `E`, and a steady state of schedules
+/// and pops allocates nothing.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    slots: Vec<Option<E>>,
+    free: Vec<usize>,
     seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -119,25 +102,41 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
 
     /// Schedule `event` at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                self.slots.len() - 1
+            }
+        };
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, event }));
+        // `seq` is unique, so `slot` never decides the order.
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let event = self.slots.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        Some((at, event))
     }
 
     /// Number of pending events.
@@ -191,6 +190,57 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    fn random_interleavings_match_a_time_then_insertion_model() {
+        // Few distinct times (many ties) and short bursts between pops, so
+        // the slab's slots are freed and reused all the time.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for round in 0..50 {
+            let mut q = EventQueue::new();
+            // The reference: (time, insertion number), popped by minimum.
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let mut inserted = 0u64;
+            let mut high_water = 0;
+            for _ in 0..2_000 {
+                if next(5) < 3 {
+                    let at = (round % 3) * 10 + next(4);
+                    q.schedule(SimTime::from_ns(at), inserted);
+                    model.push((at, inserted));
+                    inserted += 1;
+                } else {
+                    let want = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, key)| **key)
+                        .map(|(i, _)| i)
+                        .map(|i| model.swap_remove(i));
+                    let got = q.pop().map(|(at, id)| (at.as_ns(), id));
+                    assert_eq!(got, want, "round {round}");
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(
+                    q.peek_time().map(SimTime::as_ns),
+                    model.iter().min().map(|k| k.0)
+                );
+                high_water = high_water.max(model.len());
+            }
+            while let Some((at, id)) = q.pop() {
+                let i = model.iter().position(|k| *k == (at.as_ns(), id));
+                let min = model.iter().min().copied();
+                assert_eq!(i.map(|i| model.swap_remove(i)), min);
+            }
+            assert!(model.is_empty());
+            // The slab never outgrows the most events pending at once.
+            assert!(q.slots.len() <= high_water, "round {round}");
+        }
     }
 
     #[test]

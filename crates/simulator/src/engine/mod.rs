@@ -38,12 +38,14 @@
 //! and the owner side; `locks` holds the lock step, waiters and grants.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use dsm::lockmgr::LockTable;
 use dsm::proto::{DsmPayload, OpToken};
 use dsm::rdma::RdmaEngine;
 use dsm::{MemRange, ProcessMemory};
 use netsim::{EventQueue, NetStats, Network, SimTime};
+use race_core::report::WordHashState;
 use race_core::{dedup_reports, DsmOp, LockId, RaceReport, RaceSummary, Session, Trace};
 
 use crate::config::SimConfig;
@@ -107,6 +109,8 @@ struct Proc {
     program: Program,
     pc: usize,
     plan: Option<Plan>,
+    /// The buffers of the last finished plan, reused by the next one.
+    spare: plan::Buffers,
     prog_locks: Vec<HeldProgLock>,
     /// Slot filled by a lock-grant handler just before waking the process.
     last_grant: Option<(Rank, u64)>,
@@ -159,8 +163,8 @@ pub struct RunResult {
     pub stats: NetStats,
     /// Every race report, in detection order.
     pub reports: Vec<RaceReport>,
-    /// Reports deduplicated by access pair.
-    pub deduped: Vec<RaceReport>,
+    /// [`RunResult::deduped`], computed on first call.
+    deduped: OnceLock<Vec<RaceReport>>,
     /// The session's bounded running aggregate over the *raw* report
     /// stream (what a long-running service would retain instead of
     /// [`RunResult::reports`]).
@@ -188,9 +192,19 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// [`RunResult::reports`] deduplicated by unordered access pair, first
+    /// occurrence kept, in detection order (`race_core::dedup_reports`).
+    ///
+    /// Computed on the first call, from the reports as they stand then,
+    /// and kept: a caller that never asks — one that reads only
+    /// [`RunResult::summary`] — pays nothing for it.
+    pub fn deduped(&self) -> &[RaceReport] {
+        self.deduped.get_or_init(|| dedup_reports(&self.reports))
+    }
+
     /// Reports whose class is a true race (filters read-read FPs).
     pub fn true_races(&self) -> Vec<&RaceReport> {
-        self.deduped
+        self.deduped()
             .iter()
             .filter(|r| r.class.is_true_race())
             .collect()
@@ -220,11 +234,11 @@ pub struct Engine {
     /// Wake-ups, the only engine event besides network arrivals.
     queue: EventQueue<Rank>,
     procs: Vec<Proc>,
-    tokens: HashMap<OpToken, TokenUse>,
-    put_ctx: HashMap<OpToken, PutCtx>,
+    tokens: HashMap<OpToken, TokenUse, WordHashState>,
+    put_ctx: HashMap<OpToken, PutCtx, WordHashState>,
     /// Everyone queued at a lock table: (owner, table lock token) → who
     /// the grant goes to.
-    waiters: HashMap<(Rank, u64), Waiter>,
+    waiters: HashMap<(Rank, u64), Waiter, WordHashState>,
     /// Algorithms 1–2 run (the detector requires locking).
     detection: bool,
     /// Components of an area's `(V, W)` on the wire.
@@ -265,12 +279,14 @@ impl Engine {
         let memories = (0..cfg.n)
             .map(|r| ProcessMemory::new(r, cfg.private_len, cfg.public_len))
             .collect();
+        let instrs: usize = programs.iter().map(Program::len).sum();
         let procs = programs
             .into_iter()
             .map(|program| Proc {
                 program,
                 pc: 0,
                 plan: None,
+                spare: plan::Buffers::default(),
                 prog_locks: Vec::new(),
                 last_grant: None,
                 done: false,
@@ -281,7 +297,7 @@ impl Engine {
             queue.schedule(SimTime::ZERO, r);
         }
         Engine {
-            trace: TraceBuilder::new(cfg.n),
+            trace: TraceBuilder::with_capacity(cfg.n, instrs),
             locks: (0..cfg.n).map(|_| LockTable::new()).collect(),
             rdma: (0..cfg.n).map(|_| RdmaEngine::new()).collect(),
             net,
@@ -289,15 +305,15 @@ impl Engine {
             session,
             queue,
             procs,
-            tokens: HashMap::new(),
-            put_ctx: HashMap::new(),
-            waiters: HashMap::new(),
+            tokens: HashMap::default(),
+            put_ctx: HashMap::default(),
+            waiters: HashMap::default(),
             detection,
             area_clock_words,
             next_token: 0,
             next_op_id: 0,
             barrier_arrived: Vec::new(),
-            op_latencies: Vec::new(),
+            op_latencies: Vec::with_capacity(instrs),
             put_apply_delays: Vec::new(),
             errors: Vec::new(),
             recovery_rounds: 0,
@@ -349,7 +365,7 @@ impl Engine {
     ///     ProgramBuilder::new(2).put_u64(0xCCCC, a).build(),
     /// ];
     /// let result = Engine::new(SimConfig::debugging(3), programs).run();
-    /// assert_eq!(result.deduped.len(), 1); // exactly one write-write race
+    /// assert_eq!(result.deduped().len(), 1); // exactly one write-write race
     /// assert!(result.stuck.is_empty());    // and the program completed
     /// let v = result.read_u64(a);
     /// assert!(v == 0xAAAA || v == 0xCCCC); // one of the racers won
@@ -410,13 +426,12 @@ impl Engine {
             summary.degraded = true;
         }
         let reports = sink.take_reports();
-        let deduped = dedup_reports(&reports);
         RunResult {
             virtual_time: self.now,
             stats: self.net.stats().clone(),
             clock_memory_bytes,
             reports,
-            deduped,
+            deduped: OnceLock::new(),
             summary,
             trace: self.trace.finish(),
             op_latencies: self.op_latencies,
@@ -528,7 +543,7 @@ mod tests {
         let a = pub_range(1, 0, 8);
         let b = pub_range(0, 64, 8);
         let v = Engine::lock_ranges(Some(a), Some(b));
-        assert_eq!(v, vec![b, a], "rank 0 locked before rank 1");
+        assert_eq!(v.as_slice(), [b, a], "rank 0 locked before rank 1");
     }
 
     #[test]
@@ -538,8 +553,7 @@ mod tests {
         let a = pub_range(0, 0, 16);
         let b = pub_range(0, 8, 16);
         let v = Engine::lock_ranges(Some(a), Some(b));
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0], pub_range(0, 0, 24));
+        assert_eq!(v.as_slice(), [pub_range(0, 0, 24)]);
     }
 
     #[test]
@@ -547,14 +561,17 @@ mod tests {
         let priv_r = GlobalAddr::private(0, 0).range(8);
         let empty = pub_range(0, 0, 0);
         let real = pub_range(1, 0, 8);
-        assert_eq!(Engine::lock_ranges(Some(priv_r), Some(real)), vec![real]);
-        assert!(Engine::lock_ranges(Some(empty), None).is_empty());
+        assert_eq!(
+            Engine::lock_ranges(Some(priv_r), Some(real)).as_slice(),
+            [real]
+        );
+        assert!(Engine::lock_ranges(Some(empty), None).as_slice().is_empty());
     }
 
     #[test]
     fn identical_ranges_lock_once() {
         let r = pub_range(0, 0, 8);
-        assert_eq!(Engine::lock_ranges(Some(r), Some(r)).len(), 1);
+        assert_eq!(Engine::lock_ranges(Some(r), Some(r)).as_slice(), [r]);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! (with the area lock the owner takes for a fused request), the access
 //! itself, and the reply.
 
-use std::sync::Arc;
-
 use dsm::addr::MemRange;
 use dsm::lockmgr::LockOutcome;
 use dsm::proto::{AtomicOp, DetHeader, DsmPayload, OpToken};
 use dsm::rdma::DeferredPut;
+use dsm::Data;
 use netsim::{Message, SimTime};
 use race_core::{AccessKind, DsmOp, LockId};
 
@@ -340,12 +339,12 @@ impl Engine {
                 self.observe(&op, &held);
                 self.trace
                     .record_access(op.read_access_id(), actor, AccessKind::Read, src);
-                (Arc::from(data), LOCAL_ACCESS_NS)
+                (data, LOCAL_ACCESS_NS)
             }
             Err(e) => {
                 self.errors.push(format!("get read at P{owner}: {e}"));
                 // Unblock the requester with empty data to avoid deadlock.
-                (Arc::from([]), 0)
+                (Data::default(), 0)
             }
         };
         match reply_words {
@@ -363,7 +362,7 @@ impl Engine {
 
     /// Complete a get at the requester: write dst, end the owner-side
     /// protection window, release deferred puts (Fig 3).
-    fn finish_get(&mut self, token: OpToken, data: Arc<[u8]>, at: SimTime) {
+    fn finish_get(&mut self, token: OpToken, data: Data, at: SimTime) {
         let Some(TokenUse::GetReply {
             actor,
             dst,
@@ -377,19 +376,11 @@ impl Engine {
             return;
         };
         if !data.is_empty() {
-            if data.len() == dst.len {
-                if let Err(e) = self.memories[actor].write(&dst, &data, actor) {
-                    self.errors.push(format!("get apply at P{actor}: {e}"));
-                } else {
-                    self.trace
-                        .record_access(op.write_access_id(), actor, AccessKind::Write, dst);
-                }
+            if let Err(e) = self.memories[actor].write(&dst, &data, actor) {
+                self.errors.push(format!("get apply at P{actor}: {e}"));
             } else {
-                self.errors.push(format!(
-                    "get reply size {} != dst len {}",
-                    data.len(),
-                    dst.len
-                ));
+                self.trace
+                    .record_access(op.write_access_id(), actor, AccessKind::Write, dst);
             }
         }
         // The get has ended: lift the Fig 3 protection and apply deferred

@@ -1,11 +1,10 @@
 //! The initiator side: an instruction becomes a plan of steps, and
 //! `advance` executes the current step of a process.
 
-use std::sync::Arc;
-
 use dsm::addr::{MemRange, Segment};
 use dsm::proto::{AtomicOp, DetHeader, DsmPayload};
 use dsm::rdma::DeferredPut;
+use dsm::Data;
 use netsim::SimTime;
 use race_core::{AccessKind, DsmOp, OpKind};
 
@@ -68,7 +67,7 @@ pub(super) struct Plan {
     pub(super) idx: usize,
     /// Immediate bytes of a put / value of a local write, moved out by the
     /// step that ships them.
-    data: Option<Vec<u8>>,
+    data: Option<Data>,
     /// The current step sent its request and waits for the reply (a
     /// message or a local lock grant). Only that reply — or the lossy-plan
     /// recovery — unblocks the process; any other wake is ignored, so a
@@ -77,6 +76,38 @@ pub(super) struct Plan {
     pub(super) det_locks: Vec<(Rank, u64)>,
     started_at: SimTime,
     class: InstrClass,
+}
+
+/// A finished plan's step and lock buffers, emptied, for the process's
+/// next plan: a process allocates them once, not once per instruction.
+#[derive(Debug, Default)]
+pub(super) struct Buffers {
+    steps: Vec<Step>,
+    det_locks: Vec<(Rank, u64)>,
+}
+
+/// The public ranges an op locks, in canonical order: at most two, kept
+/// on the stack.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct LockRanges {
+    ranges: [MemRange; 2],
+    len: usize,
+}
+
+impl LockRanges {
+    const NONE: LockRanges = LockRanges {
+        ranges: [dsm::GlobalAddr::public(0, 0).range(0); 2],
+        len: 0,
+    };
+
+    fn push(&mut self, range: MemRange) {
+        self.ranges[self.len] = range;
+        self.len += 1;
+    }
+
+    pub(super) fn as_slice(&self) -> &[MemRange] {
+        &self.ranges[..self.len]
+    }
 }
 
 impl Engine {
@@ -103,9 +134,17 @@ impl Engine {
         })
     }
 
-    /// Build the plan for the next instruction of `rank`.
+    /// Build the plan for the next instruction of `rank`, in the buffers
+    /// its last plan left.
     fn build_plan(&mut self, rank: Rank) -> Option<Plan> {
-        let instr = self.procs[rank].program.get(self.procs[rank].pc)?.clone();
+        let proc = &mut self.procs[rank];
+        if proc.pc >= proc.program.len() {
+            return None;
+        }
+        let Buffers {
+            mut steps,
+            det_locks,
+        } = std::mem::take(&mut proc.spare);
         let op_id = self.next_op_id;
         self.next_op_id += 1;
         let op = |kind| DsmOp {
@@ -114,14 +153,16 @@ impl Engine {
             kind,
         };
 
-        let mut steps = Vec::new();
+        let proc = &self.procs[rank];
+        let instr = proc.program.get(proc.pc)?;
         let mut data = None;
         let class = match instr {
             Instr::Put { src, dst } => {
+                let dst = *dst;
                 let src_range = match src {
-                    Src::Range(r) => Some(r),
+                    Src::Range(r) => Some(*r),
                     Src::Imm(v) => {
-                        data = Some(v);
+                        data = Some(Data::from(v.as_slice()));
                         None
                     }
                 };
@@ -137,13 +178,13 @@ impl Engine {
                 self.push_access(&mut steps, rank, src_range, Some(dst), access);
                 InstrClass::Put
             }
-            Instr::Get { src, dst } => {
+            &Instr::Get { src, dst } => {
                 let op = op(OpKind::Get { src, dst });
                 let access = Step::GetData { op, src, dst };
                 self.push_access(&mut steps, rank, Some(src), Some(dst), access);
                 InstrClass::Get
             }
-            Instr::LocalRead { range } => {
+            &Instr::LocalRead { range } => {
                 let access = Step::LocalAccess {
                     op: op(OpKind::LocalRead { range }),
                     range,
@@ -153,7 +194,8 @@ impl Engine {
                 InstrClass::Local
             }
             Instr::LocalWrite { range, value } => {
-                data = Some(value);
+                let range = *range;
+                data = Some(Data::from(value.as_slice()));
                 let access = Step::LocalAccess {
                     op: op(OpKind::LocalWrite { range }),
                     range,
@@ -162,7 +204,7 @@ impl Engine {
                 self.push_access(&mut steps, rank, Some(range), None, access);
                 InstrClass::Local
             }
-            Instr::Atomic {
+            &Instr::Atomic {
                 target,
                 op: aop,
                 fetch_into,
@@ -176,15 +218,15 @@ impl Engine {
                 self.push_access(&mut steps, rank, Some(target), None, access);
                 InstrClass::Atomic
             }
-            Instr::Compute { ns } => {
+            &Instr::Compute { ns } => {
                 steps.push(Step::Compute(ns));
                 InstrClass::Local
             }
-            Instr::Lock { range } => {
+            &Instr::Lock { range } => {
                 steps.push(Step::ProgLock(range));
                 InstrClass::Lock
             }
-            Instr::Unlock { range } => {
+            &Instr::Unlock { range } => {
                 steps.push(Step::ProgUnlock(range));
                 InstrClass::Lock
             }
@@ -199,7 +241,7 @@ impl Engine {
             idx: 0,
             data,
             blocked: false,
-            det_locks: Vec::new(),
+            det_locks,
             started_at: self.now,
             class,
         })
@@ -225,39 +267,43 @@ impl Engine {
         let locks = if self.detection {
             Self::lock_ranges(a, b)
         } else {
-            Vec::new()
+            LockRanges::NONE
         };
-        let fused = matches!(locks[..], [r] if r.addr.rank != rank);
+        let locks = locks.as_slice();
+        let fused = matches!(locks, [r] if r.addr.rank != rank);
         if fused || locks.is_empty() {
             steps.push(access);
         } else {
-            steps.extend(locks.into_iter().map(Step::DetLock));
+            steps.extend(locks.iter().copied().map(Step::DetLock));
             steps.push(access);
             steps.push(Step::ReleaseDetLocks);
         }
     }
 
-    /// Public ranges an op must lock, canonical order, overlaps merged.
-    pub(super) fn lock_ranges(a: Option<MemRange>, b: Option<MemRange>) -> Vec<MemRange> {
-        let mut v: Vec<MemRange> = [a, b]
-            .into_iter()
-            .flatten()
-            .filter(|r| r.addr.segment == Segment::Public && r.len > 0)
-            .collect();
-        v.sort_by_key(|r| r.canonical_key());
-        // Merge overlapping ranges (same rank) so a plan never queues
-        // behind its own lock.
-        let mut out: Vec<MemRange> = Vec::new();
-        for r in v {
-            if let Some(last) = out.last_mut() {
-                if last.overlaps(&r) {
-                    let start = last.addr.offset.min(r.addr.offset);
-                    let end = last.end().max(r.end());
-                    *last = dsm::GlobalAddr::public(last.addr.rank, start).range(end - start);
-                    continue;
+    /// Public ranges an op must lock, canonical order (ties keep `a`
+    /// first), overlaps merged — so a plan never queues behind its own
+    /// lock.
+    pub(super) fn lock_ranges(a: Option<MemRange>, b: Option<MemRange>) -> LockRanges {
+        let public = |r: &MemRange| r.addr.segment == Segment::Public && r.len > 0;
+        let mut out = LockRanges::NONE;
+        match (a.filter(public), b.filter(public)) {
+            (None, None) => {}
+            (Some(r), None) | (None, Some(r)) => out.push(r),
+            (Some(a), Some(b)) => {
+                let (lo, hi) = if b.canonical_key() < a.canonical_key() {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                if lo.overlaps(&hi) {
+                    let start = lo.addr.offset.min(hi.addr.offset);
+                    let end = lo.end().max(hi.end());
+                    out.push(dsm::GlobalAddr::public(lo.addr.rank, start).range(end - start));
+                } else {
+                    out.push(lo);
+                    out.push(hi);
                 }
             }
-            out.push(r);
         }
         out
     }
@@ -329,7 +375,7 @@ impl Engine {
             }
             Step::PutData { op, src, dst } => {
                 // Materialise the data on the source side.
-                let data: Vec<u8> = match src {
+                let data = match src {
                     Some(r) => match self.memories[rank].read(&r, rank) {
                         Ok(d) => d,
                         Err(e) => {
@@ -370,7 +416,6 @@ impl Engine {
                         at_owner: false,
                     },
                 );
-                let data: Arc<[u8]> = Arc::from(data);
                 // Without detection puts are one-sided: the initiator
                 // injects the single data message (Fig 2) and proceeds.
                 // Under detection the put is Algorithm 1's critical
@@ -467,8 +512,8 @@ impl Engine {
                         );
                     }
                 } else {
-                    match self.memories[rank].read(&range, rank) {
-                        Ok(_) => {
+                    match self.memories[rank].check_access(&range, rank) {
+                        Ok(()) => {
                             self.observe(&op, &held);
                             self.trace.record_access(
                                 op.read_access_id(),
@@ -494,10 +539,15 @@ impl Engine {
                     clippy::expect_used,
                     reason = "scheduler invariant: detection-lock bookkeeping runs only under an active plan."
                 )]
-                let locks =
-                    std::mem::take(&mut self.procs[rank].plan.as_mut().expect("plan").det_locks);
-                for (owner, tok) in locks {
+                let plan = self.procs[rank].plan.as_mut().expect("plan");
+                let mut locks = std::mem::take(&mut plan.det_locks);
+                for &(owner, tok) in &locks {
                     self.release_lock(rank, owner, tok);
+                }
+                // Hand the emptied buffer back for the next plan.
+                locks.clear();
+                if let Some(plan) = self.procs[rank].plan.as_mut() {
+                    plan.det_locks = locks;
                 }
                 self.step_done(rank, 0);
             }
@@ -511,13 +561,21 @@ impl Engine {
         if let Some(plan) = self.procs[rank].plan.take() {
             let latency = self.now.since(plan.started_at);
             self.op_latencies.push((plan.class, latency));
+            let Plan {
+                mut steps,
+                mut det_locks,
+                ..
+            } = plan;
+            steps.clear();
+            det_locks.clear();
+            self.procs[rank].spare = Buffers { steps, det_locks };
         }
         self.procs[rank].pc += 1;
         self.wake(rank, self.now);
     }
 
     /// Move the plan's data bytes out for the step that ships them.
-    fn take_data(&mut self, rank: Rank) -> Vec<u8> {
+    fn take_data(&mut self, rank: Rank) -> Data {
         let plan = self.procs[rank].plan.as_mut();
         plan.and_then(|p| p.data.take()).unwrap_or_default()
     }

@@ -97,10 +97,10 @@ fn run_one(cfg: SimConfig, programs: Vec<Program>, seed: u64) -> SeedOutcome {
     let engine = Engine::new(cfg, programs);
     let result = engine.run();
     let oracle = Oracle::analyze(&result.trace);
-    let score = oracle.score(&result.deduped);
+    let score = oracle.score(result.deduped());
     SeedOutcome {
         seed,
-        reported_pairs: result.deduped.len(),
+        reported_pairs: result.deduped().len(),
         truth_pairs: oracle.truth().len(),
         score,
         virtual_ns: result.virtual_time.as_ns(),

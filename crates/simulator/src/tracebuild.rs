@@ -81,6 +81,15 @@ impl TraceBuilder {
         }
     }
 
+    /// A builder for `n` processes whose programs hold `instrs`
+    /// instructions between them: room for one access per instruction is
+    /// reserved up front, so the trace does not regrow on the way there.
+    pub fn with_capacity(n: usize, instrs: usize) -> Self {
+        let mut builder = TraceBuilder::new(n);
+        builder.trace.events.reserve(instrs);
+        builder
+    }
+
     /// Record an access applied to memory *now* (apply order = call order).
     pub fn record_access(&mut self, id: u64, process: Rank, kind: AccessKind, range: MemRange) {
         self.record_access_ext(id, process, kind, range, false);

@@ -180,7 +180,7 @@ fn a_fused_request_waits_for_a_program_lock_and_draws_no_report() {
             latency >= hold - 10_000,
             "{class:?} served before the unlock: {latency} ns"
         );
-        assert!(r.deduped.is_empty(), "{class:?}: {:?}", r.deduped);
+        assert!(r.deduped().is_empty(), "{class:?}: {:?}", r.deduped());
         assert_eq!(
             r.stats.msgs(OpClass::Lock),
             3,
@@ -252,7 +252,7 @@ fn fig3_deferral_holds_under_detection_and_the_lock_is_released_after() {
     assert_eq!(r.stats.msgs(OpClass::Clock), 2);
     assert_eq!(r.stats.msgs(OpClass::Lock), 0);
     // The put really does race with the get (a true WR race, reported).
-    assert!(!r.deduped.is_empty());
+    assert!(!r.deduped().is_empty());
 }
 
 // (v) ----------------------------------------------------------------------

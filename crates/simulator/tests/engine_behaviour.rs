@@ -116,9 +116,9 @@ fn fig4_dual_clock_is_silent_single_clock_reports_read_read() {
         w.programs.clone(),
     );
     assert!(
-        dual.deduped.is_empty(),
+        dual.deduped().is_empty(),
         "concurrent reads must not be flagged by the dual-clock detector: {:?}",
-        dual.deduped
+        dual.deduped()
     );
 
     let single = run(
@@ -126,7 +126,7 @@ fn fig4_dual_clock_is_silent_single_clock_reports_read_read() {
         w.programs,
     );
     let rr: Vec<_> = single
-        .deduped
+        .deduped()
         .iter()
         .filter(|r| r.class == RaceClass::ReadRead)
         .collect();
@@ -145,7 +145,7 @@ fn fig5a_write_write_race_detected_in_every_schedule() {
             w.programs.clone(),
         );
         let ww: Vec<_> = r
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class == RaceClass::WriteWrite)
             .collect();
@@ -168,9 +168,9 @@ fn fig5b_causal_chain_is_silent_and_oracle_agrees() {
             w.programs.clone(),
         );
         assert!(
-            r.deduped.is_empty(),
+            r.deduped().is_empty(),
             "seed {seed}: chain is causally ordered, got {:?}",
-            r.deduped
+            r.deduped()
         );
         let oracle = Oracle::analyze(&r.trace);
         assert!(oracle.truth().is_empty(), "oracle agrees: no true races");
@@ -187,7 +187,7 @@ fn fig5c_no_write_write_race_on_a_with_corrected_clocks() {
     let r = run(SimConfig::debugging(w.n), w.programs);
     let a_block = race_core::AreaKey::new(1, 0);
     let ww_on_a: Vec<_> = r
-        .deduped
+        .deduped()
         .iter()
         .filter(|x| x.class == RaceClass::WriteWrite && x.area == a_block)
         .collect();
@@ -203,7 +203,7 @@ fn fig5c_racy_variant_detects_the_ww_race() {
     let r = run(SimConfig::debugging(w.n), w.programs);
     let a_block = race_core::AreaKey::new(1, 0);
     assert!(
-        r.deduped
+        r.deduped()
             .iter()
             .any(|x| x.class == RaceClass::WriteWrite && x.area == a_block),
         "independent chain head makes m1 × m4 a real WW race"
@@ -215,9 +215,9 @@ fn locks_provide_mutual_exclusion_and_silence_detectors() {
     let w = master_worker::locked(3, 2);
     let r = run(SimConfig::debugging(w.n), w.programs);
     assert!(
-        r.deduped.is_empty(),
+        r.deduped().is_empty(),
         "lock-protected slot must not race: {:?}",
-        r.deduped
+        r.deduped()
     );
     let oracle = Oracle::analyze(&r.trace);
     assert!(oracle.truth().is_empty());
@@ -228,7 +228,7 @@ fn racy_master_worker_detected_and_not_fatal() {
     let w = master_worker::racy(4, 2);
     let r = run(SimConfig::debugging(w.n), w.programs);
     assert!(
-        !r.deduped.is_empty(),
+        !r.deduped().is_empty(),
         "the §IV-D intentional race is signalled"
     );
     // §IV-D: execution completed normally (run() already asserts no stuck
@@ -241,7 +241,7 @@ fn racy_master_worker_detected_and_not_fatal() {
 fn slotted_master_worker_is_race_free() {
     let w = master_worker::slotted(4, 2);
     let r = run(SimConfig::debugging(w.n), w.programs);
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
     assert!(Oracle::analyze(&r.trace).truth().is_empty());
 }
 
@@ -249,7 +249,7 @@ fn slotted_master_worker_is_race_free() {
 fn stencil_with_barrier_race_free_without_barrier_racy() {
     let sync = stencil::with_barrier(4, 4, 2);
     let r = run(SimConfig::debugging(sync.n), sync.programs);
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
 
     // Without barriers, some seed exhibits races.
     let racy = stencil::missing_barrier(4, 4, 2);
@@ -259,7 +259,7 @@ fn stencil_with_barrier_race_free_without_barrier_racy() {
             SimConfig::debugging(racy.n).with_seed(seed),
             racy.programs.clone(),
         );
-        if !r.deduped.is_empty() {
+        if !r.deduped().is_empty() {
             any = true;
             break;
         }
@@ -276,9 +276,9 @@ fn ring_pipeline_race_free_all_detectors_except_noise() {
             w.programs.clone(),
         );
         assert!(
-            r.deduped.is_empty(),
+            r.deduped().is_empty(),
             "{kind:?} must not report on the lock-ordered ring: {:?}",
-            r.deduped
+            r.deduped()
         );
     }
 }
@@ -287,7 +287,7 @@ fn ring_pipeline_race_free_all_detectors_except_noise() {
 fn onesided_reduction_computes_and_stays_silent() {
     let w = reduction::onesided(5);
     let r = run(SimConfig::debugging(w.n), w.programs);
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
     // Root fetched contributions 2..=5 into its private scratch.
     for rank in 1..5usize {
         let got = r.read_u64(GlobalAddr::private(0, 8 * rank).range(8));
@@ -308,7 +308,7 @@ fn random_locked_workload_is_race_free_for_oracle() {
         oracle.truth().is_empty(),
         "locked discipline orders everything"
     );
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
 }
 
 #[test]
@@ -328,7 +328,7 @@ fn dual_detector_sound_and_complete_on_random_workload() {
             w.programs.clone(),
         );
         let oracle = Oracle::analyze(&r.trace);
-        let pair_score = oracle.score(&r.deduped);
+        let pair_score = oracle.score(r.deduped());
         assert_eq!(
             pair_score.false_positives, 0,
             "seed {seed}: dual-clock must be sound (every report a true race)"
@@ -336,7 +336,7 @@ fn dual_detector_sound_and_complete_on_random_workload() {
         // Completeness is measured at *site* granularity: the detector's
         // per-process access histories report each racy (process pair,
         // word) at least once, not every historical pair on it.
-        let site_score = oracle.site_score(&r.deduped);
+        let site_score = oracle.site_score(r.deduped());
         assert_eq!(
             site_score.false_negatives, 0,
             "seed {seed}: dual-clock must cover every true race site"
@@ -388,7 +388,7 @@ fn vanilla_detector_never_reports_but_run_is_cheaper() {
         w.programs.clone(),
     );
     let dual = run(SimConfig::debugging(w.n), w.programs);
-    assert!(vanilla.deduped.is_empty());
+    assert!(vanilla.deduped().is_empty());
     assert!(vanilla.stats.total_msgs() < dual.stats.total_msgs());
     assert_eq!(vanilla.clock_memory_bytes, 0);
     assert!(dual.clock_memory_bytes > 0);
@@ -440,7 +440,7 @@ fn barrier_joins_all_ranks() {
         );
     }
     let r = run(SimConfig::debugging(n), programs);
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
     for rank in 0..n {
         assert_eq!(
             r.read_u64(GlobalAddr::private(rank, 0).range(8)),
@@ -597,4 +597,55 @@ fn atomic_on_a_range_that_is_not_one_word_is_an_error_not_a_panic() {
     assert_eq!(r.read_u64(own), 5, "own word unchanged");
     assert_eq!(r.read_u64(other), 7, "remote word unchanged");
     assert!(r.trace.events.iter().all(|a| !a.atomic), "nothing observed");
+}
+
+#[test]
+fn a_write_whose_data_differs_in_length_from_its_range_is_an_error_not_a_panic() {
+    // A put of 3 immediate bytes into an 8-byte word, a put from a 16-byte
+    // private source into an 8-byte word (remote, then the initiator's
+    // own), a 2-byte local write into an 8-byte word, and a get of an
+    // 8-byte word into a 16-byte range: each is refused where it would be
+    // applied, with a typed error naming both lengths.
+    // Nothing is written, and the initiator completes every instruction —
+    // under detection too, where a put waits for its owner.
+    let remote = GlobalAddr::public(1, 0).range(8);
+    let own = GlobalAddr::public(0, 8).range(8);
+    let wide = GlobalAddr::private(0, 0).range(16);
+    let after = GlobalAddr::public(1, 16).range(8);
+    for kind in [DetectorKind::Vanilla, DetectorKind::Dual] {
+        let programs = vec![
+            ProgramBuilder::new(0)
+                .put_imm(vec![1, 2, 3], remote)
+                .put(wide, remote)
+                .put(wide, own)
+                .local_write(own, vec![9, 9])
+                .get(remote, wide)
+                .put_u64(0xD0, after)
+                .build(),
+            Program::new(),
+        ];
+        let cfg = SimConfig::lockstep(2, 100).with_detector(kind);
+        let r = Engine::new(cfg, programs).run();
+        assert!(r.stuck.is_empty(), "{kind:?}: stuck {:?}", r.stuck);
+        assert_eq!(r.errors.len(), 5, "{kind:?}: {:?}", r.errors);
+        // Remote puts are applied when they arrive, after the local ones.
+        let with = |len: &str| r.errors.iter().filter(|e| e.contains(len)).count();
+        assert_eq!(with("(8 bytes long)"), 4, "{kind:?}: {:?}", r.errors);
+        assert_eq!(with("(16 bytes long)"), 1, "{kind:?}: {:?}", r.errors);
+        let lens = [
+            with(" 3 bytes"),
+            with("16 bytes w"),
+            with(" 2 bytes"),
+            with(" 8 bytes w"),
+        ];
+        assert_eq!(lens, [1, 2, 1, 1], "{kind:?}: {:?}", r.errors);
+        assert_eq!(r.read_u64(remote), 0, "{kind:?}: remote word unchanged");
+        assert_eq!(r.read_u64(own), 0, "{kind:?}: own word unchanged");
+        assert_eq!(r.read_u64(after), 0xD0, "{kind:?}: the initiator went on");
+        assert_eq!(r.op_latencies.len(), 6, "{kind:?}: every instruction ended");
+        assert!(
+            r.reports.is_empty(),
+            "{kind:?}: a refused write is not observed"
+        );
+    }
 }

@@ -27,8 +27,8 @@ fn main() {
     println!("  placement      : x replicated symmetrically; y round-robin");
     println!("  wire messages  : {}", result.stats.total_msgs());
     println!("  virtual time   : {}", result.virtual_time);
-    println!("  race reports   : {}", result.deduped.len());
-    assert!(result.deduped.is_empty());
+    println!("  race reports   : {}", result.deduped().len());
+    assert!(result.deduped().is_empty());
 
     println!("\n  y = A·x gathered at the root:");
     for (i, g) in mv.gathered.iter().enumerate() {
@@ -65,15 +65,15 @@ fn main() {
     let broken_run = Engine::new(SimConfig::debugging(n), broken).run();
     println!(
         "\n  same program without barriers: {} race reports (first: {})",
-        broken_run.deduped.len(),
+        broken_run.deduped().len(),
         broken_run
-            .deduped
+            .deduped()
             .first()
             .map(|r| r.signal_line())
             .unwrap_or_default()
     );
     assert!(
-        !broken_run.deduped.is_empty(),
+        !broken_run.deduped().is_empty(),
         "removing the barriers must surface races"
     );
 }

@@ -39,7 +39,7 @@ fn main() {
                 SimConfig::debugging(w.n).with_detector_config(DetectorConfig::new(kind, w.n));
             let result = Engine::new(cfg, w.programs.clone()).run();
             assert!(result.stuck.is_empty(), "races are never fatal");
-            let reports = result.deduped.len();
+            let reports = result.deduped().len();
             row.push_str(&format!(
                 " {:>12}",
                 if reports == 0 {

@@ -46,10 +46,10 @@ fn main() {
     // With detection enabled the same program stays silent (barrier orders
     // the gets after the contributions).
     let detected = Engine::new(SimConfig::debugging(n), w.programs).run();
-    assert!(detected.deduped.is_empty(), "{:?}", detected.deduped);
+    assert!(detected.deduped().is_empty(), "{:?}", detected.deduped());
     println!(
         "  race reports : {} (barrier-ordered)",
-        detected.deduped.len()
+        detected.deduped().len()
     );
 
     // ---- Part 2: on real threads (shmem backend) -----------------------

@@ -37,10 +37,10 @@ fn main() {
     println!();
 
     // §IV-D: races are signalled, never fatal.
-    for report in &result.deduped {
+    for report in result.deduped() {
         println!("{report}");
     }
-    assert_eq!(result.deduped.len(), 1, "exactly one write-write race");
+    assert_eq!(result.deduped().len(), 1, "exactly one write-write race");
     // The session's bounded aggregate (what a long-running service keeps):
     print!("{}", result.summary);
 
@@ -51,7 +51,7 @@ fn main() {
 
     // The offline oracle agrees with the online detector:
     let oracle = Oracle::analyze(&result.trace);
-    let score = oracle.score(&result.deduped);
+    let score = oracle.score(result.deduped());
     println!(
         "oracle check: precision {:.2}, recall {:.2}",
         score.precision(),

@@ -77,18 +77,18 @@ fn main() {
         )
         .run();
         let rr = r
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class == RaceClass::ReadRead)
             .count();
         println!(
             "shared coefficient reads under {:?}: {} reports ({} read-read)",
             kind,
-            r.deduped.len(),
+            r.deduped().len(),
             rr
         );
         match kind {
-            DetectorKind::Dual => assert_eq!(r.deduped.len(), 0),
+            DetectorKind::Dual => assert_eq!(r.deduped().len(), 0),
             _ => assert!(rr > 0, "single clock must flag the concurrent reads"),
         }
     }

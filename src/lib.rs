@@ -59,7 +59,7 @@
 //!     ProgramBuilder::new(2).put_u64(2, dst).build(),
 //! ];
 //! let result = Engine::new(SimConfig::debugging(3), programs).run();
-//! assert_eq!(result.deduped.len(), 1); // exactly one signalled race
+//! assert_eq!(result.deduped().len(), 1); // exactly one signalled race
 //! assert!(result.stuck.is_empty());    // and the program still completed
 //! ```
 

@@ -21,7 +21,7 @@ fn fig5a_parity() {
     ];
     let sim = Engine::new(SimConfig::debugging(3), programs).run();
     let sim_ww = sim
-        .deduped
+        .deduped()
         .iter()
         .filter(|r| r.class == RaceClass::WriteWrite)
         .count();
@@ -74,11 +74,11 @@ fn fig4_parity() {
 
         match kind {
             DetectorKind::Dual => {
-                assert!(sim.deduped.is_empty(), "{:?}", sim.deduped);
+                assert!(sim.deduped().is_empty(), "{:?}", sim.deduped());
                 assert!(thr.reports.is_empty(), "{:?}", thr.reports);
             }
             _ => {
-                assert!(sim.deduped.iter().any(|r| r.class == RaceClass::ReadRead));
+                assert!(sim.deduped().iter().any(|r| r.class == RaceClass::ReadRead));
                 assert!(thr.reports.iter().any(|r| r.class == RaceClass::ReadRead));
             }
         }
@@ -102,7 +102,7 @@ fn locked_updates_parity() {
         );
     }
     let sim = Engine::new(SimConfig::debugging(4), programs).run();
-    assert!(sim.deduped.is_empty(), "{:?}", sim.deduped);
+    assert!(sim.deduped().is_empty(), "{:?}", sim.deduped());
 
     let thr = shmem::run(ShmemConfig::new(4), |pe| {
         if pe.my_pe() != 0 {

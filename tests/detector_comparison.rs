@@ -16,8 +16,8 @@ fn run_with(
     let r = Engine::new(cfg, programs.to_vec()).run();
     assert!(r.stuck.is_empty());
     let oracle = Oracle::analyze(&r.trace);
-    let pairs = oracle.score(&r.deduped);
-    let sites = oracle.site_score(&r.deduped);
+    let pairs = oracle.score(r.deduped());
+    let sites = oracle.site_score(r.deduped());
     (r, pairs, sites)
 }
 
@@ -38,12 +38,12 @@ fn dual_clock_eliminates_read_read_false_positives() {
 
     assert_eq!(dual_pairs.false_positives, 0, "dual clock is sound");
     let dual_rr = dual
-        .deduped
+        .deduped()
         .iter()
         .filter(|r| r.class == RaceClass::ReadRead)
         .count();
     let single_rr = single
-        .deduped
+        .deduped()
         .iter()
         .filter(|r| r.class == RaceClass::ReadRead)
         .count();
@@ -75,8 +75,8 @@ fn pure_read_workload_has_no_true_races() {
     let (single, _, _) = run_with(DetectorKind::Single, &programs, n, 1);
     let oracle = Oracle::analyze(&dual.trace);
     assert!(oracle.truth().is_empty());
-    assert!(dual.deduped.is_empty());
-    assert!(!single.deduped.is_empty());
+    assert!(dual.deduped().is_empty());
+    assert!(!single.deduped().is_empty());
 }
 
 /// ABL-lit — the printed Algorithm 1 checks only the write clock on a put,
@@ -99,13 +99,15 @@ fn literal_mode_misses_write_after_read_races() {
     let (literal, _, lit_sites) = run_with(DetectorKind::Literal, &programs, 3, 1);
 
     assert!(
-        dual.deduped.iter().any(|r| r.class == RaceClass::ReadWrite),
+        dual.deduped()
+            .iter()
+            .any(|r| r.class == RaceClass::ReadWrite),
         "dual clock catches the WAR race"
     );
     assert_eq!(dual_sites.false_negatives, 0);
     assert!(
         !literal
-            .deduped
+            .deduped()
             .iter()
             .any(|r| r.class == RaceClass::ReadWrite && r.current.kind.is_write()),
         "literal mode cannot see the read when checking the put"
@@ -124,7 +126,7 @@ fn literal_mode_keeps_read_read_false_positives() {
     let (literal, _, _) = run_with(DetectorKind::Literal, &w.programs, w.n, 1);
     assert!(
         literal
-            .deduped
+            .deduped()
             .iter()
             .any(|r| r.class == RaceClass::ReadRead),
         "literal get compares against V: concurrent reads are flagged"
@@ -139,16 +141,16 @@ fn lockset_false_positives_on_barrier_synced_code() {
     let w = figures::fig4();
     let (lockset, _, _) = run_with(DetectorKind::Lockset, &w.programs, w.n, 1);
     assert!(
-        !lockset.deduped.is_empty(),
+        !lockset.deduped().is_empty(),
         "lockset cannot see the barrier ordering"
     );
 
     let ringw = ring::pipeline(4, 2);
     let (on_ring, _, _) = run_with(DetectorKind::Lockset, &ringw.programs, ringw.n, 1);
     assert!(
-        on_ring.deduped.is_empty(),
+        on_ring.deduped().is_empty(),
         "consistently locked ring satisfies the lockset discipline: {:?}",
-        on_ring.deduped
+        on_ring.deduped()
     );
 }
 
@@ -210,7 +212,7 @@ fn granularity_tradeoff_false_sharing_vs_memory() {
         let mut cfg = SimConfig::debugging(n);
         cfg.detector.granularity = gran;
         let r = Engine::new(cfg, programs.clone()).run();
-        results.push((gran.block_bytes(), r.deduped.len(), r.clock_memory_bytes));
+        results.push((gran.block_bytes(), r.deduped().len(), r.clock_memory_bytes));
     }
     let (word, page) = (results[0], results[1]);
     assert_eq!(word.1, 0, "word granularity: disjoint words do not race");

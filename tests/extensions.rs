@@ -25,7 +25,7 @@ fn atomic_counter_exact_and_silent() {
         (n * increments) as u64,
         "every increment applied exactly once"
     );
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
     let oracle = Oracle::analyze(&r.trace);
     assert!(oracle.truth().is_empty(), "atomic pairs are never races");
 }
@@ -77,9 +77,9 @@ fn atomic_vs_plain_write_detected() {
     ];
     let r = run(SimConfig::debugging(2), programs);
     assert!(
-        r.deduped.iter().any(|x| x.class.is_true_race()),
+        r.deduped().iter().any(|x| x.class.is_true_race()),
         "plain write vs atomic must race: {:?}",
-        r.deduped
+        r.deduped()
     );
     let oracle = Oracle::analyze(&r.trace);
     assert!(!oracle.truth().is_empty());
@@ -100,7 +100,7 @@ fn cas_election_single_winner() {
         );
     }
     let r = run(SimConfig::debugging(n), programs);
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
     let winner = r.read_u64(flag);
     assert!((1..=n as u64).contains(&winner));
     // Exactly one rank fetched 0 (the successful CAS).
@@ -138,7 +138,7 @@ fn matvec_correct_and_race_free() {
     for (n, dim) in [(2usize, 4usize), (3, 6), (4, 8)] {
         let mv = matvec::build(n, dim);
         let r = run(SimConfig::debugging(n), mv.workload.programs.clone());
-        assert!(r.deduped.is_empty(), "n={n} dim={dim}: {:?}", r.deduped);
+        assert!(r.deduped().is_empty(), "n={n} dim={dim}: {:?}", r.deduped());
         for (i, g) in mv.gathered.iter().enumerate() {
             assert_eq!(
                 r.read_u64(*g),
@@ -170,5 +170,5 @@ fn matvec_single_clock_false_positives() {
     // on different ranks (different areas), so no FPs arise. Assert the
     // precise behaviour: the single clock agrees with the dual clock on
     // this well-synchronised program.
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
 }

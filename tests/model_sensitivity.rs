@@ -35,7 +35,7 @@ fn fig5a_detected_on_every_topology() {
         cfg.topology = topo;
         let r = run(cfg, programs);
         assert_eq!(
-            r.deduped.len(),
+            r.deduped().len(),
             1,
             "{topo:?}: the WW race exists regardless of interconnect"
         );
@@ -52,7 +52,7 @@ fn fig5b_silent_on_every_topology() {
         let mut cfg = SimConfig::debugging(4);
         cfg.topology = topo;
         let r = run(cfg, programs);
-        assert!(r.deduped.is_empty(), "{topo:?}: {:?}", r.deduped);
+        assert!(r.deduped().is_empty(), "{topo:?}: {:?}", r.deduped());
     }
 }
 
@@ -79,9 +79,9 @@ fn latency_model_changes_time_not_verdicts() {
         times.push(r.virtual_time.as_ns());
         let oracle = Oracle::analyze(&r.trace);
         // Detector covers every site under every model.
-        let sites = oracle.site_score(&r.deduped);
+        let sites = oracle.site_score(r.deduped());
         assert_eq!(sites.false_negatives, 0, "{latency:?}");
-        assert_eq!(oracle.score(&r.deduped).false_positives, 0, "{latency:?}");
+        assert_eq!(oracle.score(r.deduped()).false_positives, 0, "{latency:?}");
         let mut sites: Vec<_> = oracle.truth_sites().into_iter().collect();
         sites.sort_unstable();
         truth_sites.push(sites);

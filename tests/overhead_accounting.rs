@@ -208,5 +208,5 @@ fn detection_machinery_does_not_race_with_itself() {
     let w = master_worker::slotted(6, 3);
     let r = Engine::new(SimConfig::debugging(w.n), w.programs).run();
     assert!(r.stats.msgs(OpClass::Clock) > 0, "machinery was active");
-    assert!(r.deduped.is_empty(), "{:?}", r.deduped);
+    assert!(r.deduped().is_empty(), "{:?}", r.deduped());
 }

@@ -109,14 +109,14 @@ fn fig3_delayed_put_semantics() {
 fn fig4_read_read_is_not_a_race() {
     let w = figures::fig4();
     let dual = run(SimConfig::debugging(w.n), w.programs.clone());
-    assert!(dual.deduped.is_empty(), "{:?}", dual.deduped);
+    assert!(dual.deduped().is_empty(), "{:?}", dual.deduped());
 
     let single = run(
         SimConfig::debugging(w.n).with_detector(DetectorKind::Single),
         w.programs,
     );
     assert!(single
-        .deduped
+        .deduped()
         .iter()
         .any(|r| r.class == RaceClass::ReadRead));
 }
@@ -127,8 +127,8 @@ fn fig4_read_read_is_not_a_race() {
 fn fig5a_clock_values_match_figure() {
     let w = figures::fig5a();
     let r = run(SimConfig::debugging(w.n), w.programs);
-    assert_eq!(r.deduped.len(), 1);
-    let rep = &r.deduped[0];
+    assert_eq!(r.deduped().len(), 1);
+    let rep = &r.deduped()[0];
     let clocks: Vec<String> = [
         rep.previous.as_ref().unwrap().clock().to_string(),
         rep.current.clock().to_string(),
@@ -153,7 +153,7 @@ fn fig5b_chain_is_race_free() {
             SimConfig::debugging(w.n).with_seed(seed),
             w.programs.clone(),
         );
-        assert!(r.deduped.is_empty(), "seed {seed}: {:?}", r.deduped);
+        assert!(r.deduped().is_empty(), "seed {seed}: {:?}", r.deduped());
         assert_eq!(r.read_u64(GlobalAddr::public(0, 0).range(8)), 7);
     }
 }
@@ -171,7 +171,7 @@ fn fig5c_strict_comparison_explains_the_papers_x() {
     let r = run(SimConfig::debugging(w.n), w.programs);
     let a_area = coherent_dsm::race_core::AreaKey::new(1, 0);
     assert!(
-        !r.deduped
+        !r.deduped()
             .iter()
             .any(|x| x.class == RaceClass::WriteWrite && x.area == a_area),
         "corrected semantics: m1 happens-before m4"

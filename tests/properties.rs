@@ -38,9 +38,9 @@ proptest! {
         });
         let r = run(SimConfig::debugging(n).with_seed(eseed), w.programs);
         let oracle = Oracle::analyze(&r.trace);
-        let pairs = oracle.score(&r.deduped);
+        let pairs = oracle.score(r.deduped());
         prop_assert_eq!(pairs.false_positives, 0, "soundness");
-        let sites = oracle.site_score(&r.deduped);
+        let sites = oracle.site_score(r.deduped());
         prop_assert_eq!(sites.false_negatives, 0, "site completeness");
         prop_assert_eq!(sites.false_positives, 0, "site soundness");
     }
@@ -66,7 +66,7 @@ proptest! {
                 SimConfig::debugging(n).with_detector(kind),
                 w.programs.clone(),
             );
-            prop_assert!(r.deduped.is_empty(), "{:?} reported {:?}", kind, r.deduped);
+            prop_assert!(r.deduped().is_empty(), "{:?} reported {:?}", kind, r.deduped());
         }
         let r = run(SimConfig::debugging(n), w.programs);
         let oracle = Oracle::analyze(&r.trace);
@@ -104,7 +104,7 @@ proptest! {
         let oracle = Oracle::analyze(&single.trace);
         // Every non-read-read report it makes is a true race pair.
         let true_class: Vec<_> = single
-            .deduped
+            .deduped()
             .iter()
             .filter(|x| x.class.is_true_race())
             .cloned()
@@ -135,7 +135,7 @@ proptest! {
         prop_assert_eq!(a.virtual_time, b.virtual_time);
         prop_assert_eq!(a.stats.total_msgs(), b.stats.total_msgs());
         prop_assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
-        prop_assert_eq!(a.deduped.len(), b.deduped.len());
+        prop_assert_eq!(a.deduped().len(), b.deduped().len());
         prop_assert_eq!(a.trace.events.len(), b.trace.events.len());
     }
 
@@ -156,7 +156,7 @@ proptest! {
             seed: wseed,
         });
         let r = run(SimConfig::debugging(n), w.programs);
-        for rep in &r.deduped {
+        for rep in r.deduped() {
             let prev = rep.previous.as_ref().expect("hb reports attribute");
             prop_assert!(rep.current.clock().concurrent_with(&prev.clock()));
         }
