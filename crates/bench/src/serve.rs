@@ -17,9 +17,9 @@ use std::time::Duration;
 use dsm::GlobalAddr;
 use dsm_service::frame::{read_frame, write_frame, ClientFrame, ServerFrame, WireEvent};
 use dsm_service::server::{outcome_histogram, ServeConfig, Server, SessionOutcome};
-use dsm_service::ServiceClient;
+use dsm_service::{RetryPolicy, ServiceClient};
 use race_core::api::SummarySink;
-use race_core::{DetectorConfig, DetectorKind, DsmOp, OpKind, RaceSummary, RetryPolicy};
+use race_core::{DetectorConfig, DetectorKind, DsmOp, OpKind, RaceSummary};
 
 use crate::opstream;
 

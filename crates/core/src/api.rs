@@ -16,9 +16,8 @@
 //!                           └ RaceSummary (bounded, O(areas) memory)
 //! ```
 //!
-//! * [`DetectorConfig`] — every knob that previously lived on a scattered
-//!   constructor (`HbDetector::new`, `StoreConfig`) in one serialisable
-//!   value. [`DetectorConfig::to_json`]
+//! * [`DetectorConfig`] — every knob of every detector in one
+//!   serialisable value. [`DetectorConfig::to_json`]
 //!   / [`DetectorConfig::from_json`] round-trip the exact configuration so
 //!   bench JSON rows and CI can record and replay it.
 //! * [`Session`] — owns the detector plus a pluggable [`ReportSink`] trait
@@ -55,7 +54,7 @@
 use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
 
-use crate::clockstore::{Granularity, StoreConfig};
+use crate::clockstore::Granularity;
 use crate::detector::{Detector, DetectorKind};
 use crate::event::{DsmOp, Event, LockId};
 use crate::hb::HbDetector;
@@ -483,8 +482,7 @@ impl ReportSink for Tee<'_> {
 /// use race_core::{DetectorKind, Granularity};
 ///
 /// let config = DetectorConfig::new(DetectorKind::Dual, 8)
-///     .with_granularity(Granularity::CACHE_LINE)
-///     .with_dense_blocks(1 << 12);
+///     .with_granularity(Granularity::CACHE_LINE);
 /// let reparsed = DetectorConfig::from_json(&config.to_json()).unwrap();
 /// assert_eq!(config, reparsed);
 /// ```
@@ -496,21 +494,16 @@ pub struct DetectorConfig {
     pub n: usize,
     /// Clock granularity (one `(V, W)` pair per block).
     pub granularity: Granularity,
-    /// Dense-prefix bound of the per-rank clock slabs
-    /// ([`StoreConfig::dense_blocks`]).
-    pub dense_blocks: usize,
 }
 
 impl DetectorConfig {
     /// A configuration for `kind` over `n` processes with the defaults
-    /// every scattered constructor used: WORD granularity and the default
-    /// slab layout.
+    /// every scattered constructor used: WORD granularity.
     pub fn new(kind: DetectorKind, n: usize) -> Self {
         DetectorConfig {
             kind,
             n,
             granularity: Granularity::WORD,
-            dense_blocks: StoreConfig::DEFAULT_DENSE_BLOCKS,
         }
     }
 
@@ -527,34 +520,16 @@ impl DetectorConfig {
         self
     }
 
-    /// Set the dense-prefix bound of the clock slabs.
-    pub fn with_dense_blocks(mut self, dense_blocks: usize) -> Self {
-        self.dense_blocks = dense_blocks;
-        self
-    }
-
-    /// The slab layout this config selects.
-    pub fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            dense_blocks: self.dense_blocks,
-        }
-    }
-
     /// Build the configured detector: an [`HbDetector`] in the kind's
     /// [`crate::hb::HbMode`] for the clock-based kinds, the lockset or
-    /// vanilla baseline otherwise (which ignore the slab layout).
+    /// vanilla baseline otherwise.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn build(&self) -> Box<dyn Detector> {
         assert!(self.n > 0, "at least one process");
         match self.kind.hb_mode() {
-            Some(mode) => Box::new(HbDetector::with_config(
-                self.n,
-                self.granularity,
-                mode,
-                self.store_config(),
-            )),
+            Some(mode) => Box::new(HbDetector::new(self.n, self.granularity, mode)),
             None if self.kind == DetectorKind::Lockset => Box::new(
                 crate::lockset::LocksetDetector::new(self.n, self.granularity),
             ),
@@ -585,11 +560,10 @@ impl DetectorConfig {
     /// producer in this workspace — no serialisation dependency.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"kind\":\"{}\",\"n\":{},\"granularity\":{},\"dense_blocks\":{}}}",
+            "{{\"kind\":\"{}\",\"n\":{},\"granularity\":{}}}",
             self.kind.label(),
             self.n,
             self.granularity.block_bytes(),
-            self.dense_blocks,
         )
     }
 
@@ -599,24 +573,22 @@ impl DetectorConfig {
     /// matrix clocks per session — where an unbounded `n` (4096 ⇒ 512 GiB)
     /// aborts the whole process on allocation failure, past any
     /// `catch_unwind`. The paper evaluates at ten processes (§V-A).
-    pub const MAX_N: usize = 128;
-
-    /// Largest dense-prefix bound [`DetectorConfig::from_json`] accepts:
-    /// the in-process default, so a parsed config may shrink the dense
-    /// slabs but never grow them. One access to block `b <
-    /// dense_blocks` resizes its rank's dense array to `b + 1` slots
-    /// ([`crate::ClockStore::history_mut`]), so the bound admits at most
-    /// `MAX_N × MAX_DENSE_BLOCKS × size_of::<Option<AreaHistory>>()` =
-    /// 128 × 65536 × 96 B = 768 MiB of slab, and only for a stream that
+    ///
+    /// It bounds the clock slabs too. One access to block `b` below the
+    /// store's fixed dense bound of 65536 blocks resizes its rank's dense
+    /// array to `b + 1` slots ([`crate::ClockStore::history_mut`]), so a
+    /// session holds at most `MAX_N × 65536 × size_of::<Option<AreaHistory>>()`
+    /// = 128 × 65536 × 96 B = 768 MiB of slab, and only for a stream that
     /// touches the top dense block of every rank; blocks at or above the
     /// bound cost one map entry each.
-    pub const MAX_DENSE_BLOCKS: usize = StoreConfig::DEFAULT_DENSE_BLOCKS;
+    pub const MAX_N: usize = 128;
 
     /// Inverse of [`DetectorConfig::to_json`]. Accepts any JSON object
-    /// carrying these four keys at its top level (whitespace-insensitive;
+    /// carrying these three keys at its top level (whitespace-insensitive;
     /// other keys and their values, nested or not, are ignored, which is
-    /// how configs written before the sharded pipeline was retired —
-    /// `"shards"`, `"pipeline"`, `"batch"` — still parse). A key given
+    /// how configs written before the sharded pipeline and the dense-prefix
+    /// setting were retired — `"shards"`, `"pipeline"`, `"batch"`,
+    /// `"dense_blocks"` — still parse, whatever those values are). A key given
     /// twice at the top level is an error naming it. Unknown kinds, malformed numbers and out-of-range values are
     /// reported, not panicked: this is the entry point for bytes from a
     /// socket or a checkpoint, so the parsed config is guaranteed safe to
@@ -638,18 +610,10 @@ impl DetectorConfig {
         if n > Self::MAX_N {
             return Err(format!("n {n} out of range 1..={}", Self::MAX_N));
         }
-        let dense_blocks = json_usize(&fields, "dense_blocks")?;
-        if dense_blocks > Self::MAX_DENSE_BLOCKS {
-            return Err(format!(
-                "dense_blocks {dense_blocks} out of range 0..={}",
-                Self::MAX_DENSE_BLOCKS
-            ));
-        }
         Ok(DetectorConfig {
             kind,
             n,
             granularity: Granularity::block(block_bytes),
-            dense_blocks,
         })
     }
 }
@@ -1205,9 +1169,7 @@ mod tests {
     #[test]
     fn json_round_trips_every_kind() {
         for kind in DetectorKind::ALL {
-            let config = DetectorConfig::new(kind, 6)
-                .with_granularity(Granularity::CACHE_LINE)
-                .with_dense_blocks(1 << 10);
+            let config = DetectorConfig::new(kind, 6).with_granularity(Granularity::CACHE_LINE);
             let json = config.to_json();
             let back =
                 DetectorConfig::from_json(&json).unwrap_or_else(|e| panic!("reparse {json}: {e}"));
@@ -1217,41 +1179,42 @@ mod tests {
 
     #[test]
     fn json_accepts_whitespace_and_rejects_garbage() {
-        let spaced = r#"{ "kind" : "dual-clock", "n" : 4, "granularity" : 8,
-                         "dense_blocks" : 16 }"#;
+        let spaced = r#"{ "kind" : "dual-clock", "n" : 4,
+                         "granularity" : 8 }"#;
         let c = DetectorConfig::from_json(spaced).expect("whitespace is fine");
         assert_eq!(c.kind, DetectorKind::Dual);
-        assert_eq!(c.dense_blocks, 16);
+        assert_eq!(c.n, 4);
         assert!(DetectorConfig::from_json("{}").is_err());
-        assert!(DetectorConfig::from_json(
-            r#"{"kind":"quantum","n":4,"granularity":8,"dense_blocks":16}"#
-        )
-        .is_err());
-        assert!(DetectorConfig::from_json(
-            r#"{"kind":"dual-clock","n":4,"granularity":7,"dense_blocks":16}"#
-        )
-        .is_err());
+        assert!(DetectorConfig::from_json(r#"{"kind":"quantum","n":4,"granularity":8}"#).is_err());
+        assert!(
+            DetectorConfig::from_json(r#"{"kind":"dual-clock","n":4,"granularity":7}"#).is_err()
+        );
     }
 
     #[test]
     fn json_from_before_the_pipeline_was_retired_parses_to_the_same_value() {
         // The seven-key shape `to_json` wrote while `shards`, `pipeline`
-        // and `batch` existed: the three extra keys are ignored, so old
-        // bench rows, CI literals and checkpoint blobs keep parsing.
-        let old = r#"{"kind":"dual-clock","n":4,"granularity":8,"shards":4,"pipeline":"threaded","dense_blocks":16,"batch":64}"#;
-        let new = r#"{"kind":"dual-clock","n":4,"granularity":8,"dense_blocks":16}"#;
-        let parsed = DetectorConfig::from_json(old).expect("old shape parses");
+        // and `batch` existed, and the four-key one of the `dense_blocks`
+        // era: the extra keys are ignored, so old bench rows, CI literals
+        // and checkpoint blobs keep parsing.
+        let seven = r#"{"kind":"dual-clock","n":4,"granularity":8,"shards":4,"pipeline":"threaded","dense_blocks":16,"batch":64}"#;
+        let four = r#"{"kind":"dual-clock","n":4,"granularity":8,"dense_blocks":16}"#;
+        let new = r#"{"kind":"dual-clock","n":4,"granularity":8}"#;
+        let parsed = DetectorConfig::from_json(seven).expect("old shape parses");
+        assert_eq!(parsed, DetectorConfig::from_json(four).expect("four keys"));
         assert_eq!(parsed, DetectorConfig::from_json(new).expect("new shape"));
         assert_eq!(
             parsed.to_json(),
             new,
-            "and re-encodes with exactly four keys"
+            "and re-encodes with exactly three keys"
         );
     }
 
     #[test]
     fn the_slot_size_in_the_max_dense_blocks_doc_is_current() {
-        // `MAX_DENSE_BLOCKS` documents its worst case in bytes per slot.
+        // `MAX_N` and `clockstore`'s dense bound document the dense slabs'
+        // worst case in bytes per slot (the doc `MAX_DENSE_BLOCKS` carried
+        // while the bound was a setting, hence the name).
         let slot = std::mem::size_of::<Option<crate::clockstore::AreaHistory>>();
         assert!(
             slot <= 96,

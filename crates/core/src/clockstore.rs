@@ -179,8 +179,8 @@ impl AreaHistory {
         AreaHistory::default()
     }
 
-    /// Record a write: drop superseded entries (those whose clock precedes
-    /// the new one), keep concurrent ones.
+    /// First half of recording a write whose clock is `row`: drop what it
+    /// supersedes, keep what is concurrent with it.
     ///
     /// Fast path: when the area's join precedes the new clock (an O(1)
     /// epoch test while ordered), *every* recorded entry is superseded and
@@ -189,24 +189,9 @@ impl AreaHistory {
     /// actor's fresh tick), so "keep the concurrent ones" and "drop
     /// everything ≤ new" are the same filter — and for the recorded
     /// *event* clocks that filter is [`AccessSummary::leq_row`].
-    pub fn record_write(&mut self, entry: AccessSummary) {
-        let row = entry.clock().into_owned();
-        let (v_le, w_le) = (self.v.leq(&row), self.w.leq(&row));
-        self.prune_for_write(&row, v_le, w_le, |_| {});
-        self.push(entry, &row);
-    }
-
-    /// Record a read (same fast path as [`AreaHistory::record_write`]).
-    pub fn record_read(&mut self, entry: AccessSummary) {
-        let row = entry.clock().into_owned();
-        let v_le = self.v.leq(&row);
-        self.prune_for_read(&row, v_le, |_| {});
-        self.push(entry, &row);
-    }
-
-    /// First half of recording a write whose clock is `row`: drop what it
-    /// supersedes. The guards `v ≤ row` / `w ≤ row` come from the caller,
-    /// which computes each exactly once per access and shares it between
+    ///
+    /// The guards `v ≤ row` / `w ≤ row` come from the caller, which
+    /// computes each exactly once per access and shares it between
     /// check, absorb and record. Crate-private: an inconsistent hint would
     /// corrupt the antichain invariant, and [`AreaHistory::push`] must
     /// follow.
@@ -293,52 +278,17 @@ impl AreaHistory {
         self.v
             .merge_into(dst, |e, dst| merge_event(&self.writes, &self.reads, e, dst));
     }
-
-    /// The write clock as a dense vector (tests / accounting; cold path).
-    pub fn w_vector(&self, n: usize) -> VectorClock {
-        let mut out = VectorClock::zero(n);
-        self.merge_w_into(&mut out);
-        out
-    }
-
-    /// The general clock as a dense vector (tests / accounting; cold path).
-    pub fn v_vector(&self, n: usize) -> VectorClock {
-        let mut out = VectorClock::zero(n);
-        self.merge_v_into(&mut out);
-        out
-    }
 }
 
-/// Tuning knobs for the per-rank slab layout of [`ClockStore`].
-///
-/// The detectors accept one of these on their `with_config` constructors;
-/// the plain constructors use [`StoreConfig::default`], which preserves the
-/// original hardcoded layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreConfig {
-    /// Blocks held in the direct-indexed dense prefix of each rank's slab.
-    /// Blocks at or above this index fall back to the spillover map, so
-    /// slab memory is bounded by `dense_blocks × sizeof(Option<AreaHistory>)`
-    /// per rank plus one map entry per actually-touched sparse area — never
-    /// by the highest touched block index. Lower it for segment-sparse
-    /// deployments (tiny dense arrays, more hashing); raise it when the
-    /// working set is dense and hashing must stay off the hot path.
-    pub dense_blocks: usize,
-}
-
-impl StoreConfig {
-    /// The default dense-prefix bound: 65536 blocks (offsets up to 512 KiB
-    /// at WORD granularity, ~7 MiB of slab per rank when fully touched).
-    pub const DEFAULT_DENSE_BLOCKS: usize = 1 << 16;
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            dense_blocks: Self::DEFAULT_DENSE_BLOCKS,
-        }
-    }
-}
+/// Blocks held in the direct-indexed dense prefix of each rank's slab:
+/// 65536 (offsets up to 512 KiB at WORD granularity). Blocks at or above
+/// it fall back to the spillover map, so a rank's slab never exceeds
+/// `DENSE_BLOCKS × size_of::<Option<AreaHistory>>()` = 65536 × 96 B =
+/// 6 MiB plus one map entry per touched sparse area — never a dense array
+/// spanning the highest touched block — and a whole store at most
+/// `DetectorConfig::MAX_N` times that. Nothing a config or a stream sends
+/// can move the bound.
+const DENSE_BLOCKS: usize = 1 << 16;
 
 /// The clock table for the whole global address space, from the omniscient
 /// simulator's point of view. (In a real deployment each rank's NIC holds
@@ -346,17 +296,15 @@ impl Default for StoreConfig {
 /// corresponding clock messages when an actor touches a remote area.)
 ///
 /// Storage is a flat per-rank slab indexed by block number — no hashing on
-/// the access path for the first [`StoreConfig::dense_blocks`] blocks of
-/// each segment, with a spillover map above that bound, so one word written
-/// at the end of a huge public segment costs one map entry, never a dense
-/// array spanning the whole segment.
+/// the access path for the first 65536 blocks of each segment, with a
+/// spillover map above that bound, so one word written at the end of a
+/// huge public segment costs one map entry, never a dense array spanning
+/// the whole segment.
 #[derive(Debug)]
 pub struct ClockStore {
     n: usize,
     granularity: Granularity,
     dual: bool,
-    /// Dense-prefix bound from the [`StoreConfig`].
-    dense_blocks: usize,
     /// One slab per owning rank.
     slabs: Vec<RankSlab>,
     /// Number of touched areas across all slabs.
@@ -372,8 +320,8 @@ struct RankSlab {
 }
 
 impl RankSlab {
-    fn get(&self, block: usize, dense_blocks: usize) -> Option<&AreaHistory> {
-        if block < dense_blocks {
+    fn get(&self, block: usize) -> Option<&AreaHistory> {
+        if block < DENSE_BLOCKS {
             self.dense.get(block)?.as_ref()
         } else {
             self.sparse.get(&block)
@@ -388,33 +336,14 @@ impl RankSlab {
 impl ClockStore {
     /// A store for `n` processes at `granularity`. `dual` selects whether a
     /// separate write clock is kept (§IV-D memory accounting: the dual
-    /// store costs exactly twice the single store). Uses the default
-    /// [`StoreConfig`]; see [`ClockStore::with_config`].
+    /// store costs exactly twice the single store).
     pub fn new(n: usize, granularity: Granularity, dual: bool) -> Self {
-        ClockStore::with_config(n, granularity, dual, StoreConfig::default())
-    }
-
-    /// [`ClockStore::new`] with an explicit slab layout configuration.
-    pub fn with_config(
-        n: usize,
-        granularity: Granularity,
-        dual: bool,
-        config: StoreConfig,
-    ) -> Self {
         ClockStore {
             n,
             granularity,
             dual,
-            dense_blocks: config.dense_blocks,
             slabs: (0..n).map(|_| RankSlab::default()).collect(),
             touched: 0,
-        }
-    }
-
-    /// The slab layout configuration this store was built with.
-    pub fn config(&self) -> StoreConfig {
-        StoreConfig {
-            dense_blocks: self.dense_blocks,
         }
     }
 
@@ -428,18 +357,6 @@ impl ClockStore {
         self.granularity
     }
 
-    /// Area keys covered by `range` (public segments only — private memory
-    /// is single-owner and cannot race, §IV-A).
-    ///
-    /// Allocates; the detector hot loop iterates
-    /// [`Granularity::blocks_of`] directly instead.
-    pub fn areas_for(&self, range: &MemRange) -> Vec<AreaKey> {
-        self.granularity
-            .blocks_of(range)
-            .map(|block| AreaKey::new(range.addr.rank, block))
-            .collect()
-    }
-
     /// The history for `key`, creating a zeroed one on first touch.
     #[inline]
     pub fn history_mut(&mut self, key: AreaKey) -> &mut AreaHistory {
@@ -447,7 +364,7 @@ impl ClockStore {
             self.slabs.resize_with(key.rank + 1, RankSlab::default);
         }
         let slab = &mut self.slabs[key.rank];
-        if key.block < self.dense_blocks {
+        if key.block < DENSE_BLOCKS {
             if key.block >= slab.dense.len() {
                 slab.dense.resize_with(key.block + 1, || None);
             }
@@ -475,7 +392,7 @@ impl ClockStore {
 
     /// Read-only history access.
     pub fn history(&self, key: &AreaKey) -> Option<&AreaHistory> {
-        self.slabs.get(key.rank)?.get(key.block, self.dense_blocks)
+        self.slabs.get(key.rank)?.get(key.block)
     }
 
     /// Number of areas that have been touched.
@@ -529,6 +446,44 @@ mod tests {
     use crate::event::AccessKind;
     use dsm::addr::GlobalAddr;
     use std::sync::Arc;
+
+    /// One-call recording and whole-vector views, for the tests alone:
+    /// the detector records through `prune_for_*` + `push`.
+    impl AreaHistory {
+        fn record_write(&mut self, entry: AccessSummary) {
+            let row = entry.clock().into_owned();
+            let (v_le, w_le) = (self.v.leq(&row), self.w.leq(&row));
+            self.prune_for_write(&row, v_le, w_le, |_| {});
+            self.push(entry, &row);
+        }
+
+        fn record_read(&mut self, entry: AccessSummary) {
+            let row = entry.clock().into_owned();
+            let v_le = self.v.leq(&row);
+            self.prune_for_read(&row, v_le, |_| {});
+            self.push(entry, &row);
+        }
+
+        fn w_vector(&self, n: usize) -> VectorClock {
+            let mut out = VectorClock::zero(n);
+            self.merge_w_into(&mut out);
+            out
+        }
+
+        fn v_vector(&self, n: usize) -> VectorClock {
+            let mut out = VectorClock::zero(n);
+            self.merge_v_into(&mut out);
+            out
+        }
+    }
+
+    /// The area keys `range` covers at `granularity`.
+    fn areas_for(granularity: Granularity, range: &MemRange) -> Vec<AreaKey> {
+        granularity
+            .blocks_of(range)
+            .map(|block| AreaKey::new(range.addr.rank, block))
+            .collect()
+    }
 
     /// The entry of a write known by its full clock.
     fn summary(id: u64, process: usize, clock: Vec<u64>) -> AccessSummary {
@@ -588,10 +543,9 @@ mod tests {
 
     #[test]
     fn areas_for_spanning_range() {
-        let store = ClockStore::new(2, Granularity::WORD, true);
         // 20 bytes starting at offset 4 touch words 0, 1, 2.
         let r = GlobalAddr::public(1, 4).range(20);
-        let areas = store.areas_for(&r);
+        let areas = areas_for(Granularity::WORD, &r);
         assert_eq!(
             areas,
             vec![AreaKey::new(1, 0), AreaKey::new(1, 1), AreaKey::new(1, 2)]
@@ -600,37 +554,33 @@ mod tests {
 
     #[test]
     fn private_ranges_have_no_areas() {
-        let store = ClockStore::new(2, Granularity::WORD, true);
         let r = GlobalAddr::private(0, 0).range(64);
-        assert!(store.areas_for(&r).is_empty());
+        assert!(areas_for(Granularity::WORD, &r).is_empty());
     }
 
     #[test]
     fn zero_len_has_no_areas() {
-        let store = ClockStore::new(2, Granularity::WORD, true);
-        assert!(store
-            .areas_for(&GlobalAddr::public(0, 8).range(0))
-            .is_empty());
+        assert!(areas_for(Granularity::WORD, &GlobalAddr::public(0, 8).range(0)).is_empty());
     }
 
     #[test]
     fn a_range_past_the_end_of_the_address_space_keeps_its_areas() {
         // offset + len wraps: the parent computed `end() - 1` and got the
         // empty range in release, an overflow panic in debug.
-        let store = ClockStore::new(2, Granularity::WORD, true);
         let r = GlobalAddr::public(1, usize::MAX - 3).range(8);
-        assert_eq!(store.areas_for(&r), vec![AreaKey::new(1, usize::MAX / 8)]);
+        assert_eq!(
+            areas_for(Granularity::WORD, &r),
+            vec![AreaKey::new(1, usize::MAX / 8)]
+        );
         let r = GlobalAddr::public(1, usize::MAX - 11).range(usize::MAX);
-        assert_eq!(store.areas_for(&r).len(), 2);
+        assert_eq!(areas_for(Granularity::WORD, &r).len(), 2);
     }
 
     #[test]
     fn coarser_granularity_fewer_areas() {
-        let fine = ClockStore::new(2, Granularity::WORD, true);
-        let coarse = ClockStore::new(2, Granularity::PAGE, true);
         let r = GlobalAddr::public(0, 0).range(4096);
-        assert_eq!(fine.areas_for(&r).len(), 512);
-        assert_eq!(coarse.areas_for(&r).len(), 1);
+        assert_eq!(areas_for(Granularity::WORD, &r).len(), 512);
+        assert_eq!(areas_for(Granularity::PAGE, &r).len(), 1);
     }
 
     #[test]
@@ -742,13 +692,12 @@ mod tests {
 
     #[test]
     fn configurable_dense_boundary_places_areas_correctly() {
-        // A tiny dense prefix: blocks 0..4 dense, 4.. spill to the map.
-        let cfg = StoreConfig { dense_blocks: 4 };
-        let mut s = ClockStore::with_config(2, Granularity::WORD, true, cfg);
-        assert_eq!(s.config(), cfg);
+        // Blocks 0..DENSE_BLOCKS are dense, the rest spill to the map.
         // Straddle the boundary: the last dense block, the first sparse
         // block, and one beyond.
-        for block in [3usize, 4, 5] {
+        let (last, first, next) = (DENSE_BLOCKS - 1, DENSE_BLOCKS, DENSE_BLOCKS + 1);
+        let mut s = ClockStore::new(2, Granularity::WORD, true);
+        for block in [last, first, next] {
             s.history_mut(AreaKey::new(0, block)).record_write(summary(
                 block as u64,
                 0,
@@ -756,25 +705,25 @@ mod tests {
             ));
         }
         assert_eq!(s.touched_areas(), 3);
-        assert_eq!(s.slabs[0].dense.len(), 4, "dense prefix capped at 4");
-        assert_eq!(s.slabs[0].sparse.len(), 2, "blocks 4 and 5 spilled");
+        assert_eq!(s.slabs[0].dense.len(), DENSE_BLOCKS, "dense prefix capped");
+        assert_eq!(
+            s.slabs[0].sparse.len(),
+            2,
+            "the two blocks above it spilled"
+        );
         // Reads resolve across the boundary identically.
-        for block in [3usize, 4, 5] {
+        for block in [last, first, next] {
             let h = s.history(&AreaKey::new(0, block)).expect("touched");
             assert_eq!(h.writes.len(), 1, "block {block}");
         }
-        assert!(s.history(&AreaKey::new(0, 6)).is_none());
+        assert!(s.history(&AreaKey::new(0, next + 1)).is_none());
         // Re-touching an area on either side never double-counts.
-        s.history_mut(AreaKey::new(0, 3));
-        s.history_mut(AreaKey::new(0, 4));
+        s.history_mut(AreaKey::new(0, last));
+        s.history_mut(AreaKey::new(0, first));
         assert_eq!(s.touched_areas(), 3);
-        // Accounting is layout-independent: the default layout holding the
-        // same areas reports identical clock memory.
-        let mut dflt = ClockStore::new(2, Granularity::WORD, true);
-        for block in [3usize, 4, 5] {
-            dflt.history_mut(AreaKey::new(0, block));
-        }
-        assert_eq!(s.clock_memory_bytes(), dflt.clock_memory_bytes());
+        // Accounting counts areas, wherever they live: three areas, two
+        // clocks of two words each.
+        assert_eq!(s.clock_memory_bytes(), 3 * 2 * 2 * 8);
     }
 
     #[test]

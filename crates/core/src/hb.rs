@@ -86,7 +86,7 @@ use dsm::addr::{MemRange, Segment};
 use vclock::{MatrixClock, VectorClock};
 
 use crate::api::ReportSink;
-use crate::clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
+use crate::clockstore::{AreaKey, ClockStore, Granularity};
 use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId};
 use crate::report::{RaceClass, RaceReport};
@@ -183,23 +183,11 @@ pub struct HbDetector {
 }
 
 impl HbDetector {
-    /// A detector for `n` processes at the given area granularity, with the
-    /// default clock-store layout.
+    /// A detector for `n` processes at the given area granularity.
     pub fn new(n: usize, granularity: Granularity, mode: HbMode) -> Self {
-        HbDetector::with_config(n, granularity, mode, StoreConfig::default())
-    }
-
-    /// [`HbDetector::new`] with an explicit [`StoreConfig`] (dense-prefix
-    /// spill threshold of the per-rank slabs).
-    pub fn with_config(
-        n: usize,
-        granularity: Granularity,
-        mode: HbMode,
-        store: StoreConfig,
-    ) -> Self {
         HbDetector {
             mode,
-            store: ClockStore::with_config(n, granularity, mode != HbMode::Single, store),
+            store: ClockStore::new(n, granularity, mode != HbMode::Single),
             clocks: (0..n).map(|i| MatrixClock::zero(i, n)).collect(),
             shared_rows: vec![None; n],
             lock_clocks: std::collections::HashMap::new(),

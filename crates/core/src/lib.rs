@@ -56,7 +56,6 @@
 pub mod api;
 pub mod clockstore;
 pub mod detector;
-pub mod error;
 pub mod event;
 pub mod hb;
 mod json;
@@ -71,9 +70,8 @@ pub mod vanilla;
 pub use api::{
     ChannelSink, CountingSink, DedupSink, DetectorConfig, ReportSink, Session, SummarySink, VecSink,
 };
-pub use clockstore::{AreaKey, ClockStore, Granularity, StoreConfig};
+pub use clockstore::{AreaKey, ClockStore, Granularity};
 pub use detector::{Detector, DetectorKind};
-pub use error::RetryPolicy;
 pub use event::{AccessKind, AccessList, AccessSummary, DsmOp, Event, LockId, OpKind};
 pub use hb::{HbDetector, HbMode};
 pub use lockset::LocksetDetector;

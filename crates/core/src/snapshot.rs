@@ -518,18 +518,12 @@ pub(crate) fn decode_hb(
         }
         lock_clocks.insert(lock, clock);
     }
-    let mut store = ClockStore::with_config(
-        n,
-        config.granularity,
-        mode != HbMode::Single,
-        config.store_config(),
-    );
+    let mut store = ClockStore::new(n, config.granularity, mode != HbMode::Single);
     let entries = r.u64("store entries")?;
     for _ in 0..entries {
         // The key sizes the slab (`history_mut` grows to `rank` slabs and,
-        // below the dense bound, to `block` slots), so it is checked
-        // against the store before it is used; `dense_blocks` itself was
-        // bounded by `DetectorConfig::from_json`.
+        // below the fixed dense bound, to `block` slots), so its rank is
+        // checked against the store before it is used.
         let rank = r.u32("area rank")? as Rank;
         if rank >= n {
             return Err(SnapshotError::Malformed { what: "area rank" });

@@ -229,11 +229,19 @@ fn journal_truncates_at_each_checkpoint() {
 // is shorter. SNAPSHOT_VERSION stays 1 because the decoder still reads the
 // old shape — `DetectorConfig::from_json` ignores keys it does not know —
 // which `a_checkpoint_with_the_seven_key_config_still_restores` pins.
+// It was regenerated again when `dense_blocks` became a constant of the
+// clock store: the config lost that key too. The blob of the four-key era
+// is kept beside it, byte for byte, as a second fixture.
 // ---------------------------------------------------------------------------
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/checkpoint_v1.bin"
+);
+
+const FOUR_KEY_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/checkpoint_v1_four_keys.bin"
 );
 
 fn golden_session() -> Session {
@@ -271,12 +279,10 @@ fn a_checkpoint_with_the_seven_key_config_still_restores() {
     // version byte, then the length-prefixed config JSON, then the rest).
     let golden = std::fs::read(GOLDEN_PATH).expect("golden blob committed");
     let new_json = config(DetectorKind::Dual).to_json();
-    let old_json = new_json
-        .replace(
-            ",\"dense_blocks\"",
-            ",\"shards\":4,\"pipeline\":\"threaded\",\"dense_blocks\"",
-        )
-        .replace('}', ",\"batch\":64}");
+    let old_json = new_json.replace(
+        '}',
+        ",\"shards\":4,\"pipeline\":\"threaded\",\"dense_blocks\":65536,\"batch\":64}",
+    );
     let rest = &golden[1 + 4 + new_json.len()..];
     let mut old = vec![golden[0]];
     old.extend_from_slice(&(old_json.len() as u32).to_le_bytes());
@@ -286,7 +292,22 @@ fn a_checkpoint_with_the_seven_key_config_still_restores() {
     assert_eq!(
         restored.checkpoint().expect("re-checkpoint"),
         golden,
-        "and re-checkpoints in the four-key shape, byte-identical to the golden blob"
+        "and re-checkpoints in the three-key shape, byte-identical to the golden blob"
+    );
+}
+
+#[test]
+fn a_checkpoint_with_the_four_key_config_restores_to_the_three_key_golden() {
+    // The golden blob as it was committed while `dense_blocks` was a
+    // setting: the same session, its config JSON one key longer.
+    let four = std::fs::read(FOUR_KEY_PATH).expect("four-key blob committed");
+    let golden = std::fs::read(GOLDEN_PATH).expect("golden blob committed");
+    assert_eq!(four[0], race_core::SNAPSHOT_VERSION);
+    let mut restored = Session::restore(&four, durable_sink()).expect("four-key blob restores");
+    assert_eq!(
+        restored.checkpoint().expect("re-checkpoint"),
+        golden,
+        "and re-checkpoints byte-identical to the three-key golden blob"
     );
 }
 

@@ -25,8 +25,8 @@ fn with_field(field: &str, value: &str) -> String {
 fn the_probe_edits_fields_correctly() {
     // Sanity-check the test helper itself: an edited-but-valid config
     // parses and carries the edit.
-    let c = DetectorConfig::from_json(&with_field("dense_blocks", "8")).unwrap();
-    assert_eq!(c.dense_blocks, 8);
+    let c = DetectorConfig::from_json(&with_field("n", "8")).unwrap();
+    assert_eq!(c.n, 8);
 }
 
 #[test]
@@ -92,31 +92,32 @@ fn process_count_out_of_range_rejected() {
 }
 
 #[test]
-fn dense_blocks_out_of_range_rejected() {
-    // One access to block b < dense_blocks resizes its rank's dense slab
-    // to b + 1 slots; an unbounded dense_blocks lets one put at a huge
-    // offset request terabytes. Must be a parse error.
-    for bad in ["65537", "18446744073709551615"] {
-        let err = DetectorConfig::from_json(&with_field("dense_blocks", bad)).unwrap_err();
-        assert!(err.contains("dense_blocks"), "dense_blocks {bad}: {err:?}");
-        assert!(err.contains("out of range"), "dense_blocks {bad}: {err:?}");
+fn a_four_key_config_parses_whatever_its_dense_blocks() {
+    // Hellos and checkpoints written while the dense-prefix bound was a
+    // setting carry a fourth key. It sizes nothing any more, so whatever
+    // it holds — even a value the old range check refused, or no number
+    // at all — the config is the three-key one.
+    let three = DetectorConfig::new(DetectorKind::Dual, 4);
+    for value in ["0", "65536", "18446744073709551615", "\"two\""] {
+        let json =
+            format!(r#"{{"kind":"dual-clock","n":4,"granularity":8,"dense_blocks":{value}}}"#);
+        let c = DetectorConfig::from_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        assert_eq!(c, three, "{json}");
+        assert_eq!(c.to_json(), three.to_json());
     }
-    let max = DetectorConfig::MAX_DENSE_BLOCKS.to_string();
-    assert!(DetectorConfig::from_json(&with_field("dense_blocks", &max)).is_ok());
-    assert!(DetectorConfig::from_json(&with_field("dense_blocks", "0")).is_ok());
 }
 
 #[test]
 fn a_config_at_both_bounds_survives_the_stream_that_used_to_abort() {
     // The hostile stream of the bug report — one put far out in the
-    // segment, one at the top of the dense prefix — against the largest
-    // config the parser admits.
+    // segment, one at the top of the clock store's fixed 65536-block dense
+    // prefix — against the largest process count the parser admits.
     use dsm::addr::GlobalAddr;
     use race_core::{DsmOp, OpKind};
     let max_n = DetectorConfig::MAX_N.to_string();
     let json = with_field("n", &max_n);
     let mut session = DetectorConfig::from_json(&json).unwrap().session();
-    let top_dense = (DetectorConfig::MAX_DENSE_BLOCKS - 1) * 8;
+    let top_dense = 65_535 * 8;
     for (op_id, offset) in [(0u64, 8usize << 36), (1, top_dense)] {
         session.observe(
             &DsmOp {
@@ -135,11 +136,7 @@ fn a_config_at_both_bounds_survives_the_stream_that_used_to_abort() {
 
 #[test]
 fn negative_and_non_numeric_numbers_are_field_errors() {
-    for (field, value) in [
-        ("n", "-1"),
-        ("dense_blocks", "\"two\""),
-        ("granularity", "1.5"),
-    ] {
+    for (field, value) in [("n", "-1"), ("n", "\"two\""), ("granularity", "1.5")] {
         let r = DetectorConfig::from_json(&with_field(field, value));
         assert!(r.is_err(), "{field}={value} accepted");
     }
@@ -148,13 +145,7 @@ fn negative_and_non_numeric_numbers_are_field_errors() {
 #[test]
 fn every_accepted_config_builds_without_panicking() {
     // The contract the validation exists for: Ok(config) ⇒ build() is safe.
-    for (field, value) in [
-        ("dense_blocks", "0"),
-        ("dense_blocks", "1024"),
-        ("n", "1"),
-        ("n", "128"),
-        ("granularity", "64"),
-    ] {
+    for (field, value) in [("n", "1"), ("n", "128"), ("granularity", "64")] {
         let c = DetectorConfig::from_json(&with_field(field, value)).unwrap();
         let _ = c.build();
     }
@@ -162,7 +153,7 @@ fn every_accepted_config_builds_without_panicking() {
 
 #[test]
 fn a_nested_key_never_shadows_a_top_level_one() {
-    let json = r#"{"meta":{"n":2},"kind":"dual-clock","n":4,"granularity":8,"dense_blocks":0}"#;
+    let json = r#"{"meta":{"n":2},"kind":"dual-clock","n":4,"granularity":8}"#;
     match DetectorConfig::from_json(json) {
         Ok(c) => assert_eq!(c.n, 4, "the nested n must not be read"),
         Err(e) => assert!(!e.is_empty()),
@@ -171,14 +162,14 @@ fn a_nested_key_never_shadows_a_top_level_one() {
 
 #[test]
 fn a_duplicated_top_level_key_is_an_error_naming_it() {
-    let json = r#"{"kind":"vanilla","n":4,"granularity":8,"dense_blocks":0,"kind":"dual-clock"}"#;
+    let json = r#"{"kind":"vanilla","n":4,"granularity":8,"kind":"dual-clock"}"#;
     let err = DetectorConfig::from_json(json).unwrap_err();
     assert!(err.contains("kind"), "message names the key: {err:?}");
 }
 
 #[test]
 fn a_string_value_that_spells_a_key_is_not_a_key() {
-    let json = r#"{"note":"n","kind":"dual-clock","n":4,"granularity":8,"dense_blocks":0}"#;
+    let json = r#"{"note":"n","kind":"dual-clock","n":4,"granularity":8}"#;
     let c = DetectorConfig::from_json(json).expect("a value is not a key");
     assert_eq!(c.n, 4);
     assert_eq!(c.kind, DetectorKind::Dual);

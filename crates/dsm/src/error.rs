@@ -34,6 +34,13 @@ pub enum DsmError {
         /// System size.
         n: usize,
     },
+    /// An address of one process handed to another process's memory.
+    NotOwner {
+        /// The rank the address names.
+        rank: Rank,
+        /// The rank whose memory was asked.
+        owner: Rank,
+    },
     /// Releasing a lock token that is not currently held.
     LockNotHeld {
         /// The stale or foreign token.
@@ -75,6 +82,9 @@ impl std::fmt::Display for DsmError {
                 write!(f, "process P{accessor} accessed private memory {addr}")
             }
             DsmError::BadRank { rank, n } => write!(f, "rank {rank} out of range (n={n})"),
+            DsmError::NotOwner { rank, owner } => {
+                write!(f, "an address of P{rank} is not in P{owner}'s memory")
+            }
             DsmError::LockNotHeld { token } => write!(f, "lock token {token} not held"),
             DsmError::HeapExhausted {
                 requested,
@@ -114,6 +124,9 @@ mod tests {
             addr: GlobalAddr::private(0, 8),
         };
         assert!(e.to_string().contains("P2"));
+
+        let e = DsmError::NotOwner { rank: 5, owner: 0 };
+        assert_eq!(e.to_string(), "an address of P5 is not in P0's memory");
     }
 
     #[test]

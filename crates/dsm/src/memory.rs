@@ -81,9 +81,9 @@ impl ProcessMemory {
     /// without touching the bytes.
     pub fn check_access(&self, range: &MemRange, accessor: Rank) -> Result<(), DsmError> {
         if range.addr.rank != self.rank {
-            return Err(DsmError::BadRank {
+            return Err(DsmError::NotOwner {
                 rank: range.addr.rank,
-                n: self.rank + 1,
+                owner: self.rank,
             });
         }
         if !range.addr.accessible_by(accessor) {
@@ -205,7 +205,7 @@ mod tests {
     fn wrong_rank_rejected() {
         let m = mem();
         let r = GlobalAddr::public(0, 0).range(4);
-        assert!(matches!(m.read(&r, 0), Err(DsmError::BadRank { .. })));
+        assert_eq!(m.read(&r, 0), Err(DsmError::NotOwner { rank: 0, owner: 1 }));
     }
 
     #[test]

@@ -289,13 +289,15 @@ pub enum ServerFrame {
         events: u64,
         /// Races reported so far.
         reports: u64,
-        /// Events shed by the slow-client policy so far.
+        /// Always 0: nothing is shed; goes with protocol v3 (ROADMAP
+        /// item 3).
         shed: u64,
     },
     /// Final frame of a session: the race summary as canonical JSON
-    /// (`RaceSummary::to_json`) plus the shed-event count.
+    /// (`RaceSummary::to_json`) plus the shed-event count (always 0).
     Summary {
-        /// Events shed by the slow-client policy.
+        /// Always 0: nothing is shed; goes with protocol v3 (ROADMAP
+        /// item 3).
         shed: u64,
         /// JSON-encoded `RaceSummary`.
         json: String,

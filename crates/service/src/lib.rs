@@ -69,9 +69,10 @@ pub mod client;
 pub mod frame;
 pub mod server;
 
-pub use client::{ClientError, ClientTimeouts, HealthLine, RemoteSummary, ServiceClient};
+pub use client::{
+    ClientError, ClientTimeouts, HealthLine, RemoteSummary, RetryPolicy, ServiceClient,
+};
 pub use frame::{ClientFrame, FrameError, ServerFrame, WireError, WireEvent, MAX_FRAME};
 pub use server::{
-    ServeConfig, Server, SessionOutcome, SessionRecord, ShutdownReport, SinkFactory,
-    SlowClientPolicy, StatsSnapshot,
+    ServeConfig, Server, SessionOutcome, SessionRecord, ShutdownReport, SinkFactory, StatsSnapshot,
 };

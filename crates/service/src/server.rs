@@ -21,9 +21,9 @@
 //!    time into one fixed buffer ([`TickedFrameReader`]) and the decoded
 //!    events reach the worker through a queue that never has more than
 //!    [`ServeConfig::queue_capacity`] of them in flight; when a client
-//!    outruns its session the [`SlowClientPolicy`] decides between
-//!    back-pressure ([`SlowClientPolicy::Block`]) and shedding with a
-//!    counted `shed` statistic. The completed-session ledger is bounded too
+//!    outruns its session the reader stops reading until the queue drains,
+//!    so TCP back-pressure slows that client alone and nothing is lost.
+//!    The completed-session ledger is bounded too
 //!    ([`ServeConfig::ledger_capacity`], FIFO eviction with a counter), as
 //!    are the journal (truncated at every checkpoint) and the registry of
 //!    connection threads (ended ones are joined at the next accept).
@@ -51,7 +51,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use race_core::api::{CountingSink, DetectorConfig, ReportSink, Session};
-use race_core::error::RetryPolicy;
 use race_core::summary::RaceSummary;
 
 use crate::frame::{
@@ -68,37 +67,21 @@ pub use reader::TickedFrameReader;
 /// how often the park reaper scans for expired sessions.
 const TICK: Duration = Duration::from_millis(25);
 
-/// What to do when a client produces events faster than its session absorbs
-/// them and the bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlowClientPolicy {
-    /// Stop reading from the socket until the queue drains — TCP back-
-    /// pressure propagates to the client. Nothing is lost; a slow session
-    /// slows only its own client.
-    #[default]
-    Block,
-    /// Retry briefly (the [`ServeConfig::retry`] backoff schedule), then
-    /// drop the event and count it. The session's final summary reports the
-    /// shed count and is marked degraded when any event was shed.
-    Shed,
-}
-
 /// Builds the per-session report sink. The summary returned to clients is
 /// the `Session`'s own bounded tee, so the sink choice changes what is
 /// *retained* server-side, never what the client receives.
 pub type SinkFactory = Arc<dyn Fn() -> Box<dyn ReportSink> + Send + Sync>;
 
-/// Server tuning knobs. `Default` is production-shaped: blocking back-
-/// pressure, 256-event queues, 30 s idle reaping, 30 s park TTL, a
-/// checkpoint every 1024 events and a 4096-record ledger.
+/// Server tuning knobs. `Default` is production-shaped: 256-event queues,
+/// 30 s idle reaping, 30 s park TTL, a checkpoint every 1024 events and a
+/// 4096-record ledger.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Bound of the per-session event queue: events in flight between the
     /// socket reader and the session worker — queued, or in the batch the
-    /// worker is applying. Zero is treated as one.
+    /// worker is applying. Zero is treated as one. A full queue stops the
+    /// socket reader until the worker drains it (TCP back-pressure).
     pub queue_capacity: usize,
-    /// Full-queue behaviour.
-    pub slow_policy: SlowClientPolicy,
     /// A session with no complete frame for this long is reaped (degraded).
     pub idle_timeout: Duration,
     /// How long a parked (disconnected mid-stream) session waits for its
@@ -113,9 +96,6 @@ pub struct ServeConfig {
     /// one would exceed it — mirroring the `DedupSink` bound. Zero is
     /// treated as one.
     pub ledger_capacity: usize,
-    /// Backoff schedule used by [`SlowClientPolicy::Shed`] before giving up
-    /// on an event.
-    pub retry: RetryPolicy,
     /// Fault-injection hook: the session worker panics when it observes
     /// this op id. Exercises the supervision + checkpoint-recovery path
     /// from tests and the chaos harness; `None` in production. The hook is
@@ -133,12 +113,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 256,
-            slow_policy: SlowClientPolicy::default(),
             idle_timeout: Duration::from_secs(30),
             park_ttl: Duration::from_secs(30),
             checkpoint_every: 1024,
             ledger_capacity: 4096,
-            retry: RetryPolicy::default(),
             panic_on_op_id: None,
             sink_factory: None,
         }
@@ -149,12 +127,10 @@ impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
             .field("queue_capacity", &self.queue_capacity)
-            .field("slow_policy", &self.slow_policy)
             .field("idle_timeout", &self.idle_timeout)
             .field("park_ttl", &self.park_ttl)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("ledger_capacity", &self.ledger_capacity)
-            .field("retry", &self.retry)
             .field("panic_on_op_id", &self.panic_on_op_id)
             .field("sink_factory", &self.sink_factory.as_ref().map(|_| "..."))
             .finish()
@@ -212,7 +188,7 @@ pub struct SessionRecord {
     pub degraded: bool,
     /// Events applied to the session (across every connection it spanned).
     pub events: u64,
-    /// Events shed by the slow-client policy.
+    /// Always 0: nothing is shed; goes with protocol v3 (ROADMAP item 3).
     pub shed: u64,
     /// The session's `RaceSummary` as canonical JSON — the same bytes the
     /// client received in its `Summary` frame (when one was sent).
@@ -233,7 +209,6 @@ struct ServerStats {
     poisoned: AtomicU64,
     panics_supervised: AtomicU64,
     frames_rejected: AtomicU64,
-    events_shed: AtomicU64,
     parked: AtomicU64,
     resumed: AtomicU64,
 }
@@ -259,7 +234,7 @@ pub struct StatsSnapshot {
     pub panics_supervised: u64,
     /// Frames rejected by the codec or the resume handshake.
     pub frames_rejected: u64,
-    /// Events shed under [`SlowClientPolicy::Shed`].
+    /// Always 0: nothing is shed; goes with protocol v3 (ROADMAP item 3).
     pub events_shed: u64,
     /// Sessions parked on a mid-stream disconnect (awaiting resume).
     pub parked: u64,
@@ -332,7 +307,6 @@ struct ParkedSession {
     session_id: u64,
     checkpoint: Vec<u8>,
     events: u64,
-    shed: u64,
     parked_at: Instant,
 }
 
@@ -469,7 +443,7 @@ impl Server {
             poisoned: s.poisoned.load(Ordering::Relaxed),
             panics_supervised: s.panics_supervised.load(Ordering::Relaxed),
             frames_rejected: s.frames_rejected.load(Ordering::Relaxed),
-            events_shed: s.events_shed.load(Ordering::Relaxed),
+            events_shed: 0,
             parked: s.parked.load(Ordering::Relaxed),
             resumed: s.resumed.load(Ordering::Relaxed),
         }
@@ -583,11 +557,7 @@ enum WorkerExit {
     /// The session ended; record it in the ledger.
     Ended(SessionRecord),
     /// The session parked: re-register it under the connection's token.
-    Parked {
-        checkpoint: Vec<u8>,
-        events: u64,
-        shed: u64,
-    },
+    Parked { checkpoint: Vec<u8>, events: u64 },
 }
 
 /// The first frame of a connection, validated.
@@ -598,6 +568,7 @@ enum Handshake {
 
 /// One connection, start to finish. Runs on the connection's reader thread;
 /// spawns (and joins) the session worker.
+// The reader/worker split stays on measurement: docs/SERVICE.md, "Burst hand-off".
 fn handle_connection(
     stream: TcpStream,
     conn_id: u64,
@@ -627,7 +598,7 @@ fn handle_connection(
         }
     };
 
-    let (session_id, token, start, shed0) = match handshake {
+    let (session_id, token, start) = match handshake {
         Handshake::Fresh(config) => {
             let token = mint_token(conn_id);
             send_frame(
@@ -637,7 +608,7 @@ fn handle_connection(
                     token,
                 },
             );
-            (conn_id, token, SessionStart::Fresh(config), 0u64)
+            (conn_id, token, SessionStart::Fresh(config))
         }
         Handshake::Resume {
             token,
@@ -678,23 +649,21 @@ fn handle_connection(
                 checkpoint: parked.checkpoint,
                 events: parked.events,
             };
-            (parked.session_id, token, start, parked.shed)
+            (parked.session_id, token, start)
         }
     };
 
     // --- Session worker. --------------------------------------------------
     let capacity = cfg.queue_capacity.max(1);
     let (tx, rx) = burst_channel::<Cmd>(capacity);
-    let shed = Arc::new(AtomicU64::new(shed0));
     let worker = {
         let cfg = Arc::clone(cfg);
-        let shed = Arc::clone(&shed);
         let stats = Arc::clone(stats);
         let worker_stream = match write_stream.try_clone() {
             Ok(s) => s,
             Err(_) => write_stream, // fall back to sharing; writes are framed
         };
-        std::thread::spawn(move || run_session(rx, worker_stream, start, cfg, shed, stats))
+        std::thread::spawn(move || run_session(rx, worker_stream, start, cfg, stats))
     };
 
     // --- Pump bursts until the stream ends one way or another. ------------
@@ -711,7 +680,7 @@ fn handle_connection(
             last_frame = Instant::now();
         }
         if end.is_none() {
-            if !forward(&tx, &mut burst, cfg, &shed, stats) {
+            if !forward(&tx, &mut burst) {
                 // Worker is gone (it died un-recoverably); record what the
                 // supervisor already counted and stop reading.
                 break;
@@ -744,7 +713,7 @@ fn handle_connection(
         }
         if let Some(reason) = end {
             burst.push_back(Cmd::End(reason));
-            let _ = forward(&tx, &mut burst, cfg, &shed, stats);
+            let _ = forward(&tx, &mut burst);
             break;
         }
     }
@@ -756,11 +725,7 @@ fn handle_connection(
             bump_outcome(stats, record.outcome);
             push_record(ledger, record);
         }
-        Ok(WorkerExit::Parked {
-            checkpoint,
-            events,
-            shed,
-        }) => {
+        Ok(WorkerExit::Parked { checkpoint, events }) => {
             stats.parked.fetch_add(1, Ordering::Relaxed);
             locked(registry, "park registry").insert(
                 token,
@@ -768,7 +733,6 @@ fn handle_connection(
                     session_id,
                     checkpoint,
                     events,
-                    shed,
                     parked_at: Instant::now(),
                 },
             );
@@ -905,43 +869,12 @@ fn decode_buffered(
     Some(EndReason::Poison(poison))
 }
 
-/// Hand a burst to the worker under the configured slow-client policy,
-/// leaving `burst` empty. Returns false when the worker is gone.
-fn forward(
-    tx: &BurstSender<Cmd>,
-    burst: &mut VecDeque<Cmd>,
-    cfg: &ServeConfig,
-    shed: &AtomicU64,
-    stats: &ServerStats,
-) -> bool {
+/// Hand a burst to the worker, waiting for room while the queue is full,
+/// and leave `burst` empty. Returns false when the worker is gone.
+fn forward(tx: &BurstSender<Cmd>, burst: &mut VecDeque<Cmd>) -> bool {
     while !burst.is_empty() {
-        // Only events are ever shed; `Block`, and `Ping`/`End` under either
-        // policy, wait for room.
-        let may_shed = cfg.slow_policy == SlowClientPolicy::Shed
-            && matches!(burst.front(), Some(Cmd::Event(_)));
-        match tx.send_some(burst, !may_shed) {
-            Err(_) => return false,
-            Ok(0) if may_shed => {}
-            Ok(_) => continue,
-        }
-        // The event at the head found the queue full: it gets its own
-        // retry schedule, then it is dropped and counted.
-        let mut placed = false;
-        for delay in cfg.retry.delays() {
-            std::thread::sleep(delay);
-            match tx.send_some(burst, false) {
-                Err(_) => return false,
-                Ok(0) => {}
-                Ok(_) => {
-                    placed = true;
-                    break;
-                }
-            }
-        }
-        if !placed {
-            burst.pop_front();
-            shed.fetch_add(1, Ordering::Relaxed);
-            stats.events_shed.fetch_add(1, Ordering::Relaxed);
+        if tx.send_some(burst).is_err() {
+            return false;
         }
     }
     true
@@ -974,7 +907,6 @@ fn run_session(
     stream: TcpStream,
     start: SessionStart,
     cfg: Arc<ServeConfig>,
-    shed: Arc<AtomicU64>,
     stats: Arc<ServerStats>,
 ) -> WorkerExit {
     let (mut session, mut events) = match start {
@@ -1007,7 +939,7 @@ fn run_session(
                     outcome: SessionOutcome::Poisoned,
                     degraded: true,
                     events,
-                    shed: shed.load(Ordering::Relaxed),
+                    shed: 0,
                     summary_json: RaceSummary {
                         degraded: true,
                         ..RaceSummary::default()
@@ -1087,7 +1019,7 @@ fn run_session(
                     degraded: summary.degraded || recovered.is_some(),
                     events,
                     reports: summary.total as u64,
-                    shed: shed.load(Ordering::Relaxed),
+                    shed: 0,
                 };
                 send_frame(&stream, &frame);
             }
@@ -1095,19 +1027,13 @@ fn run_session(
         }
     };
 
-    let shed_total = shed.load(Ordering::Relaxed);
-
     let (outcome, mut summary, error) = match end {
         // Park: checkpoint the whole session and hand it back for the
         // registry. If the checkpoint fails (it should not — flush precedes
         // encode) the session degrades to a terminal hangup record.
         EndReason::Park => match session.checkpoint() {
             Ok(checkpoint) => {
-                return WorkerExit::Parked {
-                    checkpoint,
-                    events,
-                    shed: shed_total,
-                };
+                return WorkerExit::Parked { checkpoint, events };
             }
             Err(e) => finish_session(
                 session,
@@ -1142,7 +1068,6 @@ fn run_session(
     };
 
     let degraded = summary.degraded
-        || shed_total > 0
         || recovered.is_some()
         || !matches!(outcome, SessionOutcome::Finished | SessionOutcome::Drained);
     summary.degraded = degraded;
@@ -1168,7 +1093,7 @@ fn run_session(
         send_frame(
             &stream,
             &ServerFrame::Summary {
-                shed: shed_total,
+                shed: 0,
                 json: summary_json.clone(),
             },
         );
@@ -1179,7 +1104,7 @@ fn run_session(
         outcome,
         degraded,
         events,
-        shed: shed_total,
+        shed: 0,
         summary_json,
         error,
     })
@@ -1263,7 +1188,7 @@ fn finalize_parked(parked: ParkedSession, stats: &ServerStats, ledger: &Ledger) 
             outcome: SessionOutcome::Hangup,
             degraded: true,
             events: parked.events,
-            shed: parked.shed,
+            shed: 0,
             summary_json,
             error: Some("client hung up mid-stream; parked session expired unresumed".into()),
         },

@@ -65,14 +65,10 @@ pub(super) fn burst_channel<T>(capacity: usize) -> (BurstSender<T>, BurstReceive
 
 impl<T> BurstSender<T> {
     /// Move the longest prefix of `pending` that fits into the queue, in
-    /// order, under one lock, waking the receiver at most once. With `wait`
-    /// and a full queue, blocks until at least one item fits. Returns how
-    /// many items moved.
-    pub(super) fn send_some(
-        &self,
-        pending: &mut VecDeque<T>,
-        wait: bool,
-    ) -> Result<usize, Disconnected> {
+    /// order, under one lock, waking the receiver at most once. With a full
+    /// queue, blocks until at least one item fits. Returns how many items
+    /// moved.
+    pub(super) fn send_some(&self, pending: &mut VecDeque<T>) -> Result<usize, Disconnected> {
         if pending.is_empty() {
             return Ok(0);
         }
@@ -85,7 +81,7 @@ impl<T> BurstSender<T> {
             let room = shared
                 .capacity
                 .saturating_sub(state.queue.len() + state.held);
-            if room > 0 || !wait {
+            if room > 0 {
                 let moved = room.min(pending.len());
                 state.queue.extend(pending.drain(..moved));
                 let wake = moved > 0 && std::mem::take(&mut state.receiver_waiting);
@@ -167,16 +163,14 @@ mod tests {
             let mut seen = Vec::new();
 
             // The receiver never comes: exactly `capacity` items fit.
-            assert_eq!(tx.send_some(&mut pending, false), Ok(capacity));
-            assert_eq!(tx.send_some(&mut pending, false), Ok(0));
+            assert_eq!(tx.send_some(&mut pending), Ok(capacity));
             assert_eq!(in_flight(&tx), capacity);
 
             // It takes a batch and stalls inside it: those items are still
-            // in flight, so nothing more fits.
+            // in flight.
             rx.recv_all(&mut batch).unwrap();
             assert_eq!(batch.len(), capacity);
             seen.extend(batch.iter().copied());
-            assert_eq!(tx.send_some(&mut pending, false), Ok(0));
             assert_eq!(in_flight(&tx), capacity);
 
             // Coming back for more is what frees the slots. A blocked
@@ -185,7 +179,7 @@ mod tests {
             let sender = std::thread::spawn(move || {
                 let mut peak = 0;
                 while !pending.is_empty() {
-                    tx.send_some(&mut pending, true).unwrap();
+                    tx.send_some(&mut pending).unwrap();
                     peak = peak.max(in_flight(&tx));
                 }
                 peak_tx.send(peak).unwrap();
@@ -204,7 +198,7 @@ mod tests {
     fn a_burst_that_fits_is_one_batch_in_order() {
         let (tx, mut rx) = burst_channel::<u32>(256);
         let mut pending: VecDeque<u32> = (0..200).collect();
-        assert_eq!(tx.send_some(&mut pending, true), Ok(200));
+        assert_eq!(tx.send_some(&mut pending), Ok(200));
         let mut batch = VecDeque::new();
         rx.recv_all(&mut batch).unwrap();
         assert_eq!(batch, (0..200).collect::<VecDeque<u32>>());
@@ -214,11 +208,11 @@ mod tests {
     fn dropping_the_receiver_unblocks_a_waiting_sender() {
         let (tx, rx) = burst_channel::<u32>(1);
         let mut pending: VecDeque<u32> = (0..2).collect();
-        assert_eq!(tx.send_some(&mut pending, true), Ok(1));
+        assert_eq!(tx.send_some(&mut pending), Ok(1));
         let (blocked_tx, blocked_rx) = mpsc::channel();
         let sender = std::thread::spawn(move || {
             blocked_tx.send(()).unwrap();
-            tx.send_some(&mut pending, true)
+            tx.send_some(&mut pending)
         });
         blocked_rx.recv().unwrap();
         drop(rx);
@@ -229,7 +223,7 @@ mod tests {
     fn dropping_the_sender_unblocks_the_receiver_after_the_backlog() {
         let (tx, mut rx) = burst_channel::<u32>(4);
         let mut pending: VecDeque<u32> = (0..3).collect();
-        assert_eq!(tx.send_some(&mut pending, true), Ok(3));
+        assert_eq!(tx.send_some(&mut pending), Ok(3));
         let (waiting_tx, waiting_rx) = mpsc::channel();
         let receiver = std::thread::spawn(move || {
             let mut batch = VecDeque::new();

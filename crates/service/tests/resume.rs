@@ -10,12 +10,11 @@ use std::time::Duration;
 use dsm::addr::GlobalAddr;
 use dsm_service::frame::WireEvent;
 use dsm_service::server::{ServeConfig, Server, SessionOutcome};
-use dsm_service::ServiceClient;
+use dsm_service::{RetryPolicy, ServiceClient};
 use race_core::api::{DetectorConfig, SummarySink};
 use race_core::clockstore::Granularity;
 use race_core::detector::DetectorKind;
 use race_core::event::{DsmOp, LockId, OpKind};
-use race_core::RetryPolicy;
 
 const N: usize = 4;
 

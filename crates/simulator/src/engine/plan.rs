@@ -4,7 +4,7 @@
 use dsm::addr::{MemRange, Segment};
 use dsm::proto::{AtomicOp, DetHeader, DsmPayload};
 use dsm::rdma::DeferredPut;
-use dsm::Data;
+use dsm::{Data, DsmError};
 use netsim::SimTime;
 use race_core::{AccessKind, DsmOp, OpKind};
 
@@ -110,6 +110,33 @@ impl LockRanges {
     }
 }
 
+/// The first rank outside `0..n` that a range of `instr` names.
+fn bad_rank(instr: &Instr, n: usize) -> Option<Rank> {
+    let ranges = match instr {
+        Instr::Put { src, dst } => {
+            let src = match src {
+                Src::Range(r) => Some(*r),
+                Src::Imm(_) => None,
+            };
+            [src, Some(*dst)]
+        }
+        Instr::Get { src, dst } => [Some(*src), Some(*dst)],
+        Instr::LocalRead { range }
+        | Instr::LocalWrite { range, .. }
+        | Instr::Lock { range }
+        | Instr::Unlock { range } => [Some(*range), None],
+        Instr::Atomic {
+            target, fetch_into, ..
+        } => [Some(*target), *fetch_into],
+        Instr::Compute { .. } | Instr::Barrier => [None, None],
+    };
+    ranges
+        .into_iter()
+        .flatten()
+        .map(|r| r.addr.rank)
+        .find(|&r| r >= n)
+}
+
 impl Engine {
     /// The detection header of `rank`'s data request on the remote `range`
     /// (`None` without detection). The owner takes the area lock unless the
@@ -155,6 +182,7 @@ impl Engine {
 
         let proc = &self.procs[rank];
         let instr = proc.program.get(proc.pc)?;
+        let bad_rank = bad_rank(instr, self.cfg.n);
         let mut data = None;
         let class = match instr {
             Instr::Put { src, dst } => {
@@ -235,6 +263,17 @@ impl Engine {
                 InstrClass::Barrier
             }
         };
+        if let Some(bad) = bad_rank {
+            // Refused before any step runs: nothing is sent, observed or
+            // written, and the initiator completes the instruction.
+            steps.clear();
+            data = None;
+            let e = DsmError::BadRank {
+                rank: bad,
+                n: self.cfg.n,
+            };
+            self.errors.push(format!("P{rank}: {e}"));
+        }
         steps.push(Step::Finish);
         Some(Plan {
             steps,

@@ -37,7 +37,6 @@ pub fn atomic(n: usize, increments: usize) -> Workload {
         name: format!("counter-atomic({n}p,{increments}i)"),
         n,
         programs,
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -66,7 +65,6 @@ pub fn locked(n: usize, increments: usize) -> Workload {
         name: format!("counter-locked({n}p,{increments}i)"),
         n,
         programs,
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -89,7 +87,6 @@ pub fn racy(n: usize, increments: usize) -> Workload {
         name: format!("counter-racy({n}p,{increments}i)"),
         n,
         programs,
-        races_expected: Some(n >= 2),
         truth: None,
     }
 }
@@ -102,7 +99,5 @@ mod tests {
     fn shapes() {
         assert_eq!(atomic(4, 3).programs.len(), 4);
         assert_eq!(atomic(4, 3).data_ops(), 4 * 3);
-        assert_eq!(locked(2, 2).races_expected, Some(false));
-        assert_eq!(racy(3, 1).races_expected, Some(true));
     }
 }

@@ -48,7 +48,6 @@ pub fn safe(n: usize, rounds: usize) -> Workload {
         name: format!("fanin-safe({n}p,{rounds}r)"),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(ScenarioTruth::race_free())
@@ -75,7 +74,6 @@ pub fn racy(n: usize, rounds: usize) -> Workload {
         name: format!("fanin-racy({n}p,{rounds}r)"),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(ScenarioTruth::always(vec![(0, 0)]))
@@ -88,10 +86,8 @@ mod tests {
     #[test]
     fn shapes_and_truth() {
         let s = safe(4, 2);
-        assert_eq!(s.races_expected, Some(false));
         assert!(s.truth.as_ref().unwrap().is_race_free());
         let r = racy(4, 2);
-        assert_eq!(r.races_expected, Some(true));
         assert_eq!(r.truth.unwrap().racy_sites, vec![(0, 0)]);
     }
 

@@ -49,7 +49,6 @@ pub fn safe(n: usize, rounds: usize) -> Workload {
         name: format!("fanout-safe({n}p,{rounds}r)"),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(ScenarioTruth::race_free())
@@ -82,7 +81,6 @@ pub fn racy(n: usize, rounds: usize) -> Workload {
         name: format!("fanout-racy({n}p,{rounds}r)"),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(ScenarioTruth::always((1..n).map(|w| (w, 0)).collect()))
@@ -96,10 +94,8 @@ mod tests {
     fn shapes_and_truth() {
         let s = safe(4, 2);
         assert_eq!(s.programs.len(), 4);
-        assert_eq!(s.races_expected, Some(false));
         assert!(s.truth.as_ref().unwrap().is_race_free());
         let r = racy(4, 2);
-        assert_eq!(r.races_expected, Some(true));
         let t = r.truth.unwrap();
         assert!(t.always_races());
         assert_eq!(t.racy_sites, vec![(1, 0), (2, 0), (3, 0)]);

@@ -45,7 +45,6 @@ pub fn fig1() -> Workload {
                 .put_u64(0xD2, b)
                 .build(),
         ],
-        races_expected: None,
         truth: None,
     }
 }
@@ -65,7 +64,6 @@ pub fn fig2() -> Workload {
                 .get(a, scratch(2, 0))
                 .build(),
         ],
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -93,7 +91,6 @@ pub fn fig3(block: usize) -> Workload {
                 .get(area, GlobalAddr::private(2, 0).range(block))
                 .build(),
         ],
-        races_expected: None, // WW vs R race exists; the story here is timing
         truth: None,
     }
 }
@@ -121,7 +118,6 @@ pub fn fig4() -> Workload {
                 .get(a, scratch(2, 0))
                 .build(),
         ],
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -138,7 +134,6 @@ pub fn fig5a() -> Workload {
             ProgramBuilder::new(1).build(),
             ProgramBuilder::new(2).put_u64(2, a).build(),
         ],
-        races_expected: Some(true),
         truth: None,
     }
 }
@@ -177,7 +172,6 @@ pub fn fig5b() -> Workload {
                 .put_u64(7, x)
                 .build(),
         ],
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -192,7 +186,7 @@ pub fn fig5b() -> Workload {
 /// under the printed strict `<` comparison of Algorithm 3 (see
 /// `vclock::literal_less` and experiment ABL-lit). The unsynchronised
 /// relay reads in the middle of the chain (`b`, `c`) do race with the puts
-/// that feed them, so `races_expected` is schedule-dependent (`None`); the
+/// that feed them, so whether the run races depends on the schedule; the
 /// FIG5c test asserts the precise property instead: zero WW reports on
 /// `a`'s area.
 pub fn fig5c() -> Workload {
@@ -216,7 +210,6 @@ pub fn fig5c() -> Workload {
                 .put_u64(4, a)
                 .build(),
         ],
-        races_expected: None,
         truth: None,
     }
 }
@@ -246,7 +239,6 @@ pub fn fig5c_racy() -> Workload {
                 .build(),
             ProgramBuilder::new(4).put_u64(2, b).build(),
         ],
-        races_expected: Some(true),
         truth: None,
     }
 }
@@ -264,6 +256,5 @@ mod tests {
         assert_eq!(fig5c().n, 4);
         assert_eq!(fig5c_racy().n, 5);
         assert!(fig3(4096).programs[2].data_ops() > 0);
-        assert_eq!(fig5b().races_expected, Some(false));
     }
 }

@@ -86,7 +86,6 @@ fn build(n: usize, items: usize, barriers: bool) -> Workload {
         ),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(truth)
@@ -113,10 +112,8 @@ mod tests {
     fn shapes_and_truth() {
         let s = safe(4, 2);
         assert_eq!(s.programs.len(), 4);
-        assert_eq!(s.races_expected, Some(false));
         assert_eq!(s.truth.as_ref().map(|t| t.grade), Some(RaceGrade::Never));
         let r = racy(4, 2);
-        assert_eq!(r.races_expected, None, "schedule-dependent");
         let t = r.truth.unwrap();
         assert_eq!(t.grade, RaceGrade::Sometimes);
         assert_eq!(t.racy_sites, vec![(1, 1), (1, 2), (3, 1), (3, 2)]);

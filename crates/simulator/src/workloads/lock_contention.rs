@@ -67,7 +67,6 @@ fn build(n: usize, rounds: usize, words: usize, locked: bool) -> Workload {
         ),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(truth)
@@ -93,9 +92,7 @@ mod tests {
     fn shapes_and_truth() {
         let s = safe(4, 2, 2);
         assert_eq!(s.programs.len(), 4);
-        assert_eq!(s.races_expected, Some(false));
         let r = racy(4, 2, 2);
-        assert_eq!(r.races_expected, None, "schedule-dependent (RMW absorb)");
         let t = r.truth.unwrap();
         assert_eq!(t.grade, super::super::RaceGrade::Sometimes);
         assert_eq!(t.racy_sites, vec![(0, 0), (0, 1)]);

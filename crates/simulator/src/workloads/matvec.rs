@@ -119,7 +119,6 @@ pub fn build(n: usize, dim: usize) -> MatVec {
             name: format!("matvec({n}p,{dim}d)"),
             n,
             programs,
-            races_expected: Some(false),
             truth: None,
         },
         y,

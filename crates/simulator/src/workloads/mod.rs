@@ -170,10 +170,6 @@ pub struct Workload {
     pub n: usize,
     /// One program per rank.
     pub programs: Vec<Program>,
-    /// Whether the scenario contains at least one true race in every
-    /// schedule (`Some(true)`), in no schedule (`Some(false)`), or
-    /// schedule-dependently (`None`). Used by integration tests.
-    pub races_expected: Option<bool>,
     /// Oracle-checkable ground truth, when the workload is a scenario-matrix
     /// fixture. `None` for legacy workloads that predate the matrix.
     pub truth: Option<ScenarioTruth>,
@@ -185,17 +181,8 @@ impl Workload {
         self.programs.iter().map(|p| p.data_ops()).sum()
     }
 
-    /// Attach a ground-truth annotation (also sets `races_expected` to the
-    /// matching coarse expectation: race-free ⇒ `Some(false)`, always ⇒
-    /// `Some(true)`, otherwise schedule-dependent).
+    /// Attach a ground-truth annotation.
     pub fn with_truth(mut self, truth: ScenarioTruth) -> Self {
-        self.races_expected = if truth.is_race_free() {
-            Some(false)
-        } else if truth.always_races() {
-            Some(true)
-        } else {
-            None
-        };
         self.truth = Some(truth);
         self
     }

@@ -72,7 +72,6 @@ fn build(n: usize, m: usize, barriers: bool) -> Workload {
         ),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(truth)

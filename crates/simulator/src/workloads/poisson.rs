@@ -70,7 +70,6 @@ fn build(n: usize, events: usize, mean_gap_ns: u64, seed: u64, shared: bool) -> 
         ),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(truth)

@@ -73,7 +73,6 @@ fn build(n: usize, items: usize, locked: bool) -> Workload {
         ),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(truth)
@@ -97,7 +96,6 @@ mod tests {
     fn shapes_and_truth() {
         let s = safe(4, 3);
         assert_eq!(s.programs.len(), 4);
-        assert_eq!(s.races_expected, Some(false));
         let t = racy(4, 3).truth.unwrap();
         assert!(t.always_races());
         assert_eq!(t.racy_sites, vec![(0, 0), (2, 0)]);

@@ -91,7 +91,6 @@ pub fn generate(spec: RandomSpec) -> Workload {
         ),
         n: spec.n,
         programs,
-        races_expected: if spec.locked { Some(false) } else { None },
         truth: None,
     }
 }
@@ -139,7 +138,6 @@ mod tests {
         });
         // lock + data + unlock + compute per op.
         assert_eq!(w.programs[0].len(), 4 * 4);
-        assert_eq!(w.races_expected, Some(false));
     }
 
     #[test]

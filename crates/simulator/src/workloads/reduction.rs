@@ -55,7 +55,6 @@ pub fn onesided(n: usize) -> Workload {
         name: format!("reduction-onesided({n}p)"),
         n,
         programs,
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -83,7 +82,6 @@ pub fn onesided_unsynced(n: usize) -> Workload {
         name: format!("reduction-unsynced({n}p)"),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
 }
@@ -102,7 +100,6 @@ pub fn push_racy(n: usize) -> Workload {
         name: format!("reduction-push-racy({n}p)"),
         n,
         programs,
-        races_expected: Some(n >= 2),
         truth: None,
     }
 }
@@ -116,8 +113,5 @@ mod tests {
         let w = onesided(4);
         assert_eq!(w.programs.len(), 4);
         assert_eq!(w.programs[0].data_ops(), 1 + 3, "own write + 3 gets");
-        assert_eq!(w.races_expected, Some(false));
-        assert!(onesided_unsynced(4).races_expected.is_none());
-        assert_eq!(push_racy(3).races_expected, Some(true));
     }
 }

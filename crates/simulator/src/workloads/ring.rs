@@ -50,7 +50,6 @@ pub fn pipeline(n: usize, laps: usize) -> Workload {
         name: format!("ring({n}p,{laps}laps)"),
         n,
         programs,
-        races_expected: Some(false),
         truth: None,
     }
 }
@@ -63,7 +62,6 @@ mod tests {
     fn shapes() {
         let w = pipeline(4, 2);
         assert_eq!(w.n, 4);
-        assert_eq!(w.races_expected, Some(false));
         // Rank 0 has the kick-off put plus 2 laps × (read + put).
         assert_eq!(w.programs[0].data_ops(), 1 + 2 * 2);
     }

@@ -100,7 +100,6 @@ fn build(n: usize, items: usize, barriers: bool) -> Workload {
         ),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
     .with_truth(truth)
@@ -126,9 +125,7 @@ mod tests {
     fn shapes_and_truth() {
         let s = safe(3, 2);
         assert_eq!(s.programs.len(), 3);
-        assert_eq!(s.races_expected, Some(false));
         let r = racy(6, 2);
-        assert_eq!(r.races_expected, None, "schedule-dependent");
         let t = r.truth.unwrap();
         assert_eq!(t.grade, RaceGrade::Sometimes);
         assert_eq!(t.racy_sites, vec![(2, 1), (2, 2), (5, 1), (5, 2)]);

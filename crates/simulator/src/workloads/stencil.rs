@@ -70,7 +70,6 @@ fn build(n: usize, cells: usize, iters: usize, barrier: bool) -> Workload {
         ),
         n,
         programs,
-        races_expected: if barrier { Some(false) } else { None },
         truth: None,
     }
 }
@@ -94,8 +93,6 @@ mod tests {
         let w = with_barrier(4, 4, 2);
         assert_eq!(w.n, 4);
         assert_eq!(w.programs.len(), 4);
-        assert_eq!(w.races_expected, Some(false));
-        assert!(missing_barrier(3, 2, 1).races_expected.is_none());
     }
 
     #[test]

@@ -649,3 +649,39 @@ fn a_write_whose_data_differs_in_length_from_its_range_is_an_error_not_a_panic()
         );
     }
 }
+
+#[test]
+fn an_op_on_a_rank_outside_the_run_is_an_error_not_a_panic() {
+    // A put, a get, an atomic, a lock and a local write, each naming rank
+    // 5 of a 2-rank run: each is refused when its plan is built, with an
+    // error naming the rank and the run's true size. Nothing is sent,
+    // observed or written, and the initiator completes every instruction —
+    // under detection too.
+    let far = GlobalAddr::public(5, 0).range(8);
+    let mine = GlobalAddr::private(0, 0).range(8);
+    let after = GlobalAddr::public(1, 16).range(8);
+    for kind in [DetectorKind::Vanilla, DetectorKind::Dual] {
+        let programs = vec![
+            ProgramBuilder::new(0)
+                .put_u64(1, far)
+                .get(far, mine)
+                .fetch_add(far, 1, None)
+                .lock(far)
+                .local_write_u64(far, 2)
+                .put_u64(0xD0, after)
+                .build(),
+            Program::new(),
+        ];
+        let cfg = SimConfig::lockstep(2, 100).with_detector(kind);
+        let r = Engine::new(cfg, programs).run();
+        assert!(r.stuck.is_empty(), "{kind:?}: stuck {:?}", r.stuck);
+        assert_eq!(
+            r.errors,
+            vec!["P0: rank 5 out of range (n=2)"; 5],
+            "{kind:?}"
+        );
+        assert_eq!(r.read_u64(after), 0xD0, "{kind:?}: the initiator went on");
+        assert_eq!(r.op_latencies.len(), 6, "{kind:?}: every instruction ended");
+        assert!(r.reports.is_empty(), "{kind:?}: nothing observed");
+    }
+}

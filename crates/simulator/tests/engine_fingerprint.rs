@@ -104,7 +104,6 @@ fn two_area(n: usize) -> Workload {
         name: "two-area".into(),
         n,
         programs,
-        races_expected: None,
         truth: None,
     }
 }
