@@ -211,8 +211,8 @@ struct Graph {
 }
 
 fn lock_id(range: &MemRange) -> LockId {
-    // The engine keys program locks by (owner rank, offset) — see
-    // `Proc::held_lock_ids`.
+    // The engine keys program locks by (owner rank, offset) — see its
+    // lock grant (`took_lock`) and `Unlock` step.
     (range.addr.rank, range.addr.offset)
 }
 

@@ -187,16 +187,12 @@ pub fn fig5() -> Table {
         let clocks = r
             .deduped()
             .first()
-            .and_then(|rep| rep.previous.as_ref().map(|prev| (prev, &rep.current)));
-        rows.push(match clocks {
-            Some((prev, cur)) => format!(
-                "5a concurrent puts     : {} race ({} × {})",
-                r.deduped().len(),
-                prev.clock(),
-                cur.clock()
-            ),
-            None => format!("5a concurrent puts     : {} race", r.deduped().len()),
-        });
+            .map(|rep| format!(" ({} × {})", rep.previous.clock(), rep.current.clock()))
+            .unwrap_or_default();
+        rows.push(format!(
+            "5a concurrent puts     : {} race{clocks}",
+            r.deduped().len()
+        ));
     }
     {
         let w = figures::fig5b();

@@ -177,12 +177,12 @@ mod tests {
         sink: &mut dyn ReportSink,
         events: &[Event],
     ) -> usize {
-        events.iter().map(|e| d.apply(e, &[], sink)).sum()
+        events.iter().map(|e| d.apply(e, sink)).sum()
     }
 
     /// Total reports of `events` through a session.
     fn session_reports(session: &mut Session, events: &[Event]) -> usize {
-        events.iter().map(|e| session.apply(e, &[])).sum()
+        events.iter().map(|e| session.apply(e)).sum()
     }
 
     #[test]

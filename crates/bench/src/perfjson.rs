@@ -26,7 +26,7 @@ pub fn config_roundtrip(config: &DetectorConfig) -> Result<(usize, u64), String>
     let run = |c: &DetectorConfig| -> Vec<race_core::RaceReport> {
         let mut session = c.session();
         for ev in &events {
-            session.apply(ev, &[]);
+            session.apply(ev);
         }
         let (_, sink) = session.finish();
         sink.reports().to_vec()

@@ -70,7 +70,7 @@ fn client_events(index: usize, seed: u64) -> Vec<WireEvent> {
 pub fn in_process_summary_json(config: &DetectorConfig, events: &[WireEvent]) -> String {
     let mut session = config.session_with(Box::new(SummarySink::default()));
     for ev in events {
-        session.apply(ev, &[]);
+        session.apply(ev);
     }
     session.finish().0.to_json()
 }

@@ -139,7 +139,7 @@ fn assert_report_views_agree(result: &simulator::RunResult, at: &str) {
     let firsts: Vec<_> = result
         .reports
         .iter()
-        .filter(|r| seen.insert(r.dedup_key()))
+        .filter(|r| seen.insert(r.pair()))
         .cloned()
         .collect();
     assert_eq!(
@@ -157,8 +157,7 @@ fn run_results_keep_their_report_views_consistent() {
     use simulator::{Engine, SimConfig};
 
     // The BENCH_0005 corpus: every scenario on every network model, under
-    // every detector kind (lockset reports are unattributed, vanilla has
-    // none).
+    // every detector kind (vanilla has no reports).
     let mut reports_seen = 0;
     for w in scenario_matrix() {
         for net in dsm_bench::scenarios::net_matrix() {

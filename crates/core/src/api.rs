@@ -369,13 +369,13 @@ impl DedupSink {
 
 impl ReportSink for DedupSink {
     fn on_report(&mut self, report: &RaceReport) {
-        if self.remember(report.dedup_key()) {
+        if self.remember(report.pair()) {
             self.inner.on_report(report);
         }
     }
 
     fn accept(&mut self, report: RaceReport) {
-        if self.remember(report.dedup_key()) {
+        if self.remember(report.pair()) {
             self.inner.accept(report);
         }
     }
@@ -521,8 +521,8 @@ impl DetectorConfig {
     }
 
     /// Build the configured detector: an [`HbDetector`] in the kind's
-    /// [`crate::hb::HbMode`] for the clock-based kinds, the lockset or
-    /// vanilla baseline otherwise.
+    /// [`crate::hb::HbMode`] for the clock-based kinds, the vanilla
+    /// baseline otherwise.
     ///
     /// # Panics
     /// Panics if `n == 0`.
@@ -530,9 +530,6 @@ impl DetectorConfig {
         assert!(self.n > 0, "at least one process");
         match self.kind.hb_mode() {
             Some(mode) => Box::new(HbDetector::new(self.n, self.granularity, mode)),
-            None if self.kind == DetectorKind::Lockset => Box::new(
-                crate::lockset::LocksetDetector::new(self.n, self.granularity),
-            ),
             None => Box::new(crate::vanilla::VanillaDetector::new()),
         }
     }
@@ -660,11 +657,10 @@ pub struct Session {
     /// Events applied over the session's whole lifetime (ops + sync
     /// events) — the resume watermark persisted by every checkpoint.
     events: u64,
-    /// Replay journal of events since the last checkpoint, each with the
-    /// program locks its actor held (empty for sync events). `None` until
+    /// Replay journal of events since the last checkpoint. `None` until
     /// the first [`Session::checkpoint`] (or [`Session::enable_journal`]):
     /// sessions that never checkpoint pay nothing for durability.
-    journal: Option<Vec<(Event, Vec<LockId>)>>,
+    journal: Option<Vec<Event>>,
 }
 
 impl Session {
@@ -703,13 +699,15 @@ impl Session {
     /// Observe one operation: reports stream into the sink (and the running
     /// summary); returns how many this op triggered. The no-race path costs
     /// exactly what the bare detector costs — the sink is only consulted
-    /// when a report exists.
+    /// when a report exists. `held_locks` is ignored, as in
+    /// [`Detector::observe_sink`]; it goes with the next change to the
+    /// `benchmark` crate, which still passes `&[]` (ROADMAP item 3).
     pub fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
         // Journal-before-apply: if the detector dies mid-apply, the journal
         // still names the event, so `restore(checkpoint)` + `apply` over the
         // journal applies it exactly once.
         if let Some(journal) = &mut self.journal {
-            journal.push((Event::Op(*op), held_locks.to_vec()));
+            journal.push(Event::Op(*op));
         }
         self.events += 1;
         self.detector.observe_sink(
@@ -726,13 +724,13 @@ impl Session {
     /// per-access API the shmem runtime exposes). Each report reaches the
     /// session sink exactly once — the copies come from a temporary
     /// [`VecSink`], not from re-observing.
-    pub fn observe_collect(&mut self, op: &DsmOp, held_locks: &[LockId]) -> Vec<RaceReport> {
+    pub fn observe_collect(&mut self, op: &DsmOp) -> Vec<RaceReport> {
         if let Some(journal) = &mut self.journal {
-            journal.push((Event::Op(*op), held_locks.to_vec()));
+            journal.push(Event::Op(*op));
         }
         self.events += 1;
         let mut tmp = VecSink::new();
-        self.detector.observe_sink(op, held_locks, &mut tmp);
+        self.detector.observe_sink(op, &[], &mut tmp);
         let collected = tmp.into_reports();
         self.summary.add_all(&collected);
         for report in &collected {
@@ -744,7 +742,7 @@ impl Session {
     /// `rank` released program lock `lock` (the release carries its clock).
     pub fn on_release(&mut self, rank: usize, lock: LockId) {
         if let Some(journal) = &mut self.journal {
-            journal.push((Event::Release { rank, lock }, Vec::new()));
+            journal.push(Event::Release { rank, lock });
         }
         self.events += 1;
         self.detector.on_release(rank, lock);
@@ -753,7 +751,7 @@ impl Session {
     /// `rank` acquired program lock `lock` (the grant carries the clock).
     pub fn on_acquire(&mut self, rank: usize, lock: LockId) {
         if let Some(journal) = &mut self.journal {
-            journal.push((Event::Acquire { rank, lock }, Vec::new()));
+            journal.push(Event::Acquire { rank, lock });
         }
         self.events += 1;
         self.detector.on_acquire(rank, lock);
@@ -762,7 +760,7 @@ impl Session {
     /// A barrier completed among all ranks.
     pub fn on_barrier(&mut self) {
         if let Some(journal) = &mut self.journal {
-            journal.push((Event::Barrier, Vec::new()));
+            journal.push(Event::Barrier);
         }
         self.events += 1;
         self.detector.on_barrier();
@@ -770,12 +768,11 @@ impl Session {
 
     /// Drive the session with one event: the one place an [`Event`] maps
     /// onto [`Session::observe`] and the sync hooks, so journalling stays
-    /// where those methods put it. `held` is the actor's program locks (see
-    /// [`Detector::observe_sink`]); sync events ignore it. Returns the
-    /// number of reports the event produced (always 0 for sync events).
-    pub fn apply(&mut self, ev: &Event, held: &[LockId]) -> usize {
+    /// where those methods put it. Returns the number of reports the event
+    /// produced (always 0 for sync events).
+    pub fn apply(&mut self, ev: &Event) -> usize {
         match ev {
-            Event::Op(op) => self.observe(op, held),
+            Event::Op(op) => self.observe(op, &[]),
             Event::Barrier => {
                 self.on_barrier();
                 0
@@ -806,12 +803,11 @@ impl Session {
         self.journal.is_some()
     }
 
-    /// Events observed since the last checkpoint, each with its actor's held
-    /// locks (empty when journalling is off). `restore(checkpoint)` +
-    /// [`Session::apply`] over exactly these entries reproduces the
-    /// uninterrupted session byte-for-byte. The journal lives in memory
+    /// Events observed since the last checkpoint (empty when journalling is
+    /// off). `restore(checkpoint)` + [`Session::apply`] over exactly these
+    /// entries reproduces the uninterrupted session byte-for-byte. The journal lives in memory
     /// only; it has no byte encoding.
-    pub fn journal(&self) -> &[(Event, Vec<LockId>)] {
+    pub fn journal(&self) -> &[Event] {
         self.journal.as_deref().unwrap_or(&[])
     }
 
@@ -982,8 +978,8 @@ mod tests {
     fn observe_collect_feeds_sink_exactly_once() {
         let config = DetectorConfig::new(DetectorKind::Dual, 3);
         let mut s = config.session();
-        assert!(s.observe_collect(&put(0, 0, 1, 0), &[]).is_empty());
-        let collected = s.observe_collect(&put(1, 2, 1, 0), &[]);
+        assert!(s.observe_collect(&put(0, 0, 1, 0)).is_empty());
+        let collected = s.observe_collect(&put(1, 2, 1, 0));
         assert_eq!(collected.len(), 1);
         assert_eq!(s.reports(), &collected[..], "no double-report in the sink");
         assert_eq!(s.summary().total, 1);
@@ -1109,19 +1105,20 @@ mod tests {
         // A key evicted long ago may legitimately be forwarded again; a key
         // still resident must not be.
         let before = sink.seen_keys();
+        let access = |id| crate::AccessSummary {
+            id,
+            process: 0,
+            kind: crate::AccessKind::Write,
+            range: GlobalAddr::public(1, 0).range(8),
+            atomic: false,
+            count: 0,
+            row: std::sync::Arc::new(vclock::VectorClock::zero(3)),
+        };
         sink.on_report(&crate::RaceReport {
             detector: "t",
             class: RaceClass::WriteWrite,
-            current: crate::AccessSummary {
-                id: 1,
-                process: 0,
-                kind: crate::AccessKind::Write,
-                range: GlobalAddr::public(1, 0).range(8),
-                atomic: false,
-                count: 0,
-                row: std::sync::Arc::new(vclock::VectorClock::zero(3)),
-            },
-            previous: None,
+            current: access(1),
+            previous: access(u64::MAX),
             area: crate::AreaKey::new(1, 0),
         });
         assert_eq!(sink.seen_keys(), before, "bound holds under re-insertion");

@@ -1,6 +1,6 @@
 //! The detector interface shared by the reference algorithm and the
-//! baselines, plus the kind selector that [`crate::api::DetectorConfig`]
-//! builds from.
+//! vanilla baseline, plus the kind selector that
+//! [`crate::api::DetectorConfig`] builds from.
 
 use crate::api::{ReportSink, VecSink};
 use crate::event::{DsmOp, Event, LockId};
@@ -28,10 +28,9 @@ pub trait Detector: Send {
     fn name(&self) -> &'static str;
 
     /// Observe one operation, streaming any race reports it triggers into
-    /// `sink`; returns the number of new reports. `held_locks` is the set
-    /// of area locks the actor currently holds *for application purposes*
-    /// (i.e. excluding the locks the detection algorithm itself wraps
-    /// around the op) — used by the lockset baseline.
+    /// `sink`; returns the number of new reports. `held_locks` is ignored:
+    /// no detector reads it, and it goes with the next change to the
+    /// `benchmark` crate, which still passes `&[]` (ROADMAP item 3).
     ///
     /// Contract for implementors: this is the hot path. It must not
     /// allocate or clone reports on the common no-race outcome — reports
@@ -49,9 +48,9 @@ pub trait Detector: Send {
     /// (convenience for tests and interactive callers). The reports go
     /// through a temporary [`VecSink`] and land **only** in the returned
     /// `Vec`.
-    fn observe_collect(&mut self, op: &DsmOp, held_locks: &[LockId]) -> Vec<RaceReport> {
+    fn observe_collect(&mut self, op: &DsmOp) -> Vec<RaceReport> {
         let mut tmp = VecSink::new();
-        self.observe_sink(op, held_locks, &mut tmp);
+        self.observe_sink(op, &[], &mut tmp);
         tmp.into_reports()
     }
 
@@ -67,15 +66,15 @@ pub trait Detector: Send {
 
     /// Whether the backend must wrap operations in the Algorithm-1/2 lock
     /// pairs. True for the clock-based detectors (the paper requires it so
-    /// the detection machinery itself cannot race), false for vanilla and
-    /// lockset (which only observe).
+    /// the detection machinery itself cannot race), false for vanilla
+    /// (which only observes).
     fn requires_locking(&self) -> bool;
 
     /// Program-level synchronisation hooks. In a real deployment the lock
     /// grant and barrier release messages carry vector clocks (like every
     /// message in the paper's model, §IV-B); the backend reports those
     /// events so the clock-based detectors can merge. Defaults are no-ops
-    /// (vanilla / lockset keep no clocks).
+    /// (vanilla keeps no clocks).
     ///
     /// `rank` released the program lock `lock`.
     fn on_release(&mut self, rank: usize, lock: LockId) {
@@ -95,9 +94,9 @@ pub trait Detector: Send {
     /// that hold a detector rather than a [`crate::api::Session`]. Returns
     /// the number of reports the event streamed into `sink` (always 0 for
     /// sync events).
-    fn apply(&mut self, ev: &Event, held: &[LockId], sink: &mut dyn ReportSink) -> usize {
+    fn apply(&mut self, ev: &Event, sink: &mut dyn ReportSink) -> usize {
         match ev {
-            Event::Op(op) => self.observe_sink(op, held, sink),
+            Event::Op(op) => self.observe_sink(op, &[], sink),
             Event::Barrier => {
                 self.on_barrier();
                 0
@@ -131,31 +130,27 @@ pub enum DetectorKind {
     Single,
     /// The algorithms exactly as printed (ABL-lit).
     Literal,
-    /// Eraser-style lockset baseline.
-    Lockset,
     /// No detection (overhead baseline).
     Vanilla,
 }
 
 impl DetectorKind {
     /// All kinds, in reporting order.
-    pub const ALL: [DetectorKind; 5] = [
+    pub const ALL: [DetectorKind; 4] = [
         DetectorKind::Dual,
         DetectorKind::Single,
         DetectorKind::Literal,
-        DetectorKind::Lockset,
         DetectorKind::Vanilla,
     ];
 
     /// The happens-before mode this kind runs, for the clock-based kinds
-    /// (`None` for the lockset and vanilla baselines, which keep no area
-    /// clocks).
+    /// (`None` for the vanilla baseline, which keeps no area clocks).
     pub fn hb_mode(self) -> Option<crate::hb::HbMode> {
         match self {
             DetectorKind::Dual => Some(crate::hb::HbMode::Dual),
             DetectorKind::Single => Some(crate::hb::HbMode::Single),
             DetectorKind::Literal => Some(crate::hb::HbMode::Literal),
-            DetectorKind::Lockset | DetectorKind::Vanilla => None,
+            DetectorKind::Vanilla => None,
         }
     }
 
@@ -165,7 +160,6 @@ impl DetectorKind {
             DetectorKind::Dual => "dual-clock",
             DetectorKind::Single => "single-clock",
             DetectorKind::Literal => "literal-paper",
-            DetectorKind::Lockset => "lockset",
             DetectorKind::Vanilla => "vanilla",
         }
     }
@@ -204,7 +198,7 @@ mod tests {
         for kind in DetectorKind::ALL {
             let mut d = build(kind, 4);
             assert!(!d.name().is_empty());
-            assert!(d.observe_collect(&first_write, &[]).is_empty());
+            assert!(d.observe_collect(&first_write).is_empty());
         }
     }
 
@@ -229,6 +223,5 @@ mod tests {
     fn locking_requirements() {
         assert!(build(DetectorKind::Dual, 2).requires_locking());
         assert!(!build(DetectorKind::Vanilla, 2).requires_locking());
-        assert!(!build(DetectorKind::Lockset, 2).requires_locking());
     }
 }

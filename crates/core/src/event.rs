@@ -30,8 +30,7 @@ impl AccessKind {
     }
 }
 
-/// Identity of a lock as the lockset baseline tracks it: the canonical
-/// start of the locked range.
+/// Identity of a program lock: the canonical start of the locked range.
 pub type LockId = (Rank, usize);
 
 /// The operation shapes of §III-B plus local accesses (which the model
@@ -283,8 +282,7 @@ impl AccessSummary {
 
     /// The full clock `C(e)`: the shared row itself when it is exact, a
     /// fresh copy with `count` in the own slot when the row lags. A row
-    /// with no component for `process` (the lockset baseline's zero-width
-    /// clock) is the clock as it is.
+    /// with no component for `process` is the clock as it is.
     pub fn clock(&self) -> Cow<'_, VectorClock> {
         match self.row.components().get(self.process) {
             Some(&own) if own != self.count => {
@@ -417,10 +415,10 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn events_and_journal_entries_stay_small() {
-        // Burst queues, the session journal and generated streams hold
-        // events by value; a variant that grows them shows up here.
+        // Burst queues, the session journal (one `Event` per entry) and
+        // generated streams hold events by value; a variant that grows them
+        // shows up here.
         assert!(std::mem::size_of::<Event>() <= 88);
-        assert!(std::mem::size_of::<(Event, Vec<LockId>)>() <= 112);
     }
 
     #[test]

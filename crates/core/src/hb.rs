@@ -150,8 +150,8 @@ impl HbMode {
 ///         dst,
 ///     },
 /// };
-/// assert!(det.observe_collect(&put(0, 0), &[]).is_empty()); // first write: silent
-/// let reports = det.observe_collect(&put(1, 2), &[]); // concurrent write: a race
+/// assert!(det.observe_collect(&put(0, 0)).is_empty()); // first write: silent
+/// let reports = det.observe_collect(&put(1, 2)); // concurrent write: a race
 /// assert_eq!(reports.len(), 1);
 /// assert_eq!(reports[0].class, RaceClass::WriteWrite);
 /// ```
@@ -308,7 +308,7 @@ fn signal_race(
         detector: mode.detector_name(),
         class,
         current: access.summary(),
-        previous: Some(prev.clone()),
+        previous: prev.clone(),
         area,
     });
 }
@@ -535,16 +535,13 @@ mod tests {
     fn fig5a_concurrent_puts_detected() {
         // P0 and P2 put to the same word of P1's memory with no ordering.
         let mut d = dual(3);
-        assert!(d.observe_collect(&put(0, 0, 1, 0), &[]).is_empty());
-        let reports = d.observe_collect(&put(1, 2, 1, 0), &[]);
+        assert!(d.observe_collect(&put(0, 0, 1, 0)).is_empty());
+        let reports = d.observe_collect(&put(1, 2, 1, 0));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].class, RaceClass::WriteWrite);
         // The two clocks in the report are concurrent (Corollary 1).
         let r = &reports[0];
-        assert!(r
-            .current
-            .clock()
-            .concurrent_with(&r.previous.as_ref().unwrap().clock()));
+        assert!(r.current.clock().concurrent_with(&r.previous.clock()));
     }
 
     #[test]
@@ -558,7 +555,7 @@ mod tests {
                 range: GlobalAddr::public(1, 0).range(8),
             },
         };
-        assert!(d.observe_collect(&init, &[]).is_empty());
+        assert!(d.observe_collect(&init).is_empty());
         // Both readers are causally after the init write? No — they never
         // synchronised with P1. But reads are checked against W only, and
         // the initial write is the *latest* write… its clock is (0,1,0);
@@ -567,7 +564,7 @@ mod tests {
         // Fig 4's premise is that `a = A` before the reads; we model that
         // with a barrier-like absorption: the readers first read P1's area
         // (absorbing W), as the figure's gets do.
-        let r1 = d.observe_collect(&get(1, 0, 1, 0), &[]);
+        let r1 = d.observe_collect(&get(1, 0, 1, 0));
         // First get: concurrent with the init write → read-write race IS
         // reported? In the figure the value was initialised "before" the
         // remote accesses, i.e. causally before — model it as such:
@@ -599,8 +596,8 @@ mod tests {
         d.observe_sink(&get(2, 2, 1, 0), &[], &mut log);
         let before = log.len();
         // Now both P0 and P2 are causally after the write. Concurrent gets:
-        let a = d.observe_collect(&get(3, 0, 1, 0), &[]);
-        let b = d.observe_collect(&get(4, 2, 1, 0), &[]);
+        let a = d.observe_collect(&get(3, 0, 1, 0));
+        let b = d.observe_collect(&get(4, 2, 1, 0));
         assert!(
             a.is_empty() && b.is_empty(),
             "read-read must be silent in dual mode"
@@ -620,11 +617,11 @@ mod tests {
                 range: GlobalAddr::public(1, 0).range(8),
             },
         };
-        d.observe_collect(&init, &[]);
-        d.observe_collect(&get(1, 0, 1, 0), &[]);
-        d.observe_collect(&get(2, 2, 1, 0), &[]);
-        let a = d.observe_collect(&get(3, 0, 1, 0), &[]);
-        let b = d.observe_collect(&get(4, 2, 1, 0), &[]);
+        d.observe_collect(&init);
+        d.observe_collect(&get(1, 0, 1, 0));
+        d.observe_collect(&get(2, 2, 1, 0));
+        let a = d.observe_collect(&get(3, 0, 1, 0));
+        let b = d.observe_collect(&get(4, 2, 1, 0));
         let rr: Vec<_> = a
             .iter()
             .chain(b.iter())
@@ -643,8 +640,8 @@ mod tests {
         // mode checks only W → silent. This is the ABL-lit false negative.
         let scenario = |mode: HbMode| -> usize {
             let mut d = HbDetector::new(3, Granularity::WORD, mode);
-            d.observe_collect(&get(0, 0, 1, 0), &[]);
-            d.observe_collect(&put(1, 2, 1, 0), &[]).len()
+            d.observe_collect(&get(0, 0, 1, 0));
+            d.observe_collect(&put(1, 2, 1, 0)).len()
         };
         assert!(scenario(HbMode::Dual) >= 1, "dual catches WAR");
         assert_eq!(scenario(HbMode::Literal), 0, "literal misses WAR");
@@ -664,9 +661,9 @@ mod tests {
                 range: GlobalAddr::public(1, 0).range(8),
             },
         };
-        d.observe_collect(&w, &[]);
-        d.observe_collect(&get(1, 2, 1, 0), &[]); // absorbs P1's write (flagged: unsynchronised — but absorbs)
-        let reports = d.observe_collect(&put(2, 2, 1, 0), &[]);
+        d.observe_collect(&w);
+        d.observe_collect(&get(1, 2, 1, 0)); // absorbs P1's write (flagged: unsynchronised — but absorbs)
+        let reports = d.observe_collect(&put(2, 2, 1, 0));
         assert!(
             reports.is_empty(),
             "P2's put is causally after P1's write through the get"
@@ -677,7 +674,7 @@ mod tests {
     fn same_process_never_races_with_itself() {
         let mut d = dual(2);
         for i in 0..5 {
-            let r = d.observe_collect(&put(i, 0, 1, 0), &[]).len();
+            let r = d.observe_collect(&put(i, 0, 1, 0)).len();
             assert_eq!(r, 0, "program order forbids self-races");
         }
     }
@@ -685,8 +682,8 @@ mod tests {
     #[test]
     fn disjoint_words_never_race() {
         let mut d = dual(2);
-        d.observe_collect(&put(0, 0, 1, 0), &[]);
-        let r = d.observe_collect(&put(1, 1, 1, 8), &[]).len();
+        d.observe_collect(&put(0, 0, 1, 0));
+        let r = d.observe_collect(&put(1, 1, 1, 8)).len();
         assert_eq!(r, 0, "different words are different areas");
     }
 
@@ -708,8 +705,8 @@ mod tests {
                 range: GlobalAddr::public(1, 8).range(16),
             },
         };
-        d.observe_collect(&a, &[]);
-        let reports = d.observe_collect(&b, &[]);
+        d.observe_collect(&a);
+        let reports = d.observe_collect(&b);
         // Word 1 (bytes 8..16) is shared → exactly one area races.
         assert_eq!(reports.len(), 1);
     }
@@ -720,8 +717,8 @@ mod tests {
         // range in release (0 reports) and panicked on the add in debug.
         let mut d = dual(3);
         let off = usize::MAX - 3;
-        assert_eq!(d.observe_collect(&put(0, 0, 1, off), &[]).len(), 0);
-        let reports = d.observe_collect(&put(1, 2, 1, off), &[]);
+        assert_eq!(d.observe_collect(&put(0, 0, 1, off)).len(), 0);
+        let reports = d.observe_collect(&put(1, 2, 1, off));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].class, RaceClass::WriteWrite);
         assert_eq!(reports[0].area, AreaKey::new(1, usize::MAX / 8));
@@ -732,7 +729,7 @@ mod tests {
         let mut d = dual(4);
         let mut s = HbDetector::new(4, Granularity::WORD, HbMode::Single);
         for det in [&mut d, &mut s] {
-            det.observe_collect(&put(0, 0, 1, 0), &[]);
+            det.observe_collect(&put(0, 0, 1, 0));
         }
         assert_eq!(d.clock_memory_bytes(), 2 * s.clock_memory_bytes());
     }
@@ -741,19 +738,19 @@ mod tests {
     fn tick_advances_process_clock() {
         let mut d = dual(2);
         assert_eq!(d.process_clock(0).total(), 0);
-        d.observe_collect(&put(0, 0, 1, 0), &[]);
+        d.observe_collect(&put(0, 0, 1, 0));
         assert_eq!(d.process_clock(0).get(0), 1);
     }
 
     #[test]
     fn report_ids_match_access_id_scheme() {
         let mut d = dual(3);
-        d.observe_collect(&put(0, 0, 1, 0), &[]);
-        let reports = d.observe_collect(&put(1, 2, 1, 0), &[]);
+        d.observe_collect(&put(0, 0, 1, 0));
+        let reports = d.observe_collect(&put(1, 2, 1, 0));
         let r = &reports[0];
         // put's write access id = 2*op_id + 1.
         assert_eq!(r.current.id, 3);
-        assert_eq!(r.previous.as_ref().unwrap().id, 1);
+        assert_eq!(r.previous.id, 1);
     }
 
     #[test]
@@ -761,7 +758,7 @@ mod tests {
         let mut d = dual(3);
         let mut log = VecSink::new();
         assert_eq!(d.observe_sink(&put(0, 0, 1, 0), &[], &mut log), 0);
-        let out = d.observe_collect(&put(1, 2, 1, 0), &[]);
+        let out = d.observe_collect(&put(1, 2, 1, 0));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].class, RaceClass::WriteWrite);
         // The temporary-VecSink discipline: a sink the detector was driven
@@ -775,7 +772,7 @@ mod tests {
         // clocks must remain epochs the whole way.
         let mut d = dual(2);
         for i in 0..64 {
-            assert_eq!(d.observe_collect(&put(i, 0, 1, 0), &[]).len(), 0);
+            assert_eq!(d.observe_collect(&put(i, 0, 1, 0)).len(), 0);
         }
         assert_eq!(d.store().epoch_areas(), d.store().touched_areas());
     }
@@ -783,16 +780,16 @@ mod tests {
     #[test]
     fn racy_area_demotes_then_repromotes_after_barrier() {
         let mut d = dual(2);
-        d.observe_collect(&put(0, 0, 1, 0), &[]);
+        d.observe_collect(&put(0, 0, 1, 0));
         assert_eq!(
-            d.observe_collect(&put(1, 1, 1, 0), &[]).len(),
+            d.observe_collect(&put(1, 1, 1, 0)).len(),
             1,
             "concurrent writes race"
         );
         assert_eq!(d.store().epoch_areas(), 0, "concurrency demoted the area");
         // Barrier orders everyone; the next write dominates the old join.
         d.on_barrier();
-        assert_eq!(d.observe_collect(&put(2, 0, 1, 0), &[]).len(), 0);
+        assert_eq!(d.observe_collect(&put(2, 0, 1, 0)).len(), 0);
         assert_eq!(d.store().epoch_areas(), 1, "dominating write re-promoted");
     }
 }

@@ -26,8 +26,6 @@
 //!   - [`hb::HbMode::Literal`] — the protocol exactly as printed (puts check
 //!     only `W`, gets check `V`): misses write-after-read races and keeps
 //!     the read-read false positives. Experiment ABL-lit.
-//! * [`lockset::LocksetDetector`] — an Eraser-style lockset baseline adapted
-//!   to DSM areas (context: the MARMOT checker the paper cites).
 //! * [`vanilla::VanillaDetector`] — no detection; the overhead baseline.
 //! * [`oracle::Oracle`] — offline exact happens-before over a full execution
 //!   trace: ground truth for precision/recall scoring of the online
@@ -59,7 +57,6 @@ pub mod detector;
 pub mod event;
 pub mod hb;
 mod json;
-pub mod lockset;
 pub mod oracle;
 pub mod reference;
 pub mod report;
@@ -74,7 +71,6 @@ pub use clockstore::{AreaKey, ClockStore, Granularity};
 pub use detector::{Detector, DetectorKind};
 pub use event::{AccessKind, AccessList, AccessSummary, DsmOp, Event, LockId, OpKind};
 pub use hb::{HbDetector, HbMode};
-pub use lockset::LocksetDetector;
 pub use oracle::{site_of, Oracle, Score, SiteKey, Trace, TraceAccess};
 pub use reference::ReferenceHbDetector;
 pub use report::{dedup_reports, RaceClass, RaceReport};

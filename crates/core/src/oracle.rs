@@ -266,38 +266,18 @@ impl Oracle {
     /// Score a detector's reports against the ground truth.
     ///
     /// A report counts as a true positive when its access pair is a ground
-    /// truth pair. Reports without attribution count as false positives
-    /// unless *some* truth pair involves the current access (we credit the
-    /// detection but cannot check the pair).
+    /// truth pair, and as a false positive otherwise.
     pub fn score(&self, reports: &[RaceReport]) -> Score {
         use std::collections::HashSet;
         let truth: HashSet<TruthPair> = self.truth.iter().copied().collect();
         let mut found: HashSet<TruthPair> = HashSet::new();
         let mut fp = 0;
         for r in reports {
-            match r.pair() {
-                Some(p) => {
-                    if truth.contains(&p) {
-                        found.insert(p);
-                    } else {
-                        fp += 1;
-                    }
-                }
-                None => {
-                    // Unattributed: credit any truth pair touching the event.
-                    let id = r.current.id;
-                    let touching: Vec<_> = self
-                        .truth
-                        .iter()
-                        .filter(|(a, b)| *a == id || *b == id)
-                        .copied()
-                        .collect();
-                    if touching.is_empty() {
-                        fp += 1;
-                    } else {
-                        found.extend(touching);
-                    }
-                }
+            let p = r.pair();
+            if truth.contains(&p) {
+                found.insert(p);
+            } else {
+                fp += 1;
             }
         }
         Score {
@@ -327,10 +307,7 @@ impl Oracle {
         let mut found = std::collections::HashSet::new();
         let mut fp_sites = std::collections::HashSet::new();
         for r in reports {
-            let Some(prev) = &r.previous else {
-                continue;
-            };
-            let site = site_of(&r.current.range, &prev.range);
+            let site = site_of(&r.current.range, &r.previous.range);
             if truth.contains(&site) {
                 found.insert(site);
             } else {
@@ -453,7 +430,7 @@ mod tests {
                 count: 0,
                 row: std::sync::Arc::new(VectorClock::zero(3)),
             },
-            previous: Some(AccessSummary {
+            previous: AccessSummary {
                 id: prev,
                 process: 1,
                 kind: AccessKind::Write,
@@ -461,7 +438,7 @@ mod tests {
                 atomic: false,
                 count: 0,
                 row: std::sync::Arc::new(VectorClock::zero(3)),
-            }),
+            },
             area: AreaKey::new(0, 0),
         };
         // One correct report, one bogus.

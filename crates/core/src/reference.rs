@@ -140,7 +140,7 @@ impl ReferenceHbDetector {
                         detector: self.mode.detector_name(),
                         class,
                         current: access.clone(),
-                        previous: Some(prev.clone()),
+                        previous: prev.clone(),
                         area,
                     });
                 }
@@ -161,7 +161,7 @@ impl ReferenceHbDetector {
                         detector: self.mode.detector_name(),
                         class,
                         current: access.clone(),
-                        previous: Some(prev.clone()),
+                        previous: prev.clone(),
                         area,
                     });
                 }
@@ -296,8 +296,8 @@ mod tests {
     #[test]
     fn reference_detects_fig5a() {
         let mut d = ReferenceHbDetector::new(3, Granularity::WORD, HbMode::Dual);
-        assert_eq!(d.observe_collect(&put(0, 0, 1, 0), &[]).len(), 0);
-        let reports = d.observe_collect(&put(1, 2, 1, 0), &[]);
+        assert_eq!(d.observe_collect(&put(0, 0, 1, 0)).len(), 0);
+        let reports = d.observe_collect(&put(1, 2, 1, 0));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].class, RaceClass::WriteWrite);
     }
@@ -308,8 +308,8 @@ mod tests {
         let mut r = ReferenceHbDetector::new(4, Granularity::WORD, HbMode::Dual);
         let mut h = HbDetector::new(4, Granularity::WORD, HbMode::Dual);
         for d in [&mut r as &mut dyn Detector, &mut h as &mut dyn Detector] {
-            d.observe_collect(&put(0, 0, 1, 0), &[]);
-            d.observe_collect(&put(1, 0, 1, 64), &[]);
+            d.observe_collect(&put(0, 0, 1, 0));
+            d.observe_collect(&put(1, 0, 1, 64));
         }
         assert_eq!(r.clock_memory_bytes(), h.clock_memory_bytes());
     }

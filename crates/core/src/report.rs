@@ -59,55 +59,33 @@ pub struct RaceReport {
     pub class: RaceClass,
     /// The access that triggered the detection (the later one).
     pub current: AccessSummary,
-    /// The previously recorded conflicting access. `None` when the detector
-    /// cannot attribute (the lockset baseline reports unlocked state rather
-    /// than a specific pair).
-    pub previous: Option<AccessSummary>,
+    /// The previously recorded conflicting access.
+    pub previous: AccessSummary,
     /// The memory area the conflict is on.
     pub area: AreaKey,
 }
 
 impl RaceReport {
-    /// The unordered access-id pair, for oracle scoring. `None` when the
-    /// report has no attribution.
-    pub fn pair(&self) -> Option<(u64, u64)> {
-        self.previous.as_ref().map(|p| {
-            let (a, b) = (p.id, self.current.id);
-            (a.min(b), a.max(b))
-        })
-    }
-
-    /// The deduplication identity: the unordered access pair, or a
-    /// sentinel for unattributed reports. The single source of truth
-    /// shared by [`dedup_reports`] and the streaming
-    /// [`crate::api::DedupSink`], so the two can never diverge.
-    pub fn dedup_key(&self) -> (u64, u64) {
-        match self.pair() {
-            Some(p) => p,
-            None => (self.current.id, u64::MAX),
-        }
+    /// The unordered access-id pair: the oracle's scoring key and the
+    /// deduplication identity. The single source of truth shared by
+    /// [`dedup_reports`] and the streaming [`crate::api::DedupSink`], so
+    /// the two can never diverge.
+    pub fn pair(&self) -> (u64, u64) {
+        let (a, b) = (self.previous.id, self.current.id);
+        (a.min(b), a.max(b))
     }
 
     /// §IV-D signalling: the one-line message a runtime would print to
     /// standard output. Never aborts.
     pub fn signal_line(&self) -> String {
-        match &self.previous {
-            Some(prev) => format!(
-                "RACE CONDITION ({}): {} × {} on area {} [{}]",
-                self.class.label(),
-                prev,
-                self.current,
-                self.area,
-                self.detector,
-            ),
-            None => format!(
-                "RACE CONDITION ({}): {} on area {} [{}]",
-                self.class.label(),
-                self.current,
-                self.area,
-                self.detector,
-            ),
-        }
+        format!(
+            "RACE CONDITION ({}): {} × {} on area {} [{}]",
+            self.class.label(),
+            self.previous,
+            self.current,
+            self.area,
+            self.detector,
+        )
     }
 }
 
@@ -117,7 +95,7 @@ impl std::fmt::Display for RaceReport {
     }
 }
 
-/// A set of [`RaceReport::dedup_key`]s — the one key-set type behind
+/// A set of [`RaceReport::pair`]s — the one key-set type behind
 /// [`dedup_reports`] and [`crate::api::DedupSink`].
 pub(crate) type DedupKeys = std::collections::HashSet<(u64, u64), WordHashState>;
 
@@ -201,10 +179,7 @@ impl std::hash::Hasher for WordHasher {
 /// once in the tables. One pass; only the kept reports are cloned.
 pub fn dedup_reports(reports: &[RaceReport]) -> Vec<RaceReport> {
     let mut seen = dedup_keys(reports.len());
-    let firsts: Vec<&RaceReport> = reports
-        .iter()
-        .filter(|r| seen.insert(r.dedup_key()))
-        .collect();
+    let firsts: Vec<&RaceReport> = reports.iter().filter(|r| seen.insert(r.pair())).collect();
     // An exact-size iterator: the kept reports are cloned into a `Vec` that
     // never regrows.
     firsts.into_iter().cloned().collect()
@@ -234,15 +209,15 @@ mod tests {
             detector: "test",
             class: RaceClass::WriteWrite,
             current: summary(cur, 0),
-            previous: Some(summary(prev, 2)),
+            previous: summary(prev, 2),
             area: AreaKey::new(1, 0),
         }
     }
 
     #[test]
     fn pair_is_unordered() {
-        assert_eq!(report(5, 3).pair(), Some((3, 5)));
-        assert_eq!(report(3, 5).pair(), Some((3, 5)));
+        assert_eq!(report(5, 3).pair(), (3, 5));
+        assert_eq!(report(3, 5).pair(), (3, 5));
     }
 
     #[test]
@@ -266,13 +241,5 @@ mod tests {
         let reports = vec![report(5, 3), report(3, 5), report(7, 3)];
         let d = dedup_reports(&reports);
         assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn unattributed_report_has_no_pair() {
-        let mut r = report(5, 3);
-        r.previous = None;
-        assert_eq!(r.pair(), None);
-        assert!(r.signal_line().contains("RACE CONDITION"));
     }
 }

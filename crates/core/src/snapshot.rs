@@ -12,16 +12,16 @@
 //!   e.g. the dedup window of a [`crate::api::DedupSink`]),
 //! - and the detector state itself: the full [`ClockStore`] (every touched
 //!   area's `V`/`W` clocks and antichains), the per-process matrix clocks,
-//!   and the program-lock clock snapshots — or the lockset / vanilla
-//!   baselines' equivalent state.
+//!   and the program-lock clock snapshots — or the vanilla baseline's op
+//!   counter.
 //!
 //! The contract, proptested in `tests/checkpoint.rs`: for every
-//! [`DetectorKind`], `restore(checkpoint)` + [`crate::api::Session::apply`]
-//! over the session's journal produces a report stream and summary
-//! **byte-identical** to the uninterrupted run. Replay cost is O(events
-//! since the last checkpoint) because [`crate::api::Session`] truncates its
-//! in-memory journal at every checkpoint; the journal itself has no byte
-//! form.
+//! [`crate::detector::DetectorKind`], `restore(checkpoint)` +
+//! [`crate::api::Session::apply`] over the session's journal produces a
+//! report stream and summary **byte-identical** to the uninterrupted run.
+//! Replay cost is O(events since the last checkpoint) because
+//! [`crate::api::Session`] truncates its in-memory journal at every
+//! checkpoint; the journal itself has no byte form.
 //!
 //! Like every codec in this workspace the format is hand-rolled (no
 //! serialisation dependency), little-endian, length-prefixed, and strict:
@@ -40,10 +40,9 @@ use vclock::{AreaClock, Epoch, MatrixClock, VectorClock};
 
 use crate::api::{DetectorConfig, ReportSink};
 use crate::clockstore::{AreaKey, ClockStore};
-use crate::detector::{Detector, DetectorKind};
+use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, LockId};
 use crate::hb::{HbDetector, HbMode};
-use crate::lockset::{AreaState, LocksetDetector};
 use crate::summary::RaceSummary;
 use crate::vanilla::VanillaDetector;
 use crate::Rank;
@@ -551,117 +550,6 @@ pub(crate) fn decode_hb(
     Ok(HbDetector::from_parts(mode, store, clocks, lock_clocks))
 }
 
-const LOCKSET_VIRGIN: u8 = 0;
-const LOCKSET_EXCLUSIVE: u8 = 1;
-const LOCKSET_SHARED: u8 = 2;
-const LOCKSET_SHARED_MODIFIED: u8 = 3;
-
-/// Encode the lockset baseline's per-area state machine (sorted by key;
-/// candidate locksets sorted, so encoding is deterministic).
-pub(crate) fn encode_lockset(detector: &LocksetDetector) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let states = detector.snapshot_states();
-    put_u64(&mut buf, states.len() as u64);
-    for (key, state) in states {
-        put_u32(&mut buf, key.rank as u32);
-        put_u64(&mut buf, key.block as u64);
-        match state {
-            AreaState::Virgin => put_u8(&mut buf, LOCKSET_VIRGIN),
-            AreaState::Exclusive { owner, last } => {
-                put_u8(&mut buf, LOCKSET_EXCLUSIVE);
-                put_u32(&mut buf, *owner as u32);
-                put_access(&mut buf, last);
-            }
-            AreaState::Shared { candidates, last } => {
-                put_u8(&mut buf, LOCKSET_SHARED);
-                let mut sorted: Vec<&LockId> = candidates.iter().collect();
-                sorted.sort();
-                put_u32(&mut buf, sorted.len() as u32);
-                for lock in sorted {
-                    put_lock(&mut buf, lock);
-                }
-                put_access(&mut buf, last);
-            }
-            AreaState::SharedModified {
-                candidates,
-                last,
-                reported,
-            } => {
-                put_u8(&mut buf, LOCKSET_SHARED_MODIFIED);
-                let mut sorted: Vec<&LockId> = candidates.iter().collect();
-                sorted.sort();
-                put_u32(&mut buf, sorted.len() as u32);
-                for lock in sorted {
-                    put_lock(&mut buf, lock);
-                }
-                put_access(&mut buf, last);
-                put_u8(&mut buf, *reported as u8);
-            }
-        }
-    }
-    buf
-}
-
-/// Inverse of [`encode_lockset`].
-pub(crate) fn decode_lockset(bytes: &[u8]) -> Result<Vec<(AreaKey, AreaState)>, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let count = r.u64("lockset states")?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let rank = r.u32("lockset rank")? as Rank;
-        let block = r.u64("lockset block")? as usize;
-        let key = AreaKey::new(rank, block);
-        let state = match r.u8("lockset tag")? {
-            LOCKSET_VIRGIN => AreaState::Virgin,
-            LOCKSET_EXCLUSIVE => AreaState::Exclusive {
-                owner: r.u32("lockset owner")? as Rank,
-                last: take_access(&mut r)?,
-            },
-            LOCKSET_SHARED => {
-                let lock_count = r.u32("lockset candidates")?;
-                let mut candidates = std::collections::HashSet::new();
-                for _ in 0..lock_count {
-                    candidates.insert(take_lock(&mut r)?);
-                }
-                AreaState::Shared {
-                    candidates,
-                    last: take_access(&mut r)?,
-                }
-            }
-            LOCKSET_SHARED_MODIFIED => {
-                let lock_count = r.u32("lockset candidates")?;
-                let mut candidates = std::collections::HashSet::new();
-                for _ in 0..lock_count {
-                    candidates.insert(take_lock(&mut r)?);
-                }
-                let last = take_access(&mut r)?;
-                let reported = match r.u8("lockset reported")? {
-                    0 => false,
-                    1 => true,
-                    _ => {
-                        return Err(SnapshotError::Malformed {
-                            what: "lockset reported",
-                        })
-                    }
-                };
-                AreaState::SharedModified {
-                    candidates,
-                    last,
-                    reported,
-                }
-            }
-            _ => {
-                return Err(SnapshotError::Malformed {
-                    what: "lockset tag",
-                })
-            }
-        };
-        out.push((key, state));
-    }
-    r.finish()?;
-    Ok(out)
-}
-
 /// Encode the vanilla baseline (just its op counter).
 pub(crate) fn encode_vanilla(ops_seen: u64) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -773,11 +661,6 @@ pub(crate) fn restore_detector(
 ) -> Result<Box<dyn Detector>, SnapshotError> {
     match config.kind.hb_mode() {
         Some(mode) => Ok(Box::new(decode_hb(config, mode, state)?)),
-        None if config.kind == DetectorKind::Lockset => {
-            let mut detector = LocksetDetector::new(config.n, config.granularity);
-            detector.restore_states(decode_lockset(state)?);
-            Ok(Box::new(detector))
-        }
         None => {
             let mut r = Reader::new(state);
             let ops_seen = r.u64("ops seen")?;
@@ -790,6 +673,7 @@ pub(crate) fn restore_detector(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::DetectorKind;
 
     #[test]
     fn unknown_version_is_typed() {

@@ -71,13 +71,11 @@ impl RaceSummary {
             *self.by_class.entry(first.class).or_insert(0) += run.len();
             *self.by_area.entry(first.area).or_insert(0) += run.len();
             for r in run {
-                if let Some(prev) = &r.previous {
-                    let pair = (
-                        r.current.process.min(prev.process),
-                        r.current.process.max(prev.process),
-                    );
-                    *self.by_process_pair.entry(pair).or_insert(0) += 1;
-                }
+                let (a, b) = (r.current.process, r.previous.process);
+                *self
+                    .by_process_pair
+                    .entry((a.min(b), a.max(b)))
+                    .or_insert(0) += 1;
             }
             rest = tail;
         }
@@ -281,7 +279,7 @@ mod tests {
             detector: "t",
             class,
             current: acc(1, p_cur),
-            previous: Some(acc(0, p_prev)),
+            previous: acc(0, p_prev),
             area: AreaKey::new(0, area_block),
         }
     }
@@ -431,8 +429,8 @@ mod tests {
 
     #[test]
     fn json_inputs_that_never_contradicted_themselves_behave_as_before() {
-        // The empty summary, and a lockset-style one (unattributed reports:
-        // by_pair below total), still parse…
+        // The empty summary, and one whose by_pair sums below its total
+        // (input from outside the program), still parse…
         let empty = RaceSummary::from_json(&json_of("0", "", "", "")).expect("empty");
         assert_eq!(empty, RaceSummary::default());
         let unattributed =

@@ -82,7 +82,7 @@ mod tests {
             },
         };
         for _ in 0..10 {
-            assert!(d.observe_collect(&op, &[]).is_empty());
+            assert!(d.observe_collect(&op).is_empty());
         }
         assert_eq!(d.ops_seen(), 10);
         assert_eq!(d.clock_memory_bytes(), 0);

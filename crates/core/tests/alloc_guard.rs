@@ -244,8 +244,7 @@ fn racy_stream_copies_no_clock_per_report() {
     // distinct rows in the stream than shared rows were ever made.
     let distinct_rows: HashSet<*const vclock::VectorClock> = reports
         .iter()
-        .flat_map(|r| [Some(&r.current), r.previous.as_ref()])
-        .flatten()
+        .flat_map(|r| [&r.current, &r.previous])
         .map(|access| std::sync::Arc::as_ptr(&access.row))
         .collect();
     assert!(

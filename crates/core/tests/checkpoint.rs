@@ -37,9 +37,8 @@ const LOCKS: [LockId; 3] = [(0, 0), (0, 64), (1, 0)];
 
 /// A mixed workload: puts/gets/local accesses/atomics on a small shared
 /// region, laced with barriers and lock transitions so every event variant
-/// is exercised; each op carries the locks its actor holds, as journal
-/// entries do.
-fn workload(n: usize, len: usize, seed: u64) -> Vec<(Event, Vec<LockId>)> {
+/// is exercised.
+fn workload(n: usize, len: usize, seed: u64) -> Vec<Event> {
     let mut rng = Lcg(seed);
     let mut held: Vec<Vec<LockId>> = vec![Vec::new(); n];
     let mut events = Vec::with_capacity(len);
@@ -50,17 +49,17 @@ fn workload(n: usize, len: usize, seed: u64) -> Vec<(Event, Vec<LockId>)> {
             let lock = LOCKS[rng.pick(LOCKS.len())];
             if !held[rank].contains(&lock) {
                 held[rank].push(lock);
-                events.push((Event::Acquire { rank, lock }, Vec::new()));
+                events.push(Event::Acquire { rank, lock });
                 continue;
             }
         } else if roll < 16 {
             let rank = rng.pick(n);
             if let Some(lock) = held[rank].pop() {
-                events.push((Event::Release { rank, lock }, Vec::new()));
+                events.push(Event::Release { rank, lock });
                 continue;
             }
         } else if roll < 20 {
-            events.push((Event::Barrier, Vec::new()));
+            events.push(Event::Barrier);
             continue;
         }
         let actor = rng.pick(n);
@@ -78,14 +77,11 @@ fn workload(n: usize, len: usize, seed: u64) -> Vec<(Event, Vec<LockId>)> {
             3 => OpKind::LocalWrite { range: target },
             _ => OpKind::AtomicRmw { range: target },
         };
-        events.push((
-            Event::Op(DsmOp {
-                op_id: i as u64,
-                actor,
-                kind,
-            }),
-            held[actor].clone(),
-        ));
+        events.push(Event::Op(DsmOp {
+            op_id: i as u64,
+            actor,
+            kind,
+        }));
     }
     events
 }
@@ -116,7 +112,7 @@ fn restore_plus_replay_matches_uninterrupted() {
             let mut control_counts = Vec::with_capacity(events.len());
             let mut stream_len_at_cut = 0;
             for (i, event) in events.iter().enumerate() {
-                control_counts.push(control.apply(&event.0, &event.1));
+                control_counts.push(control.apply(event));
                 if i + 1 == cut {
                     stream_len_at_cut = control.reports().len();
                 }
@@ -128,15 +124,11 @@ fn restore_plus_replay_matches_uninterrupted() {
             // Durable run: checkpoint at `cut`, die at `kill`.
             let mut durable = config(kind).session_with(durable_sink());
             for (i, event) in events[..cut].iter().enumerate() {
-                assert_eq!(
-                    durable.apply(&event.0, &event.1),
-                    control_counts[i],
-                    "prefix diverged"
-                );
+                assert_eq!(durable.apply(event), control_counts[i], "prefix diverged");
             }
             let ckpt = durable.checkpoint().expect("mid-stream checkpoint");
             for (i, event) in events[cut..kill].iter().enumerate() {
-                assert_eq!(durable.apply(&event.0, &event.1), control_counts[cut + i]);
+                assert_eq!(durable.apply(event), control_counts[cut + i]);
             }
             let journal = durable.journal().to_vec();
             assert_eq!(journal.len(), kill - cut, "journal holds exactly the tail");
@@ -148,13 +140,13 @@ fn restore_plus_replay_matches_uninterrupted() {
             assert!(resumed.journaling(), "restored sessions journal from birth");
             for (i, event) in journal.iter().enumerate() {
                 assert_eq!(
-                    resumed.apply(&event.0, &event.1),
+                    resumed.apply(event),
                     control_counts[cut + i],
                     "{kind:?}/{round}: replayed event {i} diverged"
                 );
             }
             for (i, event) in events[kill..].iter().enumerate() {
-                assert_eq!(resumed.apply(&event.0, &event.1), control_counts[kill + i]);
+                assert_eq!(resumed.apply(event), control_counts[kill + i]);
             }
             assert_eq!(
                 format!("{:?}", resumed.reports()),
@@ -181,7 +173,7 @@ fn restore_then_checkpoint_is_byte_identical() {
         let events = workload(4, 200, 0xDEADBEEF);
         let mut session = config(kind).session_with(durable_sink());
         for event in &events {
-            session.apply(&event.0, &event.1);
+            session.apply(event);
         }
         let ckpt = session.checkpoint().expect("checkpoint");
         let mut restored = Session::restore(&ckpt, durable_sink()).expect("restore");
@@ -200,7 +192,7 @@ fn journal_truncates_at_each_checkpoint() {
     assert!(!session.journaling(), "journalling is opt-in");
     assert!(session.journal().is_empty());
     for event in &events[..40] {
-        session.apply(&event.0, &event.1);
+        session.apply(event);
     }
     assert!(
         session.journal().is_empty(),
@@ -209,13 +201,13 @@ fn journal_truncates_at_each_checkpoint() {
     session.checkpoint().expect("checkpoint");
     assert!(session.journaling());
     for event in &events[40..100] {
-        session.apply(&event.0, &event.1);
+        session.apply(event);
     }
     assert_eq!(session.journal().len(), 60, "journal = events since ckpt");
     session.checkpoint().expect("checkpoint");
     assert!(session.journal().is_empty(), "checkpoint truncates");
     for event in &events[100..] {
-        session.apply(&event.0, &event.1);
+        session.apply(event);
     }
     assert_eq!(session.journal().len(), 20);
 }
@@ -248,7 +240,7 @@ fn golden_session() -> Session {
     let events = workload(4, 150, 0x90_1D);
     let mut session = config(DetectorKind::Dual).session_with(durable_sink());
     for event in &events {
-        session.apply(&event.0, &event.1);
+        session.apply(event);
     }
     session
 }
@@ -311,6 +303,28 @@ fn a_checkpoint_with_the_four_key_config_restores_to_the_three_key_golden() {
     );
 }
 
+/// A v1 checkpoint of a 3-rank session of the retired `lockset` kind,
+/// taken after ten events (two lock-protected puts, two unlocked gets and
+/// a racing pair of unlocked puts). Its config names a kind this build
+/// does not know, so it is refused as a bad config, never restored as
+/// another kind.
+const LOCKSET_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/checkpoint_v1_lockset.bin"
+);
+
+#[test]
+fn a_checkpoint_of_the_retired_lockset_kind_is_a_bad_config() {
+    let blob = std::fs::read(LOCKSET_PATH).expect("lockset blob committed");
+    assert_eq!(blob[0], race_core::SNAPSHOT_VERSION);
+    match Session::restore(&blob, durable_sink()) {
+        Err(SnapshotError::BadConfig(message)) => {
+            assert_eq!(message, r#"unknown detector kind "lockset""#)
+        }
+        other => panic!("expected BadConfig naming lockset, got {other:?}"),
+    }
+}
+
 #[test]
 fn golden_with_unknown_version_is_a_typed_error_never_a_panic() {
     let mut blob = std::fs::read(GOLDEN_PATH).expect("golden blob committed");
@@ -334,12 +348,12 @@ fn golden_with_unknown_version_is_a_typed_error_never_a_panic() {
 // or a `Session` that can observe more events and finish.
 // ---------------------------------------------------------------------------
 
-/// A mid-stream checkpoint of `kind`: racy traffic, held locks, demoted and
-/// epoch areas, a populated dedup window.
+/// A mid-stream checkpoint of `kind`: racy traffic, program locks, demoted
+/// and epoch areas, a populated dedup window.
 fn real_checkpoint(kind: DetectorKind) -> Vec<u8> {
     let mut session = config(kind).session_with(durable_sink());
     for event in &workload(4, 120, 0xF022 ^ kind.label().len() as u64) {
-        session.apply(&event.0, &event.1);
+        session.apply(event);
     }
     session.checkpoint().expect("checkpoint")
 }
@@ -356,7 +370,7 @@ fn restore_and_exercise(bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut session = Session::restore(bytes, durable_sink())?;
     let n = session.config().n;
     for event in &workload(n, 300, 0xAF7E4) {
-        session.apply(&event.0, &event.1);
+        session.apply(event);
     }
     // A usable session can also be checkpointed again.
     session.checkpoint().map(|_| ())?;

@@ -94,8 +94,8 @@ fn drive(
     for (i, step) in steps.iter().enumerate() {
         // Stream into a caller-owned log per detector (the whole-log
         // assertions depend on it) and compare each event's log tail.
-        let na = fast.apply(step, &[], &mut fast_log);
-        let nb = slow.apply(step, &[], &mut slow_log);
+        let na = fast.apply(step, &mut fast_log);
+        let nb = slow.apply(step, &mut slow_log);
         let a = &fast_log.as_slice()[fast_log.len() - na..];
         let b = &slow_log.as_slice()[slow_log.len() - nb..];
         assert_eq!(
@@ -135,7 +135,7 @@ proptest! {
                 let mut a = normalised(fast_log.as_slice());
                 let mut b = normalised(slow_log.as_slice());
                 prop_assert_eq!(&a, &b, "log divergence mode={:?} gran={:?}", mode, granularity);
-                let key = |r: &RaceReport| (r.current.id, r.previous.as_ref().map(|p| p.id), r.area);
+                let key = |r: &RaceReport| (r.current.id, r.previous.id, r.area);
                 a.sort_by_key(key);
                 b.sort_by_key(key);
                 prop_assert_eq!(a, b);

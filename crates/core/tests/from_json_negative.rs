@@ -64,6 +64,12 @@ fn unknown_kind_label_is_reported() {
 }
 
 #[test]
+fn the_retired_lockset_kind_is_an_unknown_kind() {
+    let err = DetectorConfig::from_json(r#"{"kind":"lockset","n":4,"granularity":8}"#).unwrap_err();
+    assert_eq!(err, r#"unknown detector kind "lockset""#);
+}
+
+#[test]
 fn non_power_of_two_granularity_is_rejected() {
     for bad in ["0", "3", "24"] {
         let err = DetectorConfig::from_json(&with_field("granularity", bad)).unwrap_err();

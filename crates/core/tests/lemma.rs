@@ -123,7 +123,7 @@ fn check_program(n: usize, mode: HbMode, seed: u64, steps: usize) -> (usize, usi
                         concurrent += 1;
                     }
                 }
-                det.observe_collect(&op, &[]);
+                det.observe_collect(&op);
                 // Keep every entry the op recorded, live or later pruned.
                 for (area, history) in det.store().sorted_entries() {
                     for p in history.writes.iter().chain(&history.reads) {

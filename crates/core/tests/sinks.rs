@@ -76,7 +76,7 @@ fn drive_bare(config: &DetectorConfig, steps: &[Event]) -> Vec<race_core::RaceRe
     let mut det = config.build();
     let mut log = VecSink::new();
     for step in steps {
-        det.apply(step, &[], &mut log);
+        det.apply(step, &mut log);
     }
     log.into_reports()
 }
@@ -88,7 +88,7 @@ fn drive_facade(
 ) -> (Vec<race_core::RaceReport>, RaceSummary) {
     let mut session = config.session();
     for step in steps {
-        session.apply(step, &[]);
+        session.apply(step);
     }
     let (summary, sink) = session.finish();
     (sink.reports().to_vec(), summary)
@@ -148,7 +148,7 @@ proptest! {
         let mut distinct_areas = std::collections::BTreeSet::new();
         let mut total = 0usize;
         for step in &steps {
-            total += session.apply(step, &[]);
+            total += session.apply(step);
         }
         let summary = session.summary();
         for area in summary.by_area.keys() {
@@ -164,9 +164,9 @@ proptest! {
     }
 }
 
-/// A write-write report on word 0 of rank 1 by the access `current`,
-/// attributed to the access `previous` when there is one.
-fn report(current: u64, previous: Option<u64>) -> RaceReport {
+/// A write-write report on word 0 of rank 1 by the access `current`
+/// against the access `previous`.
+fn report(current: u64, previous: u64) -> RaceReport {
     let access = |id, process| AccessSummary {
         id,
         process,
@@ -180,7 +180,7 @@ fn report(current: u64, previous: Option<u64>) -> RaceReport {
         detector: "test",
         class: RaceClass::WriteWrite,
         current: access(current, 0),
-        previous: previous.map(|id| access(id, 1)),
+        previous: access(previous, 1),
         area: AreaKey::new(1, 0),
     }
 }
@@ -189,7 +189,7 @@ fn report(current: u64, previous: Option<u64>) -> RaceReport {
 /// same-pair reports leave a one-entry summary and a two-word counter.
 #[test]
 fn aggregating_sinks_do_not_grow_with_report_count() {
-    let report = report(1, None);
+    let report = report(1, 0);
     let mut summary = SummarySink::default();
     let mut counting = CountingSink::default();
     let mut vec = VecSink::new();
@@ -213,11 +213,11 @@ fn aggregating_sinks_do_not_grow_with_report_count() {
 #[test]
 fn dedup_sink_evicts_the_oldest_key_before_and_after_a_restore() {
     let forwarded = |sink: &DedupSink| -> Vec<(u64, u64)> {
-        sink.reports().iter().map(RaceReport::dedup_key).collect()
+        sink.reports().iter().map(RaceReport::pair).collect()
     };
     let (a, b, c, d) = ((1, 2), (3, 4), (5, 6), (7, 8));
     let send = |sink: &mut DedupSink, (cur, prev): (u64, u64)| {
-        sink.on_report(&report(cur, Some(prev)));
+        sink.on_report(&report(cur, prev));
     };
 
     let mut sink = DedupSink::with_capacity(Box::new(VecSink::new()), 2);

@@ -990,7 +990,7 @@ fn run_session(
                             panic!("injected session panic at op {}", op.op_id);
                         }
                     }
-                    session.apply(&ev, &[]);
+                    session.apply(&ev);
                 }));
                 if let Err(payload) = step {
                     // The worker just died mid-event. Rebuild the session
@@ -1141,16 +1141,15 @@ fn recover_session(
     cfg: &ServeConfig,
 ) -> Option<Session> {
     let ckpt = ckpt?;
-    let journal = broken.journal().to_vec();
     catch_unwind(AssertUnwindSafe(|| -> Option<Session> {
         let mut session = Session::restore(ckpt, make_sink(cfg)).ok()?;
-        for (event, held) in &journal {
-            session.apply(event, held);
+        for event in broken.journal() {
+            session.apply(event);
         }
         if session.events() + 1 == expected_events {
             // The panic fired before the event reached the session journal
             // (the injection hook, or a pre-apply failure): apply it now.
-            session.apply(in_flight, &[]);
+            session.apply(in_flight);
         }
         // Exactly-once: anything else means the journal and the event
         // counter disagree and the rebuilt state cannot be trusted.

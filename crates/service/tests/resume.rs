@@ -100,7 +100,7 @@ fn twin_json(config: &DetectorConfig, events: &[WireEvent]) -> String {
         .clone()
         .session_with(Box::new(SummarySink::default()));
     for ev in events {
-        session.apply(ev, &[]);
+        session.apply(ev);
     }
     session.finish().0.to_json()
 }

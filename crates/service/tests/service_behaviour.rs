@@ -45,7 +45,7 @@ fn racing_events(words: usize, base_op: u64) -> Vec<WireEvent> {
 fn in_process_json(events: &[WireEvent]) -> String {
     let mut session = config().session_with(Box::new(SummarySink::default()));
     for ev in events {
-        session.apply(ev, &[]);
+        session.apply(ev);
     }
     session.finish().0.to_json()
 }
@@ -186,7 +186,7 @@ fn a_hello_sized_to_exhaust_memory_poisons_only_its_session() {
     let mut twin = DetectorConfig::from_json(huge_dense)
         .unwrap()
         .session_with(Box::new(SummarySink::default()));
-    twin.apply(&far_put, &[]);
+    twin.apply(&far_put);
     // One area, two clocks of four words: the far put touched one entry.
     assert_eq!(twin.clock_memory_bytes(), 2 * N * 8);
     match ServerFrame::decode(&read_frame(&mut accepted).unwrap()).unwrap() {
@@ -212,6 +212,97 @@ fn a_hello_sized_to_exhaust_memory_poisons_only_its_session() {
     assert_eq!(poisoned.len(), 1);
     let error = poisoned[0].error.as_deref().unwrap_or_default();
     assert!(error.starts_with("bad detector config: "), "got {error:?}");
+}
+
+#[test]
+fn a_hello_naming_the_retired_lockset_kind_gets_an_error_frame() {
+    let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
+
+    // A Dual session, open across the refused Hello.
+    let events = racing_events(4, 1);
+    let mut client = ServiceClient::connect(server.local_addr(), &config()).unwrap();
+    client.send(&events[0]).unwrap();
+
+    let mut refused = TcpStream::connect(server.local_addr()).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let hello = ClientFrame::Hello {
+        config_json: r#"{"kind":"lockset","n":4,"granularity":8}"#.to_string(),
+    };
+    write_frames(&mut refused, &[hello]);
+    match ServerFrame::decode(&read_frame(&mut refused).unwrap()).unwrap() {
+        ServerFrame::Error { message } => assert!(
+            message.starts_with("bad detector config: ")
+                && message.contains(r#"unknown detector kind "lockset""#),
+            "got {message:?}"
+        ),
+        other => panic!("wanted an error frame, got {other:?}"),
+    }
+
+    for ev in &events[1..] {
+        client.send(ev).unwrap();
+    }
+    let remote = client.finish().unwrap();
+    assert!(!remote.summary.degraded);
+    assert_eq!(remote.raw_json, in_process_json(&events));
+
+    let report = server.shutdown();
+    assert_eq!(report.stats.finished, 1);
+    assert_eq!(report.stats.poisoned, 1);
+}
+
+/// The wire carries no held locks, and no served kind needs them: four
+/// puts to P1's word 0 (P0, P2, P0, P2), each inside an `Acquire` /
+/// `Release` of lock `(1, 0)`, are race-free to every clock-based kind,
+/// served or in process.
+#[test]
+fn lock_protected_puts_are_silent_served_and_in_process() {
+    const LOCK: race_core::LockId = (1, 0);
+    let events: Vec<WireEvent> = [0usize, 2, 0, 2]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(op_id, rank)| {
+            let put = DsmOp {
+                op_id: op_id as u64,
+                actor: rank,
+                kind: OpKind::Put {
+                    src: GlobalAddr::private(rank, 0).range(8),
+                    dst: GlobalAddr::public(1, 0).range(8),
+                },
+            };
+            [
+                WireEvent::Acquire { rank, lock: LOCK },
+                WireEvent::Op(put),
+                WireEvent::Release { rank, lock: LOCK },
+            ]
+        })
+        .collect();
+
+    let server = Server::bind("127.0.0.1:0", quick_serve_config()).unwrap();
+    for kind in [
+        DetectorKind::Dual,
+        DetectorKind::Single,
+        DetectorKind::Literal,
+    ] {
+        let config = DetectorConfig::new(kind, 3);
+        let mut client = ServiceClient::connect(server.local_addr(), &config).unwrap();
+        for ev in &events {
+            client.send(ev).unwrap();
+        }
+        let remote = client.finish().unwrap();
+
+        let mut session = config.session_with(Box::new(SummarySink::default()));
+        for ev in &events {
+            session.apply(ev);
+        }
+        let local = session.finish().0;
+
+        assert_eq!(local.total, 0, "{kind:?} in process");
+        assert_eq!(remote.summary.total, 0, "{kind:?} served");
+        assert_eq!(remote.raw_json, local.to_json(), "{kind:?}");
+    }
+    server.shutdown();
 }
 
 #[test]

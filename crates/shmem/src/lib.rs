@@ -41,7 +41,7 @@ pub mod locks;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use race_core::{DetectorConfig, DetectorKind, DsmOp, LockId, OpKind, RaceReport, Session};
+use race_core::{DetectorConfig, DetectorKind, DsmOp, OpKind, RaceReport, Session};
 
 pub use dsm::addr::{GlobalAddr, MemRange, Segment};
 
@@ -109,7 +109,6 @@ struct Shared {
 pub struct Pe {
     rank: Rank,
     shared: Arc<Shared>,
-    held_locks: std::cell::RefCell<Vec<LockId>>,
 }
 
 impl Pe {
@@ -157,7 +156,7 @@ impl Pe {
         };
         let reports = {
             let mut session = lock(&self.shared.session);
-            session.observe_collect(&op, &self.held_locks.borrow())
+            session.observe_collect(&op)
         };
         seg[dst.addr.offset..dst.end()].copy_from_slice(data);
         reports
@@ -179,7 +178,7 @@ impl Pe {
         };
         let reports = {
             let mut session = lock(&self.shared.session);
-            session.observe_collect(&op, &self.held_locks.borrow())
+            session.observe_collect(&op)
         };
         buf.copy_from_slice(&seg[src.addr.offset..src.end()]);
         reports
@@ -198,17 +197,6 @@ impl Pe {
         self.shared
             .lock_registry
             .acquire(self, range, &self.shared.session)
-    }
-
-    pub(crate) fn held_locks_push(&self, id: LockId) {
-        self.held_locks.borrow_mut().push(id);
-    }
-
-    pub(crate) fn held_locks_pop(&self, id: LockId) {
-        let mut held = self.held_locks.borrow_mut();
-        if let Some(pos) = held.iter().position(|l| *l == id) {
-            held.remove(pos);
-        }
     }
 
     pub(crate) fn rank(&self) -> Rank {
@@ -254,7 +242,7 @@ impl Pe {
         };
         let reports = {
             let mut session = lock(&self.shared.session);
-            session.observe_collect(&op, &self.held_locks.borrow())
+            session.observe_collect(&op)
         };
         let off = target.addr.offset;
         let old = read_le_u64(&seg, off);
@@ -356,12 +344,7 @@ where
             let shared = Arc::clone(&shared);
             let body = &body;
             scope.spawn(move || {
-                let pe = Pe {
-                    rank,
-                    shared,
-                    held_locks: std::cell::RefCell::new(Vec::new()),
-                };
-                body(&pe);
+                body(&Pe { rank, shared });
             });
         }
     });

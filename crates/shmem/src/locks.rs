@@ -55,7 +55,6 @@ impl LockRegistry {
         // observe path, which never takes area locks).
         let held = HeldArea::acquire(self.area_lock(id));
         lock(session).on_acquire(pe.rank(), id);
-        pe.held_locks_push(id);
         AreaLockGuard {
             pe,
             session,
@@ -101,7 +100,6 @@ impl Drop for AreaLockGuard<'_> {
     fn drop(&mut self) {
         // Snapshot the releaser's clock before the area opens.
         lock(self.session).on_release(self.pe.rank(), self.id);
-        self.pe.held_locks_pop(self.id);
         // `_held` drops after this body: the area opens last.
     }
 }

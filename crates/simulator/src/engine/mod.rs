@@ -46,7 +46,7 @@ use dsm::rdma::RdmaEngine;
 use dsm::{MemRange, ProcessMemory};
 use netsim::{EventQueue, NetStats, Network, SimTime};
 use race_core::report::WordHashState;
-use race_core::{dedup_reports, DsmOp, LockId, RaceReport, RaceSummary, Session, Trace};
+use race_core::{dedup_reports, DsmOp, RaceReport, RaceSummary, Session, Trace};
 
 use crate::config::SimConfig;
 use crate::program::Program;
@@ -115,15 +115,6 @@ struct Proc {
     /// Slot filled by a lock-grant handler just before waking the process.
     last_grant: Option<(Rank, u64)>,
     done: bool,
-}
-
-impl Proc {
-    fn held_lock_ids(&self) -> Vec<LockId> {
-        self.prog_locks
-            .iter()
-            .map(|l| (l.range.addr.rank, l.range.addr.offset))
-            .collect()
-    }
 }
 
 /// What a completion token resolves to.
@@ -343,8 +334,8 @@ impl Engine {
         self.net.send(now, src, dst, payload);
     }
 
-    fn observe(&mut self, op: &DsmOp, held: &[LockId]) {
-        self.session.observe(op, held);
+    fn observe(&mut self, op: &DsmOp) {
+        self.session.observe(op, &[]);
     }
 
     /// Run to quiescence.

@@ -8,7 +8,7 @@ use dsm::proto::{AtomicOp, DetHeader, DsmPayload, OpToken};
 use dsm::rdma::DeferredPut;
 use dsm::Data;
 use netsim::{Message, SimTime};
-use race_core::{AccessKind, DsmOp, LockId};
+use race_core::{AccessKind, DsmOp};
 
 use super::locks::Waiter;
 use super::plan::Step;
@@ -35,7 +35,6 @@ pub(super) enum PutDone {
 #[derive(Debug)]
 pub(super) struct PutCtx {
     pub(super) op: DsmOp,
-    pub(super) held: Vec<LockId>,
     pub(super) sent_at: SimTime,
     pub(super) done: PutDone,
     /// The data reached the owner (a duplicate must not be applied).
@@ -287,7 +286,7 @@ impl Engine {
             return;
         };
         if written.is_ok() {
-            self.observe(&ctx.op, &ctx.held);
+            self.observe(&ctx.op);
             self.trace.record_access(
                 ctx.op.write_access_id(),
                 initiator,
@@ -332,11 +331,10 @@ impl Engine {
                 return;
             }
         };
-        let held = self.procs[actor].held_lock_ids();
         self.rdma[owner].begin_get(token, src);
         let (data, cost) = match self.memories[owner].read(&src, actor) {
             Ok(data) => {
-                self.observe(&op, &held);
+                self.observe(&op);
                 self.trace
                     .record_access(op.read_access_id(), actor, AccessKind::Read, src);
                 (data, LOCAL_ACCESS_NS)
@@ -420,9 +418,6 @@ impl Engine {
             ));
             return 0;
         }
-        // The initiator is blocked on the atomic, so the program locks it
-        // holds now are the ones it held at issue.
-        let held = self.procs[initiator].held_lock_ids();
         let old = match self.memories[owner].read_u64(target.addr, initiator) {
             Ok(v) => v,
             Err(e) => {
@@ -430,7 +425,7 @@ impl Engine {
                 return 0;
             }
         };
-        self.observe(op, &held);
+        self.observe(op);
         self.trace.record_access_ext(
             op.read_access_id(),
             initiator,

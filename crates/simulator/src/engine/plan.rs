@@ -425,7 +425,6 @@ impl Engine {
                     },
                     None => self.take_data(rank),
                 };
-                let held = self.procs[rank].held_lock_ids();
                 // Source-side read access happens now (trace), unless imm.
                 if let Some(r) = src {
                     self.trace
@@ -449,7 +448,6 @@ impl Engine {
                     t,
                     PutCtx {
                         op,
-                        held,
                         sent_at: self.now,
                         done,
                         at_owner: false,
@@ -536,13 +534,12 @@ impl Engine {
                 }
             }
             Step::LocalAccess { op, range, write } => {
-                let held = self.procs[rank].held_lock_ids();
                 if write {
                     let value = self.take_data(rank);
                     if let Err(e) = self.memories[rank].write(&range, &value, rank) {
                         self.errors.push(format!("P{rank}: local write: {e}"));
                     } else {
-                        self.observe(&op, &held);
+                        self.observe(&op);
                         self.trace.record_access(
                             op.write_access_id(),
                             rank,
@@ -553,7 +550,7 @@ impl Engine {
                 } else {
                     match self.memories[rank].check_access(&range, rank) {
                         Ok(()) => {
-                            self.observe(&op, &held);
+                            self.observe(&op);
                             self.trace.record_access(
                                 op.read_access_id(),
                                 rank,

@@ -9,7 +9,7 @@
 //!   must still complete — races are never fatal.
 //! * [`slotted`] — each worker has its own slot: race-free.
 //! * [`locked`] — workers share the slot but serialise with the NIC area
-//!   lock: race-free, and the lockset baseline agrees.
+//!   lock: race-free.
 
 use dsm::GlobalAddr;
 

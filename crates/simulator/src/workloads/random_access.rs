@@ -3,8 +3,8 @@
 //! `n` processes issue `ops_per_rank` operations against `hot_words` shared
 //! words scattered round-robin across all public segments. Each operation
 //! is a put with probability `p_write`, otherwise a get. Optional `locked`
-//! discipline wraps every access in the word's NIC lock (making the
-//! workload race-free and keeping the lockset baseline happy).
+//! discipline wraps every access in the word's NIC lock, making the
+//! workload race-free.
 //!
 //! Used by the precision/recall comparison (SEC4D-fp: how many read-read
 //! false positives does each detector emit as `p_write` falls?) and by the

@@ -5,8 +5,7 @@
 //! Lock hand-offs create synchronisation edges ordering every access pair
 //! on each inbox, so the workload is race-free in every schedule — like the
 //! paper's Fig 5b chain. Any report on this workload is a false positive
-//! (none for the clock detectors; the lockset baseline is also satisfied,
-//! since every access is consistently protected).
+//! (the dual-clock detector makes none).
 
 use dsm::GlobalAddr;
 

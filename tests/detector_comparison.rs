@@ -4,7 +4,7 @@
 //! clock granularity.
 
 use coherent_dsm::prelude::*;
-use simulator::workloads::{figures, random_access, ring};
+use simulator::workloads::{figures, random_access};
 
 fn run_with(
     kind: DetectorKind,
@@ -130,27 +130,6 @@ fn literal_mode_keeps_read_read_false_positives() {
             .iter()
             .any(|r| r.class == RaceClass::ReadRead),
         "literal get compares against V: concurrent reads are flagged"
-    );
-}
-
-/// Lockset baseline: blind to barrier/causal synchronisation — it reports
-/// on the barrier-ordered fig4 program (false positive) while accepting
-/// lock-disciplined code.
-#[test]
-fn lockset_false_positives_on_barrier_synced_code() {
-    let w = figures::fig4();
-    let (lockset, _, _) = run_with(DetectorKind::Lockset, &w.programs, w.n, 1);
-    assert!(
-        !lockset.deduped().is_empty(),
-        "lockset cannot see the barrier ordering"
-    );
-
-    let ringw = ring::pipeline(4, 2);
-    let (on_ring, _, _) = run_with(DetectorKind::Lockset, &ringw.programs, ringw.n, 1);
-    assert!(
-        on_ring.deduped().is_empty(),
-        "consistently locked ring satisfies the lockset discipline: {:?}",
-        on_ring.deduped()
     );
 }
 
