@@ -9,20 +9,19 @@
 //! single place every construction knob lives:
 //!
 //! ```text
-//!   DetectorConfig ──build()──▶ Box<dyn Detector>
-//!        │                           │
-//!        └──session()──▶ Session ────┤ observe(op) ─▶ ReportSink::accept
-//!                           │        └ finish()     ─▶ ReportSink::on_flush
-//!                           └ RaceSummary (bounded, O(areas) memory)
+//!   DetectorConfig ──session()──▶ Session ─┬─ observe(op) ─▶ ReportSink::accept
+//!                                 │        └─ finish()     ─▶ ReportSink::on_flush
+//!                                 └ RaceSummary (bounded, O(areas) memory)
 //! ```
 //!
 //! * [`DetectorConfig`] — every knob of every detector in one
 //!   serialisable value. [`DetectorConfig::to_json`]
 //!   / [`DetectorConfig::from_json`] round-trip the exact configuration so
 //!   bench JSON rows and CI can record and replay it.
-//! * [`Session`] — owns the detector plus a pluggable [`ReportSink`] trait
-//!   object and a running [`RaceSummary`]. Reports stream out as they are
-//!   detected; the session itself retains only the bounded aggregate.
+//! * [`Session`] — owns the detector (an [`HbDetector`] for the clock
+//!   kinds, an op counter for vanilla) plus a pluggable [`ReportSink`]
+//!   trait object and a running [`RaceSummary`]. Reports stream out as they
+//!   are detected; the session itself retains only the bounded aggregate.
 //! * Shipped sinks: [`VecSink`] (keeps everything),
 //!   [`CountingSink`], [`SummarySink`], [`ChannelSink`], [`DedupSink`].
 //!
@@ -473,8 +472,7 @@ impl ReportSink for Tee<'_> {
 /// JSON-round-trippable value — the single thing a backend, bench row or
 /// CI job needs to record to make a detection run reproducible.
 ///
-/// Build a bare detector with [`DetectorConfig::build`], or (preferred) a
-/// streaming [`Session`] with [`DetectorConfig::session`] /
+/// Build a streaming [`Session`] with [`DetectorConfig::session`] /
 /// [`DetectorConfig::session_with`].
 ///
 /// ```
@@ -520,30 +518,29 @@ impl DetectorConfig {
         self
     }
 
-    /// Build the configured detector: an [`HbDetector`] in the kind's
-    /// [`crate::hb::HbMode`] for the clock-based kinds, the vanilla
-    /// baseline otherwise.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn build(&self) -> Box<dyn Detector> {
-        assert!(self.n > 0, "at least one process");
-        match self.kind.hb_mode() {
-            Some(mode) => Box::new(HbDetector::new(self.n, self.granularity, mode)),
-            None => Box::new(crate::vanilla::VanillaDetector::new()),
-        }
-    }
-
     /// Build a [`Session`] with the default [`VecSink`] (today's
     /// keep-everything behaviour, available via [`Session::reports`]).
     pub fn session(&self) -> Session {
         self.session_with(Box::new(VecSink::new()))
     }
 
-    /// Build a [`Session`] streaming into `sink`.
+    /// Build a [`Session`] streaming into `sink`: an [`HbDetector`] in the
+    /// kind's [`crate::hb::HbMode`] for the clock kinds, an op counter for
+    /// vanilla.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
     pub fn session_with(&self, sink: Box<dyn ReportSink>) -> Session {
+        assert!(self.n > 0, "at least one process");
         Session {
-            detector: self.build(),
+            detector: match self.kind.hb_mode() {
+                Some(mode) => SessionDetector::Clocks(Box::new(HbDetector::new(
+                    self.n,
+                    self.granularity,
+                    mode,
+                ))),
+                None => SessionDetector::Vanilla(0),
+            },
             config: self.clone(),
             sink,
             summary: RaceSummary::default(),
@@ -589,7 +586,7 @@ impl DetectorConfig {
     /// twice at the top level is an error naming it. Unknown kinds, malformed numbers and out-of-range values are
     /// reported, not panicked: this is the entry point for bytes from a
     /// socket or a checkpoint, so the parsed config is guaranteed safe to
-    /// [`DetectorConfig::build`] and to drive with arbitrary events.
+    /// build a [`Session`] from and to drive with arbitrary events.
     /// Callers that fill the struct directly are not restricted.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let fields = json::fields(json)?;
@@ -636,6 +633,18 @@ fn json_usize(fields: &BTreeMap<&str, &str>, key: &str) -> Result<usize, String>
 // Session
 // ---------------------------------------------------------------------------
 
+/// What a [`Session`] drives: the clocks of a clock kind, or vanilla's op
+/// count — the "full performance" side of §V-A, which keeps no clocks,
+/// sends no clock traffic, takes no algorithm locks and never reports.
+pub(crate) enum SessionDetector {
+    /// [`DetectorKind::Dual`], [`DetectorKind::Single`] or
+    /// [`DetectorKind::Literal`]. Boxed, so a session stays small.
+    Clocks(Box<HbDetector>),
+    /// [`DetectorKind::Vanilla`]: ops observed (sync events are not ops),
+    /// the whole state.
+    Vanilla(u64),
+}
+
 /// A running detection session: the configured detector, the report sink it
 /// streams into, and a bounded [`RaceSummary`] the session maintains
 /// regardless of the sink (so even a [`CountingSink`] session can print the
@@ -651,7 +660,7 @@ fn json_usize(fields: &BTreeMap<&str, &str>, key: &str) -> Result<usize, String>
 /// for, and what the *reports* cost is entirely the sink's policy.
 pub struct Session {
     config: DetectorConfig,
-    detector: Box<dyn Detector>,
+    detector: SessionDetector,
     sink: Box<dyn ReportSink>,
     summary: RaceSummary,
     /// Events applied over the session's whole lifetime (ops + sync
@@ -669,31 +678,28 @@ impl Session {
         &self.config
     }
 
-    /// Detector name (report attribution).
-    pub fn name(&self) -> &'static str {
-        self.detector.name()
-    }
-
     /// Whether the backend must wrap operations in the Algorithm-1/2 area
-    /// lock pairs (see [`Detector::requires_locking`]).
+    /// lock pairs: true for the clock kinds (the paper requires it so the
+    /// detection machinery itself cannot race), false for vanilla, which
+    /// only counts ops.
     pub fn requires_locking(&self) -> bool {
-        self.detector.requires_locking()
+        self.config.kind.requires_locking()
     }
 
-    /// Clock components a remote area access ships per direction (see
-    /// [`Detector::clock_components_per_area`]).
+    /// Clock components of an area that a remote access to it ships back
+    /// to the initiator (`0` = no clock traffic, `n` = one clock, `2n` = V
+    /// and W). The engine sizes the clocks piggy-backed on its replies
+    /// from this.
     pub fn clock_components_per_area(&self) -> usize {
-        self.detector.clock_components_per_area()
+        self.config.kind.clock_components_per_area(self.config.n)
     }
 
     /// Bytes of detector clock metadata currently held (§IV-D accounting).
     pub fn clock_memory_bytes(&self) -> usize {
-        self.detector.clock_memory_bytes()
-    }
-
-    /// Read access to the underlying detector (accounting experiments).
-    pub fn detector(&self) -> &dyn Detector {
-        &*self.detector
+        match &self.detector {
+            SessionDetector::Clocks(hb) => hb.clock_memory_bytes(),
+            SessionDetector::Vanilla(_) => 0,
+        }
     }
 
     /// Observe one operation: reports stream into the sink (and the running
@@ -703,21 +709,21 @@ impl Session {
     /// [`Detector::observe_sink`]; it goes with the next change to the
     /// `benchmark` crate, which still passes `&[]` (ROADMAP item 3).
     pub fn observe(&mut self, op: &DsmOp, held_locks: &[LockId]) -> usize {
-        // Journal-before-apply: if the detector dies mid-apply, the journal
-        // still names the event, so `restore(checkpoint)` + `apply` over the
-        // journal applies it exactly once.
-        if let Some(journal) = &mut self.journal {
-            journal.push(Event::Op(*op));
+        self.record(|| Event::Op(*op));
+        match &mut self.detector {
+            SessionDetector::Clocks(hb) => hb.observe_sink(
+                op,
+                held_locks,
+                &mut Tee {
+                    summary: &mut self.summary,
+                    sink: &mut *self.sink,
+                },
+            ),
+            SessionDetector::Vanilla(ops) => {
+                *ops += 1;
+                0
+            }
         }
-        self.events += 1;
-        self.detector.observe_sink(
-            op,
-            held_locks,
-            &mut Tee {
-                summary: &mut self.summary,
-                sink: &mut *self.sink,
-            },
-        )
     }
 
     /// Observe one op and *also* return copies of the new reports (the
@@ -725,13 +731,14 @@ impl Session {
     /// session sink exactly once — the copies come from a temporary
     /// [`VecSink`], not from re-observing.
     pub fn observe_collect(&mut self, op: &DsmOp) -> Vec<RaceReport> {
-        if let Some(journal) = &mut self.journal {
-            journal.push(Event::Op(*op));
-        }
-        self.events += 1;
-        let mut tmp = VecSink::new();
-        self.detector.observe_sink(op, &[], &mut tmp);
-        let collected = tmp.into_reports();
+        self.record(|| Event::Op(*op));
+        let collected = match &mut self.detector {
+            SessionDetector::Clocks(hb) => hb.observe_collect(op),
+            SessionDetector::Vanilla(ops) => {
+                *ops += 1;
+                Vec::new()
+            }
+        };
         self.summary.add_all(&collected);
         for report in &collected {
             self.sink.on_report(report);
@@ -741,51 +748,49 @@ impl Session {
 
     /// `rank` released program lock `lock` (the release carries its clock).
     pub fn on_release(&mut self, rank: usize, lock: LockId) {
-        if let Some(journal) = &mut self.journal {
-            journal.push(Event::Release { rank, lock });
-        }
-        self.events += 1;
-        self.detector.on_release(rank, lock);
+        self.sync(Event::Release { rank, lock });
     }
 
     /// `rank` acquired program lock `lock` (the grant carries the clock).
     pub fn on_acquire(&mut self, rank: usize, lock: LockId) {
-        if let Some(journal) = &mut self.journal {
-            journal.push(Event::Acquire { rank, lock });
-        }
-        self.events += 1;
-        self.detector.on_acquire(rank, lock);
+        self.sync(Event::Acquire { rank, lock });
     }
 
     /// A barrier completed among all ranks.
     pub fn on_barrier(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.push(Event::Barrier);
-        }
-        self.events += 1;
-        self.detector.on_barrier();
+        self.sync(Event::Barrier);
     }
 
-    /// Drive the session with one event: the one place an [`Event`] maps
-    /// onto [`Session::observe`] and the sync hooks, so journalling stays
-    /// where those methods put it. Returns the number of reports the event
-    /// produced (always 0 for sync events).
+    /// Drive the session with one event: an op goes to
+    /// [`Session::observe`], a sync event to its hook. Returns the number
+    /// of reports the event produced (always 0 for sync events).
     pub fn apply(&mut self, ev: &Event) -> usize {
         match ev {
             Event::Op(op) => self.observe(op, &[]),
-            Event::Barrier => {
-                self.on_barrier();
-                0
-            }
-            Event::Acquire { rank, lock } => {
-                self.on_acquire(*rank, *lock);
-                0
-            }
-            Event::Release { rank, lock } => {
-                self.on_release(*rank, *lock);
+            _ => {
+                self.sync(*ev);
                 0
             }
         }
+    }
+
+    /// A sync event: recorded, then merged by the clocks (vanilla keeps
+    /// none). It streams no report, so the sink is not teed.
+    fn sync(&mut self, ev: Event) {
+        self.record(|| ev);
+        if let SessionDetector::Clocks(hb) = &mut self.detector {
+            hb.apply(&ev, &mut *self.sink);
+        }
+    }
+
+    /// Journal the event before it is applied — if the detector dies
+    /// mid-apply, the journal still names it, so `restore(checkpoint)` +
+    /// `apply` over the journal applies it exactly once — and count it.
+    fn record(&mut self, ev: impl FnOnce() -> Event) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(ev());
+        }
+        self.events += 1;
     }
 
     /// Total events (ops, lock transitions, barriers) this session has
@@ -820,18 +825,16 @@ impl Session {
     /// Serialize the session — detector clocks, running summary, sink dedup
     /// state and event count — into a versioned snapshot, and truncate the
     /// journal: replay cost from a snapshot is O(events since it was taken).
-    ///
-    /// Errors are typed ([`crate::snapshot::SnapshotError::Unsupported`]
-    /// when the detector has no snapshot representation — never the case
-    /// for a detector [`DetectorConfig::build`] made).
+    /// Every kind has a snapshot form, so this does not fail today; the
+    /// `Result` is the codec's contract with its callers.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
         let bytes = crate::snapshot::encode_session(
             &self.config,
             self.events,
             &self.summary,
             &*self.sink,
-            &*self.detector,
-        )?;
+            &self.detector,
+        );
         match &mut self.journal {
             Some(journal) => journal.clear(),
             None => self.journal = Some(Vec::new()),
@@ -1159,8 +1162,26 @@ mod tests {
             let config = DetectorConfig::new(kind, 4);
             let mut s = config.session();
             s.observe(&put(0, 0, 1, 0), &[]);
-            assert!(!s.name().is_empty());
+            assert_eq!(s.events(), 1);
         }
+    }
+
+    #[test]
+    fn vanilla_session_never_reports_and_costs_nothing() {
+        let mut s = DetectorConfig::new(DetectorKind::Vanilla, 3).session();
+        for i in 0..10 {
+            assert_eq!(s.observe(&put(2 * i, 0, 1, 0), &[]), 0);
+            assert!(s.observe_collect(&put(2 * i + 1, 2, 1, 0)).is_empty());
+        }
+        s.on_barrier();
+        assert!(s.reports().is_empty());
+        assert_eq!(s.summary().total, 0);
+        assert_eq!(s.clock_memory_bytes(), 0);
+        assert_eq!(s.clock_components_per_area(), 0);
+        assert!(!s.requires_locking());
+        assert_eq!(s.events(), 21);
+        let blob = s.checkpoint().expect("checkpoint");
+        assert_eq!(blob[blob.len() - 8..], 20u64.to_le_bytes(), "20 ops seen");
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! The detector interface shared by the reference algorithm and the
-//! vanilla baseline, plus the kind selector that
-//! [`crate::api::DetectorConfig`] builds from.
+//! The detector interface that [`crate::hb::HbDetector`] and the
+//! unoptimised [`crate::reference::ReferenceHbDetector`] share, plus the
+//! kind selector that [`crate::api::DetectorConfig`] names. Backends drive
+//! a [`crate::api::Session`], which runs an `HbDetector` for the clock
+//! kinds and only counts ops for [`DetectorKind::Vanilla`].
 
 use crate::api::{ReportSink, VecSink};
 use crate::event::{DsmOp, Event, LockId};
 use crate::report::RaceReport;
 
-/// An online race detector, driven one operation at a time by an execution
-/// backend (the discrete-event `simulator` or the real-thread `shmem`
-/// runtime).
+/// An online happens-before race detector, driven one operation at a time
+/// (by a [`crate::api::Session`], or bare by tests and the benchmark's
+/// detector rung).
 ///
 /// The backend guarantees what the paper's algorithms guarantee before the
-/// check runs: the source and destination areas are locked (when
-/// [`Detector::requires_locking`] is true) and the operation's accesses are
-/// presented in program order.
+/// check runs: the source and destination areas are locked (see
+/// [`crate::api::Session::requires_locking`]) and the operation's accesses
+/// are presented in program order.
 ///
 /// # Report flow
 ///
@@ -24,9 +26,6 @@ use crate::report::RaceReport;
 /// [`Detector::observe_collect`] is the convenience for tests and
 /// interactive callers that want the reports of one op as a `Vec`.
 pub trait Detector: Send {
-    /// Detector name for report attribution and tables.
-    fn name(&self) -> &'static str;
-
     /// Observe one operation, streaming any race reports it triggers into
     /// `sink`; returns the number of new reports. `held_locks` is ignored:
     /// no detector reads it, and it goes with the next change to the
@@ -54,40 +53,23 @@ pub trait Detector: Send {
         tmp.into_reports()
     }
 
-    /// Number of clock components of an area that a remote access to it
-    /// ships back to the initiator (`0` = no clock traffic; `n` = one
-    /// clock; `2n` = V and W). The engine sizes the clocks piggy-backed on
-    /// its replies from this.
-    fn clock_components_per_area(&self) -> usize;
-
     /// Bytes of detector metadata currently held, in the paper's §IV-D
     /// accounting (clock storage only).
     fn clock_memory_bytes(&self) -> usize;
 
-    /// Whether the backend must wrap operations in the Algorithm-1/2 lock
-    /// pairs. True for the clock-based detectors (the paper requires it so
-    /// the detection machinery itself cannot race), false for vanilla
-    /// (which only observes).
-    fn requires_locking(&self) -> bool;
-
     /// Program-level synchronisation hooks. In a real deployment the lock
     /// grant and barrier release messages carry vector clocks (like every
     /// message in the paper's model, §IV-B); the backend reports those
-    /// events so the clock-based detectors can merge. Defaults are no-ops
-    /// (vanilla keeps no clocks).
+    /// events so the detector can merge.
     ///
     /// `rank` released the program lock `lock`.
-    fn on_release(&mut self, rank: usize, lock: LockId) {
-        let _ = (rank, lock);
-    }
+    fn on_release(&mut self, rank: usize, lock: LockId);
 
     /// `rank` acquired the program lock `lock` (after someone's release).
-    fn on_acquire(&mut self, rank: usize, lock: LockId) {
-        let _ = (rank, lock);
-    }
+    fn on_acquire(&mut self, rank: usize, lock: LockId);
 
     /// A barrier completed among all ranks.
-    fn on_barrier(&mut self) {}
+    fn on_barrier(&mut self);
 
     /// Drive the bare detector with one event: the one place an [`Event`]
     /// maps onto [`Detector::observe_sink`] and the sync hooks for callers
@@ -110,14 +92,6 @@ pub trait Detector: Send {
                 0
             }
         }
-    }
-
-    /// Serialize this detector's state for the session checkpoint codec
-    /// (see [`crate::snapshot`]). `None` means the detector has no durable
-    /// representation (the default); the production kinds built by
-    /// [`crate::api::DetectorConfig::build`] all return `Some`.
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        None
     }
 }
 
@@ -154,7 +128,23 @@ impl DetectorKind {
         }
     }
 
-    /// Stable label.
+    /// See [`crate::api::Session::requires_locking`].
+    pub(crate) fn requires_locking(self) -> bool {
+        self.hb_mode().is_some()
+    }
+
+    /// See [`crate::api::Session::clock_components_per_area`]; `n` is the
+    /// process count.
+    pub(crate) fn clock_components_per_area(self, n: usize) -> usize {
+        match self {
+            DetectorKind::Dual | DetectorKind::Literal => 2 * n,
+            DetectorKind::Single => n,
+            DetectorKind::Vanilla => 0,
+        }
+    }
+
+    /// Stable label; also the detector name every report of the kind
+    /// carries.
     pub fn label(self) -> &'static str {
         match self {
             DetectorKind::Dual => "dual-clock",
@@ -175,15 +165,8 @@ impl DetectorKind {
 mod tests {
     use super::*;
     use crate::api::DetectorConfig;
-    use crate::clockstore::Granularity;
     use crate::event::OpKind;
     use dsm::GlobalAddr;
-
-    fn build(kind: DetectorKind, n: usize) -> Box<dyn Detector> {
-        DetectorConfig::new(kind, n)
-            .with_granularity(Granularity::WORD)
-            .build()
-    }
 
     #[test]
     fn factory_builds_every_kind() {
@@ -196,32 +179,37 @@ mod tests {
             },
         };
         for kind in DetectorKind::ALL {
-            let mut d = build(kind, 4);
-            assert!(!d.name().is_empty());
-            assert!(d.observe_collect(&first_write).is_empty());
+            let mut session = DetectorConfig::new(kind, 4).session();
+            assert!(session.observe_collect(&first_write).is_empty());
+            assert_eq!(session.events(), 1);
         }
     }
 
     #[test]
     fn clock_traffic_by_kind() {
         let n = 4;
-        assert_eq!(
-            build(DetectorKind::Dual, n).clock_components_per_area(),
-            2 * n
-        );
-        assert_eq!(
-            build(DetectorKind::Single, n).clock_components_per_area(),
-            n
-        );
-        assert_eq!(
-            build(DetectorKind::Vanilla, n).clock_components_per_area(),
-            0
-        );
+        let expected = [
+            (DetectorKind::Dual, 2 * n),
+            (DetectorKind::Single, n),
+            (DetectorKind::Literal, 2 * n),
+            (DetectorKind::Vanilla, 0),
+        ];
+        for (kind, components) in expected {
+            assert_eq!(kind.clock_components_per_area(n), components);
+            let session = DetectorConfig::new(kind, n).session();
+            assert_eq!(session.clock_components_per_area(), components);
+        }
     }
 
     #[test]
     fn locking_requirements() {
-        assert!(build(DetectorKind::Dual, 2).requires_locking());
-        assert!(!build(DetectorKind::Vanilla, 2).requires_locking());
+        for kind in DetectorKind::ALL {
+            let locks = kind != DetectorKind::Vanilla;
+            assert_eq!(kind.requires_locking(), locks);
+            assert_eq!(
+                DetectorConfig::new(kind, 2).session().requires_locking(),
+                locks
+            );
+        }
     }
 }

@@ -87,7 +87,7 @@ use vclock::{MatrixClock, VectorClock};
 
 use crate::api::ReportSink;
 use crate::clockstore::{AreaKey, ClockStore, Granularity};
-use crate::detector::Detector;
+use crate::detector::{Detector, DetectorKind};
 use crate::event::{AccessKind, AccessSummary, DsmOp, LockId};
 use crate::report::{RaceClass, RaceReport};
 use crate::Rank;
@@ -108,12 +108,14 @@ pub enum HbMode {
 }
 
 impl HbMode {
+    /// The name reports carry: the label of the kind that runs this mode.
     pub(crate) fn detector_name(self) -> &'static str {
-        match self {
-            HbMode::Dual => "dual-clock",
-            HbMode::Single => "single-clock",
-            HbMode::Literal => "literal-paper",
-        }
+        let kind = match self {
+            HbMode::Dual => DetectorKind::Dual,
+            HbMode::Single => DetectorKind::Single,
+            HbMode::Literal => DetectorKind::Literal,
+        };
+        kind.label()
     }
 
     /// `(check_writes, check_reads)`: which antichains an access of `kind`
@@ -314,10 +316,6 @@ fn signal_race(
 }
 
 impl Detector for HbDetector {
-    fn name(&self) -> &'static str {
-        self.mode.detector_name()
-    }
-
     fn observe_sink(
         &mut self,
         op: &DsmOp,
@@ -439,19 +437,8 @@ impl Detector for HbDetector {
         new
     }
 
-    fn clock_components_per_area(&self) -> usize {
-        match self.mode {
-            HbMode::Dual | HbMode::Literal => 2 * self.n,
-            HbMode::Single => self.n,
-        }
-    }
-
     fn clock_memory_bytes(&self) -> usize {
         self.store.clock_memory_bytes()
-    }
-
-    fn requires_locking(&self) -> bool {
-        true
     }
 
     /// Lock release: the release message carries the releaser's current
@@ -491,10 +478,6 @@ impl Detector for HbDetector {
             // Every row now equals the join: one copy serves all n actors.
             self.shared_rows.fill(Some(Arc::new(join)));
         }
-    }
-
-    fn snapshot_state(&self) -> Option<Vec<u8>> {
-        Some(crate::snapshot::encode_hb(self))
     }
 }
 

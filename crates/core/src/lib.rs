@@ -26,7 +26,8 @@
 //!   - [`hb::HbMode::Literal`] — the protocol exactly as printed (puts check
 //!     only `W`, gets check `V`): misses write-after-read races and keeps
 //!     the read-read false positives. Experiment ABL-lit.
-//! * [`vanilla::VanillaDetector`] — no detection; the overhead baseline.
+//! * [`detector::DetectorKind::Vanilla`] — no detection, the overhead
+//!   baseline: its session only counts ops.
 //! * [`oracle::Oracle`] — offline exact happens-before over a full execution
 //!   trace: ground truth for precision/recall scoring of the online
 //!   detectors.
@@ -35,9 +36,9 @@
 //!   session's bounded event journal, the one crash-recovery mechanism
 //!   (see `docs/ROBUSTNESS.md`).
 //!
-//! All detectors implement [`detector::Detector`] and are driven by the
-//! `simulator` engine (discrete-event backend) or by the `shmem` crate
-//! (real-thread backend).
+//! The execution backends — the `simulator` engine (discrete-event) and
+//! the `shmem` crate (real threads) — drive a [`api::Session`], never a
+//! bare [`detector::Detector`].
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -62,7 +63,6 @@ pub mod reference;
 pub mod report;
 pub mod snapshot;
 pub mod summary;
-pub mod vanilla;
 
 pub use api::{
     ChannelSink, CountingSink, DedupSink, DetectorConfig, ReportSink, Session, SummarySink, VecSink,
@@ -76,7 +76,6 @@ pub use reference::ReferenceHbDetector;
 pub use report::{dedup_reports, RaceClass, RaceReport};
 pub use snapshot::{SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};
 pub use summary::RaceSummary;
-pub use vanilla::VanillaDetector;
 
 /// A process identifier (dense rank).
 pub type Rank = usize;

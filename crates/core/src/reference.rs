@@ -172,13 +172,6 @@ impl ReferenceHbDetector {
 }
 
 impl Detector for ReferenceHbDetector {
-    fn name(&self) -> &'static str {
-        // Distinct from the optimised detector so mixed tables attribute
-        // correctly; the differential tests compare reports field-by-field
-        // with the name normalised.
-        "reference"
-    }
-
     fn observe_sink(
         &mut self,
         op: &DsmOp,
@@ -233,21 +226,10 @@ impl Detector for ReferenceHbDetector {
         count
     }
 
-    fn clock_components_per_area(&self) -> usize {
-        match self.mode {
-            HbMode::Dual | HbMode::Literal => 2 * self.n,
-            HbMode::Single => self.n,
-        }
-    }
-
     fn clock_memory_bytes(&self) -> usize {
         let per_clock = self.n * std::mem::size_of::<u64>();
         let dual = self.mode != HbMode::Single;
         self.areas.len() * per_clock * if dual { 2 } else { 1 }
-    }
-
-    fn requires_locking(&self) -> bool {
-        true
     }
 
     fn on_release(&mut self, rank: usize, lock: LockId) {

@@ -38,13 +38,11 @@ use std::sync::Arc;
 use dsm::addr::{GlobalAddr, MemRange, Segment};
 use vclock::{AreaClock, Epoch, MatrixClock, VectorClock};
 
-use crate::api::{DetectorConfig, ReportSink};
+use crate::api::{DetectorConfig, ReportSink, SessionDetector};
 use crate::clockstore::{AreaKey, ClockStore};
-use crate::detector::Detector;
 use crate::event::{AccessKind, AccessSummary, LockId};
 use crate::hb::{HbDetector, HbMode};
 use crate::summary::RaceSummary;
-use crate::vanilla::VanillaDetector;
 use crate::Rank;
 
 /// Current snapshot format version (the blob's first byte).
@@ -76,8 +74,6 @@ pub enum SnapshotError {
     /// Bytes remained after the last field — the blob is not from this
     /// codec (or was concatenated with something else).
     TrailingBytes,
-    /// The session's detector has no snapshot representation.
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -94,7 +90,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadConfig(e) => write!(f, "snapshot config: {e}"),
             SnapshotError::BadSummary(e) => write!(f, "snapshot summary: {e}"),
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
-            SnapshotError::Unsupported(what) => write!(f, "snapshot unsupported: {what}"),
         }
     }
 }
@@ -414,7 +409,7 @@ fn clock_is_join_of(clock: &AreaClock, chains: &[&[AccessSummary]]) -> bool {
 /// program-lock clocks (sorted), and every touched area of the store (in
 /// [`ClockStore::sorted_entries`] order, so identical state always encodes
 /// to identical bytes).
-pub(crate) fn encode_hb(hb: &HbDetector) -> Vec<u8> {
+fn encode_hb(hb: &HbDetector) -> Vec<u8> {
     let (store, clocks, lock_clocks) = hb.snapshot_parts();
     let mut buf = Vec::new();
     put_u32(&mut buf, store.n() as u32);
@@ -453,7 +448,7 @@ pub(crate) fn encode_hb(hb: &HbDetector) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_hb`], rebuilding against `config`'s store layout.
-pub(crate) fn decode_hb(
+fn decode_hb(
     config: &DetectorConfig,
     mode: HbMode,
     bytes: &[u8],
@@ -550,13 +545,6 @@ pub(crate) fn decode_hb(
     Ok(HbDetector::from_parts(mode, store, clocks, lock_clocks))
 }
 
-/// Encode the vanilla baseline (just its op counter).
-pub(crate) fn encode_vanilla(ops_seen: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, ops_seen);
-    buf
-}
-
 // ---------------------------------------------------------------------------
 // Session blob
 // ---------------------------------------------------------------------------
@@ -601,16 +589,19 @@ pub(crate) struct SessionParts {
     pub(crate) detector_state: Vec<u8>,
 }
 
+/// The detector payload is the clock state ([`encode_hb`]) or vanilla's
+/// 8-byte op count.
 pub(crate) fn encode_session(
     config: &DetectorConfig,
     events: u64,
     summary: &RaceSummary,
     sink: &dyn ReportSink,
-    detector: &dyn Detector,
-) -> Result<Vec<u8>, SnapshotError> {
-    let detector_state = detector.snapshot_state().ok_or(SnapshotError::Unsupported(
-        "this detector has no snapshot representation",
-    ))?;
+    detector: &SessionDetector,
+) -> Vec<u8> {
+    let detector_state = match detector {
+        SessionDetector::Clocks(hb) => encode_hb(hb),
+        SessionDetector::Vanilla(ops) => ops.to_le_bytes().to_vec(),
+    };
     let mut buf = Vec::new();
     put_u8(&mut buf, SNAPSHOT_VERSION);
     put_bytes(&mut buf, config.to_json().as_bytes());
@@ -624,7 +615,7 @@ pub(crate) fn encode_session(
         None => put_u8(&mut buf, 0),
     }
     put_bytes(&mut buf, &detector_state);
-    Ok(buf)
+    buf
 }
 
 pub(crate) fn decode_session(bytes: &[u8]) -> Result<SessionParts, SnapshotError> {
@@ -658,14 +649,16 @@ pub(crate) fn decode_session(bytes: &[u8]) -> Result<SessionParts, SnapshotError
 pub(crate) fn restore_detector(
     config: &DetectorConfig,
     state: &[u8],
-) -> Result<Box<dyn Detector>, SnapshotError> {
+) -> Result<SessionDetector, SnapshotError> {
     match config.kind.hb_mode() {
-        Some(mode) => Ok(Box::new(decode_hb(config, mode, state)?)),
+        Some(mode) => Ok(SessionDetector::Clocks(Box::new(decode_hb(
+            config, mode, state,
+        )?))),
         None => {
             let mut r = Reader::new(state);
-            let ops_seen = r.u64("ops seen")?;
+            let ops = r.u64("ops seen")?;
             r.finish()?;
-            Ok(Box::new(VanillaDetector::from_ops_seen(ops_seen)))
+            Ok(SessionDetector::Vanilla(ops))
         }
     }
 }

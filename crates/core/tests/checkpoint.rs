@@ -325,6 +325,59 @@ fn a_checkpoint_of_the_retired_lockset_kind_is_a_bad_config() {
     }
 }
 
+/// A v1 checkpoint of a 3-rank `Vanilla` session after the first 150
+/// events of the golden workload's 3-rank stream. Its detector payload is
+/// the 8-byte op count, which is below the event count: barriers and lock
+/// transitions are events but not ops.
+const VANILLA_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/checkpoint_v1_vanilla.bin"
+);
+
+#[test]
+fn the_vanilla_golden_checkpoint_restores_and_resumes() {
+    let events = workload(3, 160, 0x90_1D);
+    let vanilla = DetectorConfig::new(DetectorKind::Vanilla, 3);
+    let mut uninterrupted = vanilla.session_with(durable_sink());
+    for event in &events[..150] {
+        uninterrupted.apply(event);
+    }
+    let ckpt = uninterrupted.checkpoint().expect("checkpoint");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(VANILLA_PATH, &ckpt).expect("write vanilla blob");
+    }
+    let blob = std::fs::read(VANILLA_PATH).expect("vanilla blob committed");
+    assert_eq!(ckpt, blob, "checkpoint encoding changed");
+    assert_eq!(blob[0], race_core::SNAPSHOT_VERSION);
+    let header = race_core::snapshot::peek_header(&blob).expect("header");
+    assert_eq!(header.events, 150);
+    let ops = u64::from_le_bytes(blob[blob.len() - 8..].try_into().expect("8 bytes"));
+    let expected_ops = events[..150]
+        .iter()
+        .filter(|e| matches!(e, Event::Op(_)))
+        .count();
+    assert_eq!(ops, expected_ops as u64, "the payload is the op count");
+    assert!(ops < header.events, "the stream has sync events");
+
+    let mut resumed = Session::restore(&blob, durable_sink()).expect("vanilla blob restores");
+    assert_eq!(
+        resumed.checkpoint().expect("re-checkpoint"),
+        blob,
+        "the vanilla blob is a checkpoint fixed point"
+    );
+    for event in &events[150..] {
+        assert_eq!(resumed.apply(event), uninterrupted.apply(event));
+    }
+    // The bytes carry the event count, the summary and the op count.
+    assert_eq!(
+        resumed.checkpoint().expect("resumed checkpoint"),
+        uninterrupted
+            .checkpoint()
+            .expect("uninterrupted checkpoint"),
+        "restore plus ten events equals the uninterrupted session"
+    );
+}
+
 #[test]
 fn golden_with_unknown_version_is_a_typed_error_never_a_panic() {
     let mut blob = std::fs::read(GOLDEN_PATH).expect("golden blob committed");

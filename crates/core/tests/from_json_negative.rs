@@ -1,7 +1,7 @@
 //! Negative-path coverage for `DetectorConfig::from_json`: every malformed
 //! or out-of-range input must come back as `Err` with a message naming the
 //! offending field — never a panic, and never a config that would panic
-//! or abort on allocation later, in `build()` or under a hostile stream.
+//! or abort on allocation later, in `session()` or under a hostile stream.
 
 use race_core::{DetectorConfig, DetectorKind};
 
@@ -150,10 +150,24 @@ fn negative_and_non_numeric_numbers_are_field_errors() {
 
 #[test]
 fn every_accepted_config_builds_without_panicking() {
-    // The contract the validation exists for: Ok(config) ⇒ build() is safe.
+    // The contract the validation exists for: Ok(config) ⇒ a session of it
+    // is safe to build and to drive, up to its highest rank.
+    use dsm::addr::GlobalAddr;
+    use race_core::{DsmOp, OpKind};
     for (field, value) in [("n", "1"), ("n", "128"), ("granularity", "64")] {
         let c = DetectorConfig::from_json(&with_field(field, value)).unwrap();
-        let _ = c.build();
+        let top = c.n - 1;
+        let mut session = c.session();
+        let put = DsmOp {
+            op_id: 0,
+            actor: top,
+            kind: OpKind::Put {
+                src: GlobalAddr::private(top, 0).range(8),
+                dst: GlobalAddr::public(top, 0).range(8),
+            },
+        };
+        assert_eq!(session.observe(&put, &[]), 0);
+        assert_eq!(session.events(), 1);
     }
 }
 

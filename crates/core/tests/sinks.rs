@@ -9,8 +9,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use race_core::api::{CountingSink, DedupSink, DetectorConfig, ReportSink, SummarySink, VecSink};
 use race_core::{
-    AccessKind, AccessSummary, AreaKey, DetectorKind, DsmOp, Event, Granularity, OpKind, RaceClass,
-    RaceReport, RaceSummary,
+    AccessKind, AccessSummary, AreaKey, Detector, DetectorKind, DsmOp, Event, Granularity,
+    HbDetector, OpKind, RaceClass, RaceReport, RaceSummary,
 };
 use vclock::VectorClock;
 
@@ -72,8 +72,12 @@ fn decode(n: usize, raw: (usize, usize, usize, usize, usize), op_id: u64) -> Eve
 }
 
 /// Drive the bare path: `observe_sink()` into a caller-owned `VecSink`.
+/// Vanilla has no bare detector; its stream is empty.
 fn drive_bare(config: &DetectorConfig, steps: &[Event]) -> Vec<race_core::RaceReport> {
-    let mut det = config.build();
+    let Some(mode) = config.kind.hb_mode() else {
+        return Vec::new();
+    };
+    let mut det = HbDetector::new(config.n, config.granularity, mode);
     let mut log = VecSink::new();
     for step in steps {
         det.apply(step, &mut log);

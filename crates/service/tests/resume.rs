@@ -5,7 +5,7 @@
 //! outcome-ledger accounting (one park, one resume, one finish, nothing
 //! degraded, nothing poisoned).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dsm::addr::GlobalAddr;
 use dsm_service::frame::WireEvent;
@@ -105,6 +105,21 @@ fn twin_json(config: &DetectorConfig, events: &[WireEvent]) -> String {
     session.finish().0.to_json()
 }
 
+/// Wait until the server has parked `expected` sessions in all and one
+/// awaits resume: a `Resume` that beats its park is refused for good. The
+/// counter moves just before the registry insert, so both are polled.
+fn wait_for_parks(server: &Server, expected: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().parked != expected || server.parked_sessions() != 1 {
+        let parked = server.stats().parked;
+        assert!(
+            Instant::now() < deadline,
+            "after 5 s the server had parked {parked} session(s), expected {expected}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn killed_mid_stream_sessions_resume_byte_identical_across_the_matrix() {
     for kind in DetectorKind::ALL {
@@ -139,11 +154,11 @@ fn killed_mid_stream_sessions_resume_byte_identical_across_the_matrix() {
             let session_id = client.session_id();
 
             for (i, ev) in events.iter().enumerate() {
-                if cuts.contains(&i) {
+                if let Some(k) = cuts.iter().position(|&cut| cut == i) {
                     client.drop_connection();
-                    // Give the server a beat to notice the dead socket and
-                    // park the session before the reconnect dials in.
-                    std::thread::sleep(Duration::from_millis(50));
+                    // The server must notice the dead socket and park the
+                    // session before the reconnect dials in.
+                    wait_for_parks(&server, k as u64 + 1);
                 }
                 client
                     .send(ev)

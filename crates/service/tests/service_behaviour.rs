@@ -6,7 +6,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dsm::addr::GlobalAddr;
 use dsm_service::frame::{append_frame, read_frame, ClientFrame, ServerFrame, WireEvent};
@@ -748,6 +748,21 @@ fn ledger_is_bounded_with_fifo_eviction_and_counter() {
     assert_eq!(ids, vec![3, 4, 5], "oldest records evicted first");
 }
 
+/// Wait until the server has parked `expected` sessions in all and one
+/// awaits resume: a `Resume` that beats its park is refused for good. The
+/// counter moves just before the registry insert, so both are polled.
+fn wait_for_parks(server: &Server, expected: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().parked != expected || server.parked_sessions() != 1 {
+        let parked = server.stats().parked;
+        assert!(
+            Instant::now() < deadline,
+            "after 5 s the server had parked {parked} session(s), expected {expected}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Satellite: resume tokens are load-bearing security state. A forged or
 /// stale token is refused with a typed error, counted, and — crucially —
 /// must not destroy the legitimately parked session it guessed at.
@@ -764,7 +779,7 @@ fn forged_and_stale_resume_tokens_are_rejected() {
     }
     let real_token = doomed.resume_token();
     drop(doomed);
-    std::thread::sleep(Duration::from_millis(100)); // let the server park it
+    wait_for_parks(&server, 1);
 
     let resume_attempt = |token: u64, last_acked_seq: u64| -> ServerFrame {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();

@@ -2,7 +2,7 @@
 //!
 //! Drives simulated processes through their programs, moving data through
 //! the `netsim` interconnect and the `dsm` state machines, with a
-//! `race_core::Detector` observing every access. The protocol follows the
+//! `race_core::Session` observing every access. The protocol follows the
 //! paper exactly:
 //!
 //! * a **put** is one `PutData` message, fire-and-forget (Fig 2);
@@ -30,7 +30,7 @@
 //!
 //! Detection logic itself is centralised in the detector (the simulator is
 //! omniscient); the wire messages carry the clocks as correctly-sized word
-//! counts (`Detector::clock_components_per_area`) so the traffic accounting
+//! counts (`Session::clock_components_per_area`) so the traffic accounting
 //! (§V-A) is faithful while the logic stays in one place.
 //!
 //! Layout: the run loop and lossy-plan recovery here; `plan` builds and

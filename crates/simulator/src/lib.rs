@@ -2,8 +2,8 @@
 //!
 //! Ties the substrates together: simulated processes run [`program::Program`]s
 //! of one-sided operations over the `dsm` memory/locks/RDMA state machines,
-//! messages travel on the `netsim` interconnect, and a pluggable
-//! `race_core::Detector` watches every access exactly where the paper's
+//! messages travel on the `netsim` interconnect, and a
+//! `race_core::Session` watches every access exactly where the paper's
 //! Algorithms 1–2 put their checks.
 //!
 //! Everything is deterministic for a given seed. Virtual time (not
